@@ -5,18 +5,19 @@
 //
 // Kernels cover the engine's regimes: brev (pure wires, IO-dominated),
 // matmul (MAC-bound), bitmnp (packed-eligible with real fabric logic),
-// idct (large netlist, falls back for MAC feedback) and crc (fabric-held
-// reduction, falls back to the scalar engine by design). Each kernel goes
-// through the full warp flow (profile -> DPM partition -> configure), the
-// stub's real invocation is captured from the WCLA device, the trip count
-// is scaled up (within the data BRAM) so timing is stable, and every
-// engine/width is checked bit-exact against the scalar reference before
-// timing.
+// idct (large netlist whose hard-MAC products feed back into the fabric:
+// packed in two stages around the MACs) and crc (fabric-held reduction
+// carried across iterations, falls back to the scalar engine by design).
+// Each kernel goes through the full warp flow (profile -> DPM partition ->
+// configure), the stub's real invocation is captured from the WCLA device,
+// the trip count is scaled up (within the data BRAM) so timing is stable,
+// and every engine/width is checked bit-exact against the scalar reference
+// before timing.
 //
-// Because feedback kernels never run packed through the executor, the
-// sweep also times the bare fabric pass (PackedEvaluator::run on the
-// kernel's mapped netlist) per width — the component this optimization
-// targets — for every kernel with surviving packed nodes.
+// The sweep also times the bare fabric pass (PackedEvaluator::run on the
+// kernel's mapped netlist, all stages in one pass) per width — the
+// component the lane-block widening vectorizes — for every kernel with
+// surviving packed nodes, including crc, whose executor stays scalar.
 //
 // Emits BENCH_packed_eval.json in the working directory so the performance
 // trajectory is tracked in-repo.
@@ -342,7 +343,7 @@ int main(int argc, char** argv) {
       {"brev", true},    // pure wires, IO-dominated
       {"matmul", true},  // MAC-bound
       {"bitmnp", true},  // packed-eligible with real fabric logic
-      {"idct", false},   // large netlist; MAC feedback forces scalar
+      {"idct", true},    // large netlist, staged around MAC-result feedback
       {"crc", false},    // fabric-held reduction forces scalar
   };
   std::vector<KernelResult> results;

@@ -697,25 +697,38 @@ std::vector<Request> make_cycle(std::size_t cycles, std::size_t keys,
   return requests;
 }
 
+// The nodes still running (a killed node has pid -1 once reaped).
+std::vector<const NodeProc*> live_nodes(const Cluster& cluster) {
+  std::vector<const NodeProc*> live;
+  for (const auto& node : cluster.nodes) {
+    if (node.pid > 0) live.push_back(&node);
+  }
+  return live;
+}
+
+// True when every live node holds the same, non-empty artifact set.
 bool slists_converged(const Cluster& cluster) {
-  std::set<std::string> first = slist_of(cluster.nodes[0].spec);
+  const auto live = live_nodes(cluster);
+  if (live.empty()) return false;
+  const std::set<std::string> first = slist_of(live[0]->spec);
   if (first.empty()) return false;
-  for (std::size_t i = 1; i < cluster.nodes.size(); ++i) {
-    if (slist_of(cluster.nodes[i].spec) != first) return false;
+  for (std::size_t i = 1; i < live.size(); ++i) {
+    if (slist_of(live[i]->spec) != first) return false;
   }
   return true;
 }
 
 // Anti-entropy is *eventually* convergent: a repair round can skip a peer
 // the (fault-injected) heartbeat currently thinks is down, and transient
-// link faults can starve individual transfers. Drive rounds on every node
-// until the artifact sets agree, bounded; print the residual diff when they
-// never do.
+// link faults can starve individual transfers. Drive rounds on every live
+// node until their artifact sets agree, bounded; print the residual diff
+// when they never do.
 bool repair_until_converged(const Cluster& cluster, const char* run_label) {
+  const auto live = live_nodes(cluster);
   for (int round = 0; round < 8; ++round) {
-    for (const auto& node : cluster.nodes) {
-      if (!common::starts_with(control_rpc(node.spec, "repair"), "sok")) {
-        std::printf("  FAIL %s: repair op failed on node %u\n", run_label, node.id);
+    for (const NodeProc* node : live) {
+      if (!common::starts_with(control_rpc(node->spec, "repair"), "sok")) {
+        std::printf("  FAIL %s: repair op failed on node %u\n", run_label, node->id);
         return false;
       }
     }
@@ -723,14 +736,15 @@ bool repair_until_converged(const Cluster& cluster, const char* run_label) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
   std::printf("  FAIL %s: artifact sets did not converge after repair\n", run_label);
-  const auto reference = slist_of(cluster.nodes[0].spec);
-  for (const auto& node : cluster.nodes) {
-    const auto have = slist_of(node.spec);
+  if (live.empty()) return false;
+  const auto reference = slist_of(live[0]->spec);
+  for (const NodeProc* node : live) {
+    const auto have = slist_of(node->spec);
     std::size_t missing = 0, extra = 0;
     for (const auto& name : reference) missing += have.count(name) == 0 ? 1 : 0;
     for (const auto& name : have) extra += reference.count(name) == 0 ? 1 : 0;
-    std::printf("    node %u: %zu artifacts, vs node 0: %zu missing, %zu extra\n",
-                node.id, have.size(), missing, extra);
+    std::printf("    node %u: %zu artifacts, vs node %u: %zu missing, %zu extra\n",
+                node->id, have.size(), live[0]->id, missing, extra);
   }
   return false;
 }
@@ -846,6 +860,9 @@ RunResult failover_run(const std::map<std::string, warpsys::MultiWarpEntry>& ref
                 static_cast<unsigned long long>(result.ok), result.sessions);
     ok = false;
   }
+  // The surviving replicas must still converge without the victim.
+  result.converged = repair_until_converged(cluster, "failover");
+  ok = result.converged && ok;
   for (const auto& node : cluster.nodes) {
     if (node.pid > 0) accumulate(result, query_stats(node.spec));
   }

@@ -9,14 +9,54 @@
 namespace warp::hwsim {
 
 using synth::HwKernel;
+using techmap::NetRef;
 using techmap::PortSpec;
+
+namespace {
+
+/// Stage of a MAC result that is not staged yet. It dominates every max(),
+/// so whatever reads it stays unstaged.
+constexpr unsigned kUnstaged = ~0u;
+
+unsigned ref_stage(const NetRef& ref, const std::vector<unsigned>& lut_stage,
+                   const std::vector<unsigned>& input_stage) {
+  const auto index = static_cast<std::size_t>(ref.index);
+  switch (ref.kind) {
+    case NetRef::Kind::kPrimaryInput:
+      if (index < input_stage.size()) return input_stage[index];
+      break;
+    case NetRef::Kind::kLut:
+      if (index < lut_stage.size()) return lut_stage[index];
+      break;
+    default:
+      return 0;  // constants
+  }
+  throw common::InternalError(common::format("executor: net reference %d out of range",
+                                             ref.index));
+}
+
+/// Stage of every LUT given every primary input's: the latest stage among
+/// its fanins. Assumes the topological LUT order the packed plan requires
+/// (PackedEvaluator rejects any other).
+std::vector<unsigned> lut_stages(const techmap::LutNetlist& netlist,
+                                 const std::vector<unsigned>& input_stage) {
+  std::vector<unsigned> stage(netlist.luts.size(), 0);
+  for (std::size_t i = 0; i < netlist.luts.size(); ++i) {
+    const techmap::Lut& lut = netlist.luts[i];
+    for (unsigned k = 0; k < lut.num_inputs; ++k) {
+      stage[i] = std::max(stage[i], ref_stage(lut.inputs[k], stage, input_stage));
+    }
+  }
+  return stage;
+}
+
+}  // namespace
 
 KernelExecutor::KernelExecutor(const HwKernel& kernel, const fabric::FabricConfig& config,
                                PackedOptions packed)
     : kernel_(kernel), config_(config) {
   set_packed_options(packed);
   bind_ports();
-  if (packed_supported_) packed_.emplace(config_.netlist);
 }
 
 void KernelExecutor::set_packed_options(PackedOptions packed) {
@@ -63,6 +103,7 @@ void KernelExecutor::bind_ports() {
 
   packed_supported_ = true;
   input_bindings_.resize(netlist.primary_inputs.size());
+  mac_result_inputs_.assign(kernel_.mac_ops.size(), {});
   for (std::size_t i = 0; i < netlist.primary_inputs.size(); ++i) {
     const PortSpec& spec = input_ports[i];
     InputBinding binding;
@@ -89,7 +130,11 @@ void KernelExecutor::bind_ports() {
         break;
       case PortSpec::Kind::kMacResult:
         binding.kind = InputBinding::Kind::kMacResult;
-        packed_supported_ = false;  // intra-iteration MAC -> fabric feedback
+        if (spec.a >= mac_result_inputs_.size()) {
+          throw common::InternalError("executor: MAC result input out of range: " +
+                                      netlist.primary_inputs[i]);
+        }
+        mac_result_inputs_[spec.a].push_back(static_cast<std::uint32_t>(i));
         break;
       case PortSpec::Kind::kAccState:
         binding.kind = InputBinding::Kind::kAccState;
@@ -166,6 +211,40 @@ void KernelExecutor::bind_ports() {
   mac_results_.assign(kernel_.mac_ops.size(), 0);
   iv_planes_.resize(ir.iv_regs.size());
   write_words_.resize(kernel_.write_outputs.size());
+
+  if (packed_supported_) packed_.emplace(netlist, stage_macs());
+}
+
+std::vector<unsigned> KernelExecutor::stage_macs() {
+  // The scalar engine reads MAC m's operands after the results of MACs
+  // 0..m-1 are in, so the packed plan splits at the MACs: operands that are
+  // ready after stage s give a product that enters as a stage s+1 input.
+  // MACs are staged in op order (synthesis emits them in dataflow order), so
+  // an operand still reading an unstaged result reads its own or a later
+  // MAC's, which the in-order scalar engine would see before it is set.
+  std::vector<unsigned> input_stage(input_bindings_.size(), 0);
+  for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
+    if (kernel_.mac_ops[m].accumulate) continue;  // its result stays 0 in the fabric
+    for (const std::uint32_t i : mac_result_inputs_[m]) input_stage[i] = kUnstaged;
+  }
+  mac_stage_.assign(kernel_.mac_ops.size(), 0);
+  for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
+    const std::vector<unsigned> lut_stage = lut_stages(config_.netlist, input_stage);
+    unsigned stage = 0;
+    for (const OutputGroup* group : {&mac_a_groups_[m], &mac_b_groups_[m]}) {
+      for (const OutputBit& ob : *group) {
+        stage = std::max(stage, ref_stage(ob.source, lut_stage, input_stage));
+      }
+    }
+    if (stage == kUnstaged) {
+      throw common::InternalError(common::format(
+          "executor: MAC %zu operands read its own or a later MAC's result", m));
+    }
+    mac_stage_[m] = stage;
+    if (kernel_.mac_ops[m].accumulate) continue;
+    for (const std::uint32_t i : mac_result_inputs_[m]) input_stage[i] = stage + 1;
+  }
+  return input_stage;
 }
 
 std::uint32_t KernelExecutor::read_group_word(const OutputGroup& group,
@@ -198,6 +277,9 @@ bool KernelExecutor::streams_hazard_free(const KernelInvocation& invocation,
   const auto& ir = kernel_.ir;
   if (invocation.trip == 0) return true;
   const std::int64_t last_iter = static_cast<std::int64_t>(invocation.trip) - 1;
+  // No block spans more iterations than the trip.
+  const std::int64_t window =
+      static_cast<std::int64_t>(std::min<std::uint64_t>(block_lanes, invocation.trip));
 
   struct Range {
     std::int64_t lo = 0;
@@ -253,7 +335,7 @@ bool KernelExecutor::streams_hazard_free(const KernelInvocation& invocation,
           // diff - stride*d bytes apart; their elem-byte intervals overlap
           // when that gap is smaller than an element. d == 0 (same
           // iteration) is safe: both engines read before writing.
-          for (std::int64_t d = 1; d < static_cast<std::int64_t>(block_lanes); ++d) {
+          for (std::int64_t d = 1; d < window; ++d) {
             const std::int64_t gap = diff - static_cast<std::int64_t>(w.stride_bytes) * d;
             if (gap > -w.elem_bytes && gap < w.elem_bytes) return false;
           }
@@ -313,19 +395,21 @@ common::Result<KernelRunResult> KernelExecutor::run(sim::Memory& memory,
                           engine_ != EvalEngine::kScalar)
                              ? select_packed_width(invocation)
                              : 0;
-  std::uint64_t iter = 0;
   if (width != 0) {
+    // Full blocks, then the trip's remainder as one partial block.
     packed_->set_width(width);
     const std::uint64_t block = std::uint64_t{width} * kPackedWordBits;
-    for (; iter + block <= invocation.trip; iter += block) {
-      run_packed_block(memory, invocation, iter, acc, width);
+    for (std::uint64_t iter = 0; iter < invocation.trip; iter += block) {
+      const auto lanes = static_cast<unsigned>(std::min(block, invocation.trip - iter));
+      run_packed_block(memory, invocation, iter, lanes, acc, width);
     }
-    result.packed_iterations = iter;
-    if (iter != 0) result.packed_width = width;
-  }
-  for (; iter < invocation.trip; ++iter) {
-    run_scalar_iter(memory, invocation, iter, acc, verify_against_dfg);
-    ++result.scalar_iterations;
+    result.packed_iterations = invocation.trip;
+    if (invocation.trip != 0) result.packed_width = width;
+  } else {
+    for (std::uint64_t iter = 0; iter < invocation.trip; ++iter) {
+      run_scalar_iter(memory, invocation, iter, acc, verify_against_dfg);
+    }
+    result.scalar_iterations = invocation.trip;
   }
 
   const unsigned ii = kernel_.initiation_interval();
@@ -477,16 +561,31 @@ void KernelExecutor::unpack_group(const OutputGroup& group, std::uint64_t* words
   common::transpose64_unblocked(words, width);
 }
 
-void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocation& invocation,
-                                      std::uint64_t iter0, std::vector<std::uint32_t>& acc,
-                                      unsigned width) {
-  const auto& ir = kernel_.ir;
+void KernelExecutor::feed_mac_result(std::size_t m, unsigned width) {
   const unsigned block_lanes = width * kPackedWordBits;
+  std::array<std::uint64_t, kMaxPackedLanes> product;  // A operands, then products
+  std::array<std::uint64_t, kMaxPackedLanes> operand_b;
+  unpack_group(mac_a_groups_[m], product.data(), width);
+  unpack_group(mac_b_groups_[m], operand_b.data(), width);
+  for (unsigned j = 0; j < block_lanes; ++j) {
+    product[j] = static_cast<std::uint32_t>(product[j]) * static_cast<std::uint32_t>(operand_b[j]);
+  }
+  common::transpose64_blocked(product.data(), width);
+  for (const std::uint32_t i : mac_result_inputs_[m]) {
+    packed_->set_input_block(i, &product[input_bindings_[i].bit * width]);
+  }
+}
 
-  // 1. Batched DADG reads: width*64 iterations of every read tap, loaded
-  //    one word per iteration and block-transposed in place into lane
-  //    blocks (the width words at row b*width = the lane block of tap
-  //    bit b).
+void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocation& invocation,
+                                      std::uint64_t iter0, unsigned lanes,
+                                      std::vector<std::uint32_t>& acc, unsigned width) {
+  const auto& ir = kernel_.ir;
+
+  // 1. Batched DADG reads: the block's valid iterations of every read tap,
+  //    loaded one word per iteration (spare lanes of a partial block read
+  //    0, never memory) and block-transposed in place into lane blocks (the
+  //    width words at row b*width = the lane block of tap bit b).
+  const unsigned block_lanes = width * kPackedWordBits;
   for (std::size_t s = 0; s < ir.streams.size(); ++s) {
     const auto& stream = ir.streams[s];
     if (stream.is_write) continue;
@@ -494,7 +593,7 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
       auto& words = block_taps_[tap_base_[s] + t];
       const std::uint32_t tap_offset =
           invocation.stream_bases[s] + t * static_cast<std::uint32_t>(stream.tap_stride_bytes);
-      for (unsigned j = 0; j < block_lanes; ++j) {
+      for (unsigned j = 0; j < lanes; ++j) {
         const std::uint32_t addr =
             tap_offset +
             static_cast<std::uint32_t>(static_cast<std::int64_t>(stream.stride_bytes) *
@@ -505,20 +604,22 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
           default: words[j] = memory.read32(addr); break;
         }
       }
+      std::fill(words.begin() + lanes, words.begin() + block_lanes, 0);
       common::transpose64_blocked(words.data(), width);
     }
   }
 
   // Induction-variable lane blocks, one row set per iv reg.
   for (std::size_t p = 0; p < ir.iv_regs.size(); ++p) {
-    for (unsigned j = 0; j < block_lanes; ++j) {
+    for (unsigned j = 0; j < lanes; ++j) {
       iv_planes_[p][j] = iv_value(static_cast<int>(p), iter0 + j);
     }
+    std::fill(iv_planes_[p].begin() + lanes, iv_planes_[p].begin() + block_lanes, 0);
     common::transpose64_blocked(iv_planes_[p].data(), width);
   }
 
-  // 2. Wire the lane blocks to the fabric inputs and evaluate all width*64
-  //    iterations in one pass.
+  // 2. Wire the lane blocks to the fabric inputs. MAC results start at 0,
+  //    as in the scalar engine, until their products are fed in.
   for (std::size_t i = 0; i < input_bindings_.size(); ++i) {
     const InputBinding& binding = input_bindings_[i];
     switch (binding.kind) {
@@ -540,34 +641,48 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
         }
         break;
       case InputBinding::Kind::kMacResult:
+        for (unsigned w = 0; w < width; ++w) packed_->set_input(i, w, 0);
+        break;
       case InputBinding::Kind::kAccState:
-        throw common::InternalError("executor: feedback input on the packed path");
+        throw common::InternalError("executor: accumulator state on the packed path");
     }
   }
-  packed_->run();
 
-  // 3. MAC accumulations: operands come out of the packed pass; the
-  //    width*64 products are summed in iteration order.
+  // 3. Evaluate all width*64 iterations stage by stage; after each stage,
+  //    the MACs whose operands are now ready feed their products into the
+  //    next one.
+  for (unsigned stage = 0; stage < packed_->num_stages(); ++stage) {
+    packed_->run_stage(stage);
+    for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
+      if (!kernel_.mac_ops[m].accumulate && mac_stage_[m] == stage &&
+          !mac_result_inputs_[m].empty()) {
+        feed_mac_result(m, width);  // unread products are not formed
+      }
+    }
+  }
+
+  // 4. MAC accumulations: operands come out of the packed pass; the
+  //    products of the valid lanes are summed in iteration order.
   std::array<std::uint64_t, kMaxPackedLanes> words_a;
   std::array<std::uint64_t, kMaxPackedLanes> words_b;
   for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
-    if (!kernel_.mac_ops[m].accumulate) continue;  // feedback MACs never get here
+    if (!kernel_.mac_ops[m].accumulate) continue;
     unpack_group(mac_a_groups_[m], words_a.data(), width);
     unpack_group(mac_b_groups_[m], words_b.data(), width);
     std::uint32_t sum = 0;
-    for (unsigned j = 0; j < block_lanes; ++j) {
+    for (unsigned j = 0; j < lanes; ++j) {
       sum += static_cast<std::uint32_t>(words_a[j]) * static_cast<std::uint32_t>(words_b[j]);
     }
     acc[static_cast<std::size_t>(kernel_.mac_ops[m].acc_index)] += sum;
   }
 
-  // 4. Stream writes, in iteration-major order (the scalar engine's order,
-  //    in case two write taps alias).
+  // 5. Stream writes of the valid lanes, in iteration-major order (the
+  //    scalar engine's order, in case two write taps alias).
   if (!kernel_.write_outputs.empty()) {
     for (std::size_t w = 0; w < kernel_.write_outputs.size(); ++w) {
       unpack_group(write_groups_[w], write_words_[w].data(), width);
     }
-    for (unsigned j = 0; j < block_lanes; ++j) {
+    for (unsigned j = 0; j < lanes; ++j) {
       for (std::size_t w = 0; w < kernel_.write_outputs.size(); ++w) {
         const auto& out = kernel_.write_outputs[w];
         const auto& stream = ir.streams[out.stream];
@@ -586,15 +701,17 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
     }
   }
 
-  // 5. Fabric-held accumulator outputs without state feedback recompute the
-  //    same function every iteration; the final value is the last lane's
-  //    (bit 63 of the last word of the block).
+  // 6. Fabric-held accumulator outputs without state feedback recompute the
+  //    same function every iteration; the final value is the last valid
+  //    lane's.
+  const unsigned last_word = (lanes - 1) / kPackedWordBits;
+  const unsigned last_bit = (lanes - 1) % kPackedWordBits;
   for (const auto& out : kernel_.acc_outputs) {
     if (out.via_mac) continue;
     std::uint32_t word = 0;
     for (const OutputBit& ob : acc_next_groups_[out.acc_index]) {
-      const std::uint64_t lane = packed_->output(ob.output_index, width - 1);
-      word |= static_cast<std::uint32_t>((lane >> (kPackedWordBits - 1)) & 1u) << ob.bit;
+      const std::uint64_t lane = packed_->output(ob.output_index, last_word);
+      word |= static_cast<std::uint32_t>((lane >> last_bit) & 1u) << ob.bit;
     }
     acc[out.acc_index] = word;
   }

@@ -14,14 +14,19 @@
 //   - a packed lane-block engine (PackedEvaluator) that evaluates W*64 loop
 //     iterations per pass (W in {1,2,4}, fixed via PackedOptions or chosen
 //     per run), one contiguous W-word lane block per net, with batched
-//     stream tap reads and writes per block — used whenever the kernel has
-//     no per-iteration feedback into the fabric (MAC results or accumulator
-//     state feeding back) and the invocation's read/write streams cannot
-//     alias within a block (auto mode narrows the block until it is
-//     hazard-free before giving up);
+//     stream tap reads and writes per block. The last trip % (W*64)
+//     iterations run as one partial block whose spare lanes are never read
+//     from or written to memory. Hard-MAC results that feed back into the
+//     fabric within an iteration are staged: the plan is split at the MACs,
+//     and between stages the W*64 products are formed lane by lane and fed
+//     in as inputs of the next stage. Used whenever the kernel carries no
+//     accumulator state into the fabric across iterations and the
+//     invocation's read/write streams cannot alias within a block (auto
+//     mode narrows the block until it is hazard-free before giving up);
 //   - the scalar reference engine (one iteration at a time over the shared
-//     techmap::resolve_ref reference semantics), used for the loop tail,
-//     for feedback kernels, and for the golden DFG cross-check mode.
+//     techmap::resolve_ref reference semantics), used for kernels with
+//     cross-iteration accumulator feedback, for aliasing invocations, and
+//     for the golden DFG cross-check mode.
 //
 // The executor also provides a golden cross-check mode that evaluates the
 // original dataflow graph and verifies the fabric against it per iteration.
@@ -68,9 +73,9 @@ struct KernelRunResult {
 class KernelExecutor {
  public:
   /// Which evaluation engine run() uses. kAuto picks the packed engine
-  /// whenever it is safe (no feedback, no intra-block stream aliasing) and
-  /// falls back to the scalar reference otherwise; kScalar forces the
-  /// reference engine (the microbenchmark's baseline).
+  /// whenever it is safe (no accumulator-state feedback, no intra-block
+  /// stream aliasing) and falls back to the scalar reference otherwise;
+  /// kScalar forces the reference engine (the microbenchmark's baseline).
   enum class EvalEngine : std::uint8_t { kAuto, kScalar };
 
   /// `kernel` and `config` must outlive the executor. `packed` pins or
@@ -91,8 +96,8 @@ class KernelExecutor {
   /// the width-sweep microbenchmark). Throws on unsupported widths.
   void set_packed_options(PackedOptions packed);
   const PackedOptions& packed_options() const { return packed_options_; }
-  /// True when the kernel itself permits packed evaluation (no MAC-result
-  /// or accumulator-state feedback into the fabric). Individual invocations
+  /// True when the kernel itself permits packed evaluation (no
+  /// accumulator-state feedback into the fabric). Individual invocations
   /// may still fall back when their streams alias.
   bool packed_supported() const { return packed_supported_; }
   /// LUT nodes surviving the packed plan's constant/wire folding (0 when
@@ -121,7 +126,13 @@ class KernelExecutor {
   };
   using OutputGroup = std::vector<OutputBit>;
 
+  /// Builds the port tables, and the packed plan when the kernel permits.
   void bind_ports();
+  /// Stages the MAC ops for the packed plan: sets mac_stage_ and returns
+  /// each primary input's evaluation stage. Throws InternalError when a
+  /// MAC's operands read its own or a later MAC's result, which the
+  /// scalar engine's in-order MAC sequencing would evaluate differently.
+  std::vector<unsigned> stage_macs();
   std::uint32_t read_group_word(const OutputGroup& group,
                                 const std::vector<bool>& lut_values) const;
   int find_write_node(unsigned stream, unsigned tap) const;
@@ -139,8 +150,13 @@ class KernelExecutor {
   void run_scalar_iter(sim::Memory& memory, const KernelInvocation& invocation,
                        std::uint64_t iter, std::vector<std::uint32_t>& acc,
                        bool verify_against_dfg);
+  /// One packed block of `lanes` <= width*64 iterations starting at iter0.
   void run_packed_block(sim::Memory& memory, const KernelInvocation& invocation,
-                        std::uint64_t iter0, std::vector<std::uint32_t>& acc, unsigned width);
+                        std::uint64_t iter0, unsigned lanes, std::vector<std::uint32_t>& acc,
+                        unsigned width);
+  /// Form MAC m's products for every lane of the block and feed them into
+  /// the primary inputs bound to its result.
+  void feed_mac_result(std::size_t m, unsigned width);
 
   std::uint32_t iv_value(int iv_pos, std::uint64_t iter) const;
   /// Gather a word group out of the packed pass: lane blocks in, one word
@@ -158,6 +174,8 @@ class KernelExecutor {
   std::vector<OutputGroup> mac_a_groups_;     // per MAC op
   std::vector<OutputGroup> mac_b_groups_;     // per MAC op
   std::vector<OutputGroup> acc_next_groups_;  // per accumulator
+  std::vector<std::vector<std::uint32_t>> mac_result_inputs_;  // per MAC op: bound inputs
+  std::vector<unsigned> mac_stage_;  // per MAC op: packed stage its operands are ready in
   std::unordered_map<std::uint32_t, int> write_node_;  // (stream<<16|tap) -> DFG node
   std::vector<unsigned> tap_base_;            // per stream: flattened tap index base
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -36,8 +37,14 @@ constexpr std::uint32_t kUnassigned = ~0u;
 
 }  // namespace
 
-PackedEvaluator::PackedEvaluator(const techmap::LutNetlist& netlist) {
+PackedEvaluator::PackedEvaluator(const techmap::LutNetlist& netlist,
+                                 const std::vector<unsigned>& input_stage) {
   num_inputs_ = netlist.primary_inputs.size();
+  if (!input_stage.empty() && input_stage.size() != num_inputs_) {
+    throw common::InternalError(
+        common::format("packed_eval: %zu input stages for %zu inputs", input_stage.size(),
+                       num_inputs_));
+  }
 
   // Slot 0/1 hold the constant lanes; inputs follow; surviving LUTs after.
   const std::uint32_t first_node_slot = static_cast<std::uint32_t>(2 + num_inputs_);
@@ -115,24 +122,41 @@ PackedEvaluator::PackedEvaluator(const techmap::LutNetlist& netlist) {
     lut_slot[i] = node.out;
   }
 
-  // Reorder surviving nodes by mux-tree level and renumber their slots in
-  // the new evaluation order: a level-L node's fanins then live in the
-  // contiguous slot range of levels < L, so wide lane blocks stream through
-  // the lane array mostly sequentially instead of hopping in the mapper's
-  // emission order. Level order is still topological (every edge increases
-  // the level), so one forward pass stays correct.
+  // Reorder surviving nodes by (stage, mux-tree level) and renumber their
+  // slots in the new evaluation order: a level-L node's fanins then live in
+  // the contiguous slot range of levels < L, so wide lane blocks stream
+  // through the lane array mostly sequentially instead of hopping in the
+  // mapper's emission order. The order is still topological (every edge
+  // keeps the stage and increases the level, or increases the stage), so
+  // one forward pass stays correct and each stage is a contiguous range.
   {
     std::vector<unsigned> slot_level(next_slot, 0);
+    std::vector<unsigned> slot_stage(next_slot, 0);
+    unsigned max_stage = 0;
+    for (std::size_t i = 0; i < input_stage.size(); ++i) {
+      slot_stage[2 + i] = input_stage[i];
+      max_stage = std::max(max_stage, input_stage[i]);
+    }
     for (const PackedNode& n : nodes_) {
       unsigned level = 0;
-      for (const std::uint32_t in : n.in) level = std::max(level, slot_level[in]);
+      unsigned stage = 0;
+      for (const std::uint32_t in : n.in) {
+        level = std::max(level, slot_level[in]);
+        stage = std::max(stage, slot_stage[in]);
+      }
       slot_level[n.out] = level + 1;
+      slot_stage[n.out] = stage;
     }
+    const auto key = [&](std::uint32_t node) {
+      return std::make_pair(slot_stage[nodes_[node].out], slot_level[nodes_[node].out]);
+    };
     std::vector<std::uint32_t> order(nodes_.size());
     std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return slot_level[nodes_[a].out] < slot_level[nodes_[b].out];
-    });
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) { return key(a) < key(b); });
+    stage_end_.assign(max_stage + 1, 0);
+    for (const PackedNode& n : nodes_) ++stage_end_[slot_stage[n.out]];
+    std::partial_sum(stage_end_.begin(), stage_end_.end(), stage_end_.begin());
     std::vector<std::uint32_t> remap(next_slot);
     std::iota(remap.begin(), remap.end(), 0u);
     std::uint32_t slot = first_node_slot;
@@ -180,8 +204,9 @@ unsigned PackedEvaluator::choose_width(std::uint64_t trip) const {
   // folding) are stream-IO-bound: measured on the paper kernels, W>1 costs
   // a few percent there, so they stay at one word.
   if (nodes_.size() < 192) return 1;
-  // Only full blocks run packed: demand at least two full passes so short
-  // trips don't degenerate into an all-scalar tail at a wide block.
+  // A partial block (the trip's last trip % (width*64) iterations) costs a
+  // full pass however few of its lanes are valid: demand at least two full
+  // passes so a short trip doesn't pay for a mostly idle wide block.
   unsigned width = kMaxPackedWidth;
   while (width > 1 &&
          trip < std::uint64_t{2} * width * kPackedWordBits) {
@@ -195,12 +220,13 @@ unsigned PackedEvaluator::choose_width(std::uint64_t trip) const {
 }
 
 template <unsigned W>
-void PackedEvaluator::run_pass() {
+void PackedEvaluator::run_pass(const PackedNode* first, const PackedNode* last) {
   // The mux tree below is written out for 3-input LUTs; a wider fabric LUT
   // needs another select level here (and 2^K masks above).
   static_assert(techmap::kLutInputs == 3, "packed mux tree assumes 3-input LUTs");
   std::uint64_t* lanes = lanes_.data();
-  for (const PackedNode& n : nodes_) {
+  for (const PackedNode* node = first; node != last; ++node) {
+    const PackedNode& n = *node;
     const std::uint64_t* pa = lanes + std::size_t{n.in[0]} * W;
     const std::uint64_t* pb = lanes + std::size_t{n.in[1]} * W;
     const std::uint64_t* pc = lanes + std::size_t{n.in[2]} * W;
@@ -232,7 +258,7 @@ void PackedEvaluator::run_pass() {
 // unrolled template and SSE2 — the per-node mask broadcasts compile
 // poorly there — so it is only the non-x86 fallback.)
 #if defined(__SIZEOF_INT128__) && !defined(__SSE2__)
-void PackedEvaluator::run_pass_u128() {
+void PackedEvaluator::run_pass_u128(const PackedNode* first, const PackedNode* last) {
   static_assert(techmap::kLutInputs == 3, "packed mux tree assumes 3-input LUTs");
   using u128 = unsigned __int128;
   const auto load = [](const std::uint64_t* p) {
@@ -242,7 +268,8 @@ void PackedEvaluator::run_pass_u128() {
   };
   const auto bcast = [](std::uint64_t m) { return (u128{m} << 64) | m; };
   std::uint64_t* lanes = lanes_.data();
-  for (const PackedNode& n : nodes_) {
+  for (const PackedNode* node = first; node != last; ++node) {
+    const PackedNode& n = *node;
     const u128 a = load(lanes + std::size_t{n.in[0]} * 2);
     const u128 b = load(lanes + std::size_t{n.in[1]} * 2);
     const u128 c = load(lanes + std::size_t{n.in[2]} * 2);
@@ -258,20 +285,23 @@ void PackedEvaluator::run_pass_u128() {
   }
 }
 #else
-void PackedEvaluator::run_pass_u128() { run_pass<2>(); }
+void PackedEvaluator::run_pass_u128(const PackedNode* first, const PackedNode* last) {
+  run_pass<2>(first, last);
+}
 #endif
 
 #if defined(__SSE2__)
 // One 128-bit op per mux level; W=4 runs the same kernel over both halves.
 template <unsigned W>
-void PackedEvaluator::run_pass_sse2() {
+void PackedEvaluator::run_pass_sse2(const PackedNode* first, const PackedNode* last) {
   static_assert(techmap::kLutInputs == 3, "packed mux tree assumes 3-input LUTs");
   static_assert(W == 2 || W == 4);
   std::uint64_t* lanes = lanes_.data();
   const auto bcast = [](std::uint64_t m) {
     return _mm_set1_epi64x(static_cast<long long>(m));
   };
-  for (const PackedNode& n : nodes_) {
+  for (const PackedNode* node = first; node != last; ++node) {
+    const PackedNode& n = *node;
     const std::uint64_t* pa = lanes + std::size_t{n.in[0]} * W;
     const std::uint64_t* pb = lanes + std::size_t{n.in[1]} * W;
     const std::uint64_t* pc = lanes + std::size_t{n.in[2]} * W;
@@ -302,10 +332,11 @@ void PackedEvaluator::run_pass_sse2() {
 #endif
 
 #if defined(__AVX2__)
-void PackedEvaluator::run_pass_avx2() {
+void PackedEvaluator::run_pass_avx2(const PackedNode* first, const PackedNode* last) {
   static_assert(techmap::kLutInputs == 3, "packed mux tree assumes 3-input LUTs");
   std::uint64_t* lanes = lanes_.data();
-  for (const PackedNode& n : nodes_) {
+  for (const PackedNode* node = first; node != last; ++node) {
+    const PackedNode& n = *node;
     const __m256i a = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(lanes + std::size_t{n.in[0]} * 4));
     const __m256i b = _mm256_loadu_si256(
@@ -334,28 +365,32 @@ void PackedEvaluator::run_pass_avx2() {
   }
 }
 #else
-void PackedEvaluator::run_pass_avx2() { run_pass<4>(); }
+void PackedEvaluator::run_pass_avx2(const PackedNode* first, const PackedNode* last) {
+  run_pass<4>(first, last);
+}
 #endif
 
-void PackedEvaluator::run() {
+void PackedEvaluator::run_nodes(std::size_t first, std::size_t last) {
+  const PackedNode* begin = nodes_.data() + first;
+  const PackedNode* end = nodes_.data() + last;
   switch (width_) {
     case 1:
-      run_pass<1>();
+      run_pass<1>(begin, end);
       return;
     case 2:
 #if defined(__SSE2__)
-      run_pass_sse2<2>();
+      run_pass_sse2<2>(begin, end);
 #else
-      run_pass_u128();
+      run_pass_u128(begin, end);
 #endif
       return;
     case 4:
 #if defined(__AVX2__)
-      run_pass_avx2();
+      run_pass_avx2(begin, end);
 #elif defined(__SSE2__)
-      run_pass_sse2<4>();
+      run_pass_sse2<4>(begin, end);
 #else
-      run_pass<4>();
+      run_pass<4>(begin, end);
 #endif
       return;
   }

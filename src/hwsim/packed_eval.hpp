@@ -21,10 +21,17 @@
 //     kLutInputs fanins (unused pins point at the constant-0 lane);
 //   - each node's truth table is expanded to eight per-row lane masks, so
 //     evaluation is a branchless three-level mux tree over packed words;
-//   - surviving nodes are re-sorted by mux-tree level and their slots
-//     renumbered in evaluation order, so a node's fanins live in the
+//   - surviving nodes are re-sorted by (stage, mux-tree level) and their
+//     slots renumbered in evaluation order, so a node's fanins live in the
 //     contiguous slot range of the previous level and wide lane blocks
 //     stream through the lane array mostly sequentially.
+//
+// Stages let a caller feed values computed outside the fabric back in
+// mid-pass: each primary input carries a stage number (the executor gives
+// a hard-MAC result input the stage after its operands'), a node's stage is
+// the latest stage among its fanins, and run_stage(s) evaluates only the
+// nodes of stage s. Inputs of stage s+1 may be set between run_stage(s)
+// and run_stage(s+1); run() evaluates every stage in one pass.
 //
 // The LUT array must be emitted in topological (levelized) order — the
 // mapper guarantees this, and the constructor rejects arrays that are not
@@ -74,9 +81,12 @@ struct PackedOptions {
 
 class PackedEvaluator {
  public:
-  /// Compiles the evaluation plan. Throws common::InternalError when the
-  /// LUT array is not topologically ordered or references are out of range.
-  explicit PackedEvaluator(const techmap::LutNetlist& netlist);
+  /// Compiles the evaluation plan. `input_stage` gives each primary input's
+  /// stage (empty: every input is stage 0). Throws common::InternalError
+  /// when the LUT array is not topologically ordered, references are out of
+  /// range, or `input_stage` does not cover the inputs.
+  explicit PackedEvaluator(const techmap::LutNetlist& netlist,
+                           const std::vector<unsigned>& input_stage = {});
 
   static constexpr bool width_supported(unsigned width) {
     return width == 1 || width == 2 || width == 4;
@@ -86,6 +96,8 @@ class PackedEvaluator {
   std::size_t num_outputs() const { return output_slot_.size(); }
   /// LUTs surviving constant/wire folding (the per-pass work).
   std::size_t node_count() const { return nodes_.size(); }
+  /// Evaluation stages: 1 + the latest input stage.
+  unsigned num_stages() const { return static_cast<unsigned>(stage_end_.size()); }
 
   /// Active lane-block width in words, and iterations per pass.
   unsigned width() const { return width_; }
@@ -117,7 +129,9 @@ class PackedEvaluator {
   }
 
   /// Evaluate all nodes for the width()*64 packed iterations.
-  void run();
+  void run() { run_nodes(0, nodes_.size()); }
+  /// Evaluate only the nodes of stage `stage` (see the file comment).
+  void run_stage(unsigned stage) { run_nodes(stage_begin(stage), stage_end_[stage]); }
 
   /// Lane word `word` of netlist output `index` after run().
   std::uint64_t output(std::size_t index, unsigned word = 0) const {
@@ -127,14 +141,25 @@ class PackedEvaluator {
   }
 
  private:
+  std::size_t stage_begin(unsigned stage) const {
+    return stage == 0 ? 0 : stage_end_[stage - 1];
+  }
+  /// Evaluate nodes_[first, last) at the active width.
+  void run_nodes(std::size_t first, std::size_t last);
+
+  // Mux-tree passes over the nodes [first, last): the unrolled
+  // word-at-a-time fallback (any width), W == 2/4 in 128-bit halves
+  // (baseline x86-64), W == 2 via __uint128_t (non-x86 fallback), and
+  // W == 4 in one 256-bit register when compiled in.
   template <unsigned W>
-  void run_pass();       // unrolled word-at-a-time fallback, any width
+  void run_pass(const PackedNode* first, const PackedNode* last);
   template <unsigned W>
-  void run_pass_sse2();  // W == 2/4 in 128-bit halves (baseline x86-64)
-  void run_pass_u128();  // W == 2 via __uint128_t (non-x86 fallback)
-  void run_pass_avx2();  // W == 4 in one 256-bit register, when compiled in
+  void run_pass_sse2(const PackedNode* first, const PackedNode* last);
+  void run_pass_u128(const PackedNode* first, const PackedNode* last);
+  void run_pass_avx2(const PackedNode* first, const PackedNode* last);
 
   std::vector<PackedNode> nodes_;
+  std::vector<std::size_t> stage_end_;  // per stage: one past its last node
   std::vector<std::uint64_t> lanes_;  // num_slots_ * width_ words
   std::vector<std::uint32_t> output_slot_;  // per netlist output, resolved
   std::size_t num_inputs_ = 0;

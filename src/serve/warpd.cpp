@@ -184,7 +184,9 @@ Warpd::~Warpd() { stop(); }
 void Warpd::submit(const protocol::Request& request, Callback done) {
   std::string err = validate_request(request);
   std::unique_lock lock(mutex_);
-  if (err.empty() && stopping_) err = "server is stopping";
+  // A drained engine keeps shedding busy while it stops: its connections
+  // still deliver the retries of the drain's busy storm until they close.
+  if (err.empty() && stopping_ && !draining_) err = "server is stopping";
   // Seq checks, without committing: a shed request must not burn a seq slot
   // or lock the stream's seq mode.
   if (err.empty()) {

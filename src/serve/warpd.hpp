@@ -268,8 +268,9 @@ class Warpd {
   /// shed. Callbacks must not re-enter this Warpd beyond submit().
   void submit(const protocol::Request& request, Callback done);
 
-  /// Stop admitting (everything new is shed kBusy with drain_retry_ms)
-  /// while in-flight sessions run to completion. Irreversible.
+  /// Stop admitting (everything new is shed kBusy with drain_retry_ms,
+  /// also after stop()) while in-flight sessions run to completion.
+  /// Irreversible.
   void begin_drain();
   bool draining() const;
 

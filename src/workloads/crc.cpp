@@ -12,7 +12,7 @@
 // must refuse it (per-iteration feedback) and leave the whole trip to the
 // scalar reference engine, at every lane-block width. The trip count is
 // also kept off the 64-iteration grid so any engine that did batch would
-// still need a scalar tail.
+// also have to run a partial lane block.
 #include "workloads/workload.hpp"
 
 #include "common/rng.hpp"

@@ -54,7 +54,7 @@ Workload make_fir();
 const std::vector<Workload>& all_workloads();
 
 /// The paper benchmarks plus the post-paper coverage workloads: crc (which
-/// stresses the simulator's fabric-held-reduction and scalar-tail fallback
+/// stresses the simulator's fabric-held-reduction and scalar fallback
 /// paths) and fir (LUT-heavy and feedback-free, so the packed engine's
 /// wide auto widths engage end-to-end). Figure drivers stay on
 /// all_workloads(); engine-coverage tests and the packed-eval

@@ -338,7 +338,7 @@ loop:
 TEST(PackedExecutor, MatchesScalarEngineOnKernelRun) {
   auto built = build_kernel(kTransform, "loop");
   KernelInvocation invocation;
-  invocation.trip = 200;  // three packed blocks + an 8-iteration scalar tail
+  invocation.trip = 200;  // three full packed blocks + an 8-lane partial block
   for (const auto& stream : built.ir.streams) {
     invocation.stream_bases.push_back(stream.is_write ? 0x4000 : 0x1000);
   }
@@ -361,8 +361,8 @@ TEST(PackedExecutor, MatchesScalarEngineOnKernelRun) {
   ASSERT_TRUE(packed_exec.packed_supported());
   auto packed_result = packed_exec.run(mem_packed, invocation);
   ASSERT_TRUE(packed_result.is_ok()) << packed_result.message();
-  EXPECT_EQ(packed_result.value().packed_iterations, 192u);
-  EXPECT_EQ(packed_result.value().scalar_iterations, 8u);
+  EXPECT_EQ(packed_result.value().packed_iterations, 200u);
+  EXPECT_EQ(packed_result.value().scalar_iterations, 0u);
 
   KernelExecutor scalar_exec(*built.kernel, *built.config);
   scalar_exec.set_engine(KernelExecutor::EvalEngine::kScalar);
@@ -379,10 +379,11 @@ TEST(PackedExecutor, MatchesScalarEngineOnKernelRun) {
 
 TEST(PackedExecutor, WidthSweepMatchesScalarEngine) {
   // Pinned lane-block widths: every width must agree with the scalar
-  // engine bit-exactly and split the trip into blocks of width*64.
+  // engine bit-exactly and run the whole trip packed, the remainder of
+  // the width*64 blocks as one partial block.
   auto built = build_kernel(kTransform, "loop");
   KernelInvocation invocation;
-  invocation.trip = 600;  // W=4: two 256-lane blocks + an 88-iteration tail
+  invocation.trip = 600;  // W=4: two 256-lane blocks + an 88-lane partial block
   for (const auto& stream : built.ir.streams) {
     invocation.stream_bases.push_back(stream.is_write ? 0x4000 : 0x1000);
   }
@@ -410,10 +411,9 @@ TEST(PackedExecutor, WidthSweepMatchesScalarEngine) {
     ASSERT_TRUE(exec.packed_supported());
     auto result = exec.run(mem, invocation);
     ASSERT_TRUE(result.is_ok()) << result.message();
-    const std::uint64_t block = std::uint64_t{width} * kPackedWordBits;
-    EXPECT_EQ(result.value().packed_iterations, (600 / block) * block) << width;
+    EXPECT_EQ(result.value().packed_iterations, 600u) << width;
     EXPECT_EQ(result.value().packed_width, width);
-    EXPECT_EQ(result.value().scalar_iterations, 600 % block) << width;
+    EXPECT_EQ(result.value().scalar_iterations, 0u) << width;
     for (unsigned i = 0; i < 600; ++i) {
       ASSERT_EQ(mem.read32(0x4000 + 4 * i), mem_scalar.read32(0x4000 + 4 * i))
           << "width " << width << " word " << i;
@@ -427,6 +427,116 @@ TEST(PackedExecutor, WidthSweepMatchesScalarEngine) {
   EXPECT_THROW(exec.set_packed_options(hwsim::PackedOptions{3}), common::InternalError);
   EXPECT_THROW((KernelExecutor{*built.kernel, *built.config, hwsim::PackedOptions{8}}),
                common::InternalError);
+}
+
+// The constant multiply has more CSD digits than csd_max_terms, so it goes
+// to the hard MAC, and its product feeds fabric adds, a second (variable)
+// MAC and the stream write: a three-stage packed plan.
+constexpr const char* kMacChain = R"(
+  li r2, 0x1000
+  li r3, 0x4000
+  li r4, 200
+loop:
+  lwi r5, r2, 0
+  muli_p r6, r5, 213
+  addi r7, r6, 77
+  xor r7, r7, r5
+  mul_p r8, r7, r5
+  add r8, r8, r6
+  swi r8, r3, 0
+  addi r2, r2, 4
+  addi r3, r3, 4
+  addi r4, r4, -1
+  bne r4, loop
+  halt
+)";
+
+TEST(PackedExecutor, MacFeedbackMatchesScalar) {
+  // Short trips run as one partial block, long ones as full blocks plus
+  // one, at every width, against the scalar engine and the DFG.
+  auto built = build_kernel(kMacChain, "loop");
+  ASSERT_EQ(built.kernel->mac_ops.size(), 2u);
+  for (const auto& op : built.kernel->mac_ops) ASSERT_FALSE(op.accumulate);
+
+  constexpr std::uint32_t kMemBytes = 1u << 16;
+  constexpr std::uint32_t kWriteBase = 0x4000;
+  for (const std::uint64_t trip : {1u, 7u, 8u, 63u, 64u, 65u, 200u}) {
+    // The read stream ends at the last word of memory: a spare lane of a
+    // partial block that touched memory would read out of range and throw.
+    const std::uint32_t read_base = kMemBytes - 4 * static_cast<std::uint32_t>(trip);
+    KernelInvocation invocation;
+    invocation.trip = trip;
+    for (const auto& stream : built.ir.streams) {
+      invocation.stream_bases.push_back(stream.is_write ? kWriteBase : read_base);
+    }
+    invocation.acc_init.assign(built.ir.accumulators.size(), 0);
+    for (auto reg : built.ir.live_in_regs) invocation.live_in[reg] = 0;
+    invocation.live_in[2] = read_base;
+    invocation.live_in[3] = kWriteBase;
+    invocation.live_in[4] = static_cast<std::uint32_t>(trip);
+
+    // The write region starts out filled with a sentinel, so a write from
+    // a spare lane would show.
+    sim::Memory initial(kMemBytes);
+    common::Rng rng(trip);
+    for (std::uint32_t i = 0; i < trip; ++i) initial.write32(read_base + 4 * i, rng.next_u32());
+    for (std::uint32_t i = 0; i < kMaxPackedLanes; ++i) {
+      initial.write32(kWriteBase + 4 * i, 0xA5A5A5A5u);
+    }
+    const std::vector<std::uint32_t> snapshot = initial.snapshot_words();
+
+    sim::Memory mem_scalar(kMemBytes);
+    mem_scalar.load_words(0, snapshot);
+    KernelExecutor scalar_exec(*built.kernel, *built.config);
+    scalar_exec.set_engine(KernelExecutor::EvalEngine::kScalar);
+    auto scalar_result = scalar_exec.run(mem_scalar, invocation);
+    ASSERT_TRUE(scalar_result.is_ok()) << scalar_result.message();
+
+    // The golden DFG cross-check throws on any fabric/DFG mismatch.
+    sim::Memory mem_dfg(kMemBytes);
+    mem_dfg.load_words(0, snapshot);
+    KernelExecutor dfg_exec(*built.kernel, *built.config);
+    auto dfg_result = dfg_exec.run(mem_dfg, invocation, /*verify_against_dfg=*/true);
+    ASSERT_TRUE(dfg_result.is_ok()) << dfg_result.message();
+    ASSERT_EQ(mem_dfg.checksum_words(), mem_scalar.checksum_words()) << "trip " << trip;
+
+    for (const unsigned width : {0u, 1u, 2u, 4u}) {
+      sim::Memory mem(kMemBytes);
+      mem.load_words(0, snapshot);
+      KernelExecutor exec(*built.kernel, *built.config, hwsim::PackedOptions{width});
+      ASSERT_TRUE(exec.packed_supported());
+      auto result = exec.run(mem, invocation);
+      ASSERT_TRUE(result.is_ok()) << result.message();
+      EXPECT_EQ(result.value().packed_iterations, trip) << "trip " << trip << " width " << width;
+      EXPECT_EQ(result.value().scalar_iterations, 0u) << "trip " << trip << " width " << width;
+      // Only valid lanes write: the word past the trip keeps its sentinel.
+      EXPECT_EQ(mem.read32(kWriteBase + 4 * static_cast<std::uint32_t>(trip)), 0xA5A5A5A5u);
+      for (std::uint32_t i = 0; i < trip; ++i) {
+        ASSERT_EQ(mem.read32(kWriteBase + 4 * i), mem_scalar.read32(kWriteBase + 4 * i))
+            << "trip " << trip << " width " << width << " word " << i;
+      }
+      EXPECT_EQ(mem.checksum_words(), mem_scalar.checksum_words())
+          << "trip " << trip << " width " << width;
+      EXPECT_EQ(result.value().acc_final, scalar_result.value().acc_final);
+      EXPECT_EQ(result.value().wcla_cycles, scalar_result.value().wcla_cycles);
+    }
+  }
+}
+
+TEST(PackedExecutor, RejectsOutOfOrderMacOperands) {
+  // Relabel the two MACs of kMacChain so that MAC 0 takes the operands
+  // that read MAC 0's own result: the scalar engine would read that result
+  // before it is set, so the packed plan must refuse to stage it.
+  auto built = build_kernel(kMacChain, "loop");
+  fabric::FabricConfig swapped = *built.config;
+  for (auto& port : swapped.netlist.output_ports) {
+    if (port.kind == techmap::PortSpec::Kind::kMacA ||
+        port.kind == techmap::PortSpec::Kind::kMacB) {
+      port.a = 1 - port.a;
+    }
+  }
+  EXPECT_NO_THROW((KernelExecutor{*built.kernel, *built.config}));
+  EXPECT_THROW((KernelExecutor{*built.kernel, swapped}), common::InternalError);
 }
 
 TEST(PackedExecutor, InPlaceTransformStaysPacked) {
@@ -460,7 +570,8 @@ TEST(PackedExecutor, InPlaceTransformStaysPacked) {
   KernelExecutor executor(*built.kernel, *built.config);
   auto result = executor.run(mem, invocation);
   ASSERT_TRUE(result.is_ok()) << result.message();
-  EXPECT_EQ(result.value().packed_iterations, 128u);
+  EXPECT_EQ(result.value().packed_iterations, 150u);
+  EXPECT_EQ(result.value().scalar_iterations, 0u);
   for (unsigned i = 0; i < 150; ++i) {
     EXPECT_EQ(mem.read32(0x1000 + 4 * i), (i * 2654435761u) ^ 0x3C3Cu) << i;
   }
@@ -561,8 +672,9 @@ TEST(PackedExecutor, AllWorkloadsBitExactAtEveryWidth) {
   // (the paper kernels plus crc and fir) is run through the full warp flow,
   // then its captured invocation is re-executed at every pinned width and
   // in auto mode and compared word-for-word against the scalar reference.
-  // Feedback kernels (canrdr, idct, crc) must fall back to the scalar
-  // engine at every width and still match.
+  // Kernels with accumulator-state feedback (canrdr, crc) must fall back to
+  // the scalar engine at every width and still match; every other kernel,
+  // idct's MAC feedback included, must run its whole trip packed.
   for (const auto& workload : workloads::extended_workloads()) {
     // Full flow with the trip stretched (within the data BRAM, keeping
     // packed eligibility) so wide blocks actually engage on
@@ -572,33 +684,37 @@ TEST(PackedExecutor, AllWorkloadsBitExactAtEveryWidth) {
     ASSERT_TRUE(flowed.is_ok()) << flowed.message();
     KernelExecutor* exec = flowed.value().system->wcla().executor();
     sim::Memory& mem = flowed.value().system->data_mem();
-    const KernelInvocation& invocation = flowed.value().invocation;
+    EXPECT_EQ(exec->packed_supported(), workload.name != "canrdr" && workload.name != "crc")
+        << workload.name;
 
-    const std::vector<std::uint32_t> snapshot = mem.snapshot_words();
-    exec->set_engine(KernelExecutor::EvalEngine::kScalar);
-    auto scalar_result = exec->run(mem, invocation);
-    ASSERT_TRUE(scalar_result.is_ok()) << workload.name;
-    const std::uint64_t scalar_sum = mem.checksum_words();
-    exec->set_engine(KernelExecutor::EvalEngine::kAuto);
+    // The stretched invocation, then the stub's own (short trips such as
+    // idct's 8, matmul's 24 and bitmnp's 32 run as one partial block).
+    const KernelInvocation stretched = flowed.value().invocation;
+    const KernelInvocation stub = flowed.value().system->wcla().invocation();
+    for (const KernelInvocation* invocation : {&stretched, &stub}) {
+      const std::string label = workload.name + " trip " + std::to_string(invocation->trip);
+      const std::vector<std::uint32_t> snapshot = mem.snapshot_words();
+      exec->set_engine(KernelExecutor::EvalEngine::kScalar);
+      auto scalar_result = exec->run(mem, *invocation);
+      ASSERT_TRUE(scalar_result.is_ok()) << label;
+      const std::uint64_t scalar_sum = mem.checksum_words();
+      exec->set_engine(KernelExecutor::EvalEngine::kAuto);
 
-    for (const unsigned width : {0u, 1u, 2u, 4u}) {
-      mem.load_words(0, snapshot);
-      exec->set_packed_options(hwsim::PackedOptions{width});
-      auto result = exec->run(mem, invocation);
-      ASSERT_TRUE(result.is_ok()) << workload.name << " width " << width;
-      EXPECT_EQ(mem.checksum_words(), scalar_sum) << workload.name << " width " << width;
-      EXPECT_EQ(result.value().acc_final, scalar_result.value().acc_final)
-          << workload.name << " width " << width;
-      if (!exec->packed_supported()) {
-        EXPECT_EQ(result.value().packed_iterations, 0u)
-            << workload.name << " must stay on the scalar fallback";
-      } else if (width != 0 && invocation.trip >= 2 * width * kPackedWordBits) {
-        EXPECT_GT(result.value().packed_iterations, 0u)
-            << workload.name << " width " << width;
-      } else if (width == 0 && invocation.trip >= 2 * kPackedWordBits) {
-        // The default auto mode must engage too, not silently fall back.
-        EXPECT_GT(result.value().packed_iterations, 0u) << workload.name << " auto";
+      for (const unsigned width : {0u, 1u, 2u, 4u}) {
+        mem.load_words(0, snapshot);
+        exec->set_packed_options(hwsim::PackedOptions{width});
+        auto result = exec->run(mem, *invocation);
+        ASSERT_TRUE(result.is_ok()) << label << " width " << width;
+        EXPECT_EQ(mem.checksum_words(), scalar_sum) << label << " width " << width;
+        EXPECT_EQ(result.value().acc_final, scalar_result.value().acc_final)
+            << label << " width " << width;
+        // No registered workload aliases its streams within a block, so
+        // packed-capable kernels never fall back.
+        EXPECT_EQ(result.value().packed_iterations,
+                  exec->packed_supported() ? invocation->trip : 0u)
+            << label << " width " << width;
       }
+      mem.load_words(0, snapshot);
     }
   }
 }

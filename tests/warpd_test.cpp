@@ -493,6 +493,31 @@ TEST(Warpd, DeadlineTimeoutsCancelQueuedSessionsOnly) {
   EXPECT_TRUE(entries_of(accepted) == reference);
 }
 
+// A drained engine sheds busy even after stop(): a client's busy retry can
+// reach it between stop() and its connection closing, and must be shed
+// like the rest of the drain's storm, not answered with an error. Without
+// a drain, a stopped engine still refuses new work with an error.
+TEST(Warpd, DrainedEngineShedsBusyAfterStop) {
+  const Request request = make_requests(1, /*explicit_seq=*/false)[0];
+  for (const bool drained : {true, false}) {
+    serve::Warpd engine(engine_options(1));
+    if (drained) {
+      engine.begin_drain();
+      engine.drain();
+    }
+    engine.stop();
+    SessionOutcome outcome;
+    engine.submit(request, [&outcome](const SessionOutcome& out) { outcome = out; });
+    if (drained) {
+      EXPECT_EQ(outcome.status, serve::protocol::ReplyStatus::kBusy) << outcome.error;
+      EXPECT_GT(outcome.retry_after_ms, 0u);
+    } else {
+      EXPECT_EQ(outcome.status, serve::protocol::ReplyStatus::kErr);
+      EXPECT_EQ(outcome.error, "server is stopping");
+    }
+  }
+}
+
 // Graceful drain over a persistent store, then a supervised restart: the
 // second incarnation answers the same stream bit-identically and serves it
 // warm from disk — recovery costs disk reads, not CAD reruns.
