@@ -6,9 +6,9 @@
 // processor: software/warped times and how long it waited for the shared
 // DPM — the cost of sharing), then scales the experiment to 16/32/64
 // replicated kernel mixes and measures the *simulator's* wall clock three
-// ways: the serial reference engine, the threaded engine (worker threads
-// per system, one DPM scheduler thread popping jobs in virtual-time order),
-// and the threaded engine with the shared content-addressed artifact cache
+// ways: the serial reference engine, the threaded engine (warpd's workers
+// run the simulations, its one DPM thread the partitioning jobs), and the
+// threaded engine with the shared content-addressed artifact cache
 // (partition/cache.hpp), under which the partitioning stages run once per
 // *unique* kernel instead of once per system. All engines must produce
 // bit-identical MultiWarpEntry tables — the virtual-time queue and the
@@ -52,6 +52,7 @@
 #include "partition/cache.hpp"
 #include "partition/disk_store.hpp"
 #include "partition/pipeline.hpp"
+#include "serve/multiprocessor.hpp"
 
 namespace {
 
@@ -78,7 +79,7 @@ struct TimedRun {
 };
 
 TimedRun timed_run(const std::vector<std::string>& mix,
-                   const warpsys::MultiWarpOptions& options) {
+                   const serve::MultiWarpOptions& options) {
   auto built = experiments::build_warp_systems(mix, experiments::default_options());
   if (!built) {
     std::fprintf(stderr, "build systems failed: %s\n", built.message().c_str());
@@ -87,7 +88,7 @@ TimedRun timed_run(const std::vector<std::string>& mix,
   auto systems = std::move(built).value();
   const auto start = std::chrono::steady_clock::now();
   TimedRun run;
-  run.entries = warpsys::run_multiprocessor(systems, mix, options);
+  run.entries = serve::run_multiprocessor(systems, mix, options);
   run.ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                      start)
                .count();
@@ -165,7 +166,7 @@ int run_check(const std::string& store_base, std::uint64_t fault_seed) {
   const auto mix = replicated_mix(12);  // two replicas of each kernel
   const std::size_t unique = unique_kernel_count(mix);
 
-  warpsys::MultiWarpOptions serial_off;
+  serve::MultiWarpOptions serial_off;
   serial_off.parallel = false;
   const auto reference = timed_run(mix, serial_off).entries;
 
@@ -180,41 +181,41 @@ int run_check(const std::string& store_base, std::uint64_t fault_seed) {
 
   std::printf("fig4 --check: 12-system mix, %zu unique kernels\n", unique);
 
-  warpsys::MultiWarpOptions parallel_off;
+  serve::MultiWarpOptions parallel_off;
   expect_same("parallel, cache off", timed_run(mix, parallel_off).entries, reference);
 
   partition::ArtifactCache cache;
-  warpsys::MultiWarpOptions serial_on = serial_off;
+  serve::MultiWarpOptions serial_on = serial_off;
   serial_on.cache = &cache;
   expect_same("serial, cold cache", timed_run(mix, serial_on).entries, reference);
   expect_same("serial, warm cache", timed_run(mix, serial_on).entries, reference);
 
-  warpsys::MultiWarpOptions parallel_on;
+  serve::MultiWarpOptions parallel_on;
   parallel_on.cache = &cache;
   expect_same("parallel, warm cache", timed_run(mix, parallel_on).entries, reference);
 
   // Opt-in queue policies: cached parallel must match the cache-off serial
   // reference *per policy*.
   {
-    warpsys::MultiWarpOptions fifo_serial;
+    serve::MultiWarpOptions fifo_serial;
     fifo_serial.parallel = false;
     fifo_serial.policy = warpsys::DpmQueuePolicy::kFifo;
     const auto fifo_reference = timed_run(mix, fifo_serial).entries;
     partition::ArtifactCache fifo_cache;
-    warpsys::MultiWarpOptions fifo_parallel;
+    serve::MultiWarpOptions fifo_parallel;
     fifo_parallel.policy = warpsys::DpmQueuePolicy::kFifo;
     fifo_parallel.cache = &fifo_cache;
     expect_same("fifo parallel, cold cache", timed_run(mix, fifo_parallel).entries,
                 fifo_reference);
   }
   {
-    warpsys::MultiWarpOptions prio_serial;
+    serve::MultiWarpOptions prio_serial;
     prio_serial.parallel = false;
     prio_serial.policy = warpsys::DpmQueuePolicy::kPriority;
     prio_serial.priorities = {0, 7, 3, 1, 9, 2, 5, 4, 8, 6, 11, 10};
     const auto prio_reference = timed_run(mix, prio_serial).entries;
     partition::ArtifactCache prio_cache;
-    warpsys::MultiWarpOptions prio_parallel = prio_serial;
+    serve::MultiWarpOptions prio_parallel = prio_serial;
     prio_parallel.parallel = true;
     prio_parallel.cache = &prio_cache;
     expect_same("priority parallel, cold cache", timed_run(mix, prio_parallel).entries,
@@ -257,7 +258,7 @@ int run_check(const std::string& store_base, std::uint64_t fault_seed) {
     partition::DiskArtifactStore store({.directory = store_dir.string()});
     partition::ArtifactCache mem;
     mem.attach_store(&store);
-    warpsys::MultiWarpOptions options;  // parallel round robin
+    serve::MultiWarpOptions options;  // parallel round robin
     options.cache = &mem;
     expect_same("parallel, cold store", timed_run(mix, options).entries, reference);
     const auto st = store.stats();
@@ -275,7 +276,7 @@ int run_check(const std::string& store_base, std::uint64_t fault_seed) {
     partition::DiskArtifactStore store({.directory = store_dir.string()});
     partition::ArtifactCache mem;
     mem.attach_store(&store);
-    warpsys::MultiWarpOptions options;
+    serve::MultiWarpOptions options;
     options.cache = &mem;
     expect_same("restart, warm store", timed_run(mix, options).entries, reference);
     if (mem.total_disk_hits() == 0 || store.stats().hits == 0) {
@@ -288,7 +289,7 @@ int run_check(const std::string& store_base, std::uint64_t fault_seed) {
     partition::DiskArtifactStore store({.directory = store_dir.string()});
     partition::ArtifactCache mem;
     mem.attach_store(&store);
-    warpsys::MultiWarpOptions options;
+    serve::MultiWarpOptions options;
     options.cache = &mem;
     expect_same("restart, pre-corrupted store", timed_run(mix, options).entries,
                 reference);
@@ -320,7 +321,7 @@ int run_check(const std::string& store_base, std::uint64_t fault_seed) {
         {.directory = fault_dir.string(), .fault = &fault});
     partition::ArtifactCache mem;
     mem.attach_store(&store);
-    warpsys::MultiWarpOptions options;
+    serve::MultiWarpOptions options;
     options.cache = &mem;
     options.fault = &fault;
     const auto got = timed_run(mix, options).entries;
@@ -392,7 +393,7 @@ int main(int argc, char** argv) {
 
   // --- The paper's six-processor experiment (round robin). ---------------
   const auto mix6 = replicated_mix(6);
-  warpsys::MultiWarpOptions serial_options;
+  serve::MultiWarpOptions serial_options;
   serial_options.parallel = false;
   const auto fig4 = timed_run(mix6, serial_options);
 
@@ -417,10 +418,10 @@ int main(int argc, char** argv) {
               fig4.entries.empty() ? 0.0 : fig4.entries.back().dpm_wait_seconds * 1e3);
 
   // --- The same six processors under the opt-in FIFO queue policy. -------
-  warpsys::MultiWarpOptions fifo_options;
+  serve::MultiWarpOptions fifo_options;
   fifo_options.policy = warpsys::DpmQueuePolicy::kFifo;
   const auto fifo = timed_run(mix6, fifo_options);
-  warpsys::MultiWarpOptions fifo_serial_options = fifo_options;
+  serve::MultiWarpOptions fifo_serial_options = fifo_options;
   fifo_serial_options.parallel = false;
   const bool fifo_identical = timed_run(mix6, fifo_serial_options).entries == fifo.entries;
   common::Table fifo_table({"Processor", "Benchmark", "Request (ms)", "DPM job (ms)",
@@ -446,10 +447,10 @@ int main(int argc, char** argv) {
     if (n > max_systems) continue;
     const auto mix = replicated_mix(n);
     const auto serial = timed_run(mix, serial_options);
-    warpsys::MultiWarpOptions parallel_options;  // defaults: parallel round robin
+    serve::MultiWarpOptions parallel_options;  // defaults: parallel round robin
     const auto parallel = timed_run(mix, parallel_options);
     partition::ArtifactCache cache;  // cold per scale point
-    warpsys::MultiWarpOptions cached_options;
+    serve::MultiWarpOptions cached_options;
     cached_options.cache = &cache;
     const auto cached = timed_run(mix, cached_options);
 
@@ -480,7 +481,7 @@ int main(int argc, char** argv) {
       partition::DiskArtifactStore store({.directory = scale_dir.string()});
       partition::ArtifactCache mem;
       mem.attach_store(&store);
-      warpsys::MultiWarpOptions store_options;
+      serve::MultiWarpOptions store_options;
       store_options.cache = &mem;
       const auto cold = timed_run(mix, store_options);
       point.store_cold_ms = cold.ms;
@@ -490,7 +491,7 @@ int main(int argc, char** argv) {
       partition::DiskArtifactStore store({.directory = scale_dir.string()});
       partition::ArtifactCache mem;
       mem.attach_store(&store);
-      warpsys::MultiWarpOptions store_options;
+      serve::MultiWarpOptions store_options;
       store_options.cache = &mem;
       const auto warm = timed_run(mix, store_options);
       point.store_warm_ms = warm.ms;

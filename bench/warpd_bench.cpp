@@ -3,18 +3,18 @@
 // Default mode queues 256 warp sessions (a cycled 8-workload mix with
 // periodic config overrides — 16 unique kernels) through the full stack:
 // a line-protocol client over the Unix-domain socket into a warpd engine at
-// shard counts {1, 2, 4}, then cold- and warm-persistent-store runs at 4
-// shards over an all-unique-kernel stream (every session a distinct content
-// hash, so cold pays the CAD flow per session and warm serves it from
-// disk). Every run's result table must be bit-identical to its serial
-// reference engine (run_serial) — the sharded host scheduler and the
-// cache/store must never change a simulated number. Emits BENCH_warpd.json
-// (schema in docs/benchmarks.md) with admission->completion latency
-// percentiles (nearest-rank p50/p95/p99), per-shard occupancy and
-// cache/store hit counters. Gated: bit-identity everywhere, and the
-// warm-store p50 must beat the cold-store p50 (persistence pays).
+// worker counts {1, 2, 4}, then cold- and warm-persistent-store runs over
+// an all-unique-kernel stream (every session a distinct content hash, so
+// cold pays the CAD flow per session and warm serves it from disk). Every
+// run's result table must be bit-identical to its serial reference engine
+// (run_serial) — the threaded host scheduler and the cache/store must never
+// change a simulated number. Emits BENCH_warpd.json (schema in
+// docs/benchmarks.md) with admission->completion latency percentiles
+// (nearest-rank p50/p95/p99), the DPM thread's occupancy and cache/store
+// hit counters. Gated: bit-identity everywhere, and the warm-store p50
+// must beat the cold-store p50 (persistence pays).
 //
-// --check: fast CI gate — a 64-session stream at shard counts {1, 2, 4}
+// --check: fast CI gate — a 64-session stream at worker counts {1, 2, 4}
 // against the serial reference; with --store DIR it adds cold/warm
 // persistent-store runs, and with --fault-seed S a 10-seed transient
 // fault-injection sweep (one injector wired through engine, store and the
@@ -24,7 +24,6 @@
 // --serve PATH: CLI daemon mode — serve on PATH until stdin closes.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,11 +42,13 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/warpd.hpp"
+#include "warpd_support.hpp"
 #include "workloads/workload.hpp"
 
 namespace {
 
 using namespace warp;
+using bench::percentile;
 using serve::protocol::Request;
 
 // The session stream: cycled extended mix with periodic config overrides.
@@ -92,17 +93,9 @@ std::vector<Request> make_unique_requests(std::size_t n) {
   return requests;
 }
 
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  return values[std::min(values.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
 struct RunResult {
   std::string label;
-  unsigned shards = 0;  // 0 = serial reference
+  unsigned workers = 0;  // 0 = serial reference
   std::vector<warpsys::MultiWarpEntry> entries;  // by seq
   double wall_ms = 0.0;
   double p50_ms = 0.0;
@@ -114,7 +107,8 @@ struct RunResult {
   std::uint64_t cache_misses = 0;
   std::uint64_t store_disk_hits = 0;
   std::uint64_t store_files = 0;
-  std::vector<serve::ShardStats> shard_stats;
+  std::uint64_t dpm_jobs = 0;  // DPM services run by the DPM thread
+  double dpm_busy_ms = 0.0;    // host wall clock spent in them
 };
 
 void fill_percentiles(RunResult& run, const std::vector<double>& latencies) {
@@ -176,7 +170,7 @@ RunResult socket_run(const std::string& label, const std::vector<Request>& reque
 
   RunResult run;
   run.label = label;
-  run.shards = engine.shards;
+  run.workers = server.engine().workers();
   const auto start = std::chrono::steady_clock::now();
   serve::Client client;
   if (const auto status = client.connect(path); !status) {
@@ -229,7 +223,8 @@ RunResult socket_run(const std::string& label, const std::vector<Request>& reque
 
   const auto stats = server.engine().stats();
   run.unique_kernels = stats.unique_kernels;
-  run.shard_stats = stats.shards;
+  run.dpm_jobs = stats.dpm_jobs;
+  run.dpm_busy_ms = stats.dpm_busy_ms;
   fill_percentiles(run, stats.latencies_ms);
   server.stop();
   client.close();
@@ -239,8 +234,8 @@ RunResult socket_run(const std::string& label, const std::vector<Request>& reque
 
 bool check_identical(const RunResult& reference, RunResult& run) {
   run.identical = run.entries == reference.entries;
-  std::printf("  %-28s shards=%u wall=%7.0fms p50=%6.1fms p95=%6.1fms p99=%6.1fms %s\n",
-              run.label.c_str(), run.shards, run.wall_ms, run.p50_ms, run.p95_ms,
+  std::printf("  %-28s workers=%u wall=%7.0fms p50=%6.1fms p95=%6.1fms p99=%6.1fms %s\n",
+              run.label.c_str(), run.workers, run.wall_ms, run.p50_ms, run.p95_ms,
               run.p99_ms, run.identical ? "bit-identical" : "DEVIATES");
   return run.identical;
 }
@@ -254,13 +249,13 @@ int run_check(std::size_t sessions, const std::string& store_base,
   const auto reference = serial_reference(requests);
   bool ok = true;
 
-  for (const unsigned shards : {1u, 2u, 4u}) {
+  for (const unsigned workers : {1u, 2u, 4u}) {
     serve::WarpdOptions engine;
-    engine.shards = shards;
+    engine.workers = workers;
     engine.base = experiments::default_options();
     partition::ArtifactCache cache;
     engine.cache = &cache;
-    auto run = socket_run(common::format("socket_shards_%u", shards), requests, engine,
+    auto run = socket_run(common::format("socket_workers_%u", workers), requests, engine,
                           nullptr);
     ok = check_identical(reference, run) && ok;
     if (run.unique_kernels == 0) {
@@ -279,7 +274,6 @@ int run_check(std::size_t sessions, const std::string& store_base,
       partition::ArtifactCache cache;
       cache.attach_store(&store);
       serve::WarpdOptions engine;
-      engine.shards = 4;
       engine.base = experiments::default_options();
       engine.cache = &cache;
       auto run = socket_run(label, requests, engine, nullptr);
@@ -309,7 +303,6 @@ int run_check(std::size_t sessions, const std::string& store_base,
       partition::ArtifactCache cache;
       cache.attach_store(&store);
       serve::WarpdOptions engine;
-      engine.shards = 4;
       engine.base = experiments::default_options();
       engine.cache = &cache;
       engine.fault = &fault;
@@ -341,7 +334,6 @@ int run_daemon(const std::string& path, const std::string& store_base) {
     cache.attach_store(store);
   }
   serve::WarpdOptions engine;
-  engine.shards = 4;
   engine.base = experiments::default_options();
   engine.cache = &cache;
   serve::SocketServerOptions options;
@@ -352,7 +344,8 @@ int run_daemon(const std::string& path, const std::string& store_base) {
     std::fprintf(stderr, "warpd: %s\n", status.message().c_str());
     return 1;
   }
-  std::printf("warpd: serving on %s (4 shards%s); EOF on stdin stops\n", path.c_str(),
+  std::printf("warpd: serving on %s (%u workers%s); EOF on stdin stops\n", path.c_str(),
+              server.engine().workers(),
               store_base.empty() ? "" : ", persistent store attached");
   int c;
   while ((c = std::getchar()) != EOF) {
@@ -383,28 +376,21 @@ void emit_json(const std::vector<RunResult>& runs, std::size_t sessions,
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& r = runs[i];
     std::fprintf(json,
-                 "    {\"label\": \"%s\", \"shards\": %u, \"wall_ms\": %.2f, "
+                 "    {\"label\": \"%s\", \"workers\": %u, \"wall_ms\": %.2f, "
                  "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
                  "\"bit_identical\": %s, \"unique_kernels\": %llu, "
                  "\"cache_hits\": %llu, \"cache_misses\": %llu, "
                  "\"store_disk_hits\": %llu, \"store_files\": %llu, "
-                 "\"shard_jobs\": [",
-                 r.label.c_str(), r.shards, r.wall_ms, r.p50_ms, r.p95_ms, r.p99_ms,
+                 "\"dpm_jobs\": %llu, \"dpm_busy_ms\": %.2f}%s\n",
+                 r.label.c_str(), r.workers, r.wall_ms, r.p50_ms, r.p95_ms, r.p99_ms,
                  r.identical ? "true" : "false",
                  static_cast<unsigned long long>(r.unique_kernels),
                  static_cast<unsigned long long>(r.cache_hits),
                  static_cast<unsigned long long>(r.cache_misses),
                  static_cast<unsigned long long>(r.store_disk_hits),
-                 static_cast<unsigned long long>(r.store_files));
-    for (std::size_t s = 0; s < r.shard_stats.size(); ++s) {
-      std::fprintf(json, "%s%llu", s ? ", " : "",
-                   static_cast<unsigned long long>(r.shard_stats[s].jobs));
-    }
-    std::fprintf(json, "], \"shard_busy_ms\": [");
-    for (std::size_t s = 0; s < r.shard_stats.size(); ++s) {
-      std::fprintf(json, "%s%.2f", s ? ", " : "", r.shard_stats[s].busy_ms);
-    }
-    std::fprintf(json, "]}%s\n", i + 1 < runs.size() ? "," : "");
+                 static_cast<unsigned long long>(r.store_files),
+                 static_cast<unsigned long long>(r.dpm_jobs), r.dpm_busy_ms,
+                 i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
@@ -465,18 +451,18 @@ int main(int argc, char** argv) {
   runs.push_back(serial_reference(requests));
   // Copy: later push_backs reallocate `runs`, so a reference would dangle.
   const RunResult reference = runs.front();
-  std::printf("  %-28s shards=- wall=%7.0fms p50=%6.1fms p95=%6.1fms p99=%6.1fms\n",
+  std::printf("  %-28s workers=- wall=%7.0fms p50=%6.1fms p95=%6.1fms p99=%6.1fms\n",
               reference.label.c_str(), reference.wall_ms, reference.p50_ms,
               reference.p95_ms, reference.p99_ms);
 
   bool ok = true;
-  for (const unsigned shards : {1u, 2u, 4u}) {
+  for (const unsigned workers : {1u, 2u, 4u}) {
     serve::WarpdOptions engine;
-    engine.shards = shards;
+    engine.workers = workers;
     engine.base = experiments::default_options();
     partition::ArtifactCache cache;  // fresh per run
     engine.cache = &cache;
-    auto run = socket_run(common::format("socket_shards_%u", shards), requests, engine,
+    auto run = socket_run(common::format("socket_workers_%u", workers), requests, engine,
                           nullptr);
     add_cache_counters(run, cache);
     ok = check_identical(reference, run) && ok;
@@ -495,7 +481,7 @@ int main(int argc, char** argv) {
   const auto store_requests = make_unique_requests(store_sessions);
   runs.push_back(serial_reference(store_requests, "store_serial_reference"));
   const RunResult store_reference = runs.back();
-  std::printf("  %-28s shards=- wall=%7.0fms p50=%6.1fms p95=%6.1fms p99=%6.1fms\n",
+  std::printf("  %-28s workers=- wall=%7.0fms p50=%6.1fms p95=%6.1fms p99=%6.1fms\n",
               store_reference.label.c_str(), store_reference.wall_ms,
               store_reference.p50_ms, store_reference.p95_ms, store_reference.p99_ms);
   namespace fs = std::filesystem;
@@ -508,7 +494,6 @@ int main(int argc, char** argv) {
     partition::ArtifactCache cache;
     cache.attach_store(&store);
     serve::WarpdOptions engine;
-    engine.shards = 4;
     engine.base = experiments::default_options();
     engine.cache = &cache;
     auto run = socket_run(label, store_requests, engine, nullptr);

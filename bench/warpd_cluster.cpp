@@ -58,7 +58,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/fault_injector.hpp"
@@ -72,10 +71,12 @@
 #include "serve/server.hpp"
 #include "serve/warpd.hpp"
 #include "warp/warp_system.hpp"
+#include "warpd_support.hpp"
 
 namespace {
 
 using namespace warp;
+using namespace warp::bench;
 using Clock = std::chrono::steady_clock;
 using serve::protocol::Request;
 
@@ -110,7 +111,6 @@ int run_node(const NodeArgs& args) {
   serve::ClusterOptions options;
   options.node_id = args.id;
   options.members = members;
-  options.server.engine.shards = 2;
   options.server.engine.workers = 2;
   options.server.engine.base = experiments::default_options();
   options.server.engine.fault = fault ? &*fault : nullptr;
@@ -173,69 +173,14 @@ std::uint16_t pick_free_port() {
 }
 
 void spawn_node(NodeProc& node, const std::string& members) {
-  std::vector<std::string> argv_store = {"/proc/self/exe",
-                                         "--node",
-                                         "--id",
-                                         std::to_string(node.id),
-                                         "--members",
-                                         members,
-                                         "--store",
-                                         node.store_dir,
-                                         "--hb-ms",
-                                         std::to_string(node.hb_ms)};
+  std::vector<std::string> argv = {"--node",         "--id",    std::to_string(node.id),
+                                   "--members",      members,   "--store",
+                                   node.store_dir,   "--hb-ms", std::to_string(node.hb_ms)};
   if (node.fault_seed) {
-    argv_store.push_back("--fault-seed");
-    argv_store.push_back(std::to_string(*node.fault_seed));
+    argv.push_back("--fault-seed");
+    argv.push_back(std::to_string(*node.fault_seed));
   }
-  std::vector<char*> argv;
-  for (auto& arg : argv_store) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::fprintf(stderr, "fork failed: %s\n", std::strerror(errno));
-    std::exit(1);
-  }
-  if (pid == 0) {
-    ::execv("/proc/self/exe", argv.data());
-    std::fprintf(stderr, "execv failed: %s\n", std::strerror(errno));
-    ::_exit(127);
-  }
-  for (int attempt = 0; attempt < 400; ++attempt) {
-    int status = 0;
-    if (::waitpid(pid, &status, WNOHANG) == pid) {
-      std::fprintf(stderr, "node %u died during startup (status %d)\n", node.id, status);
-      std::exit(1);
-    }
-    serve::Client probe;
-    if (probe.connect(node.spec)) {
-      node.pid = pid;
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  std::fprintf(stderr, "node %u never became reachable on %s\n", node.id,
-               node.spec.c_str());
-  ::kill(pid, SIGKILL);
-  std::exit(1);
-}
-
-struct ExitInfo {
-  bool exited = false;
-  int exit_code = -1;
-  bool signaled = false;
-  int signal = 0;
-};
-
-ExitInfo reap(pid_t pid) {
-  int status = 0;
-  ExitInfo info;
-  if (::waitpid(pid, &status, 0) != pid) return info;
-  info.exited = WIFEXITED(status);
-  if (info.exited) info.exit_code = WEXITSTATUS(status);
-  info.signaled = WIFSIGNALED(status);
-  if (info.signaled) info.signal = WTERMSIG(status);
-  return info;
+  node.pid = spawn_self(argv, node.spec, common::format("node %u", node.id));
 }
 
 // --- request set and serial references --------------------------------------
@@ -263,57 +208,15 @@ Request make_key_request(std::size_t key_index) {
   return request;
 }
 
-std::string key_of(const Request& request) {
-  const auto& o = request.overrides;
-  return common::format("%s|%d|%d|%d", request.workload.c_str(),
-                        o.packed_width ? static_cast<int>(*o.packed_width) : -1,
-                        o.max_candidates ? static_cast<int>(*o.max_candidates) : -1,
-                        o.csd_max_terms ? static_cast<int>(*o.csd_max_terms) : -1);
-}
-
-bool pure_fields_match(const warpsys::MultiWarpEntry& a, const warpsys::MultiWarpEntry& b) {
-  return a.name == b.name && a.detail == b.detail && a.sw_seconds == b.sw_seconds &&
-         a.warped_seconds == b.warped_seconds && a.speedup == b.speedup &&
-         a.dpm_seconds == b.dpm_seconds && a.warped == b.warped;
-}
-
-std::map<std::string, warpsys::MultiWarpEntry> make_references(
-    const std::vector<Request>& requests) {
-  std::map<std::string, warpsys::MultiWarpEntry> references;
-  std::vector<Request> distinct;
-  for (const auto& request : requests) {
-    if (references.emplace(key_of(request), warpsys::MultiWarpEntry{}).second) {
-      Request bare = request;
-      bare.id = distinct.size();
-      bare.seq.reset();
-      bare.deadline_ms.reset();
-      distinct.push_back(bare);
-    }
-  }
-  serve::WarpdOptions options;
-  options.base = experiments::default_options();
-  const auto outcomes = serve::run_serial(distinct, options);
-  for (std::size_t i = 0; i < distinct.size(); ++i) {
-    if (!outcomes[i].error.empty()) {
-      std::fprintf(stderr, "serial reference rejected %s: %s\n",
-                   distinct[i].workload.c_str(), outcomes[i].error.c_str());
-      std::exit(1);
-    }
-    references[key_of(distinct[i])] = outcomes[i].entry;
-  }
-  return references;
-}
-
 // The ring owner per key on the full healthy membership {0,1,2} — the same
 // digest + ShardRing the nodes route by, computed in-process so the driver
 // can pick a victim that provably owns live kernels. Deterministic: the
 // digests depend only on the assembled kernels, never on seeds or hosts.
 std::vector<unsigned> owners_of_keys(unsigned nodes) {
-  const serve::WarpdOptions engine;  // for the default ring_points_per_shard
   const auto base = experiments::default_options();
   std::vector<unsigned> members;
   for (unsigned id = 0; id < nodes; ++id) members.push_back(id);
-  const serve::ShardRing ring(members, engine.ring_points_per_shard);
+  const serve::ShardRing ring(members);
   std::vector<unsigned> owners;
   for (std::size_t k = 0; k < kAllKeys; ++k) {
     const auto digest = serve::kernel_digest_for(make_key_request(k), base);
@@ -447,37 +350,10 @@ bool run_phase(const char* label, const std::string& spec,
   return ok_all;
 }
 
-// Same wait-chain replay as warpd_load: exact when every ok reply of the
-// node incarnation was observed, a lower bound once chaos can eat forwarded
+// One wait-chain replay per node incarnation: exact when every ok reply of
+// the incarnation was observed, a lower bound once chaos can eat forwarded
 // replies (a locally-recomputed session's remote twin still charged the
 // remote clock).
-bool verify_wait_chain(std::vector<std::pair<double, double>> chain, bool exact,
-                       const std::string& label) {
-  std::sort(chain.begin(), chain.end());
-  warpsys::DpmVirtualClock clock;
-  double lower = 0.0;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    const auto [wait, dpm] = chain[i];
-    if (exact) {
-      const double expect = clock.start(0.0);
-      if (wait != expect) {
-        std::printf("  FAIL %s: wait chain diverges at reply %zu: wait=%.17g expected=%.17g\n",
-                    label.c_str(), i, wait, expect);
-        return false;
-      }
-      clock.finish(dpm);
-    } else {
-      if (wait + 1e-9 < lower) {
-        std::printf("  FAIL %s: wait chain below lower bound at reply %zu: %.17g < %.17g\n",
-                    label.c_str(), i, wait, lower);
-        return false;
-      }
-      lower = wait + dpm;
-    }
-  }
-  return true;
-}
-
 bool verify_chains(const ChainMap& chains, bool exact, const char* run_label) {
   bool ok = true;
   for (const auto& [key, chain] : chains) {
@@ -489,52 +365,6 @@ bool verify_chains(const ChainMap& chains, bool exact, const char* run_label) {
 }
 
 // --- control-plane helpers ---------------------------------------------------
-
-struct StatsLine {
-  std::map<std::string, std::uint64_t> values;
-  std::uint64_t get(const char* key) const {
-    const auto it = values.find(key);
-    return it == values.end() ? 0 : it->second;
-  }
-  std::uint64_t sum_prefix(const char* prefix) const {
-    std::uint64_t total = 0;
-    for (const auto& [key, value] : values) {
-      if (common::starts_with(key, prefix)) total += value;
-    }
-    return total;
-  }
-};
-
-std::string control_rpc(const std::string& spec, const std::string& line) {
-  serve::Client client;
-  if (const auto status = client.connect(spec); !status) {
-    std::fprintf(stderr, "control connect %s failed: %s\n", spec.c_str(),
-                 status.message().c_str());
-    std::exit(1);
-  }
-  if (const auto status = client.send_line(line); !status) {
-    std::fprintf(stderr, "control send failed: %s\n", status.message().c_str());
-    std::exit(1);
-  }
-  auto reply = client.read_line_for(60'000);
-  if (!reply) {
-    std::fprintf(stderr, "control '%s' on %s got no reply: %s\n", line.c_str(),
-                 spec.c_str(), reply.message().c_str());
-    std::exit(1);
-  }
-  return reply.value();
-}
-
-StatsLine query_stats(const std::string& spec) {
-  StatsLine stats;
-  for (const auto field : common::split(control_rpc(spec, "stats"), " ")) {
-    const auto eq = field.find('=');
-    if (eq == std::string_view::npos) continue;
-    stats.values[std::string(field.substr(0, eq))] =
-        std::strtoull(std::string(field.substr(eq + 1)).c_str(), nullptr, 10);
-  }
-  return stats;
-}
 
 std::set<std::string> slist_of(const std::string& spec) {
   const std::string reply = control_rpc(spec, "slist");

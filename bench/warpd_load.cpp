@@ -47,9 +47,7 @@
 // `warpd_load --check --chaos --fault-seed S` in a hard timeout.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -65,7 +63,6 @@
 #include <thread>
 #include <vector>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/fault_injector.hpp"
@@ -78,10 +75,12 @@
 #include "serve/server.hpp"
 #include "serve/warpd.hpp"
 #include "warp/warp_system.hpp"
+#include "warpd_support.hpp"
 
 namespace {
 
 using namespace warp;
+using namespace warp::bench;
 using Clock = std::chrono::steady_clock;
 using serve::protocol::Request;
 
@@ -94,7 +93,6 @@ struct DaemonArgs {
   std::string socket;
   std::string store_dir;
   std::optional<std::uint64_t> fault_seed;  // transient_sweep profile
-  unsigned shards = 2;
   unsigned workers = 2;
   std::size_t max_sessions = 0;
   std::size_t max_queued = 0;
@@ -119,7 +117,6 @@ int run_daemon(const DaemonArgs& args) {
     cache.attach_store(&*store);
   }
   serve::WarpdOptions engine;
-  engine.shards = args.shards;
   engine.workers = args.workers;
   engine.base = experiments::default_options();
   engine.cache = &cache;
@@ -145,73 +142,25 @@ int run_daemon(const DaemonArgs& args) {
 // --- daemon supervision from the driver ------------------------------------
 
 pid_t spawn_daemon(const DaemonArgs& args) {
-  std::vector<std::string> argv_store = {"/proc/self/exe", "--daemon", "--socket",
-                                         args.socket,      "--shards", std::to_string(args.shards),
-                                         "--workers",      std::to_string(args.workers)};
+  std::vector<std::string> argv = {"--daemon", "--socket", args.socket, "--workers",
+                                   std::to_string(args.workers)};
   if (!args.store_dir.empty()) {
-    argv_store.push_back("--store");
-    argv_store.push_back(args.store_dir);
+    argv.push_back("--store");
+    argv.push_back(args.store_dir);
   }
   if (args.fault_seed) {
-    argv_store.push_back("--fault-seed");
-    argv_store.push_back(std::to_string(*args.fault_seed));
+    argv.push_back("--fault-seed");
+    argv.push_back(std::to_string(*args.fault_seed));
   }
   if (args.max_sessions != 0) {
-    argv_store.push_back("--max-sessions");
-    argv_store.push_back(std::to_string(args.max_sessions));
+    argv.push_back("--max-sessions");
+    argv.push_back(std::to_string(args.max_sessions));
   }
   if (args.max_queued != 0) {
-    argv_store.push_back("--max-queued");
-    argv_store.push_back(std::to_string(args.max_queued));
+    argv.push_back("--max-queued");
+    argv.push_back(std::to_string(args.max_queued));
   }
-  std::vector<char*> argv;
-  for (auto& arg : argv_store) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::fprintf(stderr, "fork failed: %s\n", std::strerror(errno));
-    std::exit(1);
-  }
-  if (pid == 0) {
-    ::execv("/proc/self/exe", argv.data());
-    std::fprintf(stderr, "execv failed: %s\n", std::strerror(errno));
-    ::_exit(127);
-  }
-  // Ready when the socket accepts a connection (start() binds before the
-  // supervisor loop runs, so this is quick).
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    int status = 0;
-    if (::waitpid(pid, &status, WNOHANG) == pid) {
-      std::fprintf(stderr, "daemon died during startup (status %d)\n", status);
-      std::exit(1);
-    }
-    serve::Client probe;
-    if (probe.connect(args.socket)) return pid;
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  std::fprintf(stderr, "daemon never became reachable on %s\n", args.socket.c_str());
-  ::kill(pid, SIGKILL);
-  std::exit(1);
-}
-
-// Reap the daemon and return how it ended.
-struct ExitInfo {
-  bool exited = false;    // WIFEXITED
-  int exit_code = -1;
-  bool signaled = false;  // WIFSIGNALED
-  int signal = 0;
-};
-
-ExitInfo reap(pid_t pid) {
-  int status = 0;
-  ExitInfo info;
-  if (::waitpid(pid, &status, 0) != pid) return info;
-  info.exited = WIFEXITED(status);
-  if (info.exited) info.exit_code = WEXITSTATUS(status);
-  info.signaled = WIFSIGNALED(status);
-  if (info.signaled) info.signal = WTERMSIG(status);
-  return info;
+  return spawn_self(argv, args.socket, "daemon");
 }
 
 // --- request stream and serial references ----------------------------------
@@ -228,53 +177,6 @@ Request make_load_request(std::uint64_t id) {
   request.workload = kNames[(id / 2) % 3];
   request.overrides.max_candidates = 2;
   return request;
-}
-
-std::string key_of(const Request& request) {
-  const auto& o = request.overrides;
-  return common::format("%s|%d|%d|%d", request.workload.c_str(),
-                        o.packed_width ? static_cast<int>(*o.packed_width) : -1,
-                        o.max_candidates ? static_cast<int>(*o.max_candidates) : -1,
-                        o.csd_max_terms ? static_cast<int>(*o.csd_max_terms) : -1);
-}
-
-// Everything an "ok" reply claims about the session except its queue
-// position. These must be bit-identical to the serial engine no matter what
-// overload path the session took.
-bool pure_fields_match(const warpsys::MultiWarpEntry& a, const warpsys::MultiWarpEntry& b) {
-  return a.name == b.name && a.detail == b.detail && a.sw_seconds == b.sw_seconds &&
-         a.warped_seconds == b.warped_seconds && a.speedup == b.speedup &&
-         a.dpm_seconds == b.dpm_seconds && a.warped == b.warped;
-}
-
-// run_serial over one request per distinct key: the pure-field reference
-// table. Queue position only affects dpm_wait_seconds, which the wait-chain
-// replay covers separately.
-std::map<std::string, warpsys::MultiWarpEntry> make_references(
-    const std::vector<Request>& requests) {
-  std::map<std::string, warpsys::MultiWarpEntry> references;
-  std::vector<Request> distinct;
-  for (const auto& request : requests) {
-    if (references.emplace(key_of(request), warpsys::MultiWarpEntry{}).second) {
-      Request bare = request;
-      bare.id = distinct.size();
-      bare.seq.reset();
-      bare.deadline_ms.reset();
-      distinct.push_back(bare);
-    }
-  }
-  serve::WarpdOptions options;
-  options.base = experiments::default_options();
-  const auto outcomes = serve::run_serial(distinct, options);
-  for (std::size_t i = 0; i < distinct.size(); ++i) {
-    if (!outcomes[i].error.empty()) {
-      std::fprintf(stderr, "serial reference rejected %s: %s\n",
-                   distinct[i].workload.c_str(), outcomes[i].error.c_str());
-      std::exit(1);
-    }
-    references[key_of(distinct[i])] = outcomes[i].entry;
-  }
-  return references;
 }
 
 // --- the open-loop client --------------------------------------------------
@@ -492,89 +394,10 @@ void run_incarnation(const std::string& socket_path, const std::vector<Request>&
   for (auto& thread : threads) thread.join();
 }
 
-// --- wait-chain replay ------------------------------------------------------
-
-// Sort one incarnation's ok replies by reported wait and replay them through
-// the round-robin DpmVirtualClock. `exact` (every reply observed): each wait
-// must equal the clock bit for bit. Killed incarnations lose replies, and a
-// lost session only *adds* busy time — so each wait must be at least the
-// accumulated lower bound.
-bool verify_wait_chain(std::vector<std::pair<double, double>> chain, bool exact,
-                       const char* label) {
-  std::sort(chain.begin(), chain.end());
-  warpsys::DpmVirtualClock clock;  // kRoundRobin, as the engine's sequencer
-  double lower = 0.0;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    const auto [wait, dpm] = chain[i];
-    if (exact) {
-      const double expect = clock.start(0.0);
-      if (wait != expect) {
-        std::printf("  FAIL %s: wait chain diverges at reply %zu: wait=%.17g expected=%.17g\n",
-                    label, i, wait, expect);
-        return false;
-      }
-      clock.finish(dpm);
-    } else {
-      if (wait + 1e-9 < lower) {
-        std::printf("  FAIL %s: wait chain below lower bound at reply %zu: %.17g < %.17g\n",
-                    label, i, wait, lower);
-        return false;
-      }
-      lower = wait + dpm;
-    }
-  }
-  return true;
-}
-
-// --- engine stats over the wire --------------------------------------------
-
-struct StatsLine {
-  std::map<std::string, std::uint64_t> values;
-  std::uint64_t get(const char* key) const {
-    auto it = values.find(key);
-    return it == values.end() ? 0 : it->second;
-  }
-};
-
-StatsLine query_stats(const std::string& socket_path) {
-  serve::Client client;
-  if (const auto status = client.connect(socket_path); !status) {
-    std::fprintf(stderr, "stats connect failed: %s\n", status.message().c_str());
-    std::exit(1);
-  }
-  if (const auto status = client.send_line("stats"); !status) {
-    std::fprintf(stderr, "stats send failed: %s\n", status.message().c_str());
-    std::exit(1);
-  }
-  auto line = client.read_line();
-  if (!line) {
-    std::fprintf(stderr, "stats read failed: %s\n", line.message().c_str());
-    std::exit(1);
-  }
-  StatsLine stats;
-  for (const auto field : common::split(line.value(), " ")) {
-    const auto eq = field.find('=');
-    if (eq == std::string_view::npos) continue;
-    stats.values[std::string(field.substr(0, eq))] =
-        std::strtoull(std::string(field.substr(eq + 1)).c_str(), nullptr, 10);
-  }
-  return stats;
-}
-
 // Ask the daemon to drain over the wire and confirm the "draining" ack; the
 // supervisor loop then finishes in-flight work and exits 0.
 void send_drain(const std::string& socket_path) {
-  serve::Client client;
-  if (const auto status = client.connect(socket_path); !status) {
-    std::fprintf(stderr, "drain connect failed: %s\n", status.message().c_str());
-    std::exit(1);
-  }
-  if (const auto status = client.send_line("drain"); !status) {
-    std::fprintf(stderr, "drain send failed: %s\n", status.message().c_str());
-    std::exit(1);
-  }
-  auto line = client.read_line();
-  if (!line || line.value() != "draining") {
+  if (control_rpc(socket_path, "drain") != "draining") {
     std::fprintf(stderr, "drain op not acknowledged\n");
     std::exit(1);
   }
@@ -587,7 +410,6 @@ struct RunConfig {
   std::size_t sessions = 32;
   unsigned connections = 1;
   double rate_per_s = 10.0;
-  unsigned shards = 2;
   unsigned workers = 2;
   std::size_t max_sessions = 0;  // daemon admission caps (0 = unlimited)
   std::size_t max_queued = 0;
@@ -618,14 +440,6 @@ struct RunResult {
   bool passed = true;     // identical and every expected-behaviour gate
 };
 
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  return values[std::min(values.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
 RunResult execute_run(const RunConfig& config,
                       const std::map<std::string, warpsys::MultiWarpEntry>& references) {
   RunResult result;
@@ -647,7 +461,6 @@ RunResult execute_run(const RunConfig& config,
   daemon_args.socket = socket_path;
   daemon_args.store_dir = config.store_dir;
   daemon_args.fault_seed = config.fault_seed;
-  daemon_args.shards = config.shards;
   daemon_args.workers = config.workers;
   daemon_args.max_sessions = config.max_sessions;
   daemon_args.max_queued = config.max_queued;
@@ -677,8 +490,7 @@ RunResult execute_run(const RunConfig& config,
       ok_run = false;
     }
     ++result.kills;
-    ok_run = verify_wait_chain(phase_a.wait_chain, /*exact=*/false, config.label.c_str()) &&
-             ok_run;
+    ok_run = verify_wait_chain(phase_a.wait_chain, /*exact=*/false, config.label) && ok_run;
 
     // Phase B: warm respawn on the same socket and store; resend every id
     // without a terminal reply. A different fault seed exercises a second
@@ -706,8 +518,7 @@ RunResult execute_run(const RunConfig& config,
                   config.label.c_str());
       ok_run = false;
     }
-    ok_run = verify_wait_chain(phase_b.wait_chain, /*exact=*/true, config.label.c_str()) &&
-             ok_run;
+    ok_run = verify_wait_chain(phase_b.wait_chain, /*exact=*/true, config.label) && ok_run;
   } else if (config.drain_mid_stream) {
     // Regression: a "drain" issued while clients are mid busy-retry storm
     // must not wedge or crash the daemon. It sheds the storm busy, finishes
@@ -727,7 +538,7 @@ RunResult execute_run(const RunConfig& config,
     run_incarnation(socket_path, requests, all_ids, config.connections, config.rate_per_s,
                     tracker, inc, 0, pid, jitter_seed);
     drainer.join();
-    ok_run = verify_wait_chain(inc.wait_chain, /*exact=*/true, config.label.c_str()) && ok_run;
+    ok_run = verify_wait_chain(inc.wait_chain, /*exact=*/true, config.label) && ok_run;
   } else {
     Incarnation inc;
     run_incarnation(socket_path, requests, all_ids, config.connections, config.rate_per_s,
@@ -736,7 +547,7 @@ RunResult execute_run(const RunConfig& config,
       std::printf("  FAIL %s: daemon connection failed without chaos\n", config.label.c_str());
       ok_run = false;
     }
-    ok_run = verify_wait_chain(inc.wait_chain, /*exact=*/true, config.label.c_str()) && ok_run;
+    ok_run = verify_wait_chain(inc.wait_chain, /*exact=*/true, config.label) && ok_run;
   }
 
   // Terminal accounting + pure-field identity, all under one lock take.
@@ -1044,8 +855,6 @@ int main(int argc, char** argv) {
       store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
       daemon_args.socket = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      daemon_args.shards = static_cast<unsigned>(uint_arg("--shards"));
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       daemon_args.workers = static_cast<unsigned>(uint_arg("--workers"));
     } else if (std::strcmp(argv[i], "--max-sessions") == 0) {

@@ -7,14 +7,16 @@
 // one after another, so later processors wait longer before their kernels
 // come online.
 //
-// Host-side, the default engine is threaded: one worker per processor runs
-// the software/warped simulations while the shared DPM serves partitioning
-// jobs in virtual-time order. The serial engine (parallel = false) computes
-// the exact same table — this example cross-checks that guarantee.
+// Host-side, the default engine is threaded: warpd's workers run the
+// software/warped simulations while its one DPM thread runs the
+// partitioning jobs, and the waits follow the virtual-time queue. The
+// serial engine (parallel = false) computes the exact same table — this
+// example cross-checks that guarantee.
 #include <cstdio>
 #include <cstdlib>
 
 #include "experiments/harness.hpp"
+#include "serve/multiprocessor.hpp"
 
 namespace {
 
@@ -37,7 +39,7 @@ int main() {
 
   std::printf("four MicroBlaze processors, one shared DPM (round robin):\n\n");
   auto systems = build_systems(mix);
-  const auto entries = warpsys::run_multiprocessor(systems, mix);  // threaded engine
+  const auto entries = serve::run_multiprocessor(systems, mix);  // threaded engine
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& e = entries[i];
     std::printf("cpu%zu %-7s: sw %7.3f ms -> warped %7.3f ms (%.2fx)"
@@ -59,10 +61,10 @@ int main() {
 
   // The parallel engine is a host-side optimization only: the serial
   // reference engine must produce the identical table.
-  warpsys::MultiWarpOptions serial;
+  serve::MultiWarpOptions serial;
   serial.parallel = false;
   auto serial_systems = build_systems(mix);
-  const auto reference = warpsys::run_multiprocessor(serial_systems, mix, serial);
+  const auto reference = serve::run_multiprocessor(serial_systems, mix, serial);
   const bool identical = reference == entries;
   std::printf("threaded engine matches the serial reference bit-for-bit: %s\n",
               identical ? "yes" : "NO");

@@ -74,7 +74,8 @@ BenchmarkResult run_benchmark(const workloads::Workload& workload,
                               const HarnessOptions& options);
 
 /// Assemble each named workload and wire up one WarpSystem per entry — the
-/// N-processor platform of Figure 4, ready for warpsys::run_multiprocessor.
+/// N-processor platform of Figure 4, ready for serve::run_multiprocessor
+/// (serve/multiprocessor.hpp).
 /// Fails on the first workload that does not assemble.
 common::Result<std::vector<std::unique_ptr<warpsys::WarpSystem>>> build_warp_systems(
     const std::vector<std::string>& mix, const HarnessOptions& options);

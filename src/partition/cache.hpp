@@ -34,9 +34,9 @@
 // are evicted on insert. Eviction only drops the cached copy (shared_ptr
 // holders keep theirs) and is counted per stage.
 //
-// Thread safety: all operations take an internal lock. The multiprocessor
-// engines call the pipeline from one scheduler thread at a time, but the
-// cache does not rely on that.
+// Thread safety: all operations take an internal lock. The engines call the
+// pipeline from one DPM thread at a time, but the cache does not rely on
+// that.
 #pragma once
 
 #include <cassert>

@@ -44,6 +44,25 @@ SessionOutcome outcome_of(const protocol::Reply& reply) {
 
 }  // namespace
 
+ShardRing::ShardRing(const std::vector<unsigned>& members, unsigned points_per_member) {
+  points_.reserve(members.size() * points_per_member);
+  for (const unsigned member : members) {
+    for (unsigned point = 0; point < points_per_member; ++point) {
+      common::Hasher hasher;
+      hasher.str("warpd.ring").u32(member).u32(point);
+      points_.emplace_back(hasher.finish().lo, member);
+    }
+  }
+  std::sort(points_.begin(), points_.end());
+}
+
+unsigned ShardRing::owner(const common::Digest& key) const {
+  if (points_.empty()) return 0;
+  auto it = std::lower_bound(points_.begin(), points_.end(), std::make_pair(key.lo, 0u));
+  if (it == points_.end()) it = points_.begin();  // wrap
+  return it->second;
+}
+
 // --- RemotePeer: partition::ReplicaPeer over the replication ops -----------
 
 class ClusterNode::RemotePeer : public partition::ReplicaPeer {
@@ -188,8 +207,7 @@ unsigned ClusterNode::owner_of(const common::Digest& digest) const {
     if (peer_live(*peer)) live.push_back(peer->id);
   }
   std::sort(live.begin(), live.end());
-  const ShardRing ring(live, std::max(1u, options_.server.engine.ring_points_per_shard));
-  return ring.owner(digest);
+  return ShardRing(live).owner(digest);
 }
 
 std::optional<common::Digest> ClusterNode::digest_for(const protocol::Request& request) {

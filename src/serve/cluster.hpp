@@ -3,13 +3,13 @@
 // A ClusterNode wraps one SocketServer with the cluster hooks (server.hpp):
 //
 //   routing     every client "warp" request is keyed by its kernel content
-//               hash (the same digest the engine shards by) and routed on a
+//               hash (kernel_digest_for, warpd.hpp) and routed on a
 //               ShardRing over the *live* member ids. The owner executes it;
 //               any other node forwards it over a fresh connection, tagging
 //               the request fwd=<origin> so the owner always executes
 //               locally — a stale ring view can bounce a session at most
 //               once, never loop it. Repeats of one kernel thus land on one
-//               node's one shard: cluster-wide, each unique kernel is
+//               node's one DPM thread: cluster-wide, each unique kernel is
 //               computed once and every repeat is a cache hit.
 //   failover    peers are health-checked by a heartbeat thread (fresh-
 //               connection pings on a seeded-deterministic jittered period;
@@ -61,6 +61,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injector.hpp"
@@ -69,6 +70,24 @@
 #include "serve/server.hpp"
 
 namespace warp::serve {
+
+/// Consistent-hash ring mapping kernel content hashes to cluster members.
+/// Each member contributes `points_per_member` ring points, hashed per
+/// (member id, point); a key is owned by the first point at or after it
+/// (wrapping). For a fixed member set the mapping is a pure function of the
+/// key, identical on every host, and removing a member only reassigns the
+/// ranges its own points covered — every other key keeps its owner (the
+/// smooth-resharding property, tests/shard_ring_test.cpp).
+class ShardRing {
+ public:
+  explicit ShardRing(const std::vector<unsigned>& members, unsigned points_per_member = 16);
+  /// The owning member id (NOT an index into members). Returns 0 on an
+  /// empty ring so callers need no special case.
+  unsigned owner(const common::Digest& key) const;
+
+ private:
+  std::vector<std::pair<std::uint64_t, unsigned>> points_;  // sorted by .first
+};
 
 struct ClusterOptions {
   /// This node's id — an index into `members`.

@@ -54,19 +54,10 @@ std::string coalesce_key_of(const protocol::Request& request) {
   return key;
 }
 
-struct BuiltSession {
-  std::unique_ptr<warpsys::WarpSystem> system;
-  common::Digest kernel_hash;
-};
-
-// Assemble the session's WarpSystem with the request's overrides applied,
-// and compute the kernel content hash that decides shard ownership: the
-// program words plus the overridable knobs that change what the DPM
-// computes. Host-only knobs (packed_width) stay out — they never change
-// artifacts, so they must not split a kernel across shards.
-common::Result<BuiltSession> build_session(const protocol::Request& request,
-                                           const experiments::HarnessOptions& base) {
-  using R = common::Result<BuiltSession>;
+// Assemble the session's WarpSystem with the request's overrides applied.
+common::Result<std::unique_ptr<warpsys::WarpSystem>> build_session(
+    const protocol::Request& request, const experiments::HarnessOptions& base) {
+  using R = common::Result<std::unique_ptr<warpsys::WarpSystem>>;
   experiments::HarnessOptions options = base;
   options.cache = nullptr;  // the engine passes its shared cache per DPM call
   const protocol::RequestOverrides& o = request.overrides;
@@ -75,55 +66,24 @@ common::Result<BuiltSession> build_session(const protocol::Request& request,
   if (o.csd_max_terms) options.system.dpm.synth.csd_max_terms = *o.csd_max_terms;
   auto systems = experiments::build_warp_systems({request.workload}, options);
   if (!systems) return R::error(systems.message());
-  BuiltSession built;
-  built.system = std::move(std::move(systems).value()[0]);
+  return std::move(std::move(systems).value()[0]);
+}
+
+// The kernel content hash: the program words plus the overridable knobs
+// that change what the DPM computes. Host-only knobs (packed_width) stay
+// out — they never change artifacts.
+common::Digest kernel_hash_of(const warpsys::WarpSystem& system) {
   common::Hasher hasher;
-  const std::vector<std::uint32_t>& words = built.system->program().words;
+  const std::vector<std::uint32_t>& words = system.program().words;
   hasher.u64(words.size());
   for (const std::uint32_t word : words) hasher.u32(word);
-  const auto& dpm = built.system->config().dpm;
+  const auto& dpm = system.config().dpm;
   hasher.u32(dpm.max_candidates);
   hasher.u32(dpm.synth.csd_max_terms);
-  built.kernel_hash = hasher.finish();
-  return built;
+  return hasher.finish();
 }
 
 }  // namespace
-
-namespace {
-
-std::vector<unsigned> dense_members(unsigned shards) {
-  std::vector<unsigned> members(std::max(1u, shards));
-  for (unsigned m = 0; m < members.size(); ++m) members[m] = m;
-  return members;
-}
-
-}  // namespace
-
-ShardRing::ShardRing(unsigned shards, unsigned points_per_shard)
-    : ShardRing(dense_members(shards), points_per_shard) {}
-
-ShardRing::ShardRing(const std::vector<unsigned>& members, unsigned points_per_shard)
-    : shards_(static_cast<unsigned>(members.size())) {
-  points_.reserve(static_cast<std::size_t>(members.size()) * points_per_shard);
-  for (const unsigned member : members) {
-    for (unsigned point = 0; point < points_per_shard; ++point) {
-      common::Hasher hasher;
-      hasher.str("warpd.ring").u32(member).u32(point);
-      points_.emplace_back(hasher.finish().lo, member);
-    }
-  }
-  std::sort(points_.begin(), points_.end());
-}
-
-unsigned ShardRing::owner(const common::Digest& key) const {
-  if (points_.empty()) return 0;
-  const std::uint64_t position = key.lo;
-  auto it = std::lower_bound(points_.begin(), points_.end(),
-                             std::make_pair(position, 0u));
-  if (it == points_.end()) it = points_.begin();  // wrap
-  return it->second;
-}
 
 std::optional<std::uint64_t> AdmissionController::try_admit() {
   const std::uint64_t bytes_after = bytes_ + options_.session_bytes;
@@ -158,22 +118,13 @@ void AdmissionController::finished() {
 
 Warpd::Warpd(WarpdOptions options)
     : options_(std::move(options)),
-      n_shards_(std::max(1u, options_.shards)),
       n_workers_(options_.workers ? options_.workers : std::thread::hardware_concurrency()),
-      ring_(n_shards_, std::max(1u, options_.ring_points_per_shard)),
       admission_(options_.admission) {
   if (n_workers_ == 0) n_workers_ = 1;
-  shard_queues_.resize(n_shards_);
-  stats_.shards.resize(n_shards_);
-  for (unsigned s = 0; s < n_shards_; ++s) {
-    shard_cvs_.push_back(std::make_unique<std::condition_variable>());
-  }
-  threads_.reserve(2 + n_shards_ + n_workers_);
+  threads_.reserve(3 + n_workers_);
   threads_.emplace_back([this] { sequencer_main(); });
   threads_.emplace_back([this] { deadline_main(); });
-  for (unsigned s = 0; s < n_shards_; ++s) {
-    threads_.emplace_back([this, s] { shard_main(s); });
-  }
+  threads_.emplace_back([this] { dpm_main(); });
   for (unsigned w = 0; w < n_workers_; ++w) {
     threads_.emplace_back([this] { worker_main(); });
   }
@@ -182,7 +133,20 @@ Warpd::Warpd(WarpdOptions options)
 Warpd::~Warpd() { stop(); }
 
 void Warpd::submit(const protocol::Request& request, Callback done) {
-  std::string err = validate_request(request);
+  admit(request, validate_request(request), nullptr, std::move(done));
+}
+
+void Warpd::submit_system(warpsys::WarpSystem& system, std::string name, std::uint64_t seq,
+                          Callback done) {
+  protocol::Request request;
+  request.id = seq;
+  request.seq = seq;
+  request.workload = std::move(name);
+  admit(request, {}, &system, std::move(done));
+}
+
+void Warpd::admit(const protocol::Request& request, std::string err,
+                  warpsys::WarpSystem* system, Callback done) {
   std::unique_lock lock(mutex_);
   // A drained engine keeps shedding busy while it stops: its connections
   // still deliver the retries of the drain's busy storm until they close.
@@ -249,6 +213,8 @@ void Warpd::submit(const protocol::Request& request, Callback done) {
   }
   s.index = sessions_.size();
   s.seq = request.seq ? *request.seq : static_cast<std::uint64_t>(s.index);
+  s.system = system;
+  s.caller_owned = system != nullptr;
   s.entry.name = request.workload;
   pending_waits_[s.seq] = &s;
   sessions_.push_back(std::move(session));
@@ -317,7 +283,9 @@ void Warpd::worker_main() {
     }
     s.claimed = true;
     admission_.started();
-    if (options_.coalesce) {
+    // A caller-owned system never coalesces: its caller reads that very
+    // system's outcome and memory afterwards.
+    if (options_.coalesce && !s.caller_owned) {
       const std::string key = coalesce_key_of(s.request);
       auto leader = inflight_leaders_.find(key);
       if (leader != inflight_leaders_.end()) {
@@ -334,25 +302,25 @@ void Warpd::worker_main() {
 
     // Build + profiled run, outside the lock; no other thread touches the
     // session's pipeline state until the job is filed.
-    common::Digest kernel_hash{};
-    auto built = build_session(s.request, options_.base);
-    if (built) {
-      BuiltSession b = std::move(built).value();
-      s.system = std::move(b.system);
-      kernel_hash = b.kernel_hash;
-      s.has_job = warpsys::profile_phase(*s.system, s.entry);
-    } else {
-      s.entry.detail = built.message();
+    if (!s.caller_owned) {
+      auto built = build_session(s.request, options_.base);
+      if (built) {
+        s.owned = std::move(built).value();
+        s.system = s.owned.get();
+      } else {
+        s.entry.detail = built.message();
+      }
     }
+    if (s.system != nullptr) s.has_job = warpsys::profile_phase(*s.system, s.entry);
+    const common::Digest kernel_hash = s.has_job ? kernel_hash_of(*s.system) : common::Digest{};
 
     lock.lock();
     if (s.has_job) {
-      s.shard = ring_.owner(kernel_hash);
       if (kernels_seen_.insert({kernel_hash.hi, kernel_hash.lo}).second) {
         ++stats_.unique_kernels;
       }
-      shard_queues_[s.shard].insert({s.seq, s.index});
-      shard_cvs_[s.shard]->notify_one();
+      dpm_queue_.insert({s.seq, s.index});
+      dpm_cv_.notify_one();
       grant_cv_.wait(lock, [&] { return s.dpm_done; });
     } else {
       s.dpm_done = true;
@@ -373,28 +341,26 @@ void Warpd::worker_main() {
       lock.lock();
     }
   }
-  // Exiting with the lock held: the last worker out releases the shard and
+  // Exiting with the lock held: the last worker out releases the DPM and
   // sequencer threads (their queues are final once no worker can enqueue).
   if (++workers_exited_ == n_workers_) {
-    for (auto& cv : shard_cvs_) cv->notify_all();
+    dpm_cv_.notify_all();
     seq_cv_.notify_all();
   }
 }
 
-void Warpd::shard_main(unsigned shard) {
+void Warpd::dpm_main() {
   std::unique_lock lock(mutex_);
-  auto& queue = shard_queues_[shard];
-  std::condition_variable& cv = *shard_cvs_[shard];
   for (;;) {
-    cv.wait(lock, [&] {
-      return !queue.empty() || (stopping_ && workers_exited_ == n_workers_);
+    dpm_cv_.wait(lock, [&] {
+      return !dpm_queue_.empty() || (stopping_ && workers_exited_ == n_workers_);
     });
-    if (queue.empty()) break;
-    // Pop the owned job with the lowest virtual admission slot. Repeats of
-    // one kernel are owned by this shard and thus serialized here — the
-    // first occurrence computes, later ones resolve from the shared cache.
-    const std::size_t index = queue.begin()->second;
-    queue.erase(queue.begin());
+    if (dpm_queue_.empty()) break;
+    // Serve the filed job with the lowest virtual admission slot. The
+    // owning worker is blocked until the grant, so this thread has
+    // exclusive use of the system while the flow runs outside the lock.
+    const std::size_t index = dpm_queue_.begin()->second;
+    dpm_queue_.erase(dpm_queue_.begin());
     Session& s = *sessions_[index];
     lock.unlock();
     const auto start = std::chrono::steady_clock::now();
@@ -404,8 +370,8 @@ void Warpd::shard_main(unsigned shard) {
     lock.lock();
     s.partitioned = partitioned;
     s.dpm_done = true;
-    stats_.shards[shard].jobs += 1;
-    stats_.shards[shard].busy_ms += busy_ms;
+    stats_.dpm_jobs += 1;
+    stats_.dpm_busy_ms += busy_ms;
     grant_cv_.notify_all();
     seq_cv_.notify_all();
   }
@@ -425,7 +391,7 @@ void Warpd::sequencer_main() {
     pending_waits_.erase(pending_waits_.begin());
     if (s.has_job) {
       // The one place virtual DPM time advances: strictly in seq order,
-      // with run_multiprocessor's arithmetic (DpmVirtualClock). Followers
+      // with assign_dpm_waits' arithmetic (DpmVirtualClock). Followers
       // are charged here like anyone else — coalescing saved the host CAD
       // work, not the session's virtual service.
       s.entry.dpm_wait_seconds = clock_.start(s.entry.sw_seconds);
@@ -491,7 +457,6 @@ void Warpd::resolve_followers_locked(Session& leader, std::vector<Delivery>& out
     // The sequencer assigns f's own wait at f's seq turn; the leader's
     // (possibly already-assigned) wait must not leak through the copy.
     f.entry.dpm_wait_seconds = 0.0;
-    f.shard = leader.shard;
     f.has_job = leader.has_job;
     f.partitioned = leader.partitioned;
     f.dpm_done = true;
@@ -512,7 +477,7 @@ std::optional<Warpd::Delivery> Warpd::try_finalize_locked(Session& s) {
   out.status = s.status;
   out.error = s.message;
   out.entry = s.entry;
-  out.shard = s.shard;
+  out.dpm_job = s.has_job;
   out.node = options_.node_id;
   out.latency_ms = ms_since(s.admitted);
   if (s.status == protocol::ReplyStatus::kOk) {
@@ -520,7 +485,8 @@ std::optional<Warpd::Delivery> Warpd::try_finalize_locked(Session& s) {
   }
   ++stats_.completed;
   admission_.finished();
-  s.system.reset();  // bound live memory to in-flight sessions
+  s.system = nullptr;
+  s.owned.reset();  // bound live memory to in-flight sessions
   done_cv_.notify_all();
   return Delivery{std::move(s.done), std::move(out)};
 }
@@ -531,14 +497,9 @@ void Warpd::deliver(std::optional<Delivery> delivery) {
 
 std::vector<SessionOutcome> run_serial(const std::vector<protocol::Request>& requests,
                                        const WarpdOptions& options) {
-  const ShardRing ring(std::max(1u, options.shards),
-                       std::max(1u, options.ring_points_per_shard));
-  struct Row {
-    bool accepted = false;
-    bool has_job = false;
-  };
   std::vector<SessionOutcome> outcomes(requests.size());
-  std::vector<Row> rows(requests.size());
+  // Accepted sessions by seq: the virtual DPM's admission order.
+  std::map<std::uint64_t, std::size_t> by_seq;
 
   // Admission mirrors Warpd::submit: same rejections, same seq assignment.
   // Serial execution is uncontended, so admission caps and deadlines never
@@ -575,20 +536,19 @@ std::vector<SessionOutcome> run_serial(const std::vector<protocol::Request>& req
       out.error = std::move(err);
       continue;
     }
-    rows[i].accepted = true;
     out.seq = request.seq ? *request.seq : implicit_seq++;
     out.entry.name = request.workload;
+    by_seq[out.seq] = i;
 
     const auto admitted = std::chrono::steady_clock::now();
     auto built = build_session(request, options.base);
     if (built) {
-      BuiltSession b = std::move(built).value();
-      out.shard = ring.owner(b.kernel_hash);
-      rows[i].has_job = warpsys::profile_phase(*b.system, out.entry);
-      if (rows[i].has_job) {
+      warpsys::WarpSystem& system = *built.value();
+      out.dpm_job = warpsys::profile_phase(system, out.entry);
+      if (out.dpm_job) {
         const bool partitioned =
-            warpsys::dpm_phase(*b.system, out.entry, options.cache, options.fault);
-        warpsys::warped_phase(*b.system, out.entry, partitioned);
+            warpsys::dpm_phase(system, out.entry, options.cache, options.fault);
+        warpsys::warped_phase(system, out.entry, partitioned);
       }
     } else {
       out.entry.detail = built.message();
@@ -596,17 +556,11 @@ std::vector<SessionOutcome> run_serial(const std::vector<protocol::Request>& req
     out.latency_ms = ms_since(admitted);
   }
 
-  // Virtual DPM accounting in seq order — the engine's exact arithmetic.
-  std::map<std::uint64_t, std::size_t> by_seq;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (rows[i].accepted) by_seq[outcomes[i].seq] = i;
-  }
-  warpsys::DpmVirtualClock clock;
+  std::vector<warpsys::DpmRow> rows;
   for (const auto& [seq, i] : by_seq) {
-    if (!rows[i].has_job) continue;
-    outcomes[i].entry.dpm_wait_seconds = clock.start(outcomes[i].entry.sw_seconds);
-    clock.finish(outcomes[i].entry.dpm_seconds);
+    rows.push_back({&outcomes[i].entry, outcomes[i].dpm_job});
   }
+  warpsys::assign_dpm_waits(rows, warpsys::DpmQueuePolicy::kRoundRobin);
   return outcomes;
 }
 
@@ -617,7 +571,7 @@ common::Result<common::Digest> kernel_digest_for(const protocol::Request& reques
   if (!err.empty()) return R::error(err);
   auto built = build_session(request, base);
   if (!built) return R::error(built.message());
-  return built.value().kernel_hash;
+  return kernel_hash_of(*built.value());
 }
 
 }  // namespace warp::serve

@@ -4,31 +4,31 @@
 // the named workload (with the request's config overrides), pushed through
 // the profile -> DPM -> warped phases of warp_system.hpp, and reported as a
 // MultiWarpEntry — exactly the Figure-4 methodology, but request-driven and
-// long-running instead of batch.
+// long-running instead of batch. It is also the concurrent engine behind
+// run_multiprocessor (multiprocessor.hpp), which submits caller-owned
+// systems through submit_system().
 //
 // Host architecture (all host-side; none of it changes simulated numbers):
 //
 //   workers    claim admitted sessions in admission order; each builds the
 //              system, runs the profiled software run, files the DPM job,
 //              blocks until its grant, then runs the warped re-run;
-//   shards     N scheduler threads own disjoint slices of the DPM queue.
-//              Ownership is consistent-hashed by *kernel content hash*
-//              (program words + the DPM-relevant config knobs), so every
-//              repeat of a kernel lands on the same shard and is served
-//              after its first occurrence — the sharding invariant that
-//              makes repeats guaranteed cache hits. Each shard pops its own
-//              queue in ascending virtual admission order;
+//   DPM        one thread serves the filed jobs one at a time, lowest
+//              (seq, admission index) first — the shared DPM is one
+//              embedded processor. Repeats of a kernel therefore serialize
+//              behind their first occurrence and resolve from the shared
+//              cache;
 //   sequencer  one thread owns the *virtual* DPM accounting: it walks
 //              sessions in seq order through a DpmVirtualClock (round
 //              robin), assigning each session's dpm_wait_seconds with the
-//              identical arithmetic of run_multiprocessor;
+//              arithmetic of warpsys::assign_dpm_waits;
 //   deadliner  one thread cancels queued-but-unstarted sessions whose
 //              deadline_ms elapsed, resolving them with a kTimeout outcome.
 //
 // Determinism contract: the virtual DPM stays a single-server queue served
-// in seq order, whatever the shard/worker counts — shards parallelize the
-// *host* CAD work only. Result tables are therefore bit-identical across
-// shard counts, worker counts, repeats, cache states and the serial
+// in seq order, whatever the worker count or the host order of DPM jobs —
+// no result field depends on either. Result tables are therefore
+// bit-identical across worker counts, repeats, cache states and the serial
 // reference engine (run_serial), which tests/warpd_test.cpp gates.
 //
 // Overload semantics (all host-side, none change accepted results):
@@ -92,32 +92,6 @@
 
 namespace warp::serve {
 
-/// Consistent-hash ring mapping kernel content hashes to shard owners.
-/// Each shard contributes `points_per_shard` ring points; a key is owned by
-/// the first point at or after it (wrapping). Adding a shard therefore only
-/// moves the keys adjacent to its new points — and for a fixed member set
-/// the mapping is a pure function of the key, identical on every host.
-///
-/// The membership ctor takes explicit member ids (the cluster layer passes
-/// live warpd node ids): each member's points are hashed per (id, point),
-/// so removing a member only reassigns the ranges its own points covered —
-/// every other key keeps its owner (the smooth-resharding property,
-/// tests/shard_ring_test.cpp). ShardRing(n, p) is exactly
-/// ShardRing({0..n-1}, p), so in-engine shard routing is the same function.
-class ShardRing {
- public:
-  ShardRing(unsigned shards, unsigned points_per_shard = 16);
-  ShardRing(const std::vector<unsigned>& members, unsigned points_per_shard = 16);
-  /// The owning member id (NOT an index into members). Returns the lowest
-  /// member id on an empty ring so callers need no special case.
-  unsigned owner(const common::Digest& key) const;
-  unsigned shards() const { return shards_; }
-
- private:
-  unsigned shards_;
-  std::vector<std::pair<std::uint64_t, unsigned>> points_;  // sorted by .first
-};
-
 /// Occupancy caps for the admission controller. A cap of 0 means unlimited;
 /// with every cap 0 (the default) admission is a no-op and warpd behaves
 /// exactly as before this layer existed.
@@ -178,11 +152,8 @@ class AdmissionController {
 };
 
 struct WarpdOptions {
-  /// DPM scheduler (shard) threads; clamped to >= 1.
-  unsigned shards = 1;
   /// Session worker threads; 0 = std::thread::hardware_concurrency().
   unsigned workers = 0;
-  unsigned ring_points_per_shard = 16;
   /// Shared artifact cache consulted by every DPM job (not owned; may be
   /// null). Typically has a DiskArtifactStore attached — that is what makes
   /// repeat kernels disk hits across server restarts.
@@ -226,14 +197,9 @@ struct SessionOutcome {
   std::string error;
   std::uint64_t retry_after_ms = 0;  // kBusy only
   warpsys::MultiWarpEntry entry;
-  unsigned shard = 0;       // owner shard of the session's kernel
+  bool dpm_job = false;     // the profiled run filed a DPM job (kOk only)
   std::uint32_t node = 0;   // WarpdOptions::node_id of the admitting engine
   double latency_ms = 0.0;  // host admission -> completion
-};
-
-struct ShardStats {
-  std::uint64_t jobs = 0;    // DPM services executed by this shard
-  double busy_ms = 0.0;      // host wall clock spent in them
 };
 
 struct WarpdStats {
@@ -248,8 +214,9 @@ struct WarpdStats {
   std::uint64_t max_queue_depth = 0; // peak admitted-but-unstarted occupancy
   std::uint64_t peak_sessions = 0;   // peak admitted-but-unfinalized
   std::uint64_t peak_bytes = 0;      // peak accounting bytes in flight
+  std::uint64_t dpm_jobs = 0;        // DPM services run by the DPM thread
+  double dpm_busy_ms = 0.0;          // host wall clock spent in them
   bool draining = false;
-  std::vector<ShardStats> shards;
   std::vector<double> latencies_ms;  // served (kOk) sessions, in seq order
 };
 
@@ -267,6 +234,14 @@ class Warpd {
   /// kBusy outcome, before submit returns) if the request is rejected or
   /// shed. Callbacks must not re-enter this Warpd beyond submit().
   void submit(const protocol::Request& request, Callback done);
+
+  /// Admit a caller-owned, already-built system as one session at virtual
+  /// slot `seq` (explicit seq mode; `name` becomes the entry's name). The
+  /// session skips the build, carries no deadline and never coalesces: the
+  /// caller reads system.outcome() and data_mem() afterwards, so every
+  /// system runs its own pipeline. `system` must outlive the callback.
+  void submit_system(warpsys::WarpSystem& system, std::string name, std::uint64_t seq,
+                     Callback done);
 
   /// Stop admitting (everything new is shed kBusy with drain_retry_ms,
   /// also after stop()) while in-flight sessions run to completion.
@@ -297,9 +272,10 @@ class Warpd {
     std::optional<std::chrono::steady_clock::time_point> deadline;
     std::uint64_t seq = 0;
     std::size_t index = 0;  // admission index
-    std::unique_ptr<warpsys::WarpSystem> system;
+    warpsys::WarpSystem* system = nullptr;  // caller-owned, or owned.get()
+    std::unique_ptr<warpsys::WarpSystem> owned;
+    bool caller_owned = false;  // admitted through submit_system()
     warpsys::MultiWarpEntry entry;
-    unsigned shard = 0;
     protocol::ReplyStatus status = protocol::ReplyStatus::kOk;
     std::string message;       // kTimeout detail
     std::string coalesce_key;  // nonempty while this session leads its key
@@ -307,15 +283,19 @@ class Warpd {
     bool claimed = false;      // a worker took it (or the deadliner resolved it)
     bool has_job = false;      // profile succeeded; a DPM job was filed
     bool partitioned = false;
-    bool dpm_done = false;     // shard served the job (or there was none)
+    bool dpm_done = false;     // the DPM served the job (or there was none)
     bool runs_done = false;    // warped/fallback run finished
     bool wait_done = false;    // sequencer assigned dpm_wait_seconds
     bool finalized = false;
   };
   using Delivery = std::pair<Callback, SessionOutcome>;
 
+  /// submit()/submit_system(): `err` is the request's validation verdict;
+  /// `system` is null unless the caller owns the session's system.
+  void admit(const protocol::Request& request, std::string err,
+             warpsys::WarpSystem* system, Callback done);
   void worker_main();
-  void shard_main(unsigned shard);
+  void dpm_main();
   void sequencer_main();
   void deadline_main();
   /// Resolve an admitted-but-unstarted session as kTimeout. The session
@@ -327,22 +307,20 @@ class Warpd {
   static void deliver(std::optional<Delivery> delivery);
 
   WarpdOptions options_;
-  unsigned n_shards_ = 1;
   unsigned n_workers_ = 1;
-  ShardRing ring_;
 
   mutable std::mutex mutex_;
   std::condition_variable worker_cv_;   // submit/stop -> workers
-  std::condition_variable grant_cv_;    // shards -> blocked workers
-  std::condition_variable seq_cv_;      // shards/workers -> sequencer
+  std::condition_variable grant_cv_;    // DPM thread -> blocked workers
+  std::condition_variable seq_cv_;      // DPM thread/workers -> sequencer
   std::condition_variable done_cv_;     // finalize -> drain()
   std::condition_variable deadline_cv_; // submit/stop -> deadliner
-  std::vector<std::unique_ptr<std::condition_variable>> shard_cvs_;
+  std::condition_variable dpm_cv_;      // workers -> DPM thread
 
   std::deque<std::unique_ptr<Session>> sessions_;  // by admission index
   std::size_t next_claim_ = 0;
-  // Per-shard job queues, ordered by (seq, admission index).
-  std::vector<std::set<std::pair<std::uint64_t, std::size_t>>> shard_queues_;
+  // Filed DPM jobs, ordered by (seq, admission index).
+  std::set<std::pair<std::uint64_t, std::size_t>> dpm_queue_;
   std::map<std::uint64_t, Session*> pending_waits_;  // seq -> session
   std::uint64_t next_seq_ = 0;
   std::set<std::uint64_t> used_seqs_;  // explicit mode duplicate detection
@@ -363,8 +341,8 @@ class Warpd {
 };
 
 /// Serial reference engine: the same sessions, built/run one at a time on
-/// the calling thread in the given order, waits assigned in seq order with
-/// the same DpmVirtualClock arithmetic. Outcomes are returned in request
+/// the calling thread in the given order, waits assigned in seq order by
+/// warpsys::assign_dpm_waits (round robin). Outcomes are returned in request
 /// order. The concurrent engine is gated bit-identical against this.
 /// Serial execution is uncontended — nothing queues, so admission caps and
 /// deadlines never fire here; the concurrent engine's *accepted*
@@ -372,14 +350,14 @@ class Warpd {
 std::vector<SessionOutcome> run_serial(const std::vector<protocol::Request>& requests,
                                        const WarpdOptions& options);
 
-/// The kernel content hash the engine routes `request` by: the assembled
-/// program words plus the DPM-relevant config knobs (max_candidates,
-/// csd_max_terms — packed_width is host-only and excluded). This is the
-/// exact digest Warpd computes when it builds the session, exposed so the
-/// cluster coordinator can route a request to its ShardRing owner before
-/// any node builds it. Building the WarpSystem is the only way to get the
-/// assembled words, so callers on a hot path should cache per
-/// (workload, max_candidates, csd_max_terms). Errors on unknown workloads.
+/// The kernel content hash of `request`: the assembled program words plus
+/// the DPM-relevant config knobs (max_candidates, csd_max_terms —
+/// packed_width is host-only and excluded). This is the exact digest Warpd
+/// counts unique_kernels by, exposed so the cluster coordinator can route a
+/// request to its ShardRing owner before any node builds it. Building the
+/// WarpSystem is the only way to get the assembled words, so callers on a
+/// hot path should cache per (workload, max_candidates, csd_max_terms).
+/// Errors on unknown workloads.
 common::Result<common::Digest> kernel_digest_for(const protocol::Request& request,
                                                  const experiments::HarnessOptions& base);
 

@@ -1,11 +1,7 @@
 #include "warp/warp_system.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <exception>
-#include <mutex>
-#include <thread>
 
 namespace warp::warpsys {
 
@@ -111,8 +107,8 @@ bool profile_phase(WarpSystem& system, MultiWarpEntry& entry) {
 // One DPM service: run the partitioning flow for this system. Fills the
 // entry's job time and detail; the caller accounts the wait. Returns whether
 // hardware came online. `cache` is the experiment-wide shared artifact
-// cache (may be null); safe here because every engine serializes DPM jobs
-// on a single thread, and the cache locks internally regardless.
+// cache (may be null); every engine serializes DPM jobs on one thread, and
+// the cache locks internally regardless.
 bool dpm_phase(WarpSystem& system, MultiWarpEntry& entry,
                partition::ArtifactCache* cache, common::FaultInjector* fault) {
   try {
@@ -151,233 +147,40 @@ void warped_phase(WarpSystem& system, MultiWarpEntry& entry, bool partitioned) {
 
 namespace {
 
-// Per-system progress through the profile -> DPM -> warped pipeline.
-struct SystemProgress {
-  enum class Stage { kPending, kRequested, kNoJob, kGranted };
-  Stage stage = Stage::kPending;
-  double request_seconds = 0.0;  // virtual completion of the profiled run
-  bool partitioned = false;
-};
-
-int priority_of(const MultiWarpOptions& options, std::size_t index) {
-  return index < options.priorities.size() ? options.priorities[index] : 0;
-}
-
-// Deterministic service order over the systems that filed a DPM request.
-std::vector<std::size_t> service_order(const MultiWarpOptions& options,
-                                       const std::vector<SystemProgress>& progress) {
+// The policy's deterministic service order over the rows that filed a job.
+std::vector<std::size_t> service_order(const std::vector<DpmRow>& rows,
+                                       DpmQueuePolicy policy) {
   std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < progress.size(); ++i) {
-    if (progress[i].stage == SystemProgress::Stage::kRequested) order.push_back(i);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].filed) order.push_back(i);
   }
-  switch (options.policy) {
+  // Stable sorts: ties keep admission order.
+  switch (policy) {
     case DpmQueuePolicy::kRoundRobin:
-      break;  // already in processor-index order
+      break;  // already in admission order
     case DpmQueuePolicy::kFifo:
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        if (progress[a].request_seconds != progress[b].request_seconds) {
-          return progress[a].request_seconds < progress[b].request_seconds;
-        }
-        return a < b;
+      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return rows[a].entry->sw_seconds < rows[b].entry->sw_seconds;
       });
       break;
     case DpmQueuePolicy::kPriority:
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        const int pa = priority_of(options, a);
-        const int pb = priority_of(options, b);
-        if (pa != pb) return pa > pb;
-        return a < b;
+      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return rows[a].priority > rows[b].priority;
       });
       break;
   }
   return order;
 }
 
-unsigned resolve_threads(const MultiWarpOptions& options, std::size_t n) {
-  unsigned threads = options.threads ? options.threads : std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  return static_cast<unsigned>(std::min<std::size_t>(threads, n));
-}
-
-// Run fn(i) for i in [0, n) across `threads` host threads (the calling
-// thread is one of them), claiming indices in increasing order.
-template <typename Fn>
-void parallel_for_systems(std::size_t n, unsigned threads, Fn&& fn) {
-  std::atomic<std::size_t> next{0};
-  auto body = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) break;
-      fn(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(body);
-  body();
-  for (auto& t : pool) t.join();
-}
-
-// Single-threaded reference engine: all profiles, then the DPM queue in the
-// policy's virtual-time order, then all re-runs. Identical arithmetic to the
-// parallel engine by construction.
-std::vector<MultiWarpEntry> run_multiprocessor_serial(
-    std::vector<std::unique_ptr<WarpSystem>>& systems,
-    const std::vector<std::string>& names, const MultiWarpOptions& options) {
-  const std::size_t n = systems.size();
-  std::vector<MultiWarpEntry> entries(n);
-  std::vector<SystemProgress> progress(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    entries[i].name = (i < names.size()) ? names[i] : ("cpu" + std::to_string(i));
-    if (profile_phase(*systems[i], entries[i])) {
-      progress[i].stage = SystemProgress::Stage::kRequested;
-      progress[i].request_seconds = entries[i].sw_seconds;
-    } else {
-      progress[i].stage = SystemProgress::Stage::kNoJob;
-    }
-  }
-
-  DpmVirtualClock clock{options.policy};
-  for (const std::size_t i : service_order(options, progress)) {
-    entries[i].dpm_wait_seconds = clock.start(progress[i].request_seconds);
-    progress[i].partitioned = dpm_phase(*systems[i], entries[i], options.cache, options.fault);
-    clock.finish(entries[i].dpm_seconds);
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (progress[i].stage == SystemProgress::Stage::kNoJob) continue;
-    warped_phase(*systems[i], entries[i], progress[i].partitioned);
-  }
-  return entries;
-}
-
-// Parallel round-robin engine: worker threads pipeline the profiled and
-// warped runs while the calling thread acts as the DPM scheduler. Because
-// round-robin serves strictly by processor index and workers claim systems
-// in increasing index order, the scheduler can serve each request as soon as
-// it arrives: the next job to serve is always from the lowest unserved
-// index, never from a later host arrival (the virtual-time guarantee).
-std::vector<MultiWarpEntry> run_multiprocessor_pipelined(
-    std::vector<std::unique_ptr<WarpSystem>>& systems,
-    const std::vector<std::string>& names, const MultiWarpOptions& options,
-    unsigned threads) {
-  const std::size_t n = systems.size();
-  std::vector<MultiWarpEntry> entries(n);
-  std::vector<SystemProgress> progress(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    entries[i].name = (i < names.size()) ? names[i] : ("cpu" + std::to_string(i));
-  }
-
-  std::mutex mutex;
-  std::condition_variable scheduler_cv;  // workers -> scheduler: request filed
-  std::condition_variable worker_cv;     // scheduler -> workers: job served
-  std::atomic<std::size_t> next{0};
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) break;
-      const bool sw_ok = profile_phase(*systems[i], entries[i]);
-      bool partitioned = false;
-      {
-        std::unique_lock lock(mutex);
-        progress[i].request_seconds = entries[i].sw_seconds;
-        progress[i].stage =
-            sw_ok ? SystemProgress::Stage::kRequested : SystemProgress::Stage::kNoJob;
-        scheduler_cv.notify_one();
-        if (!sw_ok) continue;
-        worker_cv.wait(lock,
-                       [&] { return progress[i].stage == SystemProgress::Stage::kGranted; });
-        partitioned = progress[i].partitioned;
-      }
-      warped_phase(*systems[i], entries[i], partitioned);
-    }
-  };
-
-  std::vector<std::thread> pool;
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-
-  // DPM scheduler: pop jobs in processor-index order as they arrive. The
-  // flow itself runs outside the lock — the owning worker is blocked until
-  // the grant, so the scheduler has exclusive use of the system.
-  DpmVirtualClock clock{options.policy};
-  for (std::size_t i = 0; i < n; ++i) {
-    std::unique_lock lock(mutex);
-    scheduler_cv.wait(
-        lock, [&] { return progress[i].stage != SystemProgress::Stage::kPending; });
-    if (progress[i].stage == SystemProgress::Stage::kNoJob) continue;
-    const double wait = clock.start(progress[i].request_seconds);
-    lock.unlock();
-    const bool partitioned = dpm_phase(*systems[i], entries[i], options.cache, options.fault);
-    lock.lock();
-    entries[i].dpm_wait_seconds = wait;
-    clock.finish(entries[i].dpm_seconds);
-    progress[i].partitioned = partitioned;
-    progress[i].stage = SystemProgress::Stage::kGranted;
-    worker_cv.notify_all();
-  }
-
-  for (auto& t : pool) t.join();
-  return entries;
-}
-
-// Parallel kFifo/kPriority engine. Under these policies the service order
-// depends on every job's virtual request time (or static priority), so the
-// DPM cannot deterministically pop anything until all processors have filed
-// their requests — the batch-arrival contention model. Three phases, each
-// parallel or serial exactly as the single-server model dictates.
-std::vector<MultiWarpEntry> run_multiprocessor_batched(
-    std::vector<std::unique_ptr<WarpSystem>>& systems,
-    const std::vector<std::string>& names, const MultiWarpOptions& options,
-    unsigned threads) {
-  const std::size_t n = systems.size();
-  std::vector<MultiWarpEntry> entries(n);
-  std::vector<SystemProgress> progress(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    entries[i].name = (i < names.size()) ? names[i] : ("cpu" + std::to_string(i));
-  }
-
-  parallel_for_systems(n, threads, [&](std::size_t i) {
-    if (profile_phase(*systems[i], entries[i])) {
-      progress[i].stage = SystemProgress::Stage::kRequested;
-      progress[i].request_seconds = entries[i].sw_seconds;
-    } else {
-      progress[i].stage = SystemProgress::Stage::kNoJob;
-    }
-  });
-
-  DpmVirtualClock clock{options.policy};
-  for (const std::size_t i : service_order(options, progress)) {
-    entries[i].dpm_wait_seconds = clock.start(progress[i].request_seconds);
-    progress[i].partitioned = dpm_phase(*systems[i], entries[i], options.cache, options.fault);
-    clock.finish(entries[i].dpm_seconds);
-  }
-
-  parallel_for_systems(n, threads, [&](std::size_t i) {
-    if (progress[i].stage == SystemProgress::Stage::kNoJob) return;
-    warped_phase(*systems[i], entries[i], progress[i].partitioned);
-  });
-  return entries;
-}
-
 }  // namespace
 
-std::vector<MultiWarpEntry> run_multiprocessor(
-    std::vector<std::unique_ptr<WarpSystem>>& systems,
-    const std::vector<std::string>& names, const MultiWarpOptions& options) {
-  const std::size_t n = systems.size();
-  if (n == 0) return {};
-  if (!options.parallel) return run_multiprocessor_serial(systems, names, options);
-  const unsigned threads = resolve_threads(options, n);
-  if (options.policy == DpmQueuePolicy::kRoundRobin) {
-    return run_multiprocessor_pipelined(systems, names, options, threads);
+void assign_dpm_waits(const std::vector<DpmRow>& rows, DpmQueuePolicy policy) {
+  DpmVirtualClock clock{policy};
+  for (const std::size_t i : service_order(rows, policy)) {
+    MultiWarpEntry& entry = *rows[i].entry;
+    entry.dpm_wait_seconds = clock.start(entry.sw_seconds);
+    clock.finish(entry.dpm_seconds);
   }
-  return run_multiprocessor_batched(systems, names, options, threads);
-}
-
-std::vector<MultiWarpEntry> run_multiprocessor(
-    std::vector<std::unique_ptr<WarpSystem>>& systems,
-    const std::vector<std::string>& names) {
-  return run_multiprocessor(systems, names, MultiWarpOptions{});
 }
 
 }  // namespace warp::warpsys

@@ -12,16 +12,15 @@
 //   run_warped()    — re-run the (patched) application: the kernel now
 //                     executes on the WCLA while the core idles.
 //
-// MultiWarpSystem (Figure 4) shares one DPM across N processors round-robin:
-// each processor is profiled and warped in turn, so processor i waits for
-// i-1 partitioning jobs before its own hardware comes online.
-//
-// run_multiprocessor simulates that N-processor system. Host execution can
-// be serial (one system after another) or parallel (one worker thread per
-// system plus a DPM scheduler thread); either way the shared DPM is a
-// single-server queue ordered by *virtual* time, so the reported waits,
-// speedups and partitions are bit-identical across host modes and thread
-// counts. See DpmQueuePolicy for the service-order knob.
+// Figure 4 shares one DPM across N processors. This header holds the parts
+// of that model every engine shares: the three phases a system goes
+// through (profile_phase, dpm_phase, warped_phase), the virtual-time DPM
+// clock, and assign_dpm_waits, which computes every processor's wait from
+// the finished rows. The engines themselves live in src/serve/:
+// serve::run_multiprocessor (Figure 4's N-system experiment) and the warpd
+// serving engine. Waits are defined by *virtual* time only, so the reported
+// waits, speedups and partitions are bit-identical whatever the host thread
+// count or DPM service order.
 #pragma once
 
 #include <functional>
@@ -130,12 +129,11 @@ enum class DpmQueuePolicy {
   /// profiled software run completes — with ties broken by processor index.
   /// The wait is the queueing delay between request and service start.
   kFifo,
-  /// Served by descending MultiWarpOptions::priorities entry (missing
-  /// entries are 0), ties broken by processor index. Waits as in kFifo.
-  /// Batch-arrival model: the DPM starts service only once every processor
-  /// has filed its request (that is what makes the order deterministic), so
-  /// a low-priority job's wait can include DPM idle time spent before the
-  /// higher-priority jobs were even requested.
+  /// Served by descending DpmRow::priority (ties broken by processor
+  /// index); waits as in kFifo. Batch-arrival model: the DPM starts service
+  /// only once every processor has filed its request (that is what makes
+  /// the order deterministic), so a low-priority job's wait can include DPM
+  /// idle time spent before the higher-priority jobs were even requested.
   kPriority,
 };
 
@@ -144,8 +142,9 @@ enum class DpmQueuePolicy {
 /// semantics, kept in nanoseconds to match it bit for bit); kFifo/kPriority
 /// report the queueing delay between a job's virtual request and its service
 /// start, since under those policies service order depends on request times.
-/// Public so other engines over the same virtual DPM (serve::Warpd) share
-/// this arithmetic exactly — bit-identity across engines depends on it.
+/// Public so every engine over the same virtual DPM (assign_dpm_waits,
+/// warpd's streaming sequencer) shares this arithmetic exactly —
+/// bit-identity across engines depends on it.
 struct DpmVirtualClock {
   DpmQueuePolicy policy = DpmQueuePolicy::kRoundRobin;
   double busy_ns = 0.0;      // kRoundRobin
@@ -162,8 +161,8 @@ struct DpmVirtualClock {
 /// The three phases every multi-system engine pushes a WarpSystem through.
 /// Exceptions and run failures land in entry.detail, never escape — the
 /// transparency contract (a failed phase leaves the system in software).
-/// Shared by run_multiprocessor's engines and the warpd serving engine so
-/// every entry field is computed by literally the same code.
+/// Shared by every engine so each entry field is computed by literally the
+/// same code.
 ///
 /// profile_phase: profiled software run; fills the software fields. Returns
 /// false (reason in entry.detail) if the system never reaches the DPM.
@@ -178,39 +177,23 @@ bool dpm_phase(WarpSystem& system, MultiWarpEntry& entry,
 /// partitioning succeeded, the software fallback otherwise).
 void warped_phase(WarpSystem& system, MultiWarpEntry& entry, bool partitioned);
 
-struct MultiWarpOptions {
-  /// Host execution: worker threads + DPM scheduler thread when true, the
-  /// single-threaded reference loop when false. Results are identical.
-  bool parallel = true;
-  /// Worker thread count; 0 means std::thread::hardware_concurrency(),
-  /// always clamped to the number of systems. Ignored when !parallel.
-  unsigned threads = 0;
-  DpmQueuePolicy policy = DpmQueuePolicy::kRoundRobin;
-  /// Per-processor priorities for DpmQueuePolicy::kPriority (higher first).
-  std::vector<int> priorities;
-  /// Shared content-addressed artifact cache consulted by every DPM job
-  /// (partition/cache.hpp). With N replicated kernels the partitioning
-  /// stages compute once per *unique* kernel; every simulated number stays
-  /// bit-identical to a cache-less run under any thread count and policy.
-  /// Not owned; may be null (no caching).
-  partition::ArtifactCache* cache = nullptr;
-  /// Shared deterministic fault injector threaded through every DPM job's
-  /// pipeline stages (common/fault_injector.hpp). Transient schedules are
-  /// absorbed by stage retries (bit-identical entries, host-only slowdown);
-  /// persistent ones leave systems unwarped. Not owned; may be null.
-  common::FaultInjector* fault = nullptr;
+/// One finished processor (or session) as the shared DPM's schedule sees it.
+struct DpmRow {
+  /// Reads sw_seconds (the virtual request time) and dpm_seconds; receives
+  /// dpm_wait_seconds. Not owned.
+  MultiWarpEntry* entry = nullptr;
+  /// The profiled run succeeded and filed a DPM job. Rows without a job
+  /// never occupy the DPM and keep their wait untouched.
+  bool filed = false;
+  int priority = 0;  // DpmQueuePolicy::kPriority only; higher first
 };
 
-/// Run N workloads through one shared DPM (Figure 4). Each system is
-/// profiled, partitioned by the shared DPM in the policy's virtual-time
-/// order, and re-run warped. The two-argument form is the paper's
-/// round-robin experiment with default (parallel) host execution.
-std::vector<MultiWarpEntry> run_multiprocessor(
-    std::vector<std::unique_ptr<WarpSystem>>& systems,
-    const std::vector<std::string>& names,
-    const MultiWarpOptions& options);
-std::vector<MultiWarpEntry> run_multiprocessor(
-    std::vector<std::unique_ptr<WarpSystem>>& systems,
-    const std::vector<std::string>& names);
+/// The virtual DPM schedule: assign every filed row's dpm_wait_seconds,
+/// serving rows in the policy's order through one DpmVirtualClock. `rows`
+/// are in virtual admission order (processor index, or warpd's seq). A
+/// failed partitioning job still occupies the DPM for its dpm_seconds.
+/// Exact after the fact, whatever order the host ran the DPM jobs in: no
+/// entry field other than the wait depends on that order.
+void assign_dpm_waits(const std::vector<DpmRow>& rows, DpmQueuePolicy policy);
 
 }  // namespace warp::warpsys

@@ -28,14 +28,15 @@
 #include "partition/cache.hpp"
 #include "partition/disk_store.hpp"
 #include "partition/pipeline.hpp"
+#include "serve/multiprocessor.hpp"
 
 namespace warp {
 namespace {
 
 namespace fs = std::filesystem;
 
+using serve::MultiWarpOptions;
 using warpsys::MultiWarpEntry;
-using warpsys::MultiWarpOptions;
 
 // Unique scratch directory per test, removed on destruction.
 struct TempDir {
@@ -89,7 +90,7 @@ MixRun run_mix(const std::vector<std::string>& mix, const MultiWarpOptions& opti
   EXPECT_TRUE(built.is_ok()) << built.message();
   MixRun run;
   run.systems = std::move(built).value();
-  run.entries = warpsys::run_multiprocessor(run.systems, mix, options);
+  run.entries = serve::run_multiprocessor(run.systems, mix, options);
   return run;
 }
 

@@ -1,24 +1,26 @@
-// Multiprocessor scale-out tests: the threaded Figure-4 engine must be a
-// pure host-side optimization. Whatever the worker count or host scheduling,
-// the shared-DPM queue is ordered by virtual time, so every MultiWarpEntry
-// (waits, speedups, partitions) is bit-identical to the serial reference.
+// Multiprocessor scale-out tests: the threaded Figure-4 engine (warpd under
+// run_multiprocessor) must be a pure host-side optimization. Whatever the
+// worker count or host scheduling, the shared-DPM queue is ordered by
+// virtual time, so every MultiWarpEntry (waits, speedups, partitions) is
+// bit-identical to the serial reference.
 #include <gtest/gtest.h>
 
 #include "experiments/harness.hpp"
+#include "serve/multiprocessor.hpp"
 
 namespace warp {
 namespace {
 
+using serve::MultiWarpOptions;
 using warpsys::DpmQueuePolicy;
 using warpsys::MultiWarpEntry;
-using warpsys::MultiWarpOptions;
 
 std::vector<MultiWarpEntry> run_mix(const std::vector<std::string>& mix,
                                     const MultiWarpOptions& options) {
   auto built = experiments::build_warp_systems(mix, experiments::default_options());
   EXPECT_TRUE(built.is_ok()) << built.message();
   auto systems = std::move(built).value();
-  return warpsys::run_multiprocessor(systems, mix, options);
+  return serve::run_multiprocessor(systems, mix, options);
 }
 
 // Field-by-field comparison so a mismatch names the processor and field.
@@ -74,7 +76,8 @@ TEST(MultiWarpParallel, VirtualTimeOrderBeatsHostCompletionOrder) {
   // and files its DPM request first — but round robin serves cpu0 first by
   // virtual time, so cpu1's wait must equal exactly cpu0's job time, and the
   // whole table must match the serial reference. Repeated to give a racy
-  // implementation (one serving in host arrival order) every chance to fail.
+  // implementation (one charging waits in host arrival order) every chance
+  // to fail.
   const std::vector<std::string> mix = {"matmul", "brev"};
   MultiWarpOptions serial;
   serial.parallel = false;
@@ -110,10 +113,13 @@ TEST(MultiWarpPolicy, FifoServesByVirtualRequestTime) {
   const double expected_wait = brev_done > r_matmul ? brev_done - r_matmul : 0.0;
   EXPECT_DOUBLE_EQ(entries[0].dpm_wait_seconds, expected_wait);
 
-  MultiWarpOptions fifo_parallel = fifo;
-  fifo_parallel.parallel = true;
-  fifo_parallel.threads = 2;
-  expect_identical(entries, run_mix(mix, fifo_parallel), "fifo parallel");
+  for (const unsigned threads : {1u, 2u, 5u}) {
+    MultiWarpOptions fifo_parallel = fifo;
+    fifo_parallel.parallel = true;
+    fifo_parallel.threads = threads;
+    expect_identical(entries, run_mix(mix, fifo_parallel),
+                     "fifo parallel threads=" + std::to_string(threads));
+  }
 }
 
 TEST(MultiWarpPolicy, PriorityOverridesIndexOrder) {
@@ -128,10 +134,13 @@ TEST(MultiWarpPolicy, PriorityOverridesIndexOrder) {
   EXPECT_EQ(entries[1].dpm_wait_seconds, 0.0);
   EXPECT_GT(entries[0].dpm_wait_seconds, 0.0);
 
-  MultiWarpOptions priority_parallel = priority;
-  priority_parallel.parallel = true;
-  priority_parallel.threads = 2;
-  expect_identical(entries, run_mix(mix, priority_parallel), "priority parallel");
+  for (const unsigned threads : {1u, 2u, 5u}) {
+    MultiWarpOptions priority_parallel = priority;
+    priority_parallel.parallel = true;
+    priority_parallel.threads = threads;
+    expect_identical(entries, run_mix(mix, priority_parallel),
+                     "priority parallel threads=" + std::to_string(threads));
+  }
 }
 
 TEST(MultiWarpParallel, UnsuitableSystemFallsBackIdentically) {
@@ -181,7 +190,7 @@ TEST(MultiWarpParallel, UnsuitableSystemFallsBackIdentically) {
   MultiWarpOptions serial;
   serial.parallel = false;
   auto serial_systems = build();
-  const auto reference = warpsys::run_multiprocessor(serial_systems, names, serial);
+  const auto reference = serve::run_multiprocessor(serial_systems, names, serial);
   ASSERT_EQ(reference.size(), 3u);
   EXPECT_TRUE(reference[0].warped);
   EXPECT_FALSE(reference[1].warped);
@@ -196,7 +205,7 @@ TEST(MultiWarpParallel, UnsuitableSystemFallsBackIdentically) {
   parallel.threads = 16;  // more workers than systems: clamped, not deadlocked
   auto parallel_systems = build();
   expect_identical(reference,
-                   warpsys::run_multiprocessor(parallel_systems, names, parallel),
+                   serve::run_multiprocessor(parallel_systems, names, parallel),
                    "fallback mix");
 }
 

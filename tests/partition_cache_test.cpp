@@ -10,13 +10,14 @@
 #include "partition/artifact_serde.hpp"
 #include "partition/cache.hpp"
 #include "partition/pipeline.hpp"
+#include "serve/multiprocessor.hpp"
 
 namespace warp {
 namespace {
 
+using serve::MultiWarpOptions;
 using warpsys::DpmQueuePolicy;
 using warpsys::MultiWarpEntry;
-using warpsys::MultiWarpOptions;
 
 struct MixRun {
   std::vector<std::unique_ptr<warpsys::WarpSystem>> systems;  // kept for outcomes
@@ -28,7 +29,7 @@ MixRun run_mix(const std::vector<std::string>& mix, const MultiWarpOptions& opti
   EXPECT_TRUE(built.is_ok()) << built.message();
   MixRun run;
   run.systems = std::move(built).value();
-  run.entries = warpsys::run_multiprocessor(run.systems, mix, options);
+  run.entries = serve::run_multiprocessor(run.systems, mix, options);
   return run;
 }
 
@@ -132,6 +133,41 @@ TEST(PartitionCache, PerStageVirtualTimesBitIdentical) {
   ASSERT_NE(replica, nullptr);
   EXPECT_GT(replica->cache_hits, 0u);
   EXPECT_EQ(replica->cache_misses, 0u);
+}
+
+// The parallel engine runs caller-owned systems: each must end with its own
+// partition outcome and the data memory of its own warped run, exactly as
+// the serial loop leaves it. Coalescing the three brev replicas onto one
+// pipeline run would leave the followers unpartitioned and their memories
+// unwritten.
+TEST(PartitionCache, ParallelRunWarpsEveryCallerOwnedSystem) {
+  MultiWarpOptions serial_off;
+  serial_off.parallel = false;
+  const auto reference = run_mix(kMix, serial_off);
+
+  partition::ArtifactCache cache;
+  MultiWarpOptions parallel_on;
+  parallel_on.threads = static_cast<unsigned>(kMix.size());  // all replicas in flight
+  parallel_on.cache = &cache;
+  const auto parallel = run_mix(kMix, parallel_on);
+  ASSERT_EQ(parallel.entries, reference.entries);
+
+  for (std::size_t i = 0; i < kMix.size(); ++i) {
+    const warpsys::PartitionOutcome* ref = reference.systems[i]->outcome();
+    const warpsys::PartitionOutcome* got = parallel.systems[i]->outcome();
+    ASSERT_NE(ref, nullptr);
+    ASSERT_NE(got, nullptr) << "cpu" << i << " never reached the DPM";
+    EXPECT_EQ(ref->success, got->success) << "cpu" << i;
+    EXPECT_EQ(ref->dpm_cycles, got->dpm_cycles) << "cpu" << i;
+    ASSERT_EQ(ref->stage_metrics.size(), got->stage_metrics.size()) << "cpu" << i;
+    for (std::size_t s = 0; s < ref->stage_metrics.size(); ++s) {
+      EXPECT_EQ(ref->stage_metrics[s].cycles, got->stage_metrics[s].cycles)
+          << "cpu" << i << " stage " << ref->stage_metrics[s].name;
+    }
+    const common::Status check =
+        workloads::workload_by_name(kMix[i]).check(parallel.systems[i]->data_mem());
+    EXPECT_TRUE(check.is_ok()) << "cpu" << i << ": " << check.message();
+  }
 }
 
 partition::CacheKey salted_key(const char* stage, std::uint32_t salt) {
@@ -242,7 +278,7 @@ TEST(PartitionCache, FailedPartitionsAreCachedIdentically) {
   MultiWarpOptions serial_off;
   serial_off.parallel = false;
   auto off_systems = build();
-  const auto reference = warpsys::run_multiprocessor(off_systems, names, serial_off);
+  const auto reference = serve::run_multiprocessor(off_systems, names, serial_off);
   ASSERT_EQ(reference.size(), 3u);
   EXPECT_FALSE(reference[0].warped);
   EXPECT_GT(reference[0].dpm_seconds, 0.0);  // the failed flow is still charged
@@ -251,7 +287,7 @@ TEST(PartitionCache, FailedPartitionsAreCachedIdentically) {
   MultiWarpOptions serial_on = serial_off;
   serial_on.cache = &cache;
   auto on_systems = build();
-  EXPECT_EQ(warpsys::run_multiprocessor(on_systems, names, serial_on), reference);
+  EXPECT_EQ(serve::run_multiprocessor(on_systems, names, serial_on), reference);
   EXPECT_GT(cache.total_hits(), 0u) << "replicated failures must hit";
   const warpsys::PartitionOutcome* last = on_systems[2]->outcome();
   ASSERT_NE(last, nullptr);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "experiments/harness.hpp"
+#include "serve/multiprocessor.hpp"
 
 namespace warp {
 namespace {
@@ -142,7 +143,7 @@ TEST(Multiprocessor, SharedDpmRoundRobin) {
     systems.push_back(
         std::make_unique<warpsys::WarpSystem>(program.value(), w.init, config));
   }
-  const auto entries = warpsys::run_multiprocessor(systems, names);
+  const auto entries = serve::run_multiprocessor(systems, names);
   ASSERT_EQ(entries.size(), 3u);
   double previous_wait = -1.0;
   for (const auto& entry : entries) {

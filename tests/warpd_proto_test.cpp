@@ -299,7 +299,6 @@ TEST(WarpdProtocol, TruncationFuzzNeverCrashes) {
 TEST(WarpdServer, SurvivesHostileClient) {
   serve::SocketServerOptions options;
   options.path = common::format("/tmp/warpd_proto_%d.sock", static_cast<int>(::getpid()));
-  options.engine.shards = 1;
   options.engine.workers = 2;
   options.engine.base = experiments::default_options();
   serve::SocketServer server(options);
@@ -367,7 +366,6 @@ TEST(WarpdServer, OversizedLineAnsweredMidStream) {
   serve::SocketServerOptions options;
   options.path =
       common::format("/tmp/warpd_proto_ov_%d.sock", static_cast<int>(::getpid()));
-  options.engine.shards = 1;
   options.engine.workers = 1;
   options.engine.base = experiments::default_options();
   options.max_line_bytes = 256;
@@ -409,7 +407,6 @@ TEST(WarpdServer, HostileClientKeepsSendingAfterBusy) {
   serve::SocketServerOptions options;
   options.path =
       common::format("/tmp/warpd_proto_busy_%d.sock", static_cast<int>(::getpid()));
-  options.engine.shards = 1;
   options.engine.workers = 1;
   options.engine.admission.max_sessions = 2;
   options.engine.admission.busy_retry_ms = 10;

@@ -1,10 +1,10 @@
 // End-to-end determinism battery for the warpd serving engine.
 //
-// The contract under test: the sharded host scheduler, the socket
+// The contract under test: the threaded host scheduler, the socket
 // transport, the artifact cache/persistent store and any transient fault
 // schedule are all invisible in the result tables. Identical request
 // streams must produce bit-identical MultiWarpEntry rows (including the
-// virtual-time dpm_wait_seconds) across shard counts, interleaved client
+// virtual-time dpm_wait_seconds) across worker counts, interleaved client
 // schedules and cold vs. warm stores — always equal to the serial
 // reference engine. Persistent faults must degrade cleanly: stage faults
 // land in the software-fallback path, socket faults drop connections, and
@@ -139,30 +139,32 @@ std::vector<MultiWarpEntry> socket_entries(const std::vector<Request>& requests,
   return by_id;
 }
 
-serve::WarpdOptions engine_options(unsigned shards) {
+serve::WarpdOptions engine_options() {
   serve::WarpdOptions options;
-  options.shards = shards;
   options.base = experiments::default_options();
   return options;
 }
 
-// Identical request streams across shard counts produce bit-identical
+// Identical request streams across worker counts produce bit-identical
 // result tables and virtual-time metrics (dpm_wait_seconds is part of the
-// entry), always equal to the serial reference.
-TEST(Warpd, BitIdenticalAcrossShardCounts) {
+// entry), always equal to the serial reference. With one worker, that
+// worker blocks on its grant while the DPM thread serves its job.
+TEST(Warpd, BitIdenticalAcrossWorkerCounts) {
   const auto requests = make_requests(10, /*explicit_seq=*/false);
-  const auto reference = entries_of(serve::run_serial(requests, engine_options(1)));
-  for (const unsigned shards : {1u, 2u, 5u}) {
-    serve::WarpdOptions options = engine_options(shards);
+  const auto reference = entries_of(serve::run_serial(requests, engine_options()));
+  for (const unsigned workers : {1u, 2u, 5u}) {
+    serve::WarpdOptions options = engine_options();
+    options.workers = workers;
     partition::ArtifactCache cache;
     options.cache = &cache;
     const auto outcomes = run_engine(requests, options);
-    EXPECT_TRUE(entries_of(outcomes) == reference) << "shards=" << shards;
-    // Repeat kernels are owned by one shard each, so the shared cache must
-    // have been hit (the mix repeats workloads).
+    EXPECT_TRUE(entries_of(outcomes) == reference) << "workers=" << workers;
+    // Repeat kernels serialize behind their first occurrence on the one DPM
+    // thread, so the shared cache must have been hit (the mix repeats
+    // workloads).
     std::uint64_t hits = 0;
     for (const auto& [stage, s] : cache.stats()) hits += s.hits;
-    EXPECT_GT(hits, 0u) << "shards=" << shards;
+    EXPECT_GT(hits, 0u) << "workers=" << workers;
   }
 }
 
@@ -171,11 +173,11 @@ TEST(Warpd, BitIdenticalAcrossShardCounts) {
 // reference of the seq-ordered stream.
 TEST(Warpd, InterleavedClientsWithExplicitSeq) {
   const auto requests = make_requests(10, /*explicit_seq=*/true);
-  const auto reference = entries_of(serve::run_serial(requests, engine_options(2)));
+  const auto reference = entries_of(serve::run_serial(requests, engine_options()));
 
   serve::SocketServerOptions options;
   options.path = socket_path("interleaved");
-  options.engine = engine_options(2);
+  options.engine = engine_options();
   serve::SocketServer server(options);
   ASSERT_TRUE(server.start());
 
@@ -214,12 +216,12 @@ TEST(Warpd, InterleavedClientsWithExplicitSeq) {
 TEST(Warpd, ColdAndWarmStoreBitIdentical) {
   TempDir dir("store");
   const auto requests = make_requests(6, /*explicit_seq=*/true);
-  const auto reference = entries_of(serve::run_serial(requests, engine_options(2)));
+  const auto reference = entries_of(serve::run_serial(requests, engine_options()));
   for (const char* phase : {"cold", "warm"}) {
     partition::DiskArtifactStore store({.directory = dir.path.string()});
     partition::ArtifactCache cache;
     cache.attach_store(&store);
-    serve::WarpdOptions options = engine_options(2);
+    serve::WarpdOptions options = engine_options();
     options.cache = &cache;
     const auto got = socket_entries(requests, options, nullptr,
                                     std::string("store_") + phase);
@@ -238,7 +240,7 @@ TEST(Warpd, ColdAndWarmStoreBitIdentical) {
 // socket sites: every session completes and every table is bit-identical.
 TEST(Warpd, TransientFaultSweepIsBitIdentical) {
   const auto requests = make_requests(4, /*explicit_seq=*/true);
-  const auto reference = entries_of(serve::run_serial(requests, engine_options(2)));
+  const auto reference = entries_of(serve::run_serial(requests, engine_options()));
   TempDir dir("fault");
   std::uint64_t injected_total = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -249,7 +251,7 @@ TEST(Warpd, TransientFaultSweepIsBitIdentical) {
         {.directory = store_dir.string(), .fault = &fault});
     partition::ArtifactCache cache;
     cache.attach_store(&store);
-    serve::WarpdOptions options = engine_options(2);
+    serve::WarpdOptions options = engine_options();
     options.cache = &cache;
     options.fault = &fault;
     const auto got = socket_entries(requests, options, &fault,
@@ -269,7 +271,7 @@ TEST(Warpd, PersistentStageFaultFallsBackToSoftware) {
   config.stage_fail_p = 1.0;
   config.max_consecutive = 0;
   common::FaultInjector fault(config);
-  serve::WarpdOptions options = engine_options(2);
+  serve::WarpdOptions options = engine_options();
   options.fault = &fault;
   const auto outcomes = run_engine(make_requests(4, /*explicit_seq=*/false), options);
   ASSERT_EQ(outcomes.size(), 4u);
@@ -289,7 +291,7 @@ TEST(Warpd, PersistentStageFaultFallsBackToSoftware) {
 TEST(Warpd, DeadClientMutesConnectionNotServer) {
   serve::SocketServerOptions options;
   options.path = socket_path("deadclient");
-  options.engine = engine_options(1);
+  options.engine = engine_options();
   options.engine.workers = 2;
   serve::SocketServer server(options);
   ASSERT_TRUE(server.start());
@@ -323,7 +325,7 @@ TEST(Warpd, PersistentServeFaultFailsCleanly) {
   common::FaultInjector fault(config);
   serve::SocketServerOptions options;
   options.path = socket_path("persistfault");
-  options.engine = engine_options(1);
+  options.engine = engine_options();
   options.fault = &fault;
   serve::SocketServer server(options);
   ASSERT_TRUE(server.start());
@@ -354,17 +356,17 @@ TEST(Warpd, SeqModeMixingRejected) {
   tagged.seq = 5;
 
   {
-    const auto outcomes = run_engine({implicit, tagged}, engine_options(1));
+    const auto outcomes = run_engine({implicit, tagged}, engine_options());
     EXPECT_TRUE(outcomes[0].error.empty());
     EXPECT_EQ(outcomes[1].error, "seq on a stream that started without seq");
-    const auto serial = serve::run_serial({implicit, tagged}, engine_options(1));
+    const auto serial = serve::run_serial({implicit, tagged}, engine_options());
     EXPECT_EQ(serial[1].error, outcomes[1].error);
     EXPECT_TRUE(outcomes[0].entry == serial[0].entry);
   }
   {
     Request first = tagged;
     first.seq = 0;
-    const auto outcomes = run_engine({first, implicit}, engine_options(1));
+    const auto outcomes = run_engine({first, implicit}, engine_options());
     EXPECT_TRUE(outcomes[0].error.empty());
     EXPECT_EQ(outcomes[1].error, "missing seq on a stream that started with seq");
   }
@@ -374,7 +376,7 @@ TEST(Warpd, SeqModeMixingRejected) {
     Request b = tagged;
     b.id = 2;
     b.seq = 0;
-    const auto outcomes = run_engine({a, b}, engine_options(1));
+    const auto outcomes = run_engine({a, b}, engine_options());
     EXPECT_TRUE(outcomes[0].error.empty());
     EXPECT_EQ(outcomes[1].error, "duplicate seq");
   }
@@ -382,7 +384,7 @@ TEST(Warpd, SeqModeMixingRejected) {
     Request bad;
     bad.id = 9;
     bad.workload = "not_a_workload";
-    const auto outcomes = run_engine({bad}, engine_options(1));
+    const auto outcomes = run_engine({bad}, engine_options());
     EXPECT_EQ(outcomes[0].error, "unknown workload: not_a_workload");
   }
 }
@@ -404,12 +406,12 @@ TEST(Warpd, CoalescingIsInvisibleInResults) {
   distinct.workload = "g3fax";
   requests.push_back(distinct);
 
-  serve::WarpdOptions serial_options = engine_options(2);
+  serve::WarpdOptions serial_options = engine_options();
   partition::ArtifactCache serial_cache;
   serial_options.cache = &serial_cache;
   const auto reference = entries_of(serve::run_serial(requests, serial_options));
 
-  serve::WarpdOptions options = engine_options(2);
+  serve::WarpdOptions options = engine_options();
   options.workers = 4;
   partition::ArtifactCache cache;
   options.cache = &cache;
@@ -455,7 +457,7 @@ TEST(Warpd, DeadlineTimeoutsCancelQueuedSessionsOnly) {
   tail.workload = "g3fax";
   requests.push_back(tail);
 
-  serve::WarpdOptions options = engine_options(1);
+  serve::WarpdOptions options = engine_options();
   options.workers = 1;  // everything behind session 0 queues
   serve::Warpd engine(options);
   std::vector<SessionOutcome> outcomes(requests.size());
@@ -489,7 +491,7 @@ TEST(Warpd, DeadlineTimeoutsCancelQueuedSessionsOnly) {
   ASSERT_EQ(accepted.size(), 3u);
   // Cancelled sessions never touch the virtual clock: the accepted
   // subsequence's table equals the serial reference over just it.
-  const auto reference = entries_of(serve::run_serial(accepted_requests, engine_options(1)));
+  const auto reference = entries_of(serve::run_serial(accepted_requests, engine_options()));
   EXPECT_TRUE(entries_of(accepted) == reference);
 }
 
@@ -500,7 +502,7 @@ TEST(Warpd, DeadlineTimeoutsCancelQueuedSessionsOnly) {
 TEST(Warpd, DrainedEngineShedsBusyAfterStop) {
   const Request request = make_requests(1, /*explicit_seq=*/false)[0];
   for (const bool drained : {true, false}) {
-    serve::Warpd engine(engine_options(1));
+    serve::Warpd engine(engine_options());
     if (drained) {
       engine.begin_drain();
       engine.drain();
@@ -531,7 +533,7 @@ TEST(Warpd, GracefulDrainThenWarmRestart) {
     cache.attach_store(&store);
     serve::SocketServerOptions options;
     options.path = socket_path(std::string("drain_") + phase);
-    options.engine = engine_options(2);
+    options.engine = engine_options();
     options.engine.cache = &cache;
     serve::SocketServer server(options);
     ASSERT_TRUE(server.start());
