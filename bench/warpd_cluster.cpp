@@ -115,7 +115,6 @@ int run_node(const NodeArgs& args) {
   options.server.engine.base = experiments::default_options();
   options.server.engine.fault = fault ? &*fault : nullptr;
   options.server.fault = fault ? &*fault : nullptr;
-  options.server.backoff_seed = 0x9E3779B97F4A7C15ull ^ args.id;
   options.cache = &cache;
   options.store = &store;
   options.fault = fault ? &*fault : nullptr;

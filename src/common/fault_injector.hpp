@@ -18,7 +18,8 @@
 // Probe kinds map to the failure modes a long-running store/serving daemon
 // actually sees:
 //   kIoError     — an open/read/write/rename fails (transient; the caller
-//                  retries with bounded backoff and then degrades);
+//                  retries through common::retry, common/retry.hpp, and
+//                  then degrades);
 //   kTornWrite   — a crash mid-put leaves a truncated file under the
 //                  *final* name (what an unsynced rename can expose);
 //   kCorruptRead — loaded bytes are corrupted in flight (bit rot, DMA
@@ -27,12 +28,16 @@
 //
 // Transient-then-success semantics: `max_consecutive` caps how many times
 // in a row one site can fault (the occurrence counter keeps advancing, the
-// *answer* is forced to success). Callers whose retry budget exceeds the
-// cap therefore always converge to the fault-free result — which is what
-// lets the determinism gates assert bit-identical MultiWarpEntry tables
-// under any injected schedule. max_consecutive == 0 removes the cap
-// (persistent faults), used by the tests that pin the software-fallback
-// path itself.
+// *answer* is forced to success). Every caller retries a site up to
+// common::kRetryAttempts times, which exceeds the default cap, so transient
+// schedules always converge to the fault-free result — which is what lets
+// the determinism gates assert bit-identical MultiWarpEntry tables under
+// any injected schedule. max_consecutive == 0 removes the cap (persistent
+// faults), used by the tests that pin the software-fallback path itself.
+//
+// Fault counts are the injector's own: stats().injected_by_site, which the
+// warpd "stats" op prints as fault.<site>=N. The layers keep no per-site
+// fault counters of their own.
 //
 // Thread safety: all probes take an internal lock. Under a threaded engine
 // the per-site occurrence order depends on host scheduling, so *which*
@@ -69,8 +74,7 @@ struct FaultConfig {
   unsigned max_consecutive = 3;
 
   /// A moderate all-sites transient profile for sweeps: every kind enabled,
-  /// convergence guaranteed (max_consecutive 2 < every caller's retry
-  /// budget).
+  /// convergence guaranteed (max_consecutive 2 < common::kRetryAttempts).
   static FaultConfig transient_sweep(std::uint64_t seed) {
     FaultConfig config;
     config.seed = seed;
@@ -128,5 +132,11 @@ class FaultInjector {
   std::uint64_t probes_ = 0;
   std::uint64_t injected_ = 0;
 };
+
+/// probe() through a possibly-null injector: no injector, no fault.
+inline bool injected(FaultInjector* fault, std::string_view site,
+                     FaultKind kind = FaultKind::kIoError) {
+  return fault != nullptr && fault->probe(site, kind);
+}
 
 }  // namespace warp::common

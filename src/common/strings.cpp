@@ -3,6 +3,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace warp::common {
 
@@ -53,6 +54,8 @@ bool parse_int(std::string_view s, long long& out) {
     else if (base == 16 && c >= 'a' && c <= 'f') digit = c - 'a' + 10;
     else if (base == 16 && c >= 'A' && c <= 'F') digit = c - 'A' + 10;
     else return false;
+    // Reject what long long cannot hold instead of overflowing (wire input).
+    if (value > (std::numeric_limits<long long>::max() - digit) / base) return false;
     value = value * base + digit;
   }
   out = negative ? -value : value;

@@ -6,10 +6,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <filesystem>
 #include <system_error>
-#include <thread>
 #include <utility>
 
 #include "common/serialize.hpp"
@@ -35,12 +33,20 @@ bool is_artifact_name(const std::string& name) {
   return name.size() > 4 && name.compare(name.size() - 4, 4, ".art") == 0;
 }
 
-// Outside-in validation of a complete envelope image, type-agnostic: the
-// trailer (truncation + corruption), then magic/store version, then the
-// structural fields. Returns the embedded cache key on success. Typed
-// consumers (get) additionally check the artifact type tag/version; raw
-// replication consumers check the embedded key against the file name.
-std::optional<CacheKey> parse_envelope(const std::vector<std::uint8_t>& bytes) {
+// A complete envelope image that passed outside-in validation.
+struct Envelope {
+  CacheKey key;
+  std::uint32_t type_tag = 0;
+  std::uint32_t type_version = 0;
+  std::size_t payload_begin = 0;  // payload = bytes[payload_begin, payload_end)
+  std::size_t payload_end = 0;
+};
+
+// The one envelope parser. Validates outside-in, type-agnostic: the trailer
+// (truncation + corruption), then magic/store version, then the structural
+// fields. Typed loads (get) then compare the key, tag and version with the
+// request; raw replication checks the key against the file name.
+std::optional<Envelope> parse_envelope(const std::vector<std::uint8_t>& bytes) {
   if (bytes.size() < kTrailerBytes) return std::nullopt;
   const std::size_t body_size = bytes.size() - kTrailerBytes;
   common::ByteReader trailer(bytes.data() + body_size, kTrailerBytes);
@@ -52,16 +58,18 @@ std::optional<CacheKey> parse_envelope(const std::vector<std::uint8_t>& bytes) {
   common::ByteReader r(bytes.data(), body_size);
   r.expect_u64(DiskArtifactStore::kMagic);
   r.expect_u32(DiskArtifactStore::kStoreVersion);
-  r.u32();  // artifact type tag — typed loads re-check
-  r.u32();  // artifact format version
-  CacheKey key;
-  key.stage = r.str();
-  key.input = r.digest();
-  key.config = r.digest();
+  Envelope envelope;
+  envelope.type_tag = r.u32();
+  envelope.type_version = r.u32();
+  envelope.key.stage = r.str();
+  envelope.key.input = r.digest();
+  envelope.key.config = r.digest();
   const std::uint64_t payload_size = r.length(1);
   r.require(payload_size == r.remaining());
   if (!r.ok()) return std::nullopt;
-  return key;
+  envelope.payload_begin = r.position();
+  envelope.payload_end = body_size;
+  return envelope;
 }
 
 }  // namespace
@@ -111,14 +119,9 @@ std::string DiskArtifactStore::path_for(const CacheKey& key) const {
   return options_.directory + "/" + name_for(key);
 }
 
-bool DiskArtifactStore::probe(const char* site, common::FaultKind kind) {
-  return options_.fault != nullptr && options_.fault->probe(site, kind);
-}
-
-void DiskArtifactStore::backoff(int attempt) {
-  if (options_.retry_backoff_us == 0) return;
-  const auto us = static_cast<std::uint64_t>(options_.retry_backoff_us) << attempt;
-  std::this_thread::sleep_for(std::chrono::microseconds(us));
+void DiskArtifactStore::count_io_retry() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.io_retries;
 }
 
 bool DiskArtifactStore::write_file_once(const std::string& tmp_path,
@@ -175,63 +178,54 @@ bool DiskArtifactStore::put(const CacheKey& key, std::uint32_t type_tag,
   w.u64(body_bytes).digest(checksum);
   const std::vector<std::uint8_t> envelope = w.take();
 
-  const std::string final_path = path_for(key);
-  const std::string name = fs::path(final_path).filename().string();
+  const std::string name = name_for(key);
 
   // Torn write: the simulated crash leaves a truncated envelope visible
   // under the *final* name and this put never completes. The next get must
   // quarantine the stump and recompute.
-  if (probe("store.put", common::FaultKind::kTornWrite) && options_.fault != nullptr) {
+  if (common::injected(options_.fault, "store.put", common::FaultKind::kTornWrite)) {
     const std::size_t torn = options_.fault->torn_length("store.put", envelope.size());
     const std::vector<std::uint8_t> stump(envelope.begin(),
                                           envelope.begin() + static_cast<std::ptrdiff_t>(torn));
-    write_file_once(final_path, stump);
+    write_file_once(path_for(key), stump);
     std::lock_guard<std::mutex> lock(mutex_);
     note_access_locked(name, stump.size());
     ++stats_.put_failures;
     return false;
   }
+  return install(name, envelope);
+}
 
+bool DiskArtifactStore::install(const std::string& name,
+                                const std::vector<std::uint8_t>& envelope) {
+  const std::string final_path = options_.directory + "/" + name;
   std::string tmp_path;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tmp_path = final_path + ".tmp." + std::to_string(::getpid()) + "." +
                std::to_string(tmp_seq_++);
   }
-
-  bool written = false;
-  for (int attempt = 0; attempt < options_.io_retries; ++attempt) {
-    const bool injected = probe("store.put.write", common::FaultKind::kIoError);
-    if (!injected && write_file_once(tmp_path, envelope)) {
-      written = true;
-      break;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.io_retries;
-    }
-    backoff(attempt);
-  }
-  if (written) {
-    for (int attempt = 0; attempt < options_.io_retries; ++attempt) {
-      const bool injected = probe("store.put.rename", common::FaultKind::kIoError);
-      if (!injected && rename_file(tmp_path, final_path)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        note_access_locked(name, envelope.size());
-        evict_to_cap_locked();
-        return true;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.io_retries;
-      }
-      backoff(attempt);
-    }
-  }
-  ::unlink(tmp_path.c_str());
+  // Each step retries an injected fault or a failed call; every failed
+  // attempt counts one io_retry.
+  auto step = [&](const char* site, auto&& op) {
+    return common::retry(backoff_, [&] {
+      if (!common::injected(options_.fault, site) && op()) return common::Attempt::kDone;
+      count_io_retry();
+      return common::Attempt::kRetry;
+    });
+  };
+  const bool installed =
+      step("store.put.write", [&] { return write_file_once(tmp_path, envelope); }) &&
+      step("store.put.rename", [&] { return rename_file(tmp_path, final_path); });
+  if (!installed) ::unlink(tmp_path.c_str());
   std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.put_failures;
-  return false;
+  if (!installed) {
+    ++stats_.put_failures;
+    return false;
+  }
+  note_access_locked(name, envelope.size());
+  evict_to_cap_locked();
+  return true;
 }
 
 std::optional<std::vector<std::uint8_t>> DiskArtifactStore::read_file(const std::string& path) {
@@ -269,25 +263,16 @@ std::optional<std::vector<std::uint8_t>> DiskArtifactStore::get(const CacheKey& 
   const std::string name = fs::path(path).filename().string();
 
   std::optional<std::vector<std::uint8_t>> bytes;
-  for (int attempt = 0; attempt < options_.io_retries; ++attempt) {
-    if (probe("store.get.read", common::FaultKind::kIoError)) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.io_retries;
-      }
-      backoff(attempt);
-      continue;
+  common::retry(backoff_, [&] {
+    if (!common::injected(options_.fault, "store.get.read")) {
+      std::error_code ec;
+      if (!fs::exists(path, ec)) return common::Attempt::kGiveUp;  // a real miss
+      bytes = read_file(path);
+      if (bytes) return common::Attempt::kDone;
     }
-    std::error_code ec;
-    if (!fs::exists(path, ec)) break;  // a real miss — no point retrying
-    bytes = read_file(path);
-    if (bytes) break;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.io_retries;
-    }
-    backoff(attempt);
-  }
+    count_io_retry();
+    return common::Attempt::kRetry;
+  });
   if (!bytes) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.misses;
@@ -296,40 +281,19 @@ std::optional<std::vector<std::uint8_t>> DiskArtifactStore::get(const CacheKey& 
 
   // In-flight corruption: mutate the loaded image; the checksum below must
   // reject it (and the file gets quarantined like any other damage).
-  if (probe("store.get", common::FaultKind::kCorruptRead)) {
+  if (common::injected(options_.fault, "store.get", common::FaultKind::kCorruptRead)) {
     options_.fault->corrupt("store.get", *bytes);
   }
 
-  // Validate the envelope outside-in: trailer first (catches truncation and
-  // any flipped bit), then header fields, then the embedded key.
-  bool valid = false;
-  std::vector<std::uint8_t> payload;
-  if (bytes->size() >= kTrailerBytes) {
-    const std::size_t body_size = bytes->size() - kTrailerBytes;
-    common::ByteReader trailer(bytes->data() + body_size, kTrailerBytes);
-    trailer.expect_u64(body_size);
-    const common::Digest checksum = trailer.digest();
-    if (trailer.at_end() &&
-        checksum == common::bytes_checksum(bytes->data(), body_size)) {
-      common::ByteReader r(bytes->data(), body_size);
-      r.expect_u64(kMagic);
-      r.expect_u32(kStoreVersion);
-      r.expect_u32(type_tag);
-      r.expect_u32(type_version);
-      r.require(r.str() == key.stage);
-      r.require(r.digest() == key.input);
-      r.require(r.digest() == key.config);
-      const std::uint64_t payload_size = r.length(1);
-      r.require(payload_size == r.remaining());
-      if (r.ok()) {
-        payload.assign(bytes->data() + r.position(), bytes->data() + body_size);
-        valid = true;
-      }
-    }
+  std::optional<std::vector<std::uint8_t>> payload;
+  const auto envelope = parse_envelope(*bytes);
+  if (envelope && envelope->key == key && envelope->type_tag == type_tag &&
+      envelope->type_version == type_version) {
+    payload.emplace(bytes->begin() + envelope->payload_begin,
+                    bytes->begin() + envelope->payload_end);
   }
-
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!valid) {
+  if (!payload) {
     ++stats_.misses;
     quarantine_locked(name);
     return std::nullopt;
@@ -418,8 +382,8 @@ std::optional<std::vector<std::uint8_t>> DiskArtifactStore::export_raw(
   }
   auto bytes = read_file(options_.directory + "/" + name);
   if (!bytes) return std::nullopt;
-  const auto key = parse_envelope(*bytes);
-  if (!key || name_for(*key) != name) {
+  const auto envelope = parse_envelope(*bytes);
+  if (!envelope || name_for(envelope->key) != name) {
     // Locally damaged (or renamed over a different key): stop serving it
     // here too, and never ship it to a peer.
     std::lock_guard<std::mutex> lock(mutex_);
@@ -434,40 +398,11 @@ bool DiskArtifactStore::import_raw(const std::string& name,
   if (!usable_ || !is_artifact_name(name) || name.find('/') != std::string::npos) {
     return false;
   }
-  const auto key = parse_envelope(envelope);
+  const auto parsed = parse_envelope(envelope);
   // The name/embedded-key match means a peer (or an attacker on the wire)
   // cannot install an envelope under a key it was not written for.
-  if (!key || name_for(*key) != name) return false;
-
-  const std::string final_path = options_.directory + "/" + name;
-  std::string tmp_path;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tmp_path = final_path + ".tmp." + std::to_string(::getpid()) + "." +
-               std::to_string(tmp_seq_++);
-  }
-  bool written = false;
-  for (int attempt = 0; attempt < options_.io_retries; ++attempt) {
-    if (write_file_once(tmp_path, envelope)) {
-      written = true;
-      break;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.io_retries;
-    }
-    backoff(attempt);
-  }
-  if (written && rename_file(tmp_path, final_path)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    note_access_locked(name, envelope.size());
-    evict_to_cap_locked();
-    return true;
-  }
-  ::unlink(tmp_path.c_str());
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.put_failures;
-  return false;
+  if (!parsed || name_for(parsed->key) != name) return false;
+  return install(name, envelope);
 }
 
 }  // namespace warp::partition

@@ -24,19 +24,25 @@
 //   dig  checksum of everything above     -+  corruption detector
 //
 // Write discipline: serialize to <name>.tmp.<pid>.<seq>, write, fsync,
-// atomically rename over the final name, fsync the directory. A crash at
-// any point leaves either no file, a stale .tmp (removed at next open), or
-// the complete old/new file — never a half-visible artifact under the final
-// name. Loads validate trailer length + checksum, magic, versions and the
-// embedded key before the payload is handed to a codec; any mismatch moves
-// the file aside to <name>.quarantined and counts as a miss.
+// atomically rename over the final name, fsync the directory. put() and
+// import_raw() share this one install path. A crash at any point leaves
+// either no file, a stale .tmp (removed at next open), or the complete
+// old/new file — never a half-visible artifact under the final name. One
+// parser validates every envelope outside-in (trailer length + checksum,
+// magic, store version, structure); loads then compare the embedded key,
+// type tag and version with the request before the payload is handed to a
+// codec. Any mismatch moves the file aside to <name>.quarantined and counts
+// as a miss.
 //
 // Fault injection (common/fault_injector.hpp) probes the sites
-// "store.put.write", "store.put.rename", "store.put" (torn write under the
-// final name — the simulated crash), "store.get.read" and "store.get"
-// (corrupted read). Transient I/O errors are retried with bounded backoff;
-// after the budget the operation degrades (put: artifact simply not
-// persisted; get: miss).
+// "store.put.write", "store.put.rename" (both on the shared install path),
+// "store.put" (torn write under the final name — the simulated crash; put
+// only), "store.get.read" and "store.get" (corrupted read). Transient I/O
+// errors are retried through common::retry (common/retry.hpp): up to
+// common::kRetryAttempts attempts per step with jittered exponential
+// backoff. After the budget the operation degrades (put/import: artifact
+// not persisted; get: miss). A get on a missing file is a miss at once,
+// never retried. Injected-fault counts are the injector's per-site stats.
 //
 // Bounding: with max_bytes set, least-recently-used artifacts are unlinked
 // until the store fits (access order is seeded from file mtimes at open).
@@ -52,6 +58,7 @@
 #include <vector>
 
 #include "common/fault_injector.hpp"
+#include "common/retry.hpp"
 #include "partition/artifact_store.hpp"
 #include "partition/cache_key.hpp"
 
@@ -60,8 +67,6 @@ namespace warp::partition {
 struct DiskStoreOptions {
   std::string directory;
   std::uint64_t max_bytes = 0;      // 0 = unbounded
-  int io_retries = 4;               // attempts per I/O step (> FaultConfig cap)
-  unsigned retry_backoff_us = 50;   // sleep before retry k is backoff << k
   common::FaultInjector* fault = nullptr;  // may be null
 };
 
@@ -138,7 +143,7 @@ class DiskArtifactStore : public ArtifactStore {
   /// Install a replicated envelope under `name` after the same outside-in
   /// validation (plus the name/embedded-key match). Invalid envelopes are
   /// rejected without touching disk — a poisoned peer cannot poison us.
-  /// Valid ones go through the usual tmp -> fsync -> rename discipline.
+  /// Valid ones go through put()'s install path and retry budget.
   bool import_raw(const std::string& name, const std::vector<std::uint8_t>& envelope);
 
  private:
@@ -147,6 +152,8 @@ class DiskArtifactStore : public ArtifactStore {
     std::list<std::string>::iterator lru;  // position in lru_ (front = oldest)
   };
 
+  /// tmp -> fsync -> rename -> dir fsync under the retry discipline.
+  bool install(const std::string& name, const std::vector<std::uint8_t>& envelope);
   bool write_file_once(const std::string& tmp_path, const std::vector<std::uint8_t>& bytes);
   bool rename_file(const std::string& from, const std::string& to);
   std::optional<std::vector<std::uint8_t>> read_file(const std::string& path);
@@ -154,11 +161,11 @@ class DiskArtifactStore : public ArtifactStore {
   void note_access_locked(const std::string& name, std::uint64_t bytes);
   void forget_locked(const std::string& name);
   void evict_to_cap_locked();
-  void backoff(int attempt);
-  bool probe(const char* site, common::FaultKind kind);
+  void count_io_retry();
 
   DiskStoreOptions options_;
   bool usable_ = false;
+  common::Backoff backoff_;
 
   mutable std::mutex mutex_;
   std::list<std::string> lru_;  // file names, least recently used first

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "common/retry.hpp"
 #include "common/strings.hpp"
 #include "decompile/decoder.hpp"
 #include "isa/isa.hpp"
@@ -139,15 +140,16 @@ std::shared_ptr<const T> Pipeline::stage(const char* name, const common::Digest&
   const auto start = std::chrono::steady_clock::now();
   ++metric(name).runs;
   std::shared_ptr<const T> artifact;
-  // Host-side stage failures are retried within a bounded budget. Retries
-  // burn host wall-clock only: the virtual-time charge is derived from the
-  // artifact's metered counts, and a transient schedule (fault cap below the
-  // budget) always converges to the fault-free artifact — so simulated
-  // results are bit-identical with or without injection, just slower.
+  // Host-side stage failures are retried within common::kRetryAttempts,
+  // probing without sleeping. Retries burn host wall-clock only: the
+  // virtual-time charge is derived from the artifact's metered counts, and
+  // a transient schedule (fault cap below the budget) always converges to
+  // the fault-free artifact — so simulated results are bit-identical with
+  // or without injection, just slower.
   auto compute_with_faults = [&]() -> std::shared_ptr<const T> {
     if (fault_ == nullptr) return compute();
     const std::string site = std::string("stage.") + name;
-    for (int attempt = 0; attempt < kStageRetries; ++attempt) {
+    for (int attempt = 0; attempt < common::kRetryAttempts; ++attempt) {
       if (!fault_->probe(site, common::FaultKind::kStageFail)) return compute();
     }
     auto failed = injected_failure<T>();

@@ -60,11 +60,6 @@ const std::vector<std::string>& stage_names();
 
 class Pipeline {
  public:
-  /// Bounded retry budget per stage when a fault injector reports transient
-  /// stage failures. One larger than the default FaultConfig::max_consecutive
-  /// so a transient-then-success schedule always converges inside the budget.
-  static constexpr int kStageRetries = 4;
-
   /// `cache` may be null (every stage computes). `fault` may be null (no
   /// injection). The options object is copied; per-stage config hashes are
   /// derived once here.

@@ -14,6 +14,18 @@ namespace {
 // hex) plus the op framing.
 constexpr std::size_t kClusterMaxLineBytes = 8u << 20;
 
+// Consecutive failed heartbeats before a peer is marked down.
+constexpr unsigned kHeartbeatMisses = 3;
+// Heartbeat jitter and link backoff seeds, folded with the node id so
+// nodes do not phase-lock.
+constexpr std::uint64_t kHeartbeatSeed = 0x5EED5EED5EED5EEDull;
+// How long a forwarded session may take end to end before the origin gives
+// up and recomputes locally. Generous: a forward that merely queues at the
+// owner must not spuriously fall back.
+constexpr std::uint64_t kForwardTimeoutMs = 60'000;
+// Timeout for one replication/control RPC attempt.
+constexpr std::uint64_t kRpcTimeoutMs = 5'000;
+
 // The digest-relevant part of a request: workload plus the two overrides
 // that enter the kernel content hash (packed_width is host-only and
 // excluded by kernel_digest_for).
@@ -76,14 +88,12 @@ class ClusterNode::RemotePeer : public partition::ReplicaPeer {
   bool push(const std::string& name, const std::vector<std::uint8_t>& envelope) override {
     const std::string hex = protocol::hex_encode(std::string_view(
         reinterpret_cast<const char*>(envelope.data()), envelope.size()));
-    auto reply = node_->rpc(*peer_, "sput name=" + name + " env=" + hex,
-                            node_->options_.rpc_timeout_ms, node_->options_.io_retries);
+    auto reply = node_->rpc(*peer_, "sput name=" + name + " env=" + hex, kRpcTimeoutMs);
     return reply && common::starts_with(reply.value(), "sok");
   }
 
   std::optional<std::vector<std::uint8_t>> fetch(const std::string& name) override {
-    auto reply = node_->rpc(*peer_, "sget name=" + name, node_->options_.rpc_timeout_ms,
-                            node_->options_.io_retries);
+    auto reply = node_->rpc(*peer_, "sget name=" + name, kRpcTimeoutMs);
     if (!reply || !common::starts_with(reply.value(), "sok")) return std::nullopt;
     const std::string& line = reply.value();
     const std::size_t pos = line.find(" env=");
@@ -95,8 +105,7 @@ class ClusterNode::RemotePeer : public partition::ReplicaPeer {
   }
 
   std::optional<std::vector<std::string>> list() override {
-    auto reply = node_->rpc(*peer_, "slist", node_->options_.rpc_timeout_ms,
-                            node_->options_.io_retries);
+    auto reply = node_->rpc(*peer_, "slist", kRpcTimeoutMs);
     if (!reply || !common::starts_with(reply.value(), "sok")) return std::nullopt;
     const std::string& line = reply.value();
     const std::size_t pos = line.find(" names=");
@@ -117,8 +126,8 @@ class ClusterNode::RemotePeer : public partition::ReplicaPeer {
 
 ClusterNode::ClusterNode(ClusterOptions options)
     : options_(std::move(options)),
-      hb_rng_(options_.heartbeat_seed ^ (0x9E3779B97F4A7C15ull * (options_.node_id + 1))),
-      backoff_rng_(options_.heartbeat_seed + options_.node_id) {
+      hb_rng_(kHeartbeatSeed ^ (0x9E3779B97F4A7C15ull * (options_.node_id + 1))),
+      backoff_(kHeartbeatSeed + options_.node_id) {
   for (unsigned id = 0; id < options_.members.size(); ++id) {
     if (id == options_.node_id) continue;
     auto peer = std::make_unique<Peer>();
@@ -280,19 +289,13 @@ std::optional<protocol::Reply> ClusterNode::forward(Peer& peer,
   tagged.forwarded_from = options_.node_id;
   const std::string line = protocol::encode_request(tagged);
 
+  // Only the connect is retried: nothing has reached the owner yet.
   Client client;
-  bool connected = false;
-  for (int attempt = 0; attempt < options_.io_retries; ++attempt) {
-    if (probe("cluster.connect")) {
-      backoff(attempt);
-      continue;
-    }
-    if (client.connect(peer.spec)) {
-      connected = true;
-      break;
-    }
-    backoff(attempt);
-  }
+  const bool connected = common::retry(backoff_, [&] {
+    return !common::injected(options_.fault, "cluster.connect") && client.connect(peer.spec)
+               ? common::Attempt::kDone
+               : common::Attempt::kRetry;
+  });
   if (!connected) return std::nullopt;
   simulate_slow(peer);
   // At-most-once from here: once the request line may have reached the
@@ -300,10 +303,10 @@ std::optional<protocol::Reply> ClusterNode::forward(Peer& peer,
   // owner's virtual clock. Any failure below is a link failure — the caller
   // recomputes locally and the (possibly completed) remote session's reply
   // dies with this connection.
-  if (probe("cluster.write")) return std::nullopt;
+  if (common::injected(options_.fault, "cluster.write")) return std::nullopt;
   if (!client.send_line(line)) return std::nullopt;
-  if (probe("cluster.read")) return std::nullopt;
-  auto reply_line = client.read_line_for(options_.forward_timeout_ms);
+  if (common::injected(options_.fault, "cluster.read")) return std::nullopt;
+  auto reply_line = client.read_line_for(kForwardTimeoutMs);
   if (!reply_line) return std::nullopt;
   auto reply = protocol::parse_reply(reply_line.value());
   if (!reply) return std::nullopt;
@@ -314,58 +317,37 @@ common::Result<std::string> ClusterNode::rpc(Peer& peer, const std::string& line
                                              std::uint64_t timeout_ms, int attempts) {
   using R = common::Result<std::string>;
   if (closing_.load()) return R::error("closing");
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (probe("cluster.connect")) {
-      backoff(attempt);
-      continue;
-    }
-    Client client;
-    if (!client.connect(peer.spec)) {
-      backoff(attempt);
-      continue;
-    }
-    simulate_slow(peer);
-    if (probe("cluster.write") || !client.send_line(line)) {
-      backoff(attempt);
-      continue;
-    }
-    if (probe("cluster.read")) {
-      backoff(attempt);
-      continue;
-    }
-    auto reply = client.read_line_for(timeout_ms);
-    if (reply) return reply.value();
-    backoff(attempt);
-  }
-  return R::error("peer unreachable: " + peer.spec);
+  std::string reply;
+  // Idempotent: every attempt is a fresh connection and a full exchange.
+  const bool answered = common::retry(
+      backoff_,
+      [&] {
+        if (common::injected(options_.fault, "cluster.connect")) return common::Attempt::kRetry;
+        Client client;
+        if (!client.connect(peer.spec)) return common::Attempt::kRetry;
+        simulate_slow(peer);
+        if (common::injected(options_.fault, "cluster.write") || !client.send_line(line) ||
+            common::injected(options_.fault, "cluster.read")) {
+          return common::Attempt::kRetry;
+        }
+        auto got = client.read_line_for(timeout_ms);
+        if (!got) return common::Attempt::kRetry;
+        reply = std::move(got).value();
+        return common::Attempt::kDone;
+      },
+      attempts);
+  if (!answered) return R::error("peer unreachable: " + peer.spec);
+  return reply;
 }
 
 void ClusterNode::mark_down(Peer& peer) {
-  peer.missed.store(options_.heartbeat_misses);
+  peer.missed.store(kHeartbeatMisses);
   peer.alive.store(false);
 }
 
 void ClusterNode::simulate_slow(const Peer& peer) {
   const std::uint64_t delay = peer.slow_ms.load();
   if (delay != 0) std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-}
-
-bool ClusterNode::probe(const char* site) {
-  return options_.fault != nullptr &&
-         options_.fault->probe(site, common::FaultKind::kIoError);
-}
-
-void ClusterNode::backoff(int attempt) {
-  const std::uint64_t cap = std::max<std::uint64_t>(1, options_.retry_backoff_cap_us);
-  std::uint64_t base = static_cast<std::uint64_t>(std::max(1u, options_.retry_backoff_us))
-                       << std::min(attempt, 20);
-  base = std::min(base, cap);
-  std::uint64_t jitter;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    jitter = backoff_rng_.next_u64() % base;
-  }
-  std::this_thread::sleep_for(std::chrono::microseconds(base + jitter));
 }
 
 void ClusterNode::heartbeat_main() {
@@ -393,8 +375,8 @@ void ClusterNode::heartbeat_main() {
       // 2) can eat one attempt per site, and a single-attempt ping would turn
       // that into spurious peer flapping; a genuinely dead peer still fails
       // both attempts immediately.
-      const auto reply = rpc(*peer, "ping", std::max<std::uint64_t>(
-                                                1, options_.heartbeat_ms * 2), 2);
+      const auto reply =
+          rpc(*peer, "ping", std::max<std::uint64_t>(1, options_.heartbeat_ms * 2), 2);
       if (reply && reply.value() == "pong") {
         peer->missed.store(0);
         peer->alive.store(true);
@@ -403,7 +385,7 @@ void ClusterNode::heartbeat_main() {
       } else {
         const unsigned missed = peer->missed.load() + 1;
         peer->missed.store(missed);
-        if (missed >= options_.heartbeat_misses) peer->alive.store(false);
+        if (missed >= kHeartbeatMisses) peer->alive.store(false);
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.heartbeat_failures;
       }

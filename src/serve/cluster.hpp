@@ -12,11 +12,11 @@
 //               node's one DPM thread: cluster-wide, each unique kernel is
 //               computed once and every repeat is a cache hit.
 //   failover    peers are health-checked by a heartbeat thread (fresh-
-//               connection pings on a seeded-deterministic jittered period;
-//               `heartbeat_misses` consecutive failures mark a peer down,
-//               one success revives it). A down peer leaves the ring — the
-//               membership ShardRing reassigns only the ranges its points
-//               owned (smooth resharding). A forward that fails or times
+//               connection pings of two attempts each on a seeded-
+//               deterministic jittered period; 3 consecutive failed pings
+//               mark a peer down, one success revives it). A down peer
+//               leaves the ring — the membership ShardRing reassigns only
+//               the ranges its points owned (smooth resharding). A forward that fails or times
 //               out marks the peer down immediately and falls back to
 //               executing the session on the local pipeline, so every
 //               accepted session completes (the paper's software-fallback
@@ -41,10 +41,13 @@
 // Delivery semantics: forwarding is at-most-once after send — a reply lost
 // to a link fault is NOT retransmitted (that could double-charge the
 // owner's virtual clock); the origin marks the peer down and recomputes
-// locally. The client still sees exactly one reply per request. Replication
-// and control ops are idempotent and retried with the bounded exponential
-// backoff discipline. Fault sites on every peer link: "cluster.connect",
-// "cluster.write", "cluster.read" (kIoError).
+// locally. Only the forward's connect is retried. The client still sees
+// exactly one reply per request. Replication and control ops are idempotent
+// and run under common::retry (common/retry.hpp), the store's and server's
+// discipline: common::kRetryAttempts attempts with jittered exponential
+// backoff. Fault sites on every peer link: "cluster.connect",
+// "cluster.write", "cluster.read" (kIoError); their counts are the stats
+// op's fault.<site>= fields.
 //
 // Partition/slow-link simulation (what the chaos harness drives): the
 // control ops "peer_down id=N" / "peer_up id=N" make this node treat peer N
@@ -65,6 +68,7 @@
 #include <vector>
 
 #include "common/fault_injector.hpp"
+#include "common/retry.hpp"
 #include "common/rng.hpp"
 #include "partition/replicated_store.hpp"
 #include "serve/server.hpp"
@@ -110,24 +114,6 @@ struct ClusterOptions {
   /// Heartbeat period; each cycle sleeps period + seeded jitter in
   /// [0, period/4].
   std::uint64_t heartbeat_ms = 100;
-  /// Consecutive failed pings before a peer is marked down.
-  unsigned heartbeat_misses = 3;
-  /// Seed for the heartbeat jitter stream (xor-folded with node_id so nodes
-  /// sharing a config do not phase-lock).
-  std::uint64_t heartbeat_seed = 0x5EED5EED5EED5EEDull;
-  /// How long a forwarded session may take end to end before the origin
-  /// gives up and recomputes locally. Generous: a forward that merely
-  /// queues at the owner must not spuriously fall back.
-  std::uint64_t forward_timeout_ms = 60'000;
-  /// Timeout for one replication/control RPC attempt.
-  std::uint64_t rpc_timeout_ms = 5'000;
-  /// Attempts per idempotent RPC (heartbeats use exactly two, so one
-  /// transient injected fault cannot flap a live peer).
-  int io_retries = 4;
-  /// Bounded exponential backoff between RPC attempts (same discipline as
-  /// the server/store layers).
-  unsigned retry_backoff_us = 200;
-  unsigned retry_backoff_cap_us = 50'000;
 };
 
 struct ClusterNodeStats {
@@ -191,13 +177,14 @@ class ClusterNode {
   /// Forward one session to `peer`; nullopt = link failure (caller marks
   /// the peer down and falls back). At-most-once after send.
   std::optional<protocol::Reply> forward(Peer& peer, const protocol::Request& request);
-  /// One idempotent request/reply exchange with bounded retries.
+  /// One idempotent request/reply exchange with bounded retries
+  /// (heartbeats use two attempts, so one transient injected fault cannot
+  /// flap a live peer).
   common::Result<std::string> rpc(Peer& peer, const std::string& line,
-                                  std::uint64_t timeout_ms, int attempts);
+                                  std::uint64_t timeout_ms,
+                                  int attempts = common::kRetryAttempts);
   void mark_down(Peer& peer);
   void simulate_slow(const Peer& peer);
-  bool probe(const char* site);
-  void backoff(int attempt);
 
   ClusterOptions options_;
   std::vector<std::unique_ptr<Peer>> peers_;  // every member but this node
@@ -211,10 +198,10 @@ class ClusterNode {
   common::Rng hb_rng_;
   std::thread heartbeat_thread_;
 
-  mutable std::mutex mutex_;  // guards stats_, digests_, backoff_rng_
+  mutable std::mutex mutex_;  // guards stats_, digests_
   ClusterNodeStats stats_;
   std::map<std::string, common::Digest> digests_;
-  common::Rng backoff_rng_;
+  common::Backoff backoff_;
 
   std::unique_ptr<SocketServer> server_;  // declared last: destroyed first
 };

@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cstdlib>
+#include <limits>
 
 #include "common/strings.hpp"
 
@@ -17,11 +18,16 @@ bool parse_u64(std::string_view value, std::uint64_t& out) {
   return true;
 }
 
-bool parse_bounded(std::string_view value, unsigned lo, unsigned hi, unsigned& out) {
+// A numeric field's value. Anything that is not a number of type T becomes
+// T's max, which no range admits, so check_ranges reports it with the
+// field's own message.
+template <typename T>
+T field_value(std::string_view value) {
   std::uint64_t parsed = 0;
-  if (!parse_u64(value, parsed) || parsed < lo || parsed > hi) return false;
-  out = static_cast<unsigned>(parsed);
-  return true;
+  if (!parse_u64(value, parsed) || parsed > std::numeric_limits<T>::max()) {
+    return std::numeric_limits<T>::max();
+  }
+  return static_cast<T>(parsed);
 }
 
 // Free-text fields ride on a line protocol; keep them one line.
@@ -41,6 +47,25 @@ bool parse_double(std::string_view value, double& out) {
 }
 
 }  // namespace
+
+std::string check_ranges(const Request& request) {
+  const RequestOverrides& o = request.overrides;
+  if (o.packed_width && *o.packed_width != 0 && *o.packed_width != 1 &&
+      *o.packed_width != 2 && *o.packed_width != 4) {
+    return "bad packed_width (want 0, 1, 2 or 4)";
+  }
+  if (o.max_candidates && (*o.max_candidates < 1 || *o.max_candidates > 64)) {
+    return "bad max_candidates (want 1..64)";
+  }
+  if (o.csd_max_terms && *o.csd_max_terms > 16) {
+    return "bad csd_max_terms (want 0..16)";
+  }
+  if (request.deadline_ms &&
+      (*request.deadline_ms == 0 || *request.deadline_ms > kMaxDeadlineMs)) {
+    return "bad deadline_ms (want 1..86400000)";
+  }
+  return {};
+}
 
 Result<Request> parse_request(std::string_view line) {
   using R = Result<Request>;
@@ -81,35 +106,19 @@ Result<Request> parse_request(std::string_view line) {
       seen_seq = true;
     } else if (key == "deadline_ms") {
       if (seen_deadline) return R::error("duplicate deadline_ms");
-      std::uint64_t deadline = 0;
-      if (!parse_u64(value, deadline) || deadline == 0 || deadline > kMaxDeadlineMs) {
-        return R::error("bad deadline_ms (want 1..86400000)");
-      }
-      request.deadline_ms = deadline;
+      request.deadline_ms = field_value<std::uint64_t>(value);
       seen_deadline = true;
     } else if (key == "packed_width") {
       if (seen_width) return R::error("duplicate packed_width");
-      unsigned width = 0;
-      if (!parse_bounded(value, 0, 4, width) || width == 3) {
-        return R::error("bad packed_width (want 0, 1, 2 or 4)");
-      }
-      request.overrides.packed_width = width;
+      request.overrides.packed_width = field_value<unsigned>(value);
       seen_width = true;
     } else if (key == "max_candidates") {
       if (seen_cand) return R::error("duplicate max_candidates");
-      unsigned candidates = 0;
-      if (!parse_bounded(value, 1, 64, candidates)) {
-        return R::error("bad max_candidates (want 1..64)");
-      }
-      request.overrides.max_candidates = candidates;
+      request.overrides.max_candidates = field_value<unsigned>(value);
       seen_cand = true;
     } else if (key == "csd_max_terms") {
       if (seen_csd) return R::error("duplicate csd_max_terms");
-      unsigned terms = 0;
-      if (!parse_bounded(value, 0, 16, terms)) {
-        return R::error("bad csd_max_terms (want 0..16)");
-      }
-      request.overrides.csd_max_terms = terms;
+      request.overrides.csd_max_terms = field_value<unsigned>(value);
       seen_csd = true;
     } else if (key == "fwd") {
       if (seen_fwd) return R::error("duplicate fwd");
@@ -122,6 +131,9 @@ Result<Request> parse_request(std::string_view line) {
     } else {
       return R::error("unknown key: " + std::string(key.substr(0, 32)));
     }
+    // Range-check each field as it arrives: the first bad token is the one
+    // reported.
+    if (std::string err = check_ranges(request); !err.empty()) return R::error(std::move(err));
   }
   if (!have_id) return R::error("missing id");
   if (!have_workload) return R::error("missing workload");

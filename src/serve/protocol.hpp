@@ -70,8 +70,8 @@ namespace warp::serve::protocol {
 inline constexpr std::size_t kMaxLineBytes = 4096;
 
 /// Per-session WarpSystemConfig overrides a request may carry. Ranges are
-/// validated at parse time (and re-validated at admission for in-process
-/// callers that construct Request directly).
+/// checked by check_ranges() at parse time (and again at admission for
+/// in-process callers that construct Request directly).
 struct RequestOverrides {
   std::optional<unsigned> packed_width;    // 0 (auto), 1, 2 or 4
   std::optional<unsigned> max_candidates;  // 1..64
@@ -127,9 +127,14 @@ struct Reply {
   std::string detail;  // entry detail (ok) or message (err/timeout)
 };
 
+/// The one definition of the request ranges (packed_width, max_candidates,
+/// csd_max_terms, deadline_ms): empty when every present field is in range,
+/// else the error message. parse_request and warpd's admission both use it.
+std::string check_ranges(const Request& request);
+
 /// Parse one request line (no trailing newline). Never throws on wire
 /// input; unknown verbs/keys, missing id/workload, duplicate keys and
-/// out-of-range values are errors.
+/// out-of-range values (check_ranges) are errors.
 common::Result<Request> parse_request(std::string_view line);
 
 std::string encode_request(const Request& request);

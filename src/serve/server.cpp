@@ -19,35 +19,20 @@ common::Status errno_status(const std::string& what) {
   return common::Status::error(what + ": " + std::strerror(errno));
 }
 
+// A failed accept/recv: EINTR is retried, any real error stops at once.
+common::Attempt after_syscall_error() {
+  return errno == EINTR ? common::Attempt::kRetry : common::Attempt::kGiveUp;
+}
+
 }  // namespace
 
 SocketServer::SocketServer(SocketServerOptions options)
-    : options_(std::move(options)), backoff_rng_(options_.backoff_seed) {
+    : options_(std::move(options)),
+      backoff_(0x9E3779B97F4A7C15ull ^ options_.engine.node_id) {
   engine_ = std::make_unique<Warpd>(options_.engine);
 }
 
 SocketServer::~SocketServer() { stop(); }
-
-bool SocketServer::probe(const char* site) {
-  return options_.fault != nullptr && options_.fault->probe(site, common::FaultKind::kIoError);
-}
-
-void SocketServer::backoff(int attempt) {
-  // Exponential in the attempt with a hard cap, plus seeded deterministic
-  // jitter in [base, 2*base): concurrent connections retrying the same
-  // persistent fault spread out instead of hammering in lockstep, and one
-  // seed reproduces the exact schedule.
-  const std::uint64_t cap = std::max<std::uint64_t>(1, options_.retry_backoff_cap_us);
-  std::uint64_t base = static_cast<std::uint64_t>(std::max(1u, options_.retry_backoff_us))
-                       << std::min(attempt, 20);
-  base = std::min(base, cap);
-  std::uint64_t jitter;
-  {
-    std::lock_guard<std::mutex> lock(backoff_mutex_);
-    jitter = backoff_rng_.next_u64() % base;
-  }
-  std::this_thread::sleep_for(std::chrono::microseconds(base + jitter));
-}
 
 common::Status SocketServer::start() {
   auto endpoint = parse_endpoint(options_.path);
@@ -79,22 +64,16 @@ void SocketServer::accept_main() {
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
 
     int fd = -1;
-    for (int attempt = 0; attempt < options_.io_retries; ++attempt) {
-      if (probe("serve.accept")) {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.accept_faults;
-        }
-        backoff(attempt);
-        continue;
-      }
+    const bool accepted = common::retry(backoff_, [&] {
+      if (common::injected(options_.fault, "serve.accept")) return common::Attempt::kRetry;
       fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd >= 0 || errno != EINTR) break;
-    }
-    if (fd < 0) {
+      return fd >= 0 ? common::Attempt::kDone : after_syscall_error();
+    });
+    if (!accepted) {
       // Budget exhausted (persistent accept fault) or a real accept error:
-      // the pending connection stays unserved; keep the server alive.
-      backoff(options_.io_retries);
+      // the pending connection stays unserved; keep the server alive, and
+      // pause so the still-pending connection does not spin this loop.
+      backoff_.sleep(common::kRetryAttempts);
       continue;
     }
     auto conn = std::make_shared<Connection>();
@@ -112,19 +91,12 @@ void SocketServer::connection_main(std::shared_ptr<Connection> conn) {
   char buf[4096];
   for (;;) {
     ssize_t n = -1;
-    for (int attempt = 0; attempt < options_.io_retries; ++attempt) {
-      if (probe("serve.read")) {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.read_faults;
-        }
-        backoff(attempt);
-        continue;
-      }
+    const bool received = common::retry(backoff_, [&] {
+      if (common::injected(options_.fault, "serve.read")) return common::Attempt::kRetry;
       n = ::recv(conn->fd, buf, sizeof(buf), 0);
-      if (n >= 0 || errno != EINTR) break;
-    }
-    if (n < 0) {
+      return n >= 0 ? common::Attempt::kDone : after_syscall_error();
+    });
+    if (!received) {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.read_failures;
       break;
@@ -297,32 +269,22 @@ bool SocketServer::write_line(Connection& conn, const std::string& line) {
   if (conn.dead) return false;
   const std::string out = line + "\n";
   std::size_t off = 0;
-  for (int attempt = 0; attempt < options_.io_retries; ++attempt) {
-    if (probe("serve.write")) {
-      {
-        std::lock_guard<std::mutex> stats_lock(mutex_);
-        ++stats_.write_faults;
-      }
-      backoff(attempt);
-      continue;
-    }
-    bool io_error = false;
+  const bool sent = common::retry(backoff_, [&] {
+    if (common::injected(options_.fault, "serve.write")) return common::Attempt::kRetry;
     while (off < out.size()) {
       const ssize_t n = ::send(conn.fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
       if (n > 0) {
         off += static_cast<std::size_t>(n);
-        continue;
+      } else if (n == 0 || errno != EINTR) {
+        return common::Attempt::kRetry;
       }
-      if (n < 0 && errno == EINTR) continue;
-      io_error = true;
-      break;
     }
-    if (!io_error) {
-      std::lock_guard<std::mutex> stats_lock(mutex_);
-      ++stats_.replies;
-      return true;
-    }
-    backoff(attempt);
+    return common::Attempt::kDone;
+  });
+  if (sent) {
+    std::lock_guard<std::mutex> stats_lock(mutex_);
+    ++stats_.replies;
+    return true;
   }
   // Budget exhausted: mute the connection (sessions still complete
   // server-side); the client observes a half-open stream, never a crash.
@@ -344,14 +306,10 @@ void SocketServer::drain() {
   // The store is write-through (tmp -> fsync -> rename -> dir fsync on
   // every put), so the flush barrier is structurally a no-op — but a real
   // daemon would fsync here, and the fault site keeps that path honest.
-  for (int attempt = 0; attempt < options_.io_retries; ++attempt) {
-    if (!probe("serve.drain")) break;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.drain_faults;
-    }
-    backoff(attempt);
-  }
+  common::retry(backoff_, [&] {
+    return common::injected(options_.fault, "serve.drain") ? common::Attempt::kRetry
+                                                           : common::Attempt::kDone;
+  });
   stop();
 }
 
@@ -417,33 +375,14 @@ common::Status Client::send_raw(const std::string& bytes) {
   return common::Status::ok();
 }
 
-common::Result<std::string> Client::read_line() {
-  using R = common::Result<std::string>;
-  if (fd_ < 0) return R::error("not connected");
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
-    char buf[4096];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n == 0) return R::error("connection closed");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return R::error(std::string("recv: ") + std::strerror(errno));
-    }
-    buffer_.append(buf, static_cast<std::size_t>(n));
-  }
-}
+common::Result<std::string> Client::read_line() { return read_line_for(kNoDeadline); }
 
 common::Result<std::string> Client::read_line_for(std::uint64_t timeout_ms) {
   using R = common::Result<std::string>;
   if (fd_ < 0) return R::error("not connected");
+  const bool bounded = timeout_ms != kNoDeadline;
   const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(bounded ? timeout_ms : 0);
   for (;;) {
     const std::size_t newline = buffer_.find('\n');
     if (newline != std::string::npos) {
@@ -452,12 +391,16 @@ common::Result<std::string> Client::read_line_for(std::uint64_t timeout_ms) {
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return R::error("timeout");
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now).count();
+    int wait_ms = -1;  // poll's "no timeout"
+    if (bounded) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline) return R::error("timeout");
+      const auto left =
+          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now).count();
+      wait_ms = static_cast<int>(std::max<long long>(1, left));
+    }
     pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, static_cast<int>(std::max<long long>(1, left)));
+    const int ready = ::poll(&pfd, 1, wait_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;
       return R::error(std::string("poll: ") + std::strerror(errno));

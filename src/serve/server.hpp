@@ -31,20 +31,21 @@
 //
 // Fault injection: the sites "serve.accept", "serve.read" and
 // "serve.write" (kIoError) model a flaky front end; "serve.drain" models
-// the final store-flush barrier of a graceful drain. Every site is wrapped
-// in the store's bounded retry-with-backoff discipline, so a transient
-// schedule (max_consecutive < io_retries) is absorbed invisibly — sessions
-// complete bit-identically. A persistent fault degrades cleanly, never
-// fatally: accept never admits the connection (clients see a hang, the
-// server keeps serving others and shuts down cleanly), a dead read drops
-// the rest of the connection's input after in-flight sessions finish, and
-// a dead write drops that connection's remaining replies while sessions
-// still complete server-side.
+// the final store-flush barrier of a graceful drain. Every site runs under
+// common::retry (common/retry.hpp), the store's discipline: up to
+// common::kRetryAttempts attempts, so a transient schedule (max_consecutive
+// below the budget) is absorbed invisibly — sessions complete
+// bit-identically. An accept or recv error other than EINTR stops at once.
+// A persistent fault degrades cleanly, never fatally: accept never admits
+// the connection (clients see a hang, the server keeps serving others and
+// shuts down cleanly), a dead read drops the rest of the connection's input
+// after in-flight sessions finish, and a dead write drops that connection's
+// remaining replies while sessions still complete server-side. Injected
+// fault counts are the injector's: the stats op's fault.<site>= fields.
 //
-// Retry backoff is exponential in the attempt number with a seeded
-// deterministic jitter (common::Rng) and a hard cap, so a persistent-fault
-// retry storm neither synchronizes across connections nor grows unbounded,
-// and a given seed reproduces the exact sleep schedule.
+// One common::Backoff serves the accept thread and every connection
+// thread. Its jitter seed is 0x9E3779B97F4A7C15 ^ engine.node_id, so
+// cluster nodes decorrelate and one seed reproduces the sleep schedule.
 //
 // Graceful drain: the "drain" protocol op or request_drain() (what a
 // daemon's SIGTERM handler calls) makes the engine shed all new sessions
@@ -67,7 +68,7 @@
 
 #include "common/error.hpp"
 #include "common/fault_injector.hpp"
-#include "common/rng.hpp"
+#include "common/retry.hpp"
 #include "serve/transport.hpp"
 #include "serve/warpd.hpp"
 
@@ -78,17 +79,6 @@ struct SocketServerOptions {
   /// transport.hpp. Unix sockets are unlinked and rebound by start().
   std::string path;
   WarpdOptions engine;
-  /// Attempts per accept/read/write step under fault injection; must exceed
-  /// the FaultConfig max_consecutive cap for transient schedules to
-  /// converge (mirrors DiskStoreOptions::io_retries).
-  int io_retries = 4;
-  /// Base backoff sleep; attempt k sleeps in [b, 2b] for b =
-  /// min(retry_backoff_us << k, retry_backoff_cap_us) with seeded jitter.
-  unsigned retry_backoff_us = 50;
-  unsigned retry_backoff_cap_us = 20'000;
-  /// Seed for the jitter stream; a fixed seed reproduces the exact backoff
-  /// schedule (in call order), distinct seeds decorrelate servers.
-  std::uint64_t backoff_seed = 0x9E3779B97F4A7C15ull;
   std::size_t max_line_bytes = protocol::kMaxLineBytes;
   /// Injector for the serve.* sites (not owned; may be null). May be the
   /// same injector as engine.fault or a different one.
@@ -105,12 +95,8 @@ struct SocketServerStats {
   std::uint64_t replies = 0;         // reply/pong lines fully written
   std::uint64_t parse_errors = 0;    // lines answered with an err reply
   std::uint64_t oversized_lines = 0;
-  std::uint64_t accept_faults = 0;   // injected accept failures absorbed
-  std::uint64_t read_faults = 0;     // injected read failures absorbed
-  std::uint64_t write_faults = 0;    // injected write failures absorbed
   std::uint64_t read_failures = 0;   // read budget exhausted: input dropped
   std::uint64_t write_failures = 0;  // write budget exhausted: conn muted
-  std::uint64_t drain_faults = 0;    // injected drain-flush failures absorbed
 };
 
 class SocketServer {
@@ -166,8 +152,6 @@ class SocketServer {
   std::string stats_line();
   /// Serialize + write one line (appending '\n') with the retry discipline.
   bool write_line(Connection& conn, const std::string& line);
-  bool probe(const char* site);
-  void backoff(int attempt);
 
   SocketServerOptions options_;
   std::unique_ptr<Warpd> engine_;
@@ -178,8 +162,7 @@ class SocketServer {
   std::atomic<bool> drain_requested_{false};
   bool started_ = false;
   bool stopped_ = false;
-  std::mutex backoff_mutex_;  // guards backoff_rng_ only
-  common::Rng backoff_rng_;
+  common::Backoff backoff_;
 
   mutable std::mutex mutex_;  // guards stats_, connections_, threads_
   SocketServerStats stats_;
@@ -203,7 +186,10 @@ class Client {
   common::Status send_line(const std::string& line);
   /// Write raw bytes with no framing added (tests send partial lines).
   common::Status send_raw(const std::string& bytes);
+  /// A read_line_for timeout that never expires.
+  static constexpr std::uint64_t kNoDeadline = UINT64_MAX;
   /// Next '\n'-delimited line, newline stripped. Error on EOF/failure.
+  /// Same as read_line_for(kNoDeadline).
   common::Result<std::string> read_line();
   /// read_line with a deadline: error "timeout" if no full line arrives
   /// within `timeout_ms` (bytes already buffered are kept for a later try).

@@ -13,29 +13,14 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Admission-time checks that do not depend on engine state. Parsed requests
-// already satisfy these; in-process callers can construct Request directly,
-// so re-check here.
+// Admission-time checks that do not depend on engine state: the workload
+// lookup, then the protocol's range checks (parsed requests already passed
+// them; in-process callers can construct Request directly).
 std::string validate_request(const protocol::Request& request) {
   if (workloads::find_workload(request.workload) == nullptr) {
     return "unknown workload: " + request.workload;
   }
-  const protocol::RequestOverrides& o = request.overrides;
-  if (o.packed_width && *o.packed_width != 0 && *o.packed_width != 1 &&
-      *o.packed_width != 2 && *o.packed_width != 4) {
-    return "bad packed_width (want 0, 1, 2 or 4)";
-  }
-  if (o.max_candidates && (*o.max_candidates < 1 || *o.max_candidates > 64)) {
-    return "bad max_candidates (want 1..64)";
-  }
-  if (o.csd_max_terms && *o.csd_max_terms > 16) {
-    return "bad csd_max_terms (want 0..16)";
-  }
-  if (request.deadline_ms &&
-      (*request.deadline_ms == 0 || *request.deadline_ms > protocol::kMaxDeadlineMs)) {
-    return "bad deadline_ms (want 1..86400000)";
-  }
-  return {};
+  return protocol::check_ranges(request);
 }
 
 // Coalescing identity: everything that can change a session's result table
@@ -170,8 +155,7 @@ void Warpd::admit(const protocol::Request& request, std::string err,
   if (err.empty()) {
     if (draining_) {
       busy = admission_.drain_retry_ms();
-    } else if (options_.fault != nullptr && options_.admission.enabled() &&
-               options_.fault->probe("serve.admit", common::FaultKind::kIoError)) {
+    } else if (options_.admission.enabled() && common::injected(options_.fault, "serve.admit")) {
       // An injected admission-bookkeeping failure sheds the request exactly
       // like a full queue: deterministic busy, no session state touched.
       busy = admission_.retry_hint_ms();
@@ -285,7 +269,7 @@ void Warpd::worker_main() {
     admission_.started();
     // A caller-owned system never coalesces: its caller reads that very
     // system's outcome and memory afterwards.
-    if (options_.coalesce && !s.caller_owned) {
+    if (!s.caller_owned) {
       const std::string key = coalesce_key_of(s.request);
       auto leader = inflight_leaders_.find(key);
       if (leader != inflight_leaders_.end()) {

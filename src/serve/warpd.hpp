@@ -166,9 +166,6 @@ struct WarpdOptions {
   common::FaultInjector* fault = nullptr;
   /// Occupancy caps; disabled (unlimited) by default.
   AdmissionOptions admission;
-  /// Merge identical in-flight requests onto one pipeline run. Results are
-  /// bit-identical either way (gated by tests); off only for A/B benches.
-  bool coalesce = true;
   /// This engine's cluster node id, stamped on every outcome (and thus on
   /// every ok reply's node= field). 0 for a standalone server.
   std::uint32_t node_id = 0;

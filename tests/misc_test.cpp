@@ -75,6 +75,10 @@ TEST(Strings, ParseInt) {
   EXPECT_EQ(v, 255);
   EXPECT_FALSE(common::parse_int("12x", v));
   EXPECT_FALSE(common::parse_int("", v));
+  EXPECT_TRUE(common::parse_int("9223372036854775807", v));
+  EXPECT_EQ(v, 9223372036854775807LL);
+  EXPECT_FALSE(common::parse_int("9223372036854775808", v));  // overflow, not a wrap
+  EXPECT_FALSE(common::parse_int("0x10000000000000000", v));
 }
 
 TEST(Strings, SplitAndTrim) {

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,8 @@ TEST(WarpdProtocol, RejectsMalformedRequests) {
       "warp id=1 workload=brev max_candidates=0",
       "warp id=1 workload=brev max_candidates=65",
       "warp id=1 workload=brev csd_max_terms=17",
+      "warp id=99999999999999999999 workload=brev",
+      "warp id=1 workload=brev packed_width=99999999999999999999",
       "warp id=1 workload=brev bogus=1",
       "warp id=1 workload=brev noequals",
       "warp id=1 workload=brev =value",
@@ -88,6 +91,64 @@ TEST(WarpdProtocol, RejectsMalformedRequests) {
   for (const char* line : kBad) {
     EXPECT_FALSE(serve::protocol::parse_request(line)) << "accepted: '" << line << "'";
   }
+}
+
+// The request ranges are defined once: every out-of-range value is rejected
+// by the wire parser and by in-process admission (Warpd::submit, which
+// takes Request structs that never went through the parser) with the same
+// message, and both accept the range ends.
+TEST(WarpdProtocol, RangesRejectedAlikeByParserAndAdmission) {
+  struct Case {
+    const char* field;
+    std::uint64_t value;
+    bool in_range;
+  };
+  const Case kCases[] = {
+      {"packed_width", 0, true},         {"packed_width", 4, true},
+      {"packed_width", 3, false},        {"packed_width", 5, false},
+      {"packed_width", 8, false},        {"max_candidates", 1, true},
+      {"max_candidates", 64, true},      {"max_candidates", 0, false},
+      {"max_candidates", 65, false},     {"csd_max_terms", 0, true},
+      {"csd_max_terms", 16, true},       {"csd_max_terms", 17, false},
+      {"deadline_ms", 1, true},          {"deadline_ms", 86'400'000, true},
+      {"deadline_ms", 0, false},         {"deadline_ms", 86'400'001, false},
+  };
+  serve::WarpdOptions options;
+  options.base = experiments::default_options();
+  options.workers = 1;
+  serve::Warpd engine(options);
+  for (const Case& c : kCases) {
+    const std::string field = c.field;
+    const std::string line =
+        "warp id=1 workload=brev " + field + "=" + std::to_string(c.value);
+    const auto parsed = serve::protocol::parse_request(line);
+
+    Request request;
+    request.id = 1;
+    request.workload = "brev";
+    const auto narrow = static_cast<unsigned>(c.value);
+    if (field == "packed_width") request.overrides.packed_width = narrow;
+    if (field == "max_candidates") request.overrides.max_candidates = narrow;
+    if (field == "csd_max_terms") request.overrides.csd_max_terms = narrow;
+    if (field == "deadline_ms") request.deadline_ms = c.value;
+    const std::string check = serve::protocol::check_ranges(request);
+
+    if (c.in_range) {
+      EXPECT_TRUE(parsed) << line << ": " << parsed.message();
+      EXPECT_EQ(check, "") << line;
+      continue;
+    }
+    ASSERT_FALSE(parsed) << "accepted: '" << line << "'";
+    EXPECT_EQ(check, parsed.message()) << line;
+    // Out-of-range submits are rejected synchronously, on this thread.
+    std::optional<serve::SessionOutcome> outcome;
+    engine.submit(request, [&](const serve::SessionOutcome& out) { outcome = out; });
+    ASSERT_TRUE(outcome.has_value()) << line;
+    EXPECT_EQ(outcome->status, serve::protocol::ReplyStatus::kErr) << line;
+    EXPECT_EQ(outcome->error, parsed.message()) << line;
+  }
+  EXPECT_EQ(engine.stats().admitted, 0u);
+  engine.stop();
 }
 
 // The determinism gates compare result tables reconstructed from reply

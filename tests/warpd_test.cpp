@@ -334,10 +334,11 @@ TEST(Warpd, PersistentServeFaultFailsCleanly) {
   ASSERT_TRUE(client.connect(options.path));  // parked in the listen backlog
   ASSERT_TRUE(client.send_line("warp id=0 workload=brev"));
   // Wait until the accept loop has demonstrably faulted at least once.
-  for (int i = 0; i < 500 && server.stats().accept_faults == 0; ++i) {
+  auto accept_faults = [&] { return fault.stats().injected_by_site["serve.accept"]; };
+  for (int i = 0; i < 500 && accept_faults() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_GT(server.stats().accept_faults, 0u);
+  EXPECT_GT(accept_faults(), 0u);
   server.stop();
   EXPECT_EQ(server.stats().connections, 0u);
   EXPECT_EQ(server.engine().stats().admitted, 0u);
