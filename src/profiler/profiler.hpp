@@ -15,6 +15,7 @@
 // count and decay interval against an exact reference profile.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 #include <unordered_map>
@@ -60,8 +61,13 @@ class Profiler {
     bool valid = false;
   };
 
+  /// The full lookup: the matching entry, or null after evicting the
+  /// minimum-count entry for the newcomer. Either becomes the last hit.
+  Entry* scan(std::uint32_t pc, std::uint32_t target);
+
   ProfilerConfig config_;
   std::vector<Entry> entries_;
+  std::size_t last_hit_ = 0;  // entry of the previous update
   std::uint64_t updates_ = 0;
   std::uint64_t counter_max_ = 0;
 };

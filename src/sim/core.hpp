@@ -4,11 +4,12 @@
 // each instruction retires with its class latency (ALU 1, mul 3, div 32,
 // load/store 2, taken branch 3 / not-taken 1, jumps 3 — see
 // isa::latency_cycles). The core exposes:
-//   - a trace hook (the Xilinx Microprocessor Debug Engine substitute);
 //   - a branch hook feeding the non-intrusive on-chip profiler, which in
 //     hardware snoops the instruction-side LMB;
 //   - OPB device dispatch for data accesses at/above sim::kOpbBase;
 //   - separate active/idle cycle counters for the Figure 5 energy model.
+// Each fetched word is decoded once into a table indexed by PC; any write to
+// the instruction Memory drops the table (see src/sim/README.md).
 #pragma once
 
 #include <array>
@@ -44,15 +45,6 @@ struct CoreStats {
   }
 };
 
-/// One retired instruction, as seen by the trace hook.
-struct TraceEvent {
-  std::uint32_t pc = 0;
-  isa::Instr instr;
-  bool is_branch = false;
-  bool taken = false;
-  std::uint32_t target = 0;  // valid when taken
-};
-
 class Core {
  public:
   /// The core owns neither memory: the instruction BRAM is shared with the
@@ -78,12 +70,9 @@ class Core {
   Memory& data_mem() { return data_mem_; }
   Memory& instr_mem() { return instr_mem_; }
 
-  /// Hooks. The branch hook fires for every conditional branch and direct
-  /// jump (what an instruction-bus snooper can observe); the trace hook for
-  /// every retired instruction.
-  using TraceHook = std::function<void(const TraceEvent&)>;
+  /// The branch hook fires for every conditional branch and direct jump
+  /// (what an instruction-bus snooper can observe).
   using BranchHook = std::function<void(std::uint32_t pc, std::uint32_t target, bool taken)>;
-  void set_trace_hook(TraceHook hook) { trace_hook_ = std::move(hook); }
   void set_branch_hook(BranchHook hook) { branch_hook_ = std::move(hook); }
 
   void add_device(OpbDevice* device) { devices_.push_back(device); }
@@ -97,6 +86,21 @@ class Core {
   const std::string& error() const { return error_; }
 
  private:
+  /// One predecoded instruction word: the decoded fields plus everything a
+  /// step would otherwise ask isa.cpp for.
+  struct Decoded {
+    isa::Instr instr;
+    isa::InstrClass cls = isa::InstrClass::kAlu;  // kBranch: beq..bge
+    std::array<std::uint8_t, 2> cycles{};         // latency not taken / taken
+    bool branch_event = false;                    // seen by the branch hook
+    bool valid = false;                           // decoded since the table was dropped
+  };
+
+  /// Entry for pc_, decoding the word on first fetch. Null (with error_ set
+  /// and the core halted) on a bad PC, an invalid word or a word that needs
+  /// a unit this core lacks.
+  const Decoded* fetch();
+  const Decoded* decode_at_pc();
   std::uint32_t data_read(std::uint32_t addr, unsigned size);
   void data_write(std::uint32_t addr, std::uint32_t value, unsigned size);
   OpbDevice* find_device(std::uint32_t addr);
@@ -110,8 +114,9 @@ class Core {
   bool imm_valid_ = false;
   std::uint32_t imm_latch_ = 0;
   CoreStats stats_;
-  TraceHook trace_hook_;
   BranchHook branch_hook_;
+  std::vector<Decoded> decoded_;  // by pc / 4, up to the highest fetched word
+  std::uint64_t decoded_generation_ = 0;  // instr_mem_.generation() it matches
   std::vector<OpbDevice*> devices_;
   OpbDevice* last_device_ = nullptr;  // hot loops hit the same device repeatedly
   std::string error_;

@@ -6,10 +6,14 @@
 // DPM reads (and patches) the binary, and the second port of the data BRAM
 // is how the WCLA's data-address generator streams array data (Figure 3).
 // We model a BRAM as a flat byte array; "second port" users simply share the
-// Memory object.
+// Memory object. Every write bumps a generation counter, so a cached view of
+// the contents (the core's decode table) can tell when it is stale, whichever
+// port wrote.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,6 +25,10 @@ class Memory {
   explicit Memory(std::size_t size_bytes) : bytes_(size_bytes, 0) {}
 
   std::size_t size() const { return bytes_.size(); }
+
+  /// Count of writes so far (write8/16/32, load_words): while it stays the
+  /// same, so do the contents.
+  std::uint64_t generation() const { return generation_; }
 
   std::uint8_t read8(std::uint32_t addr) const {
     check(addr, 1);
@@ -41,15 +49,18 @@ class Memory {
 
   void write8(std::uint32_t addr, std::uint8_t value) {
     check(addr, 1);
+    ++generation_;
     bytes_[addr] = value;
   }
   void write16(std::uint32_t addr, std::uint16_t value) {
     check(addr, 2);
+    ++generation_;
     bytes_[addr] = static_cast<std::uint8_t>(value);
     bytes_[addr + 1] = static_cast<std::uint8_t>(value >> 8);
   }
   void write32(std::uint32_t addr, std::uint32_t value) {
     check(addr, 4);
+    ++generation_;
     bytes_[addr] = static_cast<std::uint8_t>(value);
     bytes_[addr + 1] = static_cast<std::uint8_t>(value >> 8);
     bytes_[addr + 2] = static_cast<std::uint8_t>(value >> 16);
@@ -85,14 +96,17 @@ class Memory {
   }
 
  private:
+  // In std::size_t: a 32-bit addr + size wraps for addresses near 4 GiB.
   void check(std::uint32_t addr, unsigned size) const {
-    if (addr + size > bytes_.size()) {
-      throw common::InternalError("BRAM access out of range: addr=" + std::to_string(addr) +
-                                  " size=" + std::to_string(bytes_.size()));
-    }
+    if (std::size_t{addr} + size > bytes_.size()) out_of_range(addr);
+  }
+  [[noreturn, gnu::cold, gnu::noinline]] void out_of_range(std::uint32_t addr) const {
+    throw common::InternalError("BRAM access out of range: addr=" + std::to_string(addr) +
+                                " size=" + std::to_string(bytes_.size()));
   }
 
   std::vector<std::uint8_t> bytes_;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace warp::sim
