@@ -1,23 +1,21 @@
-// PnR microbenchmark: place+route wall clock of the lean on-chip CAD stage,
-// pre-incremental baseline vs. the incremental engines, on the six paper
-// kernels' mapped netlists (the exact PnR inputs the DPM sees).
+// PnR microbenchmark: place and route wall clock of the lean on-chip CAD
+// stage on every kernel's mapped netlist (the exact PnR input the DPM sees).
 //
 //   - placement: exact-rescan annealer (recompute affected nets' HPWL from
 //     endpoints per move) vs. maintained per-net bounding boxes with O(1)
 //     deltas. Same seed must give bit-identical placements in both modes.
-//   - routing: full rip-up-and-reroute-everything negotiated congestion vs.
-//     selective rip-up with persistent trees and history. Routes are
-//     bit-identical whenever routing converges in one iteration; kernels
-//     that need congestion iterations may converge to a different legal
-//     route (the JSON records both critical paths).
+//   - routing: the selective rip-up router on the incremental placement,
+//     with its congestion iterations, rerouted nets and metered A*
+//     expansions (the DPM time model charges per expansion).
 //
-// Emits BENCH_pnr.json in the working directory so the performance
-// trajectory is tracked in-repo. Exits nonzero if the two placers disagree
-// or any engine fails — speed ratios are reported, not gated (machine-
-// dependent).
+// Timings are per-call medians. Emits BENCH_pnr.json in the working
+// directory so the performance trajectory is tracked in-repo. Exits nonzero
+// if the two placers disagree or any engine fails — timings are reported,
+// not gated (machine-dependent).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -34,37 +32,37 @@ struct KernelResult {
   std::string name;
   std::size_t luts = 0;
   std::size_t nets = 0;
-  double place_legacy_ms = 0.0;
-  double place_incremental_ms = 0.0;
-  double route_legacy_ms = 0.0;
-  double route_selective_ms = 0.0;
+  double place_rescan_ms = 0.0;
+  double place_ms = 0.0;
   double place_speedup = 0.0;
-  double route_speedup = 0.0;
-  double total_speedup = 0.0;
   bool placement_identical = false;
-  bool routes_identical = false;
-  unsigned route_iterations = 0;
-  std::uint64_t nets_rerouted = 0;
   std::uint64_t delta_evaluations = 0;
   std::uint64_t bbox_rescans = 0;
-  std::uint64_t expansions_legacy = 0;
-  std::uint64_t expansions_selective = 0;
-  double critical_path_legacy_ns = 0.0;
-  double critical_path_selective_ns = 0.0;
+  double route_ms = 0.0;
+  unsigned route_iterations = 0;
+  std::uint64_t nets_rerouted = 0;
+  std::uint64_t expansions = 0;
+  double critical_path_ns = 0.0;
+  std::string content_hash;
 };
 
+// Median of at least 5 repetitions spanning at least `min_seconds`: one
+// slow repetition on a shared host does not move it.
 template <typename F>
 double time_ms(F&& run, double min_seconds = 0.25) {
   run();  // warm-up
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t reps = 0;
-  double elapsed = 0.0;
-  do {
+  std::vector<double> reps_ms;
+  double elapsed_ms = 0.0;
+  while (reps_ms.size() < 5 || elapsed_ms < min_seconds * 1e3) {
+    const auto start = std::chrono::steady_clock::now();
     run();
-    ++reps;
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  } while (elapsed < min_seconds);
-  return elapsed * 1e3 / static_cast<double>(reps);
+    reps_ms.push_back(
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count());
+    elapsed_ms += reps_ms.back();
+  }
+  std::sort(reps_ms.begin(), reps_ms.end());
+  return reps_ms[reps_ms.size() / 2];
 }
 
 bool same_placement(const pnr::PlaceResult& a, const pnr::PlaceResult& b) {
@@ -78,114 +76,80 @@ bool same_placement(const pnr::PlaceResult& a, const pnr::PlaceResult& b) {
   return true;
 }
 
-bool same_routes(const pnr::RouteResult& a, const pnr::RouteResult& b) {
-  if (a.routes.size() != b.routes.size()) return false;
-  for (std::size_t n = 0; n < a.routes.size(); ++n) {
-    if (a.routes[n].sinks.size() != b.routes[n].sinks.size()) return false;
-    for (std::size_t s = 0; s < a.routes[n].sinks.size(); ++s) {
-      if (a.routes[n].sinks[s].path != b.routes[n].sinks[s].path) return false;
-    }
-  }
-  return true;
-}
-
-KernelResult bench_kernel(const std::string& name) {
+KernelResult bench_kernel(const workloads::Workload& workload) {
   KernelResult out;
-  out.name = name;
+  out.name = workload.name;
 
-  const auto& workload = workloads::workload_by_name(name);
   const auto options = experiments::default_options();
   auto netlist = experiments::partition_netlist(workload, options);
   if (!netlist) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), netlist.message().c_str());
+    std::fprintf(stderr, "%s: %s\n", out.name.c_str(), netlist.message().c_str());
     std::exit(1);
   }
   const fabric::FabricGeometry geometry;  // the DPM's default fabric
   out.luts = netlist.value().luts.size();
 
-  pnr::PlaceOptions place_legacy;
-  place_legacy.incremental = false;
-  pnr::PlaceOptions place_incremental;  // defaults
-  pnr::RouteOptions route_legacy;
-  route_legacy.selective_ripup = false;
-  pnr::RouteOptions route_selective;  // defaults
+  pnr::PlaceOptions place_rescan;
+  place_rescan.incremental = false;
+  const pnr::PnrOptions pnr_options;  // defaults, as the DPM runs them
 
   // Correctness gates before timing.
-  auto placed_legacy = pnr::place(netlist.value(), geometry, place_legacy);
-  auto placed_incremental = pnr::place(netlist.value(), geometry, place_incremental);
-  if (!placed_legacy || !placed_incremental) {
-    std::fprintf(stderr, "%s: place failed\n", name.c_str());
+  auto placed_rescan = pnr::place(netlist.value(), geometry, place_rescan);
+  auto placed_and_routed = pnr::place_and_route(netlist.value(), geometry, pnr_options);
+  if (!placed_rescan || !placed_and_routed) {
+    std::fprintf(stderr, "%s: place and route failed\n", out.name.c_str());
     std::exit(1);
   }
-  out.placement_identical =
-      same_placement(placed_legacy.value(), placed_incremental.value());
-  out.delta_evaluations = placed_incremental.value().delta_evaluations;
-  out.bbox_rescans = placed_incremental.value().bbox_rescans;
+  const pnr::PlaceResult& placed = placed_and_routed.value().place;
+  const pnr::RouteResult& routed = placed_and_routed.value().route;
+  out.placement_identical = same_placement(placed_rescan.value(), placed);
+  out.delta_evaluations = placed.delta_evaluations;
+  out.bbox_rescans = placed.bbox_rescans;
+  out.route_iterations = routed.iterations;
+  out.nets_rerouted = routed.nets_rerouted;
+  out.expansions = routed.expansions;
+  out.critical_path_ns = routed.critical_path_ns;
+  out.nets = routed.routes.size();
+  out.content_hash = pnr::content_hash(placed_and_routed.value()).to_string();
 
-  auto routed_legacy =
-      pnr::route(netlist.value(), geometry, placed_incremental.value(), route_legacy);
-  auto routed_selective =
-      pnr::route(netlist.value(), geometry, placed_incremental.value(), route_selective);
-  if (!routed_legacy || !routed_selective) {
-    std::fprintf(stderr, "%s: route failed\n", name.c_str());
-    std::exit(1);
-  }
-  out.routes_identical = same_routes(routed_legacy.value(), routed_selective.value());
-  out.route_iterations = routed_selective.value().iterations;
-  out.nets_rerouted = routed_selective.value().nets_rerouted;
-  out.expansions_legacy = routed_legacy.value().expansions;
-  out.expansions_selective = routed_selective.value().expansions;
-  out.critical_path_legacy_ns = routed_legacy.value().critical_path_ns;
-  out.critical_path_selective_ns = routed_selective.value().critical_path_ns;
-  out.nets = routed_selective.value().routes.size();
-
-  out.place_legacy_ms =
-      time_ms([&] { (void)pnr::place(netlist.value(), geometry, place_legacy); });
-  out.place_incremental_ms =
-      time_ms([&] { (void)pnr::place(netlist.value(), geometry, place_incremental); });
-  out.route_legacy_ms = time_ms(
-      [&] { (void)pnr::route(netlist.value(), geometry, placed_incremental.value(),
-                             route_legacy); });
-  out.route_selective_ms = time_ms(
-      [&] { (void)pnr::route(netlist.value(), geometry, placed_incremental.value(),
-                             route_selective); });
-
-  out.place_speedup = out.place_legacy_ms / out.place_incremental_ms;
-  out.route_speedup = out.route_legacy_ms / out.route_selective_ms;
-  out.total_speedup = (out.place_legacy_ms + out.route_legacy_ms) /
-                      (out.place_incremental_ms + out.route_selective_ms);
+  out.place_rescan_ms =
+      time_ms([&] { (void)pnr::place(netlist.value(), geometry, place_rescan); });
+  out.place_ms =
+      time_ms([&] { (void)pnr::place(netlist.value(), geometry, pnr_options.place); });
+  out.route_ms =
+      time_ms([&] { (void)pnr::route(netlist.value(), geometry, placed, pnr_options.route); });
+  out.place_speedup = out.place_rescan_ms / out.place_ms;
   return out;
 }
 
 }  // namespace
 
 int main() {
-  const std::vector<std::string> kernels = {"brev", "g3fax", "canrdr",
-                                            "bitmnp", "idct", "matmul"};
   std::vector<KernelResult> results;
-  for (const auto& name : kernels) results.push_back(bench_kernel(name));
-
-  std::printf("pnr microbenchmark: exact-rescan + full rip-up vs incremental + selective\n");
-  std::printf("%-8s %5s %5s %10s %10s %10s %10s %7s %7s %7s %s\n", "kernel", "luts", "nets",
-              "placeL ms", "placeI ms", "routeL ms", "routeS ms", "placeX", "routeX",
-              "totalX", "identical(place,route)");
-  bool all_place_identical = true;
-  double worst_total = 1e30;
-  double sum_legacy_ms = 0.0, sum_new_ms = 0.0;
-  for (const auto& r : results) {
-    std::printf("%-8s %5zu %5zu %10.3f %10.3f %10.3f %10.3f %6.2fx %6.2fx %6.2fx %s,%s\n",
-                r.name.c_str(), r.luts, r.nets, r.place_legacy_ms, r.place_incremental_ms,
-                r.route_legacy_ms, r.route_selective_ms, r.place_speedup, r.route_speedup,
-                r.total_speedup, r.placement_identical ? "yes" : "NO",
-                r.routes_identical ? "yes" : "no");
-    all_place_identical = all_place_identical && r.placement_identical;
-    worst_total = std::min(worst_total, r.total_speedup);
-    sum_legacy_ms += r.place_legacy_ms + r.route_legacy_ms;
-    sum_new_ms += r.place_incremental_ms + r.route_selective_ms;
+  for (const auto& workload : workloads::extended_workloads()) {
+    results.push_back(bench_kernel(workload));
   }
-  const double aggregate_speedup = sum_legacy_ms / sum_new_ms;
-  std::printf("six-kernel total: %.1f ms -> %.1f ms (%.2fx); worst single kernel %.2fx\n",
-              sum_legacy_ms, sum_new_ms, aggregate_speedup, worst_total);
+
+  std::printf("pnr microbenchmark: exact-rescan vs incremental placer, selective router\n");
+  std::printf("%-8s %5s %5s %10s %10s %7s %10s %5s %8s %10s %s\n", "kernel", "luts", "nets",
+              "placeR ms", "placeI ms", "placeX", "route ms", "iters", "rerouted",
+              "expansions", "placement identical");
+  bool all_place_identical = true;
+  double sum_rescan_ms = 0.0, sum_place_ms = 0.0, sum_route_ms = 0.0;
+  for (const auto& r : results) {
+    std::printf("%-8s %5zu %5zu %10.3f %10.3f %6.2fx %10.3f %5u %8llu %10llu %s\n",
+                r.name.c_str(), r.luts, r.nets, r.place_rescan_ms, r.place_ms,
+                r.place_speedup, r.route_ms, r.route_iterations,
+                static_cast<unsigned long long>(r.nets_rerouted),
+                static_cast<unsigned long long>(r.expansions),
+                r.placement_identical ? "yes" : "NO");
+    all_place_identical = all_place_identical && r.placement_identical;
+    sum_rescan_ms += r.place_rescan_ms;
+    sum_place_ms += r.place_ms;
+    sum_route_ms += r.route_ms;
+  }
+  std::printf("%zu-kernel total: place %.1f ms (exact rescan %.1f ms), route %.1f ms\n",
+              results.size(), sum_place_ms, sum_rescan_ms, sum_route_ms);
 
   FILE* json = std::fopen("BENCH_pnr.json", "w");
   if (!json) {
@@ -194,33 +158,26 @@ int main() {
   }
   std::fprintf(json,
                "{\n  \"bench\": \"pnr\",\n"
-               "  \"total_legacy_ms\": %.4f,\n  \"total_new_ms\": %.4f,\n"
-               "  \"total_speedup\": %.2f,\n  \"kernels\": [\n",
-               sum_legacy_ms, sum_new_ms, aggregate_speedup);
+               "  \"total_place_rescan_ms\": %.4f,\n  \"total_place_ms\": %.4f,\n"
+               "  \"total_route_ms\": %.4f,\n  \"kernels\": [\n",
+               sum_rescan_ms, sum_place_ms, sum_route_ms);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     std::fprintf(
         json,
         "    {\"name\": \"%s\", \"luts\": %zu, \"nets\": %zu,\n"
-        "     \"place_legacy_ms\": %.4f, \"place_incremental_ms\": %.4f,\n"
-        "     \"route_legacy_ms\": %.4f, \"route_selective_ms\": %.4f,\n"
-        "     \"place_speedup\": %.2f, \"route_speedup\": %.2f, \"total_speedup\": %.2f,\n"
-        "     \"placement_identical\": %s, \"routes_identical\": %s,\n"
-        "     \"route_iterations\": %u, \"nets_rerouted\": %llu,\n"
-        "     \"delta_evaluations\": %llu, \"bbox_rescans\": %llu,\n"
-        "     \"expansions_legacy\": %llu, \"expansions_selective\": %llu,\n"
-        "     \"critical_path_legacy_ns\": %.3f, \"critical_path_selective_ns\": %.3f}%s\n",
-        r.name.c_str(), r.luts, r.nets, r.place_legacy_ms, r.place_incremental_ms,
-        r.route_legacy_ms, r.route_selective_ms, r.place_speedup, r.route_speedup,
-        r.total_speedup, r.placement_identical ? "true" : "false",
-        r.routes_identical ? "true" : "false", r.route_iterations,
-        static_cast<unsigned long long>(r.nets_rerouted),
+        "     \"place_rescan_ms\": %.4f, \"place_ms\": %.4f, \"place_speedup\": %.2f,\n"
+        "     \"placement_identical\": %s, \"delta_evaluations\": %llu, \"bbox_rescans\": %llu,\n"
+        "     \"route_ms\": %.4f, \"route_iterations\": %u, \"nets_rerouted\": %llu,\n"
+        "     \"expansions\": %llu, \"critical_path_ns\": %.3f,\n"
+        "     \"content_hash\": \"%s\"}%s\n",
+        r.name.c_str(), r.luts, r.nets, r.place_rescan_ms, r.place_ms, r.place_speedup,
+        r.placement_identical ? "true" : "false",
         static_cast<unsigned long long>(r.delta_evaluations),
-        static_cast<unsigned long long>(r.bbox_rescans),
-        static_cast<unsigned long long>(r.expansions_legacy),
-        static_cast<unsigned long long>(r.expansions_selective),
-        r.critical_path_legacy_ns, r.critical_path_selective_ns,
-        i + 1 < results.size() ? "," : "");
+        static_cast<unsigned long long>(r.bbox_rescans), r.route_ms, r.route_iterations,
+        static_cast<unsigned long long>(r.nets_rerouted),
+        static_cast<unsigned long long>(r.expansions), r.critical_path_ns,
+        r.content_hash.c_str(), i + 1 < results.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -112,7 +112,6 @@ Pipeline::Pipeline(const warpsys::DpmOptions& options, ArtifactCache* cache,
     h.boolean(p.incremental).boolean(p.verify_incremental);
     const pnr::RouteOptions& r = options_.pnr.route;
     h.u32(r.max_iterations).f64(r.present_factor).f64(r.history_factor);
-    h.boolean(r.selective_ripup);
     const fabric::FabricGeometry& g = options_.fabric;
     h.u32(g.width).u32(g.height).u32(g.luts_per_clb).u32(g.channel_capacity);
     h.f64(g.lut_delay_ns).f64(g.wire_hop_delay_ns).f64(g.io_delay_ns).f64(g.max_clock_mhz);

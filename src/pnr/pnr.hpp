@@ -14,8 +14,10 @@
 //     cells get present- and history-cost penalties. Rip-up is selective:
 //     routed trees and the history-cost grid persist across iterations, and
 //     only sinks whose paths cross an overused cell are ripped up — their
-//     re-expansion is seeded from the net's surviving tree. The full
-//     rip-up-everything baseline is kept behind an option;
+//     re-expansion is seeded from the net's surviving tree. Each search's
+//     open list is a tie-aware level queue (level_queue.hpp) that pops in
+//     exactly the order of a binary heap, so the metered expansions are
+//     fixed by the algorithm, not by the host data structure;
 //   - timing: arrival-time propagation over the placed-and-routed netlist
 //     giving the fabric critical path (which derates the WCLA clock).
 //
@@ -68,11 +70,6 @@ struct RouteOptions {
   unsigned max_iterations = 16;
   double present_factor = 0.6;   // growth of present-congestion penalty
   double history_factor = 0.25;  // accumulation of history cost
-  // Selective rip-up (default): per-net routed trees persist across
-  // congestion iterations and only sinks whose paths cross overused cells
-  // are ripped up and rerouted. false selects the baseline that rips up and
-  // reroutes every net each iteration.
-  bool selective_ripup = true;
 };
 
 struct RouteResult {

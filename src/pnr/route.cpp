@@ -1,8 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <queue>
 
+#include "pnr/level_queue.hpp"
 #include "pnr/pnr.hpp"
 
 #include "common/strings.hpp"
@@ -18,18 +18,18 @@ using techmap::NetRef;
 
 // Routing-resource grid: cells (x, y) with x in [-1, width] (the two IO
 // columns) and y in [0, height). Congestion is tracked per cell: each cell's
-// switch matrix passes at most `capacity` nets.
+// switch matrix passes at most `capacity` nets. Held by value, so a search
+// can keep a local copy that its int stores cannot alias.
 struct Grid {
-  const FabricGeometry& g;
-  explicit Grid(const FabricGeometry& geometry) : g(geometry) {}
+  int width;  // CLB columns, excluding the two IO columns
+  int rows;
+  explicit Grid(const FabricGeometry& geometry)
+      : width(static_cast<int>(geometry.width)), rows(static_cast<int>(geometry.height)) {}
 
-  int cols() const { return static_cast<int>(g.width) + 2; }
-  int rows() const { return static_cast<int>(g.height); }
-  int id(int x, int y) const { return (x + 1) * rows() + y; }
-  int size() const { return cols() * rows(); }
-  bool valid(int x, int y) const {
-    return x >= -1 && x <= static_cast<int>(g.width) && y >= 0 && y < rows();
-  }
+  int cols() const { return width + 2; }
+  int id(int x, int y) const { return (x + 1) * rows + y; }
+  int size() const { return cols() * rows; }
+  bool valid(int x, int y) const { return x >= -1 && x <= width && y >= 0 && y < rows; }
 };
 
 struct NetToRoute {
@@ -151,130 +151,6 @@ double compute_timing(const LutNetlist& netlist, const FabricGeometry& geometry,
 }
 
 // ---------------------------------------------------------------------------
-// Baseline router: rip up and reroute *every* net each congestion iteration
-// (the pre-incremental algorithm, kept as the bench/regression reference).
-// ---------------------------------------------------------------------------
-void route_full_ripup(const Grid& grid, const FabricGeometry& geometry,
-                      const RouteOptions& options, std::vector<NetToRoute>& nets,
-                      std::vector<std::vector<std::vector<std::pair<int, int>>>>& paths,
-                      RouteResult& result) {
-  std::vector<double> history(static_cast<std::size_t>(grid.size()), 0.0);
-  std::vector<int> usage(static_cast<std::size_t>(grid.size()), 0);
-
-  const int dx[4] = {1, -1, 0, 0};
-  const int dy[4] = {0, 0, 1, -1};
-
-  for (unsigned iter = 1; iter <= options.max_iterations; ++iter) {
-    result.iterations = iter;
-    std::fill(usage.begin(), usage.end(), 0);
-    const double present_weight = options.present_factor * static_cast<double>(iter);
-    result.nets_rerouted_per_iter.push_back(static_cast<unsigned>(nets.size()));
-    if (iter > 1) result.nets_rerouted += nets.size();
-
-    for (std::size_t ni_net = 0; ni_net < nets.size(); ++ni_net) {
-      auto& net = nets[ni_net];
-      auto& net_paths = paths[ni_net];
-      net_paths.assign(net.sinks.size(), {});
-      // Route to each sink with A*, reusing the growing tree (cells of the
-      // net cost nothing to re-enter).
-      std::map<int, unsigned> tree_hops;  // cell id -> hops from driver
-      tree_hops[grid.id(net.source.first, net.source.second)] = 0;
-
-      for (std::size_t si = 0; si < net.sinks.size(); ++si) {
-        auto& sink = net.sinks[si];
-        const int goal = grid.id(sink.cell.first, sink.cell.second);
-        // A* from the whole tree.
-        std::vector<double> best_cost(static_cast<std::size_t>(grid.size()), 1e30);
-        std::vector<int> parent(static_cast<std::size_t>(grid.size()), -2);
-        using QE = std::pair<double, int>;  // (cost + heuristic, cell)
-        std::priority_queue<QE, std::vector<QE>, std::greater<>> queue;
-        auto heuristic = [&](int cell) {
-          const int x = cell / grid.rows() - 1;
-          const int y = cell % grid.rows();
-          return static_cast<double>(std::abs(x - sink.cell.first) +
-                                     std::abs(y - sink.cell.second));
-        };
-        for (const auto& [cell, hops] : tree_hops) {
-          best_cost[static_cast<std::size_t>(cell)] = 0.0;
-          parent[static_cast<std::size_t>(cell)] = -1;
-          queue.emplace(heuristic(cell), cell);
-        }
-        int found = -1;
-        while (!queue.empty()) {
-          const auto [prio, cell] = queue.top();
-          queue.pop();
-          const double cost = prio - heuristic(cell);
-          if (cost > best_cost[static_cast<std::size_t>(cell)] + 1e-9) continue;
-          ++result.expansions;
-          if (cell == goal) {
-            found = cell;
-            break;
-          }
-          const int x = cell / grid.rows() - 1;
-          const int y = cell % grid.rows();
-          for (int d = 0; d < 4; ++d) {
-            const int nx = x + dx[d];
-            const int ny = y + dy[d];
-            if (!grid.valid(nx, ny)) continue;
-            const int next = grid.id(nx, ny);
-            const std::size_t ni = static_cast<std::size_t>(next);
-            // IO register-bank columns are dedicated buses: no congestion.
-            const bool io_column = (nx < 0 || nx >= static_cast<int>(geometry.width));
-            const double over =
-                io_column ? 0.0
-                          : std::max(0, usage[ni] + 1 -
-                                            static_cast<int>(geometry.channel_capacity));
-            const double step = 1.0 + present_weight * over + history[ni];
-            const double ncost = cost + step;
-            if (ncost + 1e-9 < best_cost[ni]) {
-              best_cost[ni] = ncost;
-              parent[ni] = cell;
-              queue.emplace(ncost + heuristic(next), next);
-            }
-          }
-        }
-        if (found < 0) continue;  // unreachable; path stays empty
-        // Trace back to the tree.
-        std::vector<int> cells;
-        int cur = found;
-        while (parent[static_cast<std::size_t>(cur)] != -1) {
-          cells.push_back(cur);
-          cur = parent[static_cast<std::size_t>(cur)];
-        }
-        cells.push_back(cur);  // tree entry
-        std::reverse(cells.begin(), cells.end());
-        const unsigned entry_hops = tree_hops[cells.front()];
-        auto& path = net_paths[si];
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-          const int cell = cells[i];
-          if (!tree_hops.count(cell)) {
-            tree_hops[cell] = entry_hops + static_cast<unsigned>(i);
-            ++usage[static_cast<std::size_t>(cell)];
-          }
-          path.emplace_back(cell / grid.rows() - 1, cell % grid.rows());
-        }
-      }
-    }
-
-    // Legality check (IO register-bank columns are uncapacitated).
-    bool overused = false;
-    for (std::size_t i = 0; i < usage.size(); ++i) {
-      const int x = static_cast<int>(i) / grid.rows() - 1;
-      if (x < 0 || x >= static_cast<int>(geometry.width)) continue;
-      const int over = usage[i] - static_cast<int>(geometry.channel_capacity);
-      if (over > 0) {
-        overused = true;
-        history[i] += options.history_factor * over;
-      }
-    }
-    if (!overused) {
-      result.success = true;
-      break;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Selective rip-up router. Routed trees, cell usage and the history-cost
 // grid persist across congestion iterations; only sinks whose paths cross an
 // overused cell (or whose tree entry was ripped out from under them) are
@@ -292,9 +168,14 @@ class SelectiveRouter {
     usage_.assign(cells, 0);
     history_.assign(cells, 0.0);
     overused_cell_.assign(cells, 0);
-    best_cost_.assign(cells, 0.0);
-    parent_.assign(cells, -2);
-    visit_epoch_.assign(cells, 0);
+    search_.assign(cells, SearchCell{});
+    cell_x_.resize(cells);
+    cell_y_.resize(cells);
+    for (std::size_t c = 0; c < cells; ++c) {
+      cell_x_[c] = static_cast<int>(c) / grid.rows - 1;
+      cell_y_[c] = static_cast<int>(c) % grid.rows;
+    }
+    queue_.reset(cells);
     tree_mark_.assign(cells, 0);
     tree_hop_at_.assign(cells, 0);
     tree_cells_.resize(nets.size());
@@ -333,7 +214,7 @@ class SelectiveRouter {
       // their history cost.
       bool overused = false;
       for (std::size_t i = 0; i < usage_.size(); ++i) {
-        const int x = static_cast<int>(i) / grid_.rows() - 1;
+        const int x = cell_x_[i];
         overused_cell_[i] = 0;
         if (x < 0 || x >= static_cast<int>(geometry_.width)) continue;
         const int over = usage_[i] - static_cast<int>(geometry_.channel_capacity);
@@ -434,87 +315,83 @@ class SelectiveRouter {
       tree_hop_at_[static_cast<std::size_t>(tree_cells_[n][i])] = tree_hops_[n][i];
     }
 
+    // Grid constants in locals: the search's int stores could otherwise
+    // alias them and force a reload per neighbour.
+    const Grid grid = grid_;
+    const int capacity = static_cast<int>(geometry_.channel_capacity);
     const int dx[4] = {1, -1, 0, 0};
     const int dy[4] = {0, 0, 1, -1};
+    const int id_offset[4] = {grid.rows, -grid.rows, 1, -1};  // id(x+dx, y+dy) - id(x, y)
 
     for (const std::size_t si : sink_indices) {
-      const auto& sink = net.sinks[si];
-      const int goal = grid_.id(sink.cell.first, sink.cell.second);
+      const int sink_x = net.sinks[si].cell.first;
+      const int sink_y = net.sinks[si].cell.second;
+      const int goal = grid.id(sink_x, sink_y);
       auto heuristic = [&](int cell) {
-        const int x = cell / grid_.rows() - 1;
-        const int y = cell % grid_.rows();
-        return static_cast<double>(std::abs(x - sink.cell.first) +
-                                   std::abs(y - sink.cell.second));
-      };
-      ++astar_epoch_;
-      using QE = std::pair<double, int>;  // (cost + heuristic, cell)
-      std::priority_queue<QE, std::vector<QE>, std::greater<>> queue;
-      auto relax = [&](int cell, double cost, int par) {
         const std::size_t ci = static_cast<std::size_t>(cell);
-        if (visit_epoch_[ci] == astar_epoch_ && cost + 1e-9 >= best_cost_[ci]) return false;
-        visit_epoch_[ci] = astar_epoch_;
-        best_cost_[ci] = cost;
-        parent_[ci] = par;
+        return static_cast<double>(std::abs(cell_x_[ci] - sink_x) +
+                                   std::abs(cell_y_[ci] - sink_y));
+      };
+      const int epoch = ++astar_epoch_;
+      queue_.clear();  // an earlier search stopped at its goal with entries left
+      auto relax = [&](int cell, double cost, int par) {
+        SearchCell& sc = search_[static_cast<std::size_t>(cell)];
+        if (sc.epoch == epoch && cost + 1e-9 >= sc.best_cost) return false;
+        sc = SearchCell{cost, par, epoch};
         return true;
       };
       for (const int cell : tree_cells_[n]) {
         relax(cell, 0.0, -1);
-        queue.emplace(heuristic(cell), cell);
+        queue_.push(heuristic(cell), cell);
       }
       int found = -1;
-      while (!queue.empty()) {
-        const auto [prio, cell] = queue.top();
-        queue.pop();
+      std::uint64_t expansions = 0;
+      while (!queue_.empty()) {
+        const auto [prio, cell] = queue_.pop();
         const double cost = prio - heuristic(cell);
-        if (cost > best_cost_[static_cast<std::size_t>(cell)] + 1e-9) continue;
-        ++result_.expansions;
+        if (cost > search_[static_cast<std::size_t>(cell)].best_cost + 1e-9) continue;
+        ++expansions;
         if (cell == goal) {
           found = cell;
           break;
         }
-        const int x = cell / grid_.rows() - 1;
-        const int y = cell % grid_.rows();
+        const int x = cell_x_[static_cast<std::size_t>(cell)];
+        const int y = cell_y_[static_cast<std::size_t>(cell)];
         for (int d = 0; d < 4; ++d) {
           const int nx = x + dx[d];
           const int ny = y + dy[d];
-          if (!grid_.valid(nx, ny)) continue;
-          const int next = grid_.id(nx, ny);
+          if (!grid.valid(nx, ny)) continue;
+          const int next = cell + id_offset[d];
           const std::size_t ni = static_cast<std::size_t>(next);
           // IO register-bank columns are dedicated buses: no congestion.
-          const bool io_column = (nx < 0 || nx >= static_cast<int>(geometry_.width));
-          const double over =
-              io_column ? 0.0
-                        : std::max(0, usage_[ni] + 1 -
-                                          static_cast<int>(geometry_.channel_capacity));
+          const bool io_column = (nx < 0 || nx >= grid.width);
+          const double over = io_column ? 0.0 : std::max(0, usage_[ni] + 1 - capacity);
           const double step = 1.0 + present_weight * over + history_[ni];
           if (relax(next, cost + step, cell)) {
-            queue.emplace(cost + step + heuristic(next), next);
+            queue_.push(cost + step + heuristic(next), next);
           }
         }
       }
+      result_.expansions += expansions;
       auto& path = paths_[n][si];
       path.clear();
       if (found < 0) continue;  // unreachable; path stays empty
-      std::vector<int> cells;
-      int cur = found;
-      while (parent_[static_cast<std::size_t>(cur)] != -1) {
-        cells.push_back(cur);
-        cur = parent_[static_cast<std::size_t>(cur)];
+      trace_.clear();
+      for (int cur = found; cur != -1; cur = search_[static_cast<std::size_t>(cur)].parent) {
+        trace_.push_back(cur);  // ends at the tree entry
       }
-      cells.push_back(cur);  // tree entry
-      std::reverse(cells.begin(), cells.end());
-      const unsigned entry_hops = tree_hop_at_[static_cast<std::size_t>(cells.front())];
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        const int cell = cells[i];
-        if (tree_mark_[static_cast<std::size_t>(cell)] != tree_epoch_) {
-          tree_mark_[static_cast<std::size_t>(cell)] = tree_epoch_;
-          tree_hop_at_[static_cast<std::size_t>(cell)] =
-              entry_hops + static_cast<unsigned>(i);
-          tree_cells_[n].push_back(cell);
+      std::reverse(trace_.begin(), trace_.end());
+      const unsigned entry_hops = tree_hop_at_[static_cast<std::size_t>(trace_.front())];
+      for (std::size_t i = 0; i < trace_.size(); ++i) {
+        const std::size_t cell = static_cast<std::size_t>(trace_[i]);
+        if (tree_mark_[cell] != tree_epoch_) {
+          tree_mark_[cell] = tree_epoch_;
+          tree_hop_at_[cell] = entry_hops + static_cast<unsigned>(i);
+          tree_cells_[n].push_back(trace_[i]);
           tree_hops_[n].push_back(entry_hops + static_cast<unsigned>(i));
-          ++usage_[static_cast<std::size_t>(cell)];
+          ++usage_[cell];
         }
-        path.emplace_back(cell / grid_.rows() - 1, cell % grid_.rows());
+        path.emplace_back(cell_x_[cell], cell_y_[cell]);
       }
     }
   }
@@ -533,11 +410,21 @@ class SelectiveRouter {
   // Persistent per-net routed trees (parallel cell/hop arrays).
   std::vector<std::vector<int>> tree_cells_;
   std::vector<std::vector<unsigned>> tree_hops_;
-  // Epoch-stamped scratch (no per-sink reallocation/refill).
-  std::vector<double> best_cost_;
-  std::vector<int> parent_;
-  std::vector<int> visit_epoch_;
+  // Per-cell grid coordinates (x from -1, the left IO column).
+  std::vector<int> cell_x_;
+  std::vector<int> cell_y_;
+  // A* scratch reused by every search: epoch-stamped per-cell state, the
+  // open list and the traceback (no per-sink allocation or refill).
+  struct SearchCell {
+    double best_cost = 0.0;
+    int parent = -2;
+    int epoch = 0;  // the search that last set best_cost and parent
+  };
+  std::vector<SearchCell> search_;
   int astar_epoch_ = 0;
+  LevelQueue queue_;
+  std::vector<int> trace_;  // a found path, goal back to its tree entry
+  // Epoch-stamped tree membership scratch.
   std::vector<int> tree_mark_;
   std::vector<unsigned> tree_hop_at_;
   int tree_epoch_ = 0;
@@ -557,12 +444,8 @@ common::Result<RouteResult> route(const LutNetlist& netlist, const FabricGeometr
   std::vector<std::vector<std::vector<std::pair<int, int>>>> paths(nets.size());
   for (std::size_t n = 0; n < nets.size(); ++n) paths[n].resize(nets[n].sinks.size());
 
-  if (options.selective_ripup) {
-    SelectiveRouter router(grid, geometry, options, nets, paths, result);
-    router.run();
-  } else {
-    route_full_ripup(grid, geometry, options, nets, paths, result);
-  }
+  SelectiveRouter router(grid, geometry, options, nets, paths, result);
+  router.run();
 
   // Convert to RoutedNet records (even on failure, for diagnostics).
   for (std::size_t n = 0; n < nets.size(); ++n) {

@@ -1,16 +1,26 @@
 // Incremental place & route tests: placement determinism, incremental-vs-
-// exact-rescan HPWL equivalence, and selective rip-up routing regressions.
+// exact-rescan HPWL equivalence, selective rip-up routing regressions, and
+// the pinned PnR output (placement, routes and every metered counter).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <map>
+#include <queue>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "experiments/harness.hpp"
 #include "fabric/wcla.hpp"
 #include "netlist_testutil.hpp"
+#include "pnr/level_queue.hpp"
 #include "pnr/pnr.hpp"
 #include "synth/netlist.hpp"
 #include "techmap/techmap.hpp"
+#include "workloads/workload.hpp"
 
 namespace warp {
 namespace {
@@ -174,38 +184,205 @@ TEST(Route, SelectiveRipupConvergesOnCongestedGrid) {
       }
     }
   }
+  EXPECT_EQ(pnr::content_hash(result.value()).to_string(), "af77d74847841978:9853b4d977fe845f");
 }
 
-// On an uncongested fabric both routers converge in one iteration and must
-// produce bit-identical routes and expansion counts (the DPM time model
-// charges per expansion).
-TEST(Route, SelectiveMatchesFullRipupWhenUncongested) {
+// On an uncongested fabric routing converges in one iteration. The pinned
+// hash covers the routes, the expansion count (the DPM time model charges
+// per expansion) and the critical path.
+TEST(Route, UncongestedRouteMatchesPinnedHash) {
   common::Rng rng(23);
   auto net = random_netlist(rng, 10, 100, 6);
   auto mapped = techmap::techmap(net);
   ASSERT_TRUE(mapped.is_ok());
-  const auto geometry = fabric::FabricGeometry::small();
-  auto placed = pnr::place(mapped.value(), geometry);
-  ASSERT_TRUE(placed.is_ok());
+  auto result = pnr::place_and_route(mapped.value(), fabric::FabricGeometry::small());
+  ASSERT_TRUE(result.is_ok()) << result.message();
+  ASSERT_EQ(result.value().route.iterations, 1u);
+  EXPECT_EQ(pnr::content_hash(result.value()).to_string(), "7526af4c690d2cb4:ba5fcf77cd6b9743");
+}
 
-  pnr::RouteOptions selective;
-  pnr::RouteOptions full;
-  full.selective_ripup = false;
-  auto a = pnr::route(mapped.value(), geometry, placed.value(), selective);
-  auto b = pnr::route(mapped.value(), geometry, placed.value(), full);
-  ASSERT_TRUE(a.is_ok()) << a.message();
-  ASSERT_TRUE(b.is_ok()) << b.message();
-  ASSERT_EQ(a.value().iterations, 1u);
-  EXPECT_EQ(a.value().expansions, b.value().expansions);
-  EXPECT_EQ(a.value().critical_path_ns, b.value().critical_path_ns);
-  ASSERT_EQ(a.value().routes.size(), b.value().routes.size());
-  for (std::size_t n = 0; n < a.value().routes.size(); ++n) {
-    const auto& ra = a.value().routes[n];
-    const auto& rb = b.value().routes[n];
-    ASSERT_EQ(ra.sinks.size(), rb.sinks.size());
-    for (std::size_t s = 0; s < ra.sinks.size(); ++s) {
-      EXPECT_EQ(ra.sinks[s].path, rb.sinks[s].path);
+// A grid with more routing cells than one 64-bit summary word over 64-bit
+// cell words can index (64 * 64 = 4096): the search queue must pop in the
+// same order there as on the default fabric.
+TEST(Route, LargeGridMatchesPinnedHash) {
+  common::Rng rng(5);
+  auto net = random_netlist(rng, 16, 300, 12);
+  auto mapped = techmap::techmap(net);
+  ASSERT_TRUE(mapped.is_ok());
+  fabric::FabricGeometry geometry;
+  geometry.width = 100;
+  geometry.height = 60;
+  geometry.channel_capacity = 8;
+  ASSERT_GT((geometry.width + 2) * geometry.height, 4096u);
+
+  pnr::PnrOptions options;
+  options.route.max_iterations = 32;
+  auto result = pnr::place_and_route(mapped.value(), geometry, options);
+  ASSERT_TRUE(result.is_ok()) << result.message();
+  EXPECT_EQ(result.value().route.iterations, 2u);
+  EXPECT_EQ(result.value().route.expansions, 11270u);
+  EXPECT_EQ(pnr::content_hash(result.value()).to_string(), "55613f45d5a2b323:5a423d146bc75d0e");
+}
+
+// The PnR output of every kernel at the harness options: the mapped netlist
+// the DPM sees, the default fabric and the default PnR options.
+TEST(Pnr, KernelsMatchPinnedContentHash) {
+  const std::map<std::string, std::string> pinned = {
+      {"brev", "6d1ea00bf9c9bf6a:15a9ec7f231f0e4d"},
+      {"g3fax", "2d5d8bff3edc03ef:31d2ba77f1189962"},
+      {"canrdr", "0ceeb9c00250059d:59acfbe7841abf1e"},
+      {"bitmnp", "69d3246fecf14ef2:a3c43f0d89bec196"},
+      {"idct", "0c9c047be54e1c55:7b3d7c35e5c433c9"},
+      {"matmul", "f353923547059a27:8b5980208997dddd"},
+      {"crc", "ef328ee3bf7ab28f:82f387c5e94700e5"},
+      {"fir", "ea006d585b1a76b4:eeffcc2a3cf81d51"},
+  };
+  const auto options = experiments::default_options();
+  ASSERT_EQ(workloads::extended_workloads().size(), pinned.size());
+  for (const auto& w : workloads::extended_workloads()) {
+    auto netlist = experiments::partition_netlist(w, options);
+    ASSERT_TRUE(netlist.is_ok()) << w.name << ": " << netlist.message();
+    auto result = pnr::place_and_route(netlist.value(), fabric::FabricGeometry{});
+    ASSERT_TRUE(result.is_ok()) << w.name << ": " << result.message();
+    ASSERT_TRUE(pinned.count(w.name)) << w.name;
+    EXPECT_EQ(pnr::content_hash(result.value()).to_string(), pinned.at(w.name)) << w.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// LevelQueue: the router's open list must pop in exactly the order of the
+// binary heap it replaced, (key, cell) ascending, whenever the queued
+// entries are distinct pairs.
+// ---------------------------------------------------------------------------
+using Entry = std::pair<double, int>;
+using ReferenceHeap = std::priority_queue<Entry, std::vector<Entry>, std::greater<>>;
+
+// A cell next to a 64-cell word boundary (half the draws) or anywhere.
+int draw_cell(common::Rng& rng, int cells) {
+  if (cells > 64 && rng.chance(0.5)) {
+    const int boundary = 64 * rng.range(1, (cells - 1) / 64);
+    return boundary - static_cast<int>(rng.below(2));
+  }
+  return static_cast<int>(rng.below(static_cast<std::uint32_t>(cells)));
+}
+
+// Keys around the last popped key: whole numbers with many ties,
+// fractional keys, and keys below the last pop.
+double draw_key(common::Rng& rng, double last_popped) {
+  const double base = std::floor(last_popped);
+  switch (rng.below(4)) {
+    case 0:
+    case 1: return base + rng.below(4);                           // whole, tied
+    case 2: return last_popped + 0.1 * rng.below(40);             // fractional
+    default: return last_popped - 0.25 * (1 + rng.below(12));     // below the last pop
+  }
+}
+
+// Drive the queue and the reference heap through one seeded interleaving of
+// pushes, pops and clears; return the number of pops compared.
+std::size_t check_against_heap(pnr::LevelQueue& queue, int cells, std::uint64_t seed,
+                               int ops) {
+  common::Rng rng(seed);
+  queue.reset(static_cast<std::size_t>(cells));
+  ReferenceHeap heap;
+  std::set<Entry> queued;  // the contract: queued entries are distinct
+  double last_popped = 10.0;
+  std::size_t pops = 0;
+  for (int op = 0; op < ops; ++op) {
+    if (rng.chance(0.002)) {  // a search ends early: clear and reuse
+      queue.clear();
+      heap = ReferenceHeap{};
+      queued.clear();
+      EXPECT_TRUE(queue.empty());
+      continue;
     }
+    if (heap.empty() || rng.chance(0.55)) {
+      const Entry entry{draw_key(rng, last_popped), draw_cell(rng, cells)};
+      if (!queued.insert(entry).second) continue;
+      queue.push(entry.first, entry.second);
+      heap.push(entry);
+    } else {
+      if (queue.empty()) {
+        ADD_FAILURE() << "cells " << cells << " seed " << seed << ": queue empty, heap not";
+        return pops;
+      }
+      const Entry got = queue.pop();
+      const Entry want = heap.top();
+      heap.pop();
+      queued.erase(want);
+      if (got != want) {
+        ADD_FAILURE() << "cells " << cells << " seed " << seed << " pop " << pops << ": got ("
+                      << got.first << ", " << got.second << "), want (" << want.first << ", "
+                      << want.second << ")";
+        return pops;
+      }
+      last_popped = got.first;
+      ++pops;
+    }
+    EXPECT_EQ(queue.empty(), heap.empty());
+  }
+  while (!heap.empty()) {  // drain
+    if (queue.empty()) {
+      ADD_FAILURE() << "cells " << cells << " seed " << seed << ": queue empty, heap not";
+      return pops;
+    }
+    const Entry got = queue.pop();
+    if (got != heap.top()) {
+      ADD_FAILURE() << "cells " << cells << " seed " << seed << " drain pop " << pops;
+      return pops;
+    }
+    heap.pop();
+    ++pops;
+  }
+  EXPECT_TRUE(queue.empty());
+  return pops;
+}
+
+TEST(LevelQueue, MatchesBinaryHeapPopOrder) {
+  // One queue object across every size: reset() must re-size it cleanly.
+  // 2640 is the default fabric's routing grid, 6120 the 100x60 one; 4096
+  // is the most one summary word over 64-cell words can index.
+  pnr::LevelQueue queue;
+  for (const int cells : {1, 63, 64, 65, 128, 2640, 4095, 4096, 4097, 6120, 9000}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      EXPECT_GT(check_against_heap(queue, cells, seed * 7919 + static_cast<unsigned>(cells),
+                                   20000),
+                1000u);
+    }
+  }
+}
+
+// Every cell on both sides of every word boundary, at one key and at keys
+// spread over a few levels, pops in cell order within each key.
+TEST(LevelQueue, PopsEveryWordBoundaryInCellOrder) {
+  const int cells = 6120;
+  std::vector<int> boundary_cells;
+  for (int boundary = 64; boundary < cells; boundary += 64) {
+    boundary_cells.push_back(boundary);
+    boundary_cells.push_back(boundary - 1);
+  }
+  boundary_cells.push_back(cells - 1);
+  ASSERT_GT(boundary_cells.back(), 4096);
+
+  pnr::LevelQueue queue;
+  queue.reset(cells);
+  for (const double spread : {0.0, 3.0}) {
+    ReferenceHeap heap;
+    common::Rng rng(99);
+    for (const int cell : boundary_cells) {
+      const double key = 5.0 + (spread > 0 ? static_cast<double>(rng.below(3)) : 0.0);
+      queue.push(key, cell);
+      heap.emplace(key, cell);
+    }
+    std::size_t popped = 0;
+    while (!heap.empty()) {
+      ASSERT_FALSE(queue.empty());
+      ASSERT_EQ(queue.pop(), heap.top()) << "spread " << spread << " pop " << popped;
+      heap.pop();
+      ++popped;
+    }
+    EXPECT_EQ(popped, boundary_cells.size());
+    EXPECT_TRUE(queue.empty());
   }
 }
 
