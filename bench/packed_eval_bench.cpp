@@ -6,26 +6,26 @@
 // Kernels cover the engine's regimes: brev (pure wires, IO-dominated),
 // matmul (MAC-bound), bitmnp (packed-eligible with real fabric logic),
 // idct (large netlist whose hard-MAC products feed back into the fabric:
-// packed in two stages around the MACs) and crc (fabric-held reduction
-// carried across iterations, falls back to the scalar engine by design).
-// Each kernel goes through the full warp flow (profile -> DPM partition ->
-// configure), the stub's real invocation is captured from the WCLA device,
-// the trip count is scaled up (within the data BRAM) so timing is stable,
-// and every engine/width is checked bit-exact against the scalar reference
-// before timing.
+// packed in two stages around the MACs), and canrdr and crc (fabric-held
+// XOR reductions carried across iterations: packed up to the state cone,
+// whose few LUTs then run lane by lane). Each kernel goes through the full
+// warp flow (profile -> DPM partition -> configure), the stub's real
+// invocation is captured from the WCLA device, the trip count is scaled up
+// (within the data BRAM) so timing is stable, and every engine/width is
+// checked bit-exact against the scalar reference before timing.
 //
 // The sweep also times the bare fabric pass (PackedEvaluator::run on the
 // kernel's mapped netlist, all stages in one pass) per width — the
 // component the lane-block widening vectorizes — for every kernel with
-// surviving packed nodes, including crc, whose executor stays scalar.
+// surviving packed nodes.
 //
 // Emits BENCH_packed_eval.json in the working directory so the performance
 // trajectory is tracked in-repo.
 //
 // `--check`: skip all timing; verify bit-exactness of every width (and
 // auto) against the scalar engine on all registered workloads, print a
-// table, and exit nonzero on any mismatch. No timing thresholds, so it is
-// stable on shared CI runners.
+// table with the reason of every scalar run, and exit nonzero on any
+// mismatch. No timing thresholds, so it is stable on shared CI runners.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -205,17 +205,14 @@ KernelResult bench_kernel(const std::string& name) {
   return out;
 }
 
-bool kernel_ok(const KernelResult& r, bool expect_packed) {
+bool kernel_ok(const KernelResult& r) {
   bool ok = r.auto_bit_exact;
   for (const auto& w : r.widths) ok = ok && w.bit_exact;
-  if (expect_packed) {
-    // Pinned widths AND the default auto mode must actually engage the
-    // packed engine — a heuristic regression that silently fell back to
-    // scalar would otherwise keep CI green while losing the speedup.
-    for (const auto& w : r.widths) ok = ok && w.packed_iterations > 0;
-    ok = ok && r.width_auto_choice != 0 && r.auto_packed_iterations > 0;
-  }
-  return ok;
+  // Pinned widths AND the default auto mode must actually engage the
+  // packed engine — a regression that silently fell back to scalar would
+  // otherwise keep CI green while losing the speedup.
+  for (const auto& w : r.widths) ok = ok && w.packed_iterations > 0;
+  return ok && r.width_auto_choice != 0 && r.auto_packed_iterations > 0;
 }
 
 void write_json(const std::vector<KernelResult>& results) {
@@ -270,8 +267,8 @@ int run_check() {
   bool all_exact = true;
   bool any_fallback_regression = false;
   std::printf("packed-eval width check (scalar reference vs. lane-block widths)\n");
-  std::printf("%-8s %8s %6s %9s %6s %8s %8s %8s %8s\n", "kernel", "trip", "nodes",
-              "supported", "auto_w", "W1", "W2", "W4", "auto");
+  std::printf("%-8s %8s %6s %9s %6s %8s %8s %8s %8s  %s\n", "kernel", "trip", "nodes",
+              "supported", "auto_w", "W1", "W2", "W4", "auto", "scalar reason");
   for (const auto& workload : workloads::extended_workloads()) {
     auto flowed = run_flow(workload, 2048);
     KernelExecutor* exec = flowed.system->wcla().executor();
@@ -285,6 +282,7 @@ int run_check() {
     exec->set_engine(KernelExecutor::EvalEngine::kAuto);
 
     std::string cells[4];
+    std::string reasons;  // distinct reasons of this kernel's scalar runs
     unsigned auto_width = 0;
     for (int pass = 0; pass < 4; ++pass) {
       const unsigned width = (pass < 3) ? kWidths[pass] : 0;  // 0: auto
@@ -305,16 +303,21 @@ int run_check() {
       all_exact = all_exact && exact;
       any_fallback_regression = any_fallback_regression || unexpected_fallback;
       if (pass == 3) auto_width = run.packed_width;
-      cells[pass] = !exact ? "FAIL"
-                  : unexpected_fallback ? "NOPACK"
-                  : std::string("ok") + (run.packed_iterations == 0 ? "(s)" : "");
+      const bool scalar = run.packed_iterations == 0 && inv.trip != 0;
+      cells[pass] = !exact ? "FAIL" : unexpected_fallback ? "NOPACK" : scalar ? "scalar" : "ok";
+      const std::string reason = hwsim::scalar_reason_name(run.scalar_reason);
+      if (scalar && reasons.find(reason) == std::string::npos) {
+        reasons += (reasons.empty() ? "" : ", ") + reason;
+      }
     }
-    std::printf("%-8s %8llu %6zu %9s %6u %8s %8s %8s %8s\n", workload.name.c_str(),
+    std::printf("%-8s %8llu %6zu %9s %6u %8s %8s %8s %8s  %s\n", workload.name.c_str(),
                 static_cast<unsigned long long>(inv.trip), exec->packed_node_count(),
                 exec->packed_supported() ? "yes" : "no", auto_width, cells[0].c_str(),
-                cells[1].c_str(), cells[2].c_str(), cells[3].c_str());
+                cells[1].c_str(), cells[2].c_str(), cells[3].c_str(),
+                reasons.empty() ? "-" : reasons.c_str());
   }
-  std::printf("(s) = ran entirely on the scalar engine (fallback path)\n");
+  std::printf("scalar = bit-exact, but ran entirely on the scalar engine (reason in the "
+              "last column)\n");
   if (!all_exact) {
     std::fprintf(stderr, "FAIL: engines disagree\n");
     return 1;
@@ -335,27 +338,23 @@ int run_check() {
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--check") == 0) return run_check();
 
-  struct Entry {
-    const char* name;
-    bool expect_packed;
-  };
-  const std::vector<Entry> kernels = {
-      {"brev", true},    // pure wires, IO-dominated
-      {"matmul", true},  // MAC-bound
-      {"bitmnp", true},  // packed-eligible with real fabric logic
-      {"idct", true},    // large netlist, staged around MAC-result feedback
-      {"crc", false},    // fabric-held reduction forces scalar
+  const char* const kernels[] = {
+      "brev",    // pure wires, IO-dominated
+      "matmul",  // MAC-bound
+      "bitmnp",  // packed-eligible with real fabric logic
+      "idct",    // large netlist, staged around MAC-result feedback
+      "canrdr",  // fabric-held XOR state beside a MAC add: 8-LUT state cone
+      "crc",     // fabric-held XOR state: 8-LUT state cone
   };
   std::vector<KernelResult> results;
-  for (const auto& entry : kernels) results.push_back(bench_kernel(entry.name));
+  for (const char* name : kernels) results.push_back(bench_kernel(name));
 
   std::printf("packed-eval microbenchmark (lane-block widths 1/2/4 = 64/128/256 iters/pass)\n");
   std::printf("%-8s %8s %6s %6s %12s | %-34s | %6s %12s\n", "kernel", "trip", "luts",
               "nodes", "scalar it/s", "executor it/s (W1 / W2 / W4)", "auto_w",
               "auto it/s");
   bool all_ok = true;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
+  for (const auto& r : results) {
     char widths[64] = "fallback (scalar engine)";
     if (!r.widths.empty()) {
       std::snprintf(widths, sizeof(widths), "%.2e / %.2e / %.2e",
@@ -371,7 +370,7 @@ int main(int argc, char** argv) {
                   r.fabric[1].speedup_vs_w1, r.fabric[2].iters_per_sec,
                   r.fabric[2].speedup_vs_w1);
     }
-    all_ok = all_ok && kernel_ok(r, kernels[i].expect_packed);
+    all_ok = all_ok && kernel_ok(r);
   }
 
   write_json(results);

@@ -17,6 +17,8 @@ namespace {
 /// Stage of a MAC result that is not staged yet. It dominates every max(),
 /// so whatever reads it stays unstaged.
 constexpr unsigned kUnstaged = ~0u;
+/// Stage of a LUT that stage_macs() has not reached yet.
+constexpr unsigned kUnknown = kUnstaged - 1;
 
 unsigned ref_stage(const NetRef& ref, const std::vector<unsigned>& lut_stage,
                    const std::vector<unsigned>& input_stage) {
@@ -35,22 +37,19 @@ unsigned ref_stage(const NetRef& ref, const std::vector<unsigned>& lut_stage,
                                              ref.index));
 }
 
-/// Stage of every LUT given every primary input's: the latest stage among
-/// its fanins. Assumes the topological LUT order the packed plan requires
-/// (PackedEvaluator rejects any other).
-std::vector<unsigned> lut_stages(const techmap::LutNetlist& netlist,
-                                 const std::vector<unsigned>& input_stage) {
-  std::vector<unsigned> stage(netlist.luts.size(), 0);
-  for (std::size_t i = 0; i < netlist.luts.size(); ++i) {
-    const techmap::Lut& lut = netlist.luts[i];
-    for (unsigned k = 0; k < lut.num_inputs; ++k) {
-      stage[i] = std::max(stage[i], ref_stage(lut.inputs[k], stage, input_stage));
-    }
-  }
-  return stage;
-}
-
 }  // namespace
+
+const char* scalar_reason_name(ScalarReason reason) {
+  switch (reason) {
+    case ScalarReason::kNone: return "none";
+    case ScalarReason::kMacHeldState: return "mac-held state";
+    case ScalarReason::kMacOperandInCone: return "mac operand in state cone";
+    case ScalarReason::kStreamAlias: return "stream alias";
+    case ScalarReason::kVerify: return "verify";
+    case ScalarReason::kForcedScalar: return "forced scalar";
+  }
+  return "?";
+}
 
 KernelExecutor::KernelExecutor(const HwKernel& kernel, const fabric::FabricConfig& config,
                                PackedOptions packed)
@@ -101,7 +100,6 @@ void KernelExecutor::bind_ports() {
     }
   }
 
-  packed_supported_ = true;
   input_bindings_.resize(netlist.primary_inputs.size());
   mac_result_inputs_.assign(kernel_.mac_ops.size(), {});
   for (std::size_t i = 0; i < netlist.primary_inputs.size(); ++i) {
@@ -138,7 +136,11 @@ void KernelExecutor::bind_ports() {
         break;
       case PortSpec::Kind::kAccState:
         binding.kind = InputBinding::Kind::kAccState;
-        packed_supported_ = false;  // cross-iteration accumulator feedback
+        if (spec.a >= ir.accumulators.size()) {
+          throw common::InternalError("executor: accumulator state input out of range: " +
+                                      netlist.primary_inputs[i]);
+        }
+        state_inputs_.push_back(static_cast<std::uint32_t>(i));
         break;
       default:
         throw common::InternalError("executor: unknown input port " +
@@ -200,6 +202,10 @@ void KernelExecutor::bind_ports() {
     }
   }
 
+  for (const auto& out : kernel_.acc_outputs) {
+    if (!out.via_mac) fabric_accs_.push_back(out.acc_index);
+  }
+
   for (const auto& w : ir.writes) {
     write_node_[(static_cast<std::uint32_t>(w.stream) << 16) | w.tap] = w.node;
   }
@@ -212,7 +218,47 @@ void KernelExecutor::bind_ports() {
   iv_planes_.resize(ir.iv_regs.size());
   write_words_.resize(kernel_.write_outputs.size());
 
-  if (packed_supported_) packed_.emplace(netlist, stage_macs());
+  scalar_reason_ = check_state_cone();
+  if (scalar_reason_ == ScalarReason::kNone) packed_.emplace(netlist, stage_macs());
+}
+
+ScalarReason KernelExecutor::check_state_cone() const {
+  if (state_inputs_.empty()) return ScalarReason::kNone;
+  // A MAC-held accumulator's state changes with every product, outside the
+  // fabric.
+  std::vector<bool> is_state(input_bindings_.size(), false);
+  for (const std::uint32_t i : state_inputs_) {
+    if (std::find(fabric_accs_.begin(), fabric_accs_.end(), input_bindings_[i].a) ==
+        fabric_accs_.end()) {
+      return ScalarReason::kMacHeldState;
+    }
+    is_state[i] = true;
+  }
+  // The cone: every LUT that reads a state input or a cone LUT. It becomes
+  // the plan's final stage, which has no MAC after it.
+  const auto& luts = config_.netlist.luts;
+  std::vector<bool> in_cone(luts.size(), false);
+  const auto reads_state = [&](const NetRef& ref) {
+    const auto index = static_cast<std::size_t>(ref.index);
+    switch (ref.kind) {
+      case NetRef::Kind::kPrimaryInput: return index < is_state.size() && is_state[index];
+      case NetRef::Kind::kLut: return index < in_cone.size() && in_cone[index];
+      default: return false;
+    }
+  };
+  for (std::size_t i = 0; i < luts.size(); ++i) {
+    for (unsigned k = 0; k < luts[i].num_inputs && !in_cone[i]; ++k) {
+      in_cone[i] = reads_state(luts[i].inputs[k]);
+    }
+  }
+  for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
+    for (const OutputGroup* group : {&mac_a_groups_[m], &mac_b_groups_[m]}) {
+      for (const OutputBit& ob : *group) {
+        if (reads_state(ob.source)) return ScalarReason::kMacOperandInCone;
+      }
+    }
+  }
+  return ScalarReason::kNone;
 }
 
 std::vector<unsigned> KernelExecutor::stage_macs() {
@@ -222,19 +268,60 @@ std::vector<unsigned> KernelExecutor::stage_macs() {
   // MACs are staged in op order (synthesis emits them in dataflow order), so
   // an operand still reading an unstaged result reads its own or a later
   // MAC's, which the in-order scalar engine would see before it is set.
+  const auto& luts = config_.netlist.luts;
   std::vector<unsigned> input_stage(input_bindings_.size(), 0);
   for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
     if (kernel_.mac_ops[m].accumulate) continue;  // its result stays 0 in the fabric
     for (const std::uint32_t i : mac_result_inputs_[m]) input_stage[i] = kUnstaged;
   }
+
+  // One pass over the LUTs: a LUT's stage is computed the first time a MAC
+  // operand's fanin cone reaches it, depth first, and kept. A kept stage is
+  // final, because a LUT reading an unstaged result is unstaged itself and
+  // the MAC whose operand reaches it throws.
+  std::vector<unsigned> lut_stage(luts.size(), kUnknown);
+  std::vector<std::size_t> pending;
+  const auto stage_of = [&](const NetRef& ref) {
+    if (ref.kind == NetRef::Kind::kLut && ref.index >= 0 &&
+        static_cast<std::size_t>(ref.index) < luts.size()) {
+      pending.push_back(static_cast<std::size_t>(ref.index));
+    }
+    while (!pending.empty()) {
+      const std::size_t i = pending.back();
+      if (lut_stage[i] != kUnknown) {
+        pending.pop_back();
+        continue;
+      }
+      unsigned stage = 0;
+      for (unsigned k = 0; k < luts[i].num_inputs; ++k) {
+        const NetRef& in = luts[i].inputs[k];
+        const auto j = static_cast<std::size_t>(in.index);
+        if (in.kind == NetRef::Kind::kLut && in.index >= 0 && j < luts.size()) {
+          if (j >= i) {
+            throw common::InternalError(common::format(
+                "executor: LUT array is not topologically ordered (LUT %zu reads LUT %zu)", i,
+                j));
+          }
+          if (lut_stage[j] == kUnknown) {
+            pending.push_back(j);
+            continue;
+          }
+        }
+        stage = std::max(stage, ref_stage(in, lut_stage, input_stage));
+      }
+      if (pending.back() == i) {  // every fanin was ready
+        lut_stage[i] = stage;
+        pending.pop_back();
+      }
+    }
+    return ref_stage(ref, lut_stage, input_stage);
+  };
+
   mac_stage_.assign(kernel_.mac_ops.size(), 0);
   for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
-    const std::vector<unsigned> lut_stage = lut_stages(config_.netlist, input_stage);
     unsigned stage = 0;
     for (const OutputGroup* group : {&mac_a_groups_[m], &mac_b_groups_[m]}) {
-      for (const OutputBit& ob : *group) {
-        stage = std::max(stage, ref_stage(ob.source, lut_stage, input_stage));
-      }
+      for (const OutputBit& ob : *group) stage = std::max(stage, stage_of(ob.source));
     }
     if (stage == kUnstaged) {
       throw common::InternalError(common::format(
@@ -243,6 +330,13 @@ std::vector<unsigned> KernelExecutor::stage_macs() {
     mac_stage_[m] = stage;
     if (kernel_.mac_ops[m].accumulate) continue;
     for (const std::uint32_t i : mac_result_inputs_[m]) input_stage[i] = stage + 1;
+  }
+
+  // The state inputs enter one past the last MAC stage, so the plan's final
+  // stage is exactly the state cone.
+  if (!state_inputs_.empty()) {
+    const unsigned cone_stage = 1 + *std::max_element(input_stage.begin(), input_stage.end());
+    for (const std::uint32_t i : state_inputs_) input_stage[i] = cone_stage;
   }
   return input_stage;
 }
@@ -391,10 +485,18 @@ common::Result<KernelRunResult> KernelExecutor::run(sim::Memory& memory,
   }
 
   KernelRunResult result;
-  const unsigned width = (packed_supported_ && !verify_against_dfg &&
-                          engine_ != EvalEngine::kScalar)
-                             ? select_packed_width(invocation)
-                             : 0;
+  result.scalar_reason = scalar_reason_;
+  if (result.scalar_reason == ScalarReason::kNone && verify_against_dfg) {
+    result.scalar_reason = ScalarReason::kVerify;
+  }
+  if (result.scalar_reason == ScalarReason::kNone && engine_ == EvalEngine::kScalar) {
+    result.scalar_reason = ScalarReason::kForcedScalar;
+  }
+  unsigned width = 0;
+  if (result.scalar_reason == ScalarReason::kNone) {
+    width = select_packed_width(invocation);
+    if (width == 0) result.scalar_reason = ScalarReason::kStreamAlias;
+  }
   if (width != 0) {
     // Full blocks, then the trip's remainder as one partial block.
     packed_->set_width(width);
@@ -576,6 +678,24 @@ void KernelExecutor::feed_mac_result(std::size_t m, unsigned width) {
   }
 }
 
+void KernelExecutor::run_state_cone(unsigned lanes, std::vector<std::uint32_t>& acc) {
+  const unsigned cone = packed_->num_stages() - 1;
+  for (unsigned j = 0; j < lanes; ++j) {
+    for (const std::uint32_t i : state_inputs_) {
+      const InputBinding& binding = input_bindings_[i];
+      packed_->set_input_lane(i, j, (acc[binding.a] >> binding.bit) & 1u);
+    }
+    packed_->run_stage_lane(cone, j);
+    for (const unsigned k : fabric_accs_) {
+      std::uint32_t next = 0;
+      for (const OutputBit& ob : acc_next_groups_[k]) {
+        next |= static_cast<std::uint32_t>(packed_->output_lane(ob.output_index, j)) << ob.bit;
+      }
+      acc[k] = next;
+    }
+  }
+}
+
 void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocation& invocation,
                                       std::uint64_t iter0, unsigned lanes,
                                       std::vector<std::uint32_t>& acc, unsigned width) {
@@ -644,14 +764,16 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
         for (unsigned w = 0; w < width; ++w) packed_->set_input(i, w, 0);
         break;
       case InputBinding::Kind::kAccState:
-        throw common::InternalError("executor: accumulator state on the packed path");
+        break;  // set lane by lane in the state cone
     }
   }
 
   // 3. Evaluate all width*64 iterations stage by stage; after each stage,
   //    the MACs whose operands are now ready feed their products into the
-  //    next one.
-  for (unsigned stage = 0; stage < packed_->num_stages(); ++stage) {
+  //    next one. A kernel with accumulator state then runs its final stage,
+  //    the state cone, one lane at a time.
+  const unsigned packed_stages = packed_->num_stages() - (state_inputs_.empty() ? 0 : 1);
+  for (unsigned stage = 0; stage < packed_stages; ++stage) {
     packed_->run_stage(stage);
     for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
       if (!kernel_.mac_ops[m].accumulate && mac_stage_[m] == stage &&
@@ -660,6 +782,7 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
       }
     }
   }
+  if (!state_inputs_.empty()) run_state_cone(lanes, acc);
 
   // 4. MAC accumulations: operands come out of the packed pass; the
   //    products of the valid lanes are summed in iteration order.
@@ -701,19 +824,15 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
     }
   }
 
-  // 6. Fabric-held accumulator outputs without state feedback recompute the
-  //    same function every iteration; the final value is the last valid
-  //    lane's.
-  const unsigned last_word = (lanes - 1) / kPackedWordBits;
-  const unsigned last_bit = (lanes - 1) % kPackedWordBits;
-  for (const auto& out : kernel_.acc_outputs) {
-    if (out.via_mac) continue;
+  // 6. A fabric-held accumulator ends at the last valid lane's next state
+  //    (the state cone already threaded it there).
+  for (const unsigned k : fabric_accs_) {
     std::uint32_t word = 0;
-    for (const OutputBit& ob : acc_next_groups_[out.acc_index]) {
-      const std::uint64_t lane = packed_->output(ob.output_index, last_word);
-      word |= static_cast<std::uint32_t>((lane >> last_bit) & 1u) << ob.bit;
+    for (const OutputBit& ob : acc_next_groups_[k]) {
+      word |= static_cast<std::uint32_t>(packed_->output_lane(ob.output_index, lanes - 1))
+              << ob.bit;
     }
-    acc[out.acc_index] = word;
+    acc[k] = word;
   }
 }
 

@@ -19,14 +19,18 @@
 //     from or written to memory. Hard-MAC results that feed back into the
 //     fabric within an iteration are staged: the plan is split at the MACs,
 //     and between stages the W*64 products are formed lane by lane and fed
-//     in as inputs of the next stage. Used whenever the kernel carries no
-//     accumulator state into the fabric across iterations and the
-//     invocation's read/write streams cannot alias within a block (auto
-//     mode narrows the block until it is hazard-free before giving up);
+//     in as inputs of the next stage. Fabric-held accumulator state (the
+//     flip-flops of an or/xor/and reduction) is threaded through a final
+//     stage that holds exactly the state cone, the LUTs that depend on the
+//     state: every earlier stage runs packed, then the cone runs lane by
+//     lane in iteration order, each lane reading the previous lane's next
+//     state. Used unless the invocation's read/write streams may alias
+//     within a block (auto mode narrows the block until it is hazard-free
+//     before giving up), or the kernel has state the cone cannot thread
+//     (ScalarReason);
 //   - the scalar reference engine (one iteration at a time over the shared
-//     techmap::resolve_ref reference semantics), used for kernels with
-//     cross-iteration accumulator feedback, for aliasing invocations, and
-//     for the golden DFG cross-check mode.
+//     techmap::resolve_ref reference semantics), used for those kernels and
+//     invocations, for the golden DFG cross-check mode, and when forced.
 //
 // The executor also provides a golden cross-check mode that evaluates the
 // original dataflow graph and verifies the fabric against it per iteration.
@@ -56,6 +60,25 @@ struct KernelInvocation {
   std::vector<std::uint32_t> acc_init;            // per accumulator
 };
 
+/// Why a run used the scalar reference engine (kNone: it ran packed).
+enum class ScalarReason : std::uint8_t {
+  kNone,
+  /// The fabric reads the running value of a MAC-held (add) accumulator,
+  /// which the MAC updates every iteration.
+  kMacHeldState,
+  /// A MAC operand depends on fabric-held accumulator state, so the MAC
+  /// would have to run inside the lane-by-lane state cone.
+  kMacOperandInCone,
+  /// The write streams may alias the read streams within a block at every
+  /// width tried.
+  kStreamAlias,
+  /// The golden DFG cross-check (verify_against_dfg) runs scalar.
+  kVerify,
+  /// EvalEngine::kScalar.
+  kForcedScalar,
+};
+const char* scalar_reason_name(ScalarReason reason);
+
 struct KernelRunResult {
   std::uint64_t wcla_cycles = 0;
   double clock_mhz = 0.0;
@@ -63,19 +86,20 @@ struct KernelRunResult {
   std::vector<std::uint32_t> acc_final;  // per accumulator
   // Engine split, for tests and the microbenchmark: how many iterations ran
   // through the packed lane-block engine vs. the scalar reference engine,
-  // and the lane-block width (in 64-bit words) the packed passes used
-  // (0 when no packed pass ran).
+  // the lane-block width (in 64-bit words) the packed passes used (0 when
+  // no packed pass ran), and why the run was scalar.
   std::uint64_t packed_iterations = 0;
   std::uint64_t scalar_iterations = 0;
   unsigned packed_width = 0;
+  ScalarReason scalar_reason = ScalarReason::kNone;
 };
 
 class KernelExecutor {
  public:
   /// Which evaluation engine run() uses. kAuto picks the packed engine
-  /// whenever it is safe (no accumulator-state feedback, no intra-block
-  /// stream aliasing) and falls back to the scalar reference otherwise;
-  /// kScalar forces the reference engine (the microbenchmark's baseline).
+  /// whenever it is safe (state the cone can thread, no intra-block stream
+  /// aliasing) and falls back to the scalar reference otherwise; kScalar
+  /// forces the reference engine (the microbenchmark's baseline).
   enum class EvalEngine : std::uint8_t { kAuto, kScalar };
 
   /// `kernel` and `config` must outlive the executor. `packed` pins or
@@ -96,10 +120,13 @@ class KernelExecutor {
   /// the width-sweep microbenchmark). Throws on unsupported widths.
   void set_packed_options(PackedOptions packed);
   const PackedOptions& packed_options() const { return packed_options_; }
-  /// True when the kernel itself permits packed evaluation (no
-  /// accumulator-state feedback into the fabric). Individual invocations
-  /// may still fall back when their streams alias.
-  bool packed_supported() const { return packed_supported_; }
+  /// True when the kernel itself permits packed evaluation: any
+  /// accumulator state it feeds back is fabric-held and read by no MAC
+  /// operand. Individual invocations may still fall back when their streams
+  /// alias.
+  bool packed_supported() const { return scalar_reason_ == ScalarReason::kNone; }
+  /// Why every run of this kernel is scalar (kNone when packed_supported()).
+  ScalarReason scalar_reason() const { return scalar_reason_; }
   /// LUT nodes surviving the packed plan's constant/wire folding (0 when
   /// the kernel cannot use the packed engine).
   std::size_t packed_node_count() const { return packed_ ? packed_->node_count() : 0; }
@@ -128,10 +155,14 @@ class KernelExecutor {
 
   /// Builds the port tables, and the packed plan when the kernel permits.
   void bind_ports();
+  /// The reason the packed plan cannot thread the kernel's accumulator
+  /// state (kNone when it can, or there is none).
+  ScalarReason check_state_cone() const;
   /// Stages the MAC ops for the packed plan: sets mac_stage_ and returns
-  /// each primary input's evaluation stage. Throws InternalError when a
-  /// MAC's operands read its own or a later MAC's result, which the
-  /// scalar engine's in-order MAC sequencing would evaluate differently.
+  /// each primary input's evaluation stage, with the state inputs one past
+  /// the last MAC stage. Throws InternalError when a MAC's operands read its
+  /// own or a later MAC's result, which the scalar engine's in-order MAC
+  /// sequencing would evaluate differently.
   std::vector<unsigned> stage_macs();
   std::uint32_t read_group_word(const OutputGroup& group,
                                 const std::vector<bool>& lut_values) const;
@@ -157,6 +188,9 @@ class KernelExecutor {
   /// Form MAC m's products for every lane of the block and feed them into
   /// the primary inputs bound to its result.
   void feed_mac_result(std::size_t m, unsigned width);
+  /// Run the state cone (the plan's final stage) over `lanes` lanes in
+  /// iteration order, threading the fabric-held accumulators through acc.
+  void run_state_cone(unsigned lanes, std::vector<std::uint32_t>& acc);
 
   std::uint32_t iv_value(int iv_pos, std::uint64_t iter) const;
   /// Gather a word group out of the packed pass: lane blocks in, one word
@@ -167,7 +201,7 @@ class KernelExecutor {
   const fabric::FabricConfig& config_;
   EvalEngine engine_ = EvalEngine::kAuto;
   PackedOptions packed_options_;
-  bool packed_supported_ = false;
+  ScalarReason scalar_reason_ = ScalarReason::kNone;
 
   std::vector<InputBinding> input_bindings_;  // per primary input
   std::vector<OutputGroup> write_groups_;     // per kernel write output
@@ -175,6 +209,8 @@ class KernelExecutor {
   std::vector<OutputGroup> mac_b_groups_;     // per MAC op
   std::vector<OutputGroup> acc_next_groups_;  // per accumulator
   std::vector<std::vector<std::uint32_t>> mac_result_inputs_;  // per MAC op: bound inputs
+  std::vector<std::uint32_t> state_inputs_;   // kAccState inputs
+  std::vector<unsigned> fabric_accs_;         // accumulators held in fabric flip-flops
   std::vector<unsigned> mac_stage_;  // per MAC op: packed stage its operands are ready in
   std::unordered_map<std::uint32_t, int> write_node_;  // (stream<<16|tap) -> DFG node
   std::vector<unsigned> tap_base_;            // per stream: flattened tap index base

@@ -35,6 +35,20 @@ std::uint8_t cofactor(std::uint8_t truth, unsigned n, unsigned k, bool v) {
 /// resolves to this is a forward reference: the array is not topological.
 constexpr std::uint32_t kUnassigned = ~0u;
 
+/// One node over one lane word: a three-level mux tree that selects truth
+/// rows by input 0, then 1, then 2.
+inline std::uint64_t mux_tree(const PackedNode& n, std::uint64_t a, std::uint64_t b,
+                              std::uint64_t c) {
+  const std::uint64_t na = ~a, nb = ~b, nc = ~c;
+  const std::uint64_t s0 = (na & n.mask[0]) | (a & n.mask[1]);
+  const std::uint64_t s1 = (na & n.mask[2]) | (a & n.mask[3]);
+  const std::uint64_t s2 = (na & n.mask[4]) | (a & n.mask[5]);
+  const std::uint64_t s3 = (na & n.mask[6]) | (a & n.mask[7]);
+  const std::uint64_t u0 = (nb & s0) | (b & s1);
+  const std::uint64_t u1 = (nb & s2) | (b & s3);
+  return (nc & u0) | (c & u1);
+}
+
 }  // namespace
 
 PackedEvaluator::PackedEvaluator(const techmap::LutNetlist& netlist,
@@ -231,20 +245,21 @@ void PackedEvaluator::run_pass(const PackedNode* first, const PackedNode* last) 
     const std::uint64_t* pb = lanes + std::size_t{n.in[1]} * W;
     const std::uint64_t* pc = lanes + std::size_t{n.in[2]} * W;
     std::uint64_t* out = lanes + std::size_t{n.out} * W;
-    for (unsigned w = 0; w < W; ++w) {
-      const std::uint64_t a = pa[w];
-      const std::uint64_t b = pb[w];
-      const std::uint64_t c = pc[w];
-      const std::uint64_t na = ~a, nb = ~b, nc = ~c;
-      // Three-level mux tree: select truth rows by input 0, then 1, then 2.
-      const std::uint64_t s0 = (na & n.mask[0]) | (a & n.mask[1]);
-      const std::uint64_t s1 = (na & n.mask[2]) | (a & n.mask[3]);
-      const std::uint64_t s2 = (na & n.mask[4]) | (a & n.mask[5]);
-      const std::uint64_t s3 = (na & n.mask[6]) | (a & n.mask[7]);
-      const std::uint64_t u0 = (nb & s0) | (b & s1);
-      const std::uint64_t u1 = (nb & s2) | (b & s3);
-      out[w] = (nc & u0) | (c & u1);
-    }
+    for (unsigned w = 0; w < W; ++w) out[w] = mux_tree(n, pa[w], pb[w], pc[w]);
+  }
+}
+
+void PackedEvaluator::run_stage_lane(unsigned stage, unsigned lane) {
+  static_assert(techmap::kLutInputs == 3, "packed mux tree assumes 3-input LUTs");
+  assert(lane < lanes());
+  // Slot s's word of this lane sits at lanes[s * width_].
+  std::uint64_t* lanes = lanes_.data() + lane / kPackedWordBits;
+  const std::size_t width = width_;
+  const PackedNode* last = nodes_.data() + stage_end_[stage];
+  for (const PackedNode* node = nodes_.data() + stage_begin(stage); node != last; ++node) {
+    const PackedNode& n = *node;
+    lanes[n.out * width] =
+        mux_tree(n, lanes[n.in[0] * width], lanes[n.in[1] * width], lanes[n.in[2] * width]);
   }
 }
 

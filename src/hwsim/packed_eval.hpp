@@ -32,6 +32,10 @@
 // the latest stage among its fanins, and run_stage(s) evaluates only the
 // nodes of stage s. Inputs of stage s+1 may be set between run_stage(s)
 // and run_stage(s+1); run() evaluates every stage in one pass.
+// run_stage_lane(s, lane) evaluates stage s for one lane word only, so a
+// caller can run a stage lane by lane in iteration order, setting that
+// lane's inputs from the previous lane's outputs (the executor's
+// accumulator-state cone).
 //
 // The LUT array must be emitted in topological (levelized) order — the
 // mapper guarantees this, and the constructor rejects arrays that are not
@@ -128,16 +132,33 @@ class PackedEvaluator {
     }
   }
 
+  /// Set one lane (block iteration `lane`) of primary input `input`.
+  void set_input_lane(std::size_t input, unsigned lane, bool value) {
+    assert(input < num_inputs_);
+    assert(lane < lanes());
+    std::uint64_t& word = lanes_[(2 + input) * width_ + lane / kPackedWordBits];
+    const std::uint64_t bit = 1ull << (lane % kPackedWordBits);
+    word = value ? (word | bit) : (word & ~bit);
+  }
+
   /// Evaluate all nodes for the width()*64 packed iterations.
   void run() { run_nodes(0, nodes_.size()); }
   /// Evaluate only the nodes of stage `stage` (see the file comment).
   void run_stage(unsigned stage) { run_nodes(stage_begin(stage), stage_end_[stage]); }
+  /// Evaluate the nodes of stage `stage` for the lane word holding block
+  /// iteration `lane` only. The word's other lanes are recomputed from their
+  /// current inputs, so lanes already evaluated keep their values.
+  void run_stage_lane(unsigned stage, unsigned lane);
 
   /// Lane word `word` of netlist output `index` after run().
   std::uint64_t output(std::size_t index, unsigned word = 0) const {
     assert(index < output_slot_.size());
     assert(word < width_);
     return lanes_[output_slot_[index] * width_ + word];
+  }
+  /// Netlist output `index` in block iteration `lane`.
+  bool output_lane(std::size_t index, unsigned lane) const {
+    return (output(index, lane / kPackedWordBits) >> (lane % kPackedWordBits)) & 1u;
   }
 
  private:

@@ -7,12 +7,11 @@
 // and emits it to a byte stream. The XOR signature is a fabric-held
 // logical reduction: the fabric computes sig ^ byte from the accumulator's
 // start-of-iteration state, so the kernel feeds accumulator state back
-// into the fabric every iteration. That makes this workload a deliberate
-// stress of the simulator's fallback paths: the packed lane-block engine
-// must refuse it (per-iteration feedback) and leave the whole trip to the
-// scalar reference engine, at every lane-block width. The trip count is
-// also kept off the 64-iteration grid so any engine that did batch would
-// also have to run a partial lane block.
+// into the fabric every iteration. The packed lane-block engine runs the
+// fold packed and threads the signature lane by lane through the state
+// cone (its 8 XOR LUTs), in iteration order. The trip count is kept off
+// the 64-iteration grid (999 = 15 * 64 + 39), so the cone also runs over a
+// partial lane block.
 #include "workloads/workload.hpp"
 
 #include "common/rng.hpp"

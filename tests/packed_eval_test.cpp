@@ -17,6 +17,10 @@
 #include "techmap/techmap.hpp"
 
 namespace warp::hwsim {
+
+// gtest prints a ScalarReason by name instead of as a raw byte.
+void PrintTo(ScalarReason reason, std::ostream* os) { *os << scalar_reason_name(reason); }
+
 namespace {
 
 synth::GateNetlist random_gate_netlist(common::Rng& rng, unsigned inputs, unsigned gates,
@@ -451,92 +455,217 @@ loop:
   halt
 )";
 
+// Eight dependent MACs with fabric logic between them: each product feeds
+// the next MAC's operand, so the packed plan has nine stages.
+constexpr const char* kLongMacChain = R"(
+  li r2, 0x1000
+  li r3, 0x4000
+  li r4, 200
+loop:
+  lwi r5, r2, 0
+  mul_p r6, r5, r5
+  addi r6, r6, 1
+  mul_p r6, r6, r5
+  xori r6, r6, 0x55
+  mul_p r6, r6, r5
+  addi r6, r6, 3
+  mul_p r6, r6, r5
+  xor r6, r6, r5
+  mul_p r6, r6, r5
+  addi r6, r6, 5
+  mul_p r6, r6, r5
+  xori r6, r6, 0x3C
+  mul_p r6, r6, r5
+  addi r6, r6, 7
+  mul_p r6, r6, r5
+  swi r6, r3, 0
+  addi r2, r2, 4
+  addi r3, r3, 4
+  addi r4, r4, -1
+  bne r4, loop
+  halt
+)";
+
+constexpr std::uint32_t kSweepMemBytes = 1u << 16;
+constexpr std::uint32_t kSweepWriteBase = 0x4000;
+
+/// An invocation of a loop that reads words through r2, stores through r3
+/// and counts r4 down from `trip`. The read stream ends at the last word of
+/// memory, so a spare lane of a partial block that read memory would throw.
+KernelInvocation sweep_invocation(const Built& built, std::uint64_t trip,
+                                  const std::vector<std::uint32_t>& acc_init) {
+  const std::uint32_t read_base = kSweepMemBytes - 4 * static_cast<std::uint32_t>(trip);
+  KernelInvocation invocation;
+  invocation.trip = trip;
+  for (const auto& stream : built.ir.streams) {
+    invocation.stream_bases.push_back(stream.is_write ? kSweepWriteBase : read_base);
+  }
+  invocation.acc_init = acc_init;
+  for (auto reg : built.ir.live_in_regs) invocation.live_in[reg] = 0;
+  invocation.live_in[2] = read_base;
+  invocation.live_in[3] = kSweepWriteBase;
+  invocation.live_in[4] = static_cast<std::uint32_t>(trip);
+  return invocation;
+}
+
+/// Runs `invocation` from seeded memory on the scalar engine, through the
+/// golden DFG cross-check, and at every lane-block width (auto, 1, 2, 4),
+/// and requires the same data memory and final accumulators from each.
+/// `reason` is the kernel's: kNone means every width must run packed;
+/// otherwise every run is scalar and must say why.
+void expect_engines_match(const Built& built, const KernelInvocation& invocation,
+                          ScalarReason reason, const std::string& label) {
+  sim::Memory initial(kSweepMemBytes);
+  common::Rng rng(invocation.trip * 31 + 5);
+  const std::uint32_t read_base = kSweepMemBytes - 4 * static_cast<std::uint32_t>(invocation.trip);
+  for (std::uint32_t i = 0; i < invocation.trip; ++i) {
+    initial.write32(read_base + 4 * i, rng.next_u32());
+  }
+  // A sentinel past the trip's writes shows a spare lane that wrote.
+  for (std::uint32_t i = 0; i < invocation.trip + kMaxPackedLanes; ++i) {
+    initial.write32(kSweepWriteBase + 4 * i, 0xA5A5A5A5u);
+  }
+  const std::vector<std::uint32_t> snapshot = initial.snapshot_words();
+
+  sim::Memory mem_scalar(kSweepMemBytes);
+  mem_scalar.load_words(0, snapshot);
+  KernelExecutor scalar_exec(*built.kernel, *built.config);
+  scalar_exec.set_engine(KernelExecutor::EvalEngine::kScalar);
+  auto scalar = scalar_exec.run(mem_scalar, invocation);
+  ASSERT_TRUE(scalar.is_ok()) << label << ": " << scalar.message();
+  EXPECT_EQ(scalar.value().scalar_reason,
+            reason == ScalarReason::kNone ? ScalarReason::kForcedScalar : reason)
+      << label;
+
+  // The golden DFG cross-check throws on any fabric/DFG mismatch.
+  sim::Memory mem_dfg(kSweepMemBytes);
+  mem_dfg.load_words(0, snapshot);
+  KernelExecutor dfg_exec(*built.kernel, *built.config);
+  auto dfg = dfg_exec.run(mem_dfg, invocation, /*verify_against_dfg=*/true);
+  ASSERT_TRUE(dfg.is_ok()) << label << ": " << dfg.message();
+  EXPECT_EQ(mem_dfg.checksum_words(), mem_scalar.checksum_words()) << label;
+  EXPECT_EQ(dfg.value().acc_final, scalar.value().acc_final) << label;
+  EXPECT_EQ(dfg.value().scalar_reason,
+            reason == ScalarReason::kNone ? ScalarReason::kVerify : reason)
+      << label;
+
+  for (const unsigned width : {0u, 1u, 2u, 4u}) {
+    const std::string at = label + " width " + std::to_string(width);
+    sim::Memory mem(kSweepMemBytes);
+    mem.load_words(0, snapshot);
+    KernelExecutor exec(*built.kernel, *built.config, PackedOptions{width});
+    EXPECT_EQ(exec.scalar_reason(), reason) << at;
+    auto result = exec.run(mem, invocation);
+    ASSERT_TRUE(result.is_ok()) << at << ": " << result.message();
+    EXPECT_EQ(result.value().scalar_reason, reason) << at;
+    EXPECT_EQ(result.value().packed_iterations,
+              reason == ScalarReason::kNone ? invocation.trip : 0u)
+        << at;
+    for (std::uint32_t i = 0; i <= invocation.trip; ++i) {
+      ASSERT_EQ(mem.read32(kSweepWriteBase + 4 * i), mem_scalar.read32(kSweepWriteBase + 4 * i))
+          << at << " word " << i;
+    }
+    EXPECT_EQ(mem.checksum_words(), mem_scalar.checksum_words()) << at;
+    EXPECT_EQ(result.value().acc_final, scalar.value().acc_final) << at;
+    EXPECT_EQ(result.value().wcla_cycles, scalar.value().wcla_cycles) << at;
+  }
+}
+
 TEST(PackedExecutor, MacFeedbackMatchesScalar) {
   // Short trips run as one partial block, long ones as full blocks plus
-  // one, at every width, against the scalar engine and the DFG.
-  auto built = build_kernel(kMacChain, "loop");
-  ASSERT_EQ(built.kernel->mac_ops.size(), 2u);
-  for (const auto& op : built.kernel->mac_ops) ASSERT_FALSE(op.accumulate);
-
-  constexpr std::uint32_t kMemBytes = 1u << 16;
-  constexpr std::uint32_t kWriteBase = 0x4000;
-  for (const std::uint64_t trip : {1u, 7u, 8u, 63u, 64u, 65u, 200u}) {
-    // The read stream ends at the last word of memory: a spare lane of a
-    // partial block that touched memory would read out of range and throw.
-    const std::uint32_t read_base = kMemBytes - 4 * static_cast<std::uint32_t>(trip);
-    KernelInvocation invocation;
-    invocation.trip = trip;
-    for (const auto& stream : built.ir.streams) {
-      invocation.stream_bases.push_back(stream.is_write ? kWriteBase : read_base);
-    }
-    invocation.acc_init.assign(built.ir.accumulators.size(), 0);
-    for (auto reg : built.ir.live_in_regs) invocation.live_in[reg] = 0;
-    invocation.live_in[2] = read_base;
-    invocation.live_in[3] = kWriteBase;
-    invocation.live_in[4] = static_cast<std::uint32_t>(trip);
-
-    // The write region starts out filled with a sentinel, so a write from
-    // a spare lane would show.
-    sim::Memory initial(kMemBytes);
-    common::Rng rng(trip);
-    for (std::uint32_t i = 0; i < trip; ++i) initial.write32(read_base + 4 * i, rng.next_u32());
-    for (std::uint32_t i = 0; i < kMaxPackedLanes; ++i) {
-      initial.write32(kWriteBase + 4 * i, 0xA5A5A5A5u);
-    }
-    const std::vector<std::uint32_t> snapshot = initial.snapshot_words();
-
-    sim::Memory mem_scalar(kMemBytes);
-    mem_scalar.load_words(0, snapshot);
-    KernelExecutor scalar_exec(*built.kernel, *built.config);
-    scalar_exec.set_engine(KernelExecutor::EvalEngine::kScalar);
-    auto scalar_result = scalar_exec.run(mem_scalar, invocation);
-    ASSERT_TRUE(scalar_result.is_ok()) << scalar_result.message();
-
-    // The golden DFG cross-check throws on any fabric/DFG mismatch.
-    sim::Memory mem_dfg(kMemBytes);
-    mem_dfg.load_words(0, snapshot);
-    KernelExecutor dfg_exec(*built.kernel, *built.config);
-    auto dfg_result = dfg_exec.run(mem_dfg, invocation, /*verify_against_dfg=*/true);
-    ASSERT_TRUE(dfg_result.is_ok()) << dfg_result.message();
-    ASSERT_EQ(mem_dfg.checksum_words(), mem_scalar.checksum_words()) << "trip " << trip;
-
-    for (const unsigned width : {0u, 1u, 2u, 4u}) {
-      sim::Memory mem(kMemBytes);
-      mem.load_words(0, snapshot);
-      KernelExecutor exec(*built.kernel, *built.config, hwsim::PackedOptions{width});
-      ASSERT_TRUE(exec.packed_supported());
-      auto result = exec.run(mem, invocation);
-      ASSERT_TRUE(result.is_ok()) << result.message();
-      EXPECT_EQ(result.value().packed_iterations, trip) << "trip " << trip << " width " << width;
-      EXPECT_EQ(result.value().scalar_iterations, 0u) << "trip " << trip << " width " << width;
-      // Only valid lanes write: the word past the trip keeps its sentinel.
-      EXPECT_EQ(mem.read32(kWriteBase + 4 * static_cast<std::uint32_t>(trip)), 0xA5A5A5A5u);
-      for (std::uint32_t i = 0; i < trip; ++i) {
-        ASSERT_EQ(mem.read32(kWriteBase + 4 * i), mem_scalar.read32(kWriteBase + 4 * i))
-            << "trip " << trip << " width " << width << " word " << i;
-      }
-      EXPECT_EQ(mem.checksum_words(), mem_scalar.checksum_words())
-          << "trip " << trip << " width " << width;
-      EXPECT_EQ(result.value().acc_final, scalar_result.value().acc_final);
-      EXPECT_EQ(result.value().wcla_cycles, scalar_result.value().wcla_cycles);
+  // one, at every width, against the scalar engine and the DFG. Staging
+  // walks each LUT once for all MACs; the long chain's eight dependent MACs
+  // must still each be staged after their operands.
+  for (const auto& [source, macs] : {std::pair{kMacChain, 2u}, std::pair{kLongMacChain, 8u}}) {
+    auto built = build_kernel(source, "loop");
+    ASSERT_EQ(built.kernel->mac_ops.size(), macs);
+    for (const auto& op : built.kernel->mac_ops) ASSERT_FALSE(op.accumulate);
+    for (const std::uint64_t trip : {1u, 7u, 8u, 63u, 64u, 65u, 200u}) {
+      expect_engines_match(built, sweep_invocation(built, trip, {}), ScalarReason::kNone,
+                           std::to_string(macs) + " MACs trip " + std::to_string(trip));
     }
   }
 }
 
 TEST(PackedExecutor, RejectsOutOfOrderMacOperands) {
-  // Relabel the two MACs of kMacChain so that MAC 0 takes the operands
-  // that read MAC 0's own result: the scalar engine would read that result
-  // before it is set, so the packed plan must refuse to stage it.
-  auto built = build_kernel(kMacChain, "loop");
-  fabric::FabricConfig swapped = *built.config;
-  for (auto& port : swapped.netlist.output_ports) {
-    if (port.kind == techmap::PortSpec::Kind::kMacA ||
-        port.kind == techmap::PortSpec::Kind::kMacB) {
-      port.a = 1 - port.a;
+  // Reverse the MAC numbering, so that MAC 0 takes the operands that read
+  // the other MACs' results: the scalar engine would read those results
+  // before they are set, so the packed plan must refuse to stage them.
+  for (const char* source : {kMacChain, kLongMacChain}) {
+    auto built = build_kernel(source, "loop");
+    fabric::FabricConfig reversed = *built.config;
+    const auto last = static_cast<unsigned>(built.kernel->mac_ops.size()) - 1;
+    for (auto& port : reversed.netlist.output_ports) {
+      if (port.kind == techmap::PortSpec::Kind::kMacA ||
+          port.kind == techmap::PortSpec::Kind::kMacB) {
+        port.a = last - port.a;
+      }
     }
+    EXPECT_NO_THROW((KernelExecutor{*built.kernel, *built.config}));
+    EXPECT_THROW((KernelExecutor{*built.kernel, reversed}), common::InternalError);
   }
-  EXPECT_NO_THROW((KernelExecutor{*built.kernel, *built.config}));
-  EXPECT_THROW((KernelExecutor{*built.kernel, swapped}), common::InternalError);
+}
+
+/// A loop over words r5 (read through r2) with two derived values, r6 (the
+/// high half) and r7 (the low 15 bits), around `body`; the reductions end
+/// up in memory after the loop.
+std::string reduction_loop(const std::string& body) {
+  return "  li r2, 0x1000\n  li r3, 0x4000\n  li r4, 200\n"
+         "  li r8, 0\n  li r10, -1\n  li r11, 0\n"
+         "loop:\n"
+         "  lwi r5, r2, 0\n  shr_i r6, r5, 16\n  andi r7, r5, 0x7FFF\n" +
+         body +
+         "  addi r2, r2, 4\n  addi r3, r3, 4\n  addi r4, r4, -1\n  bne r4, loop\n"
+         "  li r2, 256\n  swi r8, r2, 0\n  swi r10, r2, 4\n  swi r11, r2, 8\n  halt\n";
+}
+
+constexpr std::uint64_t kConeTrips[] = {1, 7, 63, 64, 65, 200, 999};
+
+/// Every trip of kConeTrips, with seeded initial accumulator values.
+void sweep_trips(const Built& built, ScalarReason reason, const std::string& shape) {
+  for (const std::uint64_t trip : kConeTrips) {
+    common::Rng rng(trip);
+    std::vector<std::uint32_t> acc_init(built.ir.accumulators.size());
+    for (auto& v : acc_init) v = rng.next_u32();
+    expect_engines_match(built, sweep_invocation(built, trip, acc_init), reason,
+                         shape + " trip " + std::to_string(trip));
+  }
+}
+
+TEST(PackedExecutor, StateConeShapesMatchScalar) {
+  // Fabric-held reductions run packed: every LUT outside the state cone in
+  // lane blocks, the cone lane by lane in iteration order.
+  const struct {
+    const char* name;
+    const char* body;
+    std::size_t accumulators;
+  } shapes[] = {
+      {"xor", "  xor r8, r8, r7\n  swi r6, r3, 0\n", 1},
+      {"or", "  or r8, r8, r6\n  swi r7, r3, 0\n", 1},
+      {"and", "  or r9, r5, r6\n  and r10, r10, r9\n  swi r7, r3, 0\n", 1},
+      {"xor+and", "  xor r8, r8, r7\n  and r10, r10, r5\n  swi r6, r3, 0\n", 2},
+      {"stored xor", "  xor r8, r8, r7\n  swi r8, r3, 0\n", 1},
+      {"xor beside a MAC add", "  xor r8, r8, r7\n  add r11, r11, r6\n  swi r7, r3, 0\n", 2},
+  };
+  for (const auto& shape : shapes) {
+    auto built = build_kernel(reduction_loop(shape.body), "loop");
+    ASSERT_EQ(built.ir.accumulators.size(), shape.accumulators) << shape.name;
+    ASSERT_FALSE(built.kernel->acc_state_inputs.empty()) << shape.name;
+    sweep_trips(built, ScalarReason::kNone, shape.name);
+  }
+}
+
+TEST(PackedExecutor, StateTheConeCannotThreadStaysScalar) {
+  // A MAC reading the fabric-held state would have to run inside the
+  // lane-by-lane cone; a MAC-held sum read back by the fabric changes
+  // outside it. Both stay on the scalar engine, say why, and still match.
+  auto mac_in_cone = build_kernel(
+      reduction_loop("  xor r8, r8, r7\n  mul_p r9, r8, r7\n  swi r9, r3, 0\n"), "loop");
+  sweep_trips(mac_in_cone, ScalarReason::kMacOperandInCone, "mac operand in cone");
+
+  auto stored_sum = build_kernel(reduction_loop("  add r11, r11, r7\n  swi r11, r3, 0\n"),
+                                 "loop");
+  sweep_trips(stored_sum, ScalarReason::kMacHeldState, "stored mac sum");
 }
 
 TEST(PackedExecutor, InPlaceTransformStaysPacked) {
@@ -628,6 +757,8 @@ TEST(PackedExecutor, SubElementStrideFallsBackToScalar) {
     ASSERT_TRUE(result.is_ok()) << result.message();
     EXPECT_EQ(result.value().packed_iterations, 0u) << width;  // hazard: stays scalar
     EXPECT_EQ(result.value().packed_width, 0u) << width;
+    EXPECT_EQ(result.value().scalar_reason, ScalarReason::kStreamAlias) << width;
+    EXPECT_EQ(exec.scalar_reason(), ScalarReason::kNone) << width;  // the invocation's, not the kernel's
     for (unsigned i = 0; i < 200; ++i) {
       ASSERT_EQ(mem_auto.read32(0x1000 + 4 * i), mem_scalar.read32(0x1000 + 4 * i))
           << "width " << width << " word " << i;
@@ -672,9 +803,8 @@ TEST(PackedExecutor, AllWorkloadsBitExactAtEveryWidth) {
   // (the paper kernels plus crc and fir) is run through the full warp flow,
   // then its captured invocation is re-executed at every pinned width and
   // in auto mode and compared word-for-word against the scalar reference.
-  // Kernels with accumulator-state feedback (canrdr, crc) must fall back to
-  // the scalar engine at every width and still match; every other kernel,
-  // idct's MAC feedback included, must run its whole trip packed.
+  // Every kernel, canrdr's and crc's fabric-held XOR state and idct's MAC
+  // feedback included, must run its whole trip packed.
   for (const auto& workload : workloads::extended_workloads()) {
     // Full flow with the trip stretched (within the data BRAM, keeping
     // packed eligibility) so wide blocks actually engage on
@@ -684,8 +814,8 @@ TEST(PackedExecutor, AllWorkloadsBitExactAtEveryWidth) {
     ASSERT_TRUE(flowed.is_ok()) << flowed.message();
     KernelExecutor* exec = flowed.value().system->wcla().executor();
     sim::Memory& mem = flowed.value().system->data_mem();
-    EXPECT_EQ(exec->packed_supported(), workload.name != "canrdr" && workload.name != "crc")
-        << workload.name;
+    EXPECT_TRUE(exec->packed_supported())
+        << workload.name << ": " << scalar_reason_name(exec->scalar_reason());
 
     // The stretched invocation, then the stub's own (short trips such as
     // idct's 8, matmul's 24 and bitmnp's 32 run as one partial block).
@@ -709,9 +839,8 @@ TEST(PackedExecutor, AllWorkloadsBitExactAtEveryWidth) {
         EXPECT_EQ(result.value().acc_final, scalar_result.value().acc_final)
             << label << " width " << width;
         // No registered workload aliases its streams within a block, so
-        // packed-capable kernels never fall back.
-        EXPECT_EQ(result.value().packed_iterations,
-                  exec->packed_supported() ? invocation->trip : 0u)
+        // no kernel falls back.
+        EXPECT_EQ(result.value().packed_iterations, invocation->trip)
             << label << " width " << width;
       }
       mem.load_words(0, snapshot);
