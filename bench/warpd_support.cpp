@@ -20,7 +20,7 @@
 
 namespace warp::bench {
 
-pid_t spawn_self(const std::vector<std::string>& args, const std::string& endpoint,
+pid_t spawn_self(const std::vector<std::string>& args, const std::string& socket_path,
                  const std::string& label) {
   std::vector<std::string> argv_store = {"/proc/self/exe"};
   argv_store.insert(argv_store.end(), args.begin(), args.end());
@@ -38,7 +38,7 @@ pid_t spawn_self(const std::vector<std::string>& args, const std::string& endpoi
     std::fprintf(stderr, "execv failed: %s\n", std::strerror(errno));
     ::_exit(127);
   }
-  // Ready when the endpoint accepts a connection (start() binds before the
+  // Ready when the socket accepts a connection (start() binds before the
   // child's supervisor loop runs, so this is quick).
   for (int attempt = 0; attempt < 400; ++attempt) {
     int status = 0;
@@ -47,10 +47,11 @@ pid_t spawn_self(const std::vector<std::string>& args, const std::string& endpoi
       std::exit(1);
     }
     serve::Client probe;
-    if (probe.connect(endpoint)) return pid;
+    if (probe.connect(socket_path)) return pid;
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   }
-  std::fprintf(stderr, "%s never became reachable on %s\n", label.c_str(), endpoint.c_str());
+  std::fprintf(stderr, "%s never became reachable on %s\n", label.c_str(),
+               socket_path.c_str());
   ::kill(pid, SIGKILL);
   std::exit(1);
 }
@@ -66,10 +67,10 @@ ExitInfo reap(pid_t pid) {
   return info;
 }
 
-std::string control_rpc(const std::string& endpoint, const std::string& line) {
+std::string control_rpc(const std::string& socket_path, const std::string& line) {
   serve::Client client;
-  if (const auto status = client.connect(endpoint); !status) {
-    std::fprintf(stderr, "control connect %s failed: %s\n", endpoint.c_str(),
+  if (const auto status = client.connect(socket_path); !status) {
+    std::fprintf(stderr, "control connect %s failed: %s\n", socket_path.c_str(),
                  status.message().c_str());
     std::exit(1);
   }
@@ -80,7 +81,7 @@ std::string control_rpc(const std::string& endpoint, const std::string& line) {
   auto reply = client.read_line_for(60'000);
   if (!reply) {
     std::fprintf(stderr, "control '%s' on %s got no reply: %s\n", line.c_str(),
-                 endpoint.c_str(), reply.message().c_str());
+                 socket_path.c_str(), reply.message().c_str());
     std::exit(1);
   }
   return reply.value();
@@ -91,17 +92,9 @@ std::uint64_t StatsLine::get(const char* key) const {
   return it == values.end() ? 0 : it->second;
 }
 
-std::uint64_t StatsLine::sum_prefix(const char* prefix) const {
-  std::uint64_t total = 0;
-  for (const auto& [key, value] : values) {
-    if (common::starts_with(key, prefix)) total += value;
-  }
-  return total;
-}
-
-StatsLine query_stats(const std::string& endpoint) {
+StatsLine query_stats(const std::string& socket_path) {
   StatsLine stats;
-  for (const auto field : common::split(control_rpc(endpoint, "stats"), " ")) {
+  for (const auto field : common::split(control_rpc(socket_path, "stats"), " ")) {
     const auto eq = field.find('=');
     if (eq == std::string_view::npos) continue;
     stats.values[std::string(field.substr(0, eq))] =

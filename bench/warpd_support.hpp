@@ -1,5 +1,5 @@
-// Harness code shared by the warpd serving benches (warpd_bench, warpd_load,
-// warpd_cluster): self-spawned daemon processes, control RPCs over the line
+// Harness code shared by the warpd serving benches (warpd_bench and
+// warpd_load): self-spawned daemon processes, control RPCs over the line
 // protocol, serial references and the reply-table checks every chaos gate
 // applies.
 #pragma once
@@ -18,9 +18,10 @@
 namespace warp::bench {
 
 /// Fork + execv this same binary (/proc/self/exe) with `args` and wait until
-/// `endpoint` accepts a connection. Exits the process if the child dies or
-/// never becomes reachable; `label` names the child in those messages.
-pid_t spawn_self(const std::vector<std::string>& args, const std::string& endpoint,
+/// the unix socket at `socket_path` accepts a connection. Exits the process
+/// if the child dies or never becomes reachable; `label` names the child in
+/// those messages.
+pid_t spawn_self(const std::vector<std::string>& args, const std::string& socket_path,
                  const std::string& label);
 
 /// How a reaped child ended.
@@ -34,20 +35,18 @@ struct ExitInfo {
 /// Block until `pid` ends and report how.
 ExitInfo reap(pid_t pid);
 
-/// One control-plane line (stats, drain, repair, ...) over a fresh
-/// connection to `endpoint`; returns the one-line reply. Every step is
-/// bounded (a 60 s read deadline); any failure exits the process.
-std::string control_rpc(const std::string& endpoint, const std::string& line);
+/// One control-plane line (stats, drain, ...) over a fresh connection to
+/// `socket_path`; returns the one-line reply. Every step is bounded (a 60 s
+/// read deadline); any failure exits the process.
+std::string control_rpc(const std::string& socket_path, const std::string& line);
 
 /// A parsed "stats" reply: key=value fields as unsigned integers.
 struct StatsLine {
   std::map<std::string, std::uint64_t> values;
   std::uint64_t get(const char* key) const;
-  /// Sum over every key starting with `prefix` (e.g. "fault.").
-  std::uint64_t sum_prefix(const char* prefix) const;
 };
 
-StatsLine query_stats(const std::string& endpoint);
+StatsLine query_stats(const std::string& socket_path);
 
 /// Request identity for the reference tables: workload plus every
 /// override, so requests with one key are served by one reference row.
@@ -55,8 +54,7 @@ std::string key_of(const serve::protocol::Request& request);
 
 /// Everything an "ok" reply claims about the session except its queue
 /// position (dpm_wait_seconds). These must be bit-identical to the serial
-/// engine no matter which overload, chaos or forwarding path the session
-/// took.
+/// engine no matter which overload or chaos path the session took.
 bool pure_fields_match(const warpsys::MultiWarpEntry& a, const warpsys::MultiWarpEntry& b);
 
 /// run_serial over one request per distinct key_of: the pure-field

@@ -4,7 +4,12 @@
 #      README.md or an entry in the top-level README's subsystem map;
 #   2. every relative markdown link in tracked *.md files must resolve;
 #   3. every tracked BENCH_*.json must have its schema documented in
-#      docs/benchmarks.md.
+#      docs/benchmarks.md;
+#   4. every backticked repo path (`src/...`, `bench/...`, `tests/...`,
+#      `examples/...`, `scripts/...`, `docs/...`) in README.md, docs/*.md,
+#      src/*/README.md and .claude/skills/*/SKILL.md must exist as written
+#      (a glob must match), or with .cpp appended for bench and example
+#      targets such as `bench/fig4_multiprocessor`.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -48,6 +53,22 @@ while IFS= read -r bench; do
     fail=1
   fi
 done < <(git ls-files 'BENCH_*.json')
+
+# --- 4. backticked repo paths ---------------------------------------------
+# A span may go on after its path (`bench/warpd_bench --check`): only the
+# first word is checked.
+for md in README.md docs/*.md src/*/README.md .claude/skills/*/SKILL.md; do
+  [ -f "$md" ] || continue
+  while IFS= read -r span; do
+    path="${span%% *}"
+    compgen -G "$path" > /dev/null && continue
+    case "$path" in
+      bench/*|examples/*) [ -e "$path.cpp" ] && continue ;;
+    esac
+    echo "FAIL: $md names a missing path: $path"
+    fail=1
+  done < <(grep -oE '`(src|bench|tests|examples|scripts|docs)/[^`]*`' "$md" | tr -d '`')
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check failed"

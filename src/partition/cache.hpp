@@ -51,8 +51,8 @@
 #include <vector>
 
 #include "common/hash.hpp"
-#include "partition/artifact_store.hpp"
 #include "partition/cache_key.hpp"
+#include "partition/disk_store.hpp"
 
 namespace warp::partition {
 
@@ -84,9 +84,8 @@ class ArtifactCache {
   explicit ArtifactCache(ArtifactCacheOptions options) : options_(options) {}
 
   /// Layer a persistent store underneath (not owned; may be null to
-  /// detach) — a DiskArtifactStore, or a ReplicatedStore wrapping one.
-  /// Typically attached right after construction.
-  void attach_store(ArtifactStore* store) {
+  /// detach). Typically attached right after construction.
+  void attach_store(DiskArtifactStore* store) {
     std::lock_guard<std::mutex> lock(mutex_);
     store_ = store;
   }
@@ -98,7 +97,7 @@ class ArtifactCache {
   /// stores under its name — checked by assert in debug builds.
   template <typename T>
   std::shared_ptr<const T> find(const CacheKey& key) {
-    ArtifactStore* store = nullptr;
+    DiskArtifactStore* store = nullptr;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       StageCacheStats& stats = stats_[key.stage];
@@ -150,7 +149,7 @@ class ArtifactCache {
   template <typename T>
   void put(const CacheKey& key, std::shared_ptr<const T> value,
            FailureKind fail_kind = FailureKind::kNone) {
-    ArtifactStore* store = nullptr;
+    DiskArtifactStore* store = nullptr;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       store = store_;
@@ -279,7 +278,7 @@ class ArtifactCache {
   }
 
   ArtifactCacheOptions options_;
-  ArtifactStore* store_ = nullptr;
+  DiskArtifactStore* store_ = nullptr;
 
   mutable std::mutex mutex_;
   Map map_;

@@ -44,8 +44,8 @@ struct Envelope {
 
 // The one envelope parser. Validates outside-in, type-agnostic: the trailer
 // (truncation + corruption), then magic/store version, then the structural
-// fields. Typed loads (get) then compare the key, tag and version with the
-// request; raw replication checks the key against the file name.
+// fields. Loads (get) then compare the key, tag and version with the
+// request.
 std::optional<Envelope> parse_envelope(const std::vector<std::uint8_t>& bytes) {
   if (bytes.size() < kTrailerBytes) return std::nullopt;
   const std::size_t body_size = bytes.size() - kTrailerBytes;
@@ -362,47 +362,6 @@ void DiskArtifactStore::evict_to_cap_locked() {
 DiskStoreStats DiskArtifactStore::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-std::vector<std::string> DiskArtifactStore::list_names() const {
-  std::vector<std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    names.reserve(index_.size());
-    for (const auto& [name, state] : index_) names.push_back(name);
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-std::optional<std::vector<std::uint8_t>> DiskArtifactStore::export_raw(
-    const std::string& name) {
-  if (!usable_ || !is_artifact_name(name) || name.find('/') != std::string::npos) {
-    return std::nullopt;
-  }
-  auto bytes = read_file(options_.directory + "/" + name);
-  if (!bytes) return std::nullopt;
-  const auto envelope = parse_envelope(*bytes);
-  if (!envelope || name_for(envelope->key) != name) {
-    // Locally damaged (or renamed over a different key): stop serving it
-    // here too, and never ship it to a peer.
-    std::lock_guard<std::mutex> lock(mutex_);
-    quarantine_locked(name);
-    return std::nullopt;
-  }
-  return bytes;
-}
-
-bool DiskArtifactStore::import_raw(const std::string& name,
-                                   const std::vector<std::uint8_t>& envelope) {
-  if (!usable_ || !is_artifact_name(name) || name.find('/') != std::string::npos) {
-    return false;
-  }
-  const auto parsed = parse_envelope(envelope);
-  // The name/embedded-key match means a peer (or an attacker on the wire)
-  // cannot install an envelope under a key it was not written for.
-  if (!parsed || name_for(parsed->key) != name) return false;
-  return install(name, envelope);
 }
 
 }  // namespace warp::partition

@@ -24,15 +24,14 @@
 //   dig  checksum of everything above     -+  corruption detector
 //
 // Write discipline: serialize to <name>.tmp.<pid>.<seq>, write, fsync,
-// atomically rename over the final name, fsync the directory. put() and
-// import_raw() share this one install path. A crash at any point leaves
-// either no file, a stale .tmp (removed at next open), or the complete
-// old/new file — never a half-visible artifact under the final name. One
-// parser validates every envelope outside-in (trailer length + checksum,
-// magic, store version, structure); loads then compare the embedded key,
-// type tag and version with the request before the payload is handed to a
-// codec. Any mismatch moves the file aside to <name>.quarantined and counts
-// as a miss.
+// atomically rename over the final name, fsync the directory. A crash at
+// any point leaves either no file, a stale .tmp (removed at next open), or
+// the complete old/new file — never a half-visible artifact under the final
+// name. One parser validates every envelope outside-in (trailer length +
+// checksum, magic, store version, structure); loads then compare the
+// embedded key, type tag and version with the request before the payload
+// is handed to a codec. Any mismatch moves the file aside to
+// <name>.quarantined and counts as a miss.
 //
 // Fault injection (common/fault_injector.hpp) probes the sites
 // "store.put.write", "store.put.rename" (both on the shared install path),
@@ -40,12 +39,14 @@
 // only), "store.get.read" and "store.get" (corrupted read). Transient I/O
 // errors are retried through common::retry (common/retry.hpp): up to
 // common::kRetryAttempts attempts per step with jittered exponential
-// backoff. After the budget the operation degrades (put/import: artifact
-// not persisted; get: miss). A get on a missing file is a miss at once,
+// backoff. After the budget the operation degrades (put: artifact not
+// persisted; get: miss). A get on a missing file is a miss at once,
 // never retried. Injected-fault counts are the injector's per-site stats.
 //
 // Bounding: with max_bytes set, least-recently-used artifacts are unlinked
 // until the store fits (access order is seeded from file mtimes at open).
+//
+// Every method is thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +60,6 @@
 
 #include "common/fault_injector.hpp"
 #include "common/retry.hpp"
-#include "partition/artifact_store.hpp"
 #include "partition/cache_key.hpp"
 
 namespace warp::partition {
@@ -83,7 +83,7 @@ struct DiskStoreStats {
   std::uint64_t bytes = 0;          // resident artifact bytes
 };
 
-class DiskArtifactStore : public ArtifactStore {
+class DiskArtifactStore {
  public:
   static constexpr std::uint64_t kMagic = 0x524F545350524157ull;  // "WARPSTOR" LE
   static constexpr std::uint32_t kStoreVersion = 1;
@@ -102,18 +102,18 @@ class DiskArtifactStore : public ArtifactStore {
   /// durably on disk under its final name. Failure is not an error state:
   /// the store stays usable and the caller's in-memory copy is untouched.
   bool put(const CacheKey& key, std::uint32_t type_tag, std::uint32_t type_version,
-           const std::vector<std::uint8_t>& payload) override;
+           const std::vector<std::uint8_t>& payload);
 
   /// Load the payload for `key` if a fully valid envelope of the expected
   /// type/version is on disk; nullopt is a miss. Damaged or mismatched
   /// files are quarantined.
   std::optional<std::vector<std::uint8_t>> get(const CacheKey& key, std::uint32_t type_tag,
-                                               std::uint32_t type_version) override;
+                                               std::uint32_t type_version);
 
   /// Move the file for `key` aside as damaged. Used by the cache layer when
   /// a payload passes the envelope checks but fails its codec (corruption
   /// indistinguishable from a format bug — either way, stop serving it).
-  void quarantine_key(const CacheKey& key) override;
+  void quarantine_key(const CacheKey& key);
 
   DiskStoreStats stats() const;
   const DiskStoreOptions& options() const { return options_; }
@@ -121,37 +121,14 @@ class DiskArtifactStore : public ArtifactStore {
   /// Final on-disk path for a key (tests corrupt files through this).
   std::string path_for(const CacheKey& key) const;
 
-  // Raw envelope API — what replication (partition/replicated_store.hpp)
-  // moves between hosts. An "envelope" is the complete self-validating
-  // on-disk image of one artifact; a "name" is its file name, a pure
-  // function of its cache key. Replicating whole envelopes means the
-  // receiver re-validates everything outside-in and a damaged replica can
-  // never install anything.
-
-  /// The file name an envelope for `key` lives under ("<stage>-<hex>.art").
-  static std::string name_for(const CacheKey& key);
-
-  /// Names of all resident artifacts, sorted (anti-entropy diffs these).
-  std::vector<std::string> list_names() const;
-
-  /// The complete envelope stored under `name`, validated outside-in
-  /// (trailer, magic, store version, embedded key consistent with `name`).
-  /// Damage quarantines the file and yields nullopt — a corrupted replica
-  /// is never exported to a peer.
-  std::optional<std::vector<std::uint8_t>> export_raw(const std::string& name);
-
-  /// Install a replicated envelope under `name` after the same outside-in
-  /// validation (plus the name/embedded-key match). Invalid envelopes are
-  /// rejected without touching disk — a poisoned peer cannot poison us.
-  /// Valid ones go through put()'s install path and retry budget.
-  bool import_raw(const std::string& name, const std::vector<std::uint8_t>& envelope);
-
  private:
   struct FileState {
     std::uint64_t bytes = 0;
     std::list<std::string>::iterator lru;  // position in lru_ (front = oldest)
   };
 
+  /// The file name for `key` ("<stage>-<hex>.art").
+  static std::string name_for(const CacheKey& key);
   /// tmp -> fsync -> rename -> dir fsync under the retry discipline.
   bool install(const std::string& name, const std::vector<std::uint8_t>& envelope);
   bool write_file_once(const std::string& tmp_path, const std::vector<std::uint8_t>& bytes);

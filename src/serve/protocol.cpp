@@ -80,7 +80,7 @@ Result<Request> parse_request(std::string_view line) {
   bool have_workload = false;
   // Duplicate detection without allocation: one flag per known key.
   bool seen_seq = false, seen_deadline = false;
-  bool seen_width = false, seen_cand = false, seen_csd = false, seen_fwd = false;
+  bool seen_width = false, seen_cand = false, seen_csd = false;
   for (std::size_t t = 1; t < tokens.size(); ++t) {
     const std::string_view token = tokens[t];
     const std::size_t eq = token.find('=');
@@ -120,14 +120,6 @@ Result<Request> parse_request(std::string_view line) {
       if (seen_csd) return R::error("duplicate csd_max_terms");
       request.overrides.csd_max_terms = field_value<unsigned>(value);
       seen_csd = true;
-    } else if (key == "fwd") {
-      if (seen_fwd) return R::error("duplicate fwd");
-      std::uint64_t origin = 0;
-      if (!parse_u64(value, origin) || origin > kMaxNodeId) {
-        return R::error("bad fwd (want 0..1023)");
-      }
-      request.forwarded_from = static_cast<std::uint32_t>(origin);
-      seen_fwd = true;
     } else {
       return R::error("unknown key: " + std::string(key.substr(0, 32)));
     }
@@ -159,9 +151,6 @@ std::string encode_request(const Request& request) {
   }
   if (request.overrides.csd_max_terms) {
     line += common::format(" csd_max_terms=%u", *request.overrides.csd_max_terms);
-  }
-  if (request.forwarded_from) {
-    line += common::format(" fwd=%u", static_cast<unsigned>(*request.forwarded_from));
   }
   return line;
 }
@@ -227,11 +216,10 @@ std::string encode_reply(const Reply& reply) {
   }
   return common::format(
       "ok id=%llu workload=%s warped=%d sw_s=%.17g warped_s=%.17g speedup=%.17g "
-      "dpm_s=%.17g wait_s=%.17g node=%u detail=%s",
+      "dpm_s=%.17g wait_s=%.17g detail=%s",
       static_cast<unsigned long long>(reply.id), reply.workload.c_str(),
       reply.warped ? 1 : 0, reply.sw_seconds, reply.warped_seconds, reply.speedup,
-      reply.dpm_seconds, reply.dpm_wait_seconds, static_cast<unsigned>(reply.node),
-      sanitize(reply.detail).c_str());
+      reply.dpm_seconds, reply.dpm_wait_seconds, sanitize(reply.detail).c_str());
 }
 
 Result<Reply> parse_reply(std::string_view line) {
@@ -287,10 +275,9 @@ Result<Reply> parse_reply(std::string_view line) {
   }
 
   bool have_id = false;
-  // The ok payload: every field must appear exactly once (node= is optional
-  // for compatibility with pre-cluster reply lines).
+  // The ok payload: every field must appear exactly once.
   bool have_workload = false, have_warped = false, have_sw = false, have_warped_s = false,
-       have_speedup = false, have_dpm = false, have_wait = false, have_node = false;
+       have_speedup = false, have_dpm = false, have_wait = false;
   for (const std::string_view token : common::split(tail, " \t")) {
     const std::size_t eq = token.find('=');
     if (eq == std::string_view::npos || eq == 0) return R::error("malformed reply field");
@@ -321,11 +308,6 @@ Result<Reply> parse_reply(std::string_view line) {
     } else if (reply.ok && key == "wait_s" && !have_wait) {
       if (!parse_double(value, reply.dpm_wait_seconds)) return R::error("bad wait_s");
       have_wait = true;
-    } else if (reply.ok && key == "node" && !have_node) {
-      std::uint64_t node = 0;
-      if (!parse_u64(value, node) || node > kMaxNodeId) return R::error("bad node");
-      reply.node = static_cast<std::uint32_t>(node);
-      have_node = true;
     } else {
       return R::error("unknown or repeated reply key: " + std::string(key.substr(0, 32)));
     }
@@ -349,38 +331,6 @@ warpsys::MultiWarpEntry entry_of(const Reply& reply) {
   entry.dpm_wait_seconds = reply.dpm_wait_seconds;
   entry.warped = reply.warped;
   return entry;
-}
-
-std::string hex_encode(std::string_view bytes) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const char c : bytes) {
-    const auto b = static_cast<unsigned char>(c);
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xF]);
-  }
-  return out;
-}
-
-common::Result<std::string> hex_decode(std::string_view hex) {
-  using R = common::Result<std::string>;
-  if (hex.size() % 2 != 0) return R::error("odd hex length");
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return R::error("bad hex byte");
-    out.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return out;
 }
 
 }  // namespace warp::serve::protocol

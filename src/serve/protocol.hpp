@@ -14,12 +14,6 @@
 //              packed_width=<0|1|2|4>      optional WarpSystemConfig override
 //              max_candidates=<1..64>      optional DpmOptions override
 //              csd_max_terms=<0..16>       optional SynthOptions override
-//              fwd=<0..1023>       optional; cluster-internal: the node id
-//                                  that forwarded this session to its
-//                                  ShardRing owner. A request carrying fwd=
-//                                  is executed locally, never re-forwarded,
-//                                  so a stale ring view cannot loop a
-//                                  session between nodes (cluster.hpp)
 //   ping     = "ping"              answered with the raw line "pong"
 //   drain    = "drain"             answered "draining"; the server stops
 //                                  admitting (new sessions get "busy") and a
@@ -30,8 +24,7 @@
 //
 //   reply    = "ok" SP "id=" u64 SP "workload=" name SP "warped=" (0|1)
 //              SP "sw_s=" dbl SP "warped_s=" dbl SP "speedup=" dbl
-//              SP "dpm_s=" dbl SP "wait_s=" dbl SP "node=" u32
-//              SP "detail=" rest-of-line
+//              SP "dpm_s=" dbl SP "wait_s=" dbl SP "detail=" rest-of-line
 //            | "err" SP "id=" u64 SP "msg=" rest-of-line
 //            | "busy" SP "id=" u64 SP "retry_ms=" u64
 //            | "timeout" SP "id=" u64 SP "msg=" rest-of-line
@@ -41,10 +34,6 @@
 // retry after the deterministic retry_ms hint. "timeout" means the session
 // was admitted but cancelled before it ever started (its deadline_ms
 // elapsed while queued); no simulated work ran on its behalf.
-// "node=" names the warpd node whose sequencer admitted the session —
-// cluster clients group replies by node to replay each node's wait chain
-// independently. It is always encoded on "ok" but optional on parse, so
-// pre-cluster reply lines still decode (node defaults to 0).
 // Doubles are rendered with %.17g so a decoded reply reproduces the
 // server-side MultiWarpEntry bit for bit — the determinism gates compare
 // tables straight off the wire. detail=/msg= are always the final field and
@@ -84,10 +73,6 @@ struct RequestOverrides {
 /// small enough that deadline arithmetic can never overflow host clocks.
 inline constexpr std::uint64_t kMaxDeadlineMs = 86'400'000;
 
-/// Upper bound on the fwd= node id — far beyond any plausible cluster size,
-/// tight enough to reject line noise.
-inline constexpr std::uint64_t kMaxNodeId = 1023;
-
 struct Request {
   std::uint64_t id = 0;     // client correlation token, echoed verbatim
   std::string workload;     // extended_workloads() name
@@ -96,9 +81,6 @@ struct Request {
   /// (be claimed by a worker or coalesce onto a leader); expired queued
   /// sessions are cancelled with a "timeout" reply. 1..kMaxDeadlineMs.
   std::optional<std::uint64_t> deadline_ms;
-  /// Cluster-internal: id of the node that forwarded this session here.
-  /// Present => execute locally, never re-forward (loop prevention).
-  std::optional<std::uint32_t> forwarded_from;
   RequestOverrides overrides;
 
   bool operator==(const Request&) const = default;
@@ -123,7 +105,6 @@ struct Reply {
   double dpm_seconds = 0.0;
   double dpm_wait_seconds = 0.0;
   std::uint64_t retry_after_ms = 0;  // "busy" payload
-  std::uint32_t node = 0;  // warpd node whose sequencer admitted the session
   std::string detail;  // entry detail (ok) or message (err/timeout)
 };
 
@@ -153,11 +134,5 @@ common::Result<Reply> parse_reply(std::string_view line);
 /// %.17g doubles this round-trips the server-side entry bit for bit, so
 /// determinism tests compare wire tables with operator== directly.
 warpsys::MultiWarpEntry entry_of(const Reply& reply);
-
-/// Lowercase-hex codec for carrying binary artifact-store envelopes over
-/// the line protocol (replication ops sput/sget). hex_decode errors on odd
-/// length or non-hex bytes — it parses wire input, so it never throws.
-std::string hex_encode(std::string_view bytes);
-common::Result<std::string> hex_decode(std::string_view hex);
 
 }  // namespace warp::serve::protocol

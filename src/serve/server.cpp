@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -15,8 +16,50 @@ namespace warp::serve {
 
 namespace {
 
-common::Status errno_status(const std::string& what) {
-  return common::Status::error(what + ": " + std::strerror(errno));
+std::string errno_text(const std::string& what) {
+  return what + ": " + std::strerror(errno);
+}
+
+// A fresh CLOEXEC unix stream socket, with the address of `path` in
+// `addr`. The path must be nonempty and fit sun_path with its terminator;
+// that is checked before the socket exists, so a bad path leaves no file.
+common::Result<int> unix_socket(const std::string& path, sockaddr_un& addr) {
+  using R = common::Result<int>;
+  if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
+    return R::error("bad socket path: " + path);
+  }
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return R::error(errno_text("socket"));
+  return fd;
+}
+
+common::Result<int> close_with_error(int fd, std::string message) {
+  ::close(fd);
+  return common::Result<int>::error(std::move(message));
+}
+
+// A socket listening at `path`, replacing any stale socket file there.
+common::Result<int> listen_unix(const std::string& path) {
+  sockaddr_un addr{};
+  auto fd = unix_socket(path, addr);
+  if (!fd) return fd;
+  ::unlink(path.c_str());
+  if (::bind(fd.value(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    return close_with_error(fd.value(), errno_text("bind " + path));
+  }
+  if (::listen(fd.value(), 64) != 0) return close_with_error(fd.value(), errno_text("listen"));
+  return fd;
+}
+
+common::Result<int> connect_unix(const std::string& path) {
+  sockaddr_un addr{};
+  auto fd = unix_socket(path, addr);
+  if (fd && ::connect(fd.value(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    return close_with_error(fd.value(), errno_text("connect " + path));
+  }
+  return fd;
 }
 
 // A failed accept/recv: EINTR is retried, any real error stops at once.
@@ -26,32 +69,16 @@ common::Attempt after_syscall_error() {
 
 }  // namespace
 
-SocketServer::SocketServer(SocketServerOptions options)
-    : options_(std::move(options)),
-      backoff_(0x9E3779B97F4A7C15ull ^ options_.engine.node_id) {
+SocketServer::SocketServer(SocketServerOptions options) : options_(std::move(options)) {
   engine_ = std::make_unique<Warpd>(options_.engine);
 }
 
 SocketServer::~SocketServer() { stop(); }
 
 common::Status SocketServer::start() {
-  auto endpoint = parse_endpoint(options_.path);
-  if (!endpoint) return common::Status::error(endpoint.message());
-  endpoint_ = endpoint.value();
-  auto fd = listen_endpoint(endpoint_, 64);
+  auto fd = listen_unix(options_.path);
   if (!fd) return common::Status::error(fd.message());
   listen_fd_ = fd.value();
-  if (endpoint_.kind == Endpoint::Kind::kTcp) {
-    auto port = bound_port(listen_fd_);
-    if (!port) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return common::Status::error(port.message());
-    }
-    port_ = port.value();
-    endpoint_.port = port_;
-  }
-  started_ = true;
   accept_thread_ = std::thread([this] { accept_main(); });
   return common::Status::ok();
 }
@@ -187,10 +214,6 @@ std::string SocketServer::stats_line() {
     line += common::format(" fault.%s=%llu", site.c_str(),
                            static_cast<unsigned long long>(count));
   }
-  if (options_.extra_stats) {
-    const std::string extra = options_.extra_stats();
-    if (!extra.empty()) line += " " + extra;
-  }
   return line;
 }
 
@@ -209,14 +232,6 @@ void SocketServer::handle_line(const std::shared_ptr<Connection>& conn,
   if (line == "stats") {
     write_line(*conn, stats_line());
     return;
-  }
-  if (options_.control && !common::starts_with(line, "warp ")) {
-    // Cluster control/replication ops; nullopt falls through to the normal
-    // unknown-verb error from parse_request.
-    if (auto reply = options_.control(line)) {
-      write_line(*conn, *reply);
-      return;
-    }
   }
   auto parsed = protocol::parse_request(line);
   if (!parsed) {
@@ -251,17 +266,12 @@ void SocketServer::handle_line(const std::shared_ptr<Connection>& conn,
         reply = protocol::make_error_reply(outcome.id, outcome.error);
         break;
     }
-    reply.node = outcome.node;
     write_line(*conn, protocol::encode_reply(reply));
     std::lock_guard<std::mutex> lock(conn->mutex);
     --conn->outstanding;
     conn->idle.notify_all();
   };
-  if (options_.route) {
-    options_.route(parsed.value(), std::move(done));
-  } else {
-    engine_->submit(parsed.value(), std::move(done));
-  }
+  engine_->submit(parsed.value(), std::move(done));
 }
 
 bool SocketServer::write_line(Connection& conn, const std::string& line) {
@@ -324,7 +334,7 @@ void SocketServer::stop() {
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-    if (started_) unlink_endpoint(endpoint_);
+    ::unlink(options_.path.c_str());
   }
   // Finish every admitted session; callbacks write the remaining replies.
   engine_->stop();
@@ -349,10 +359,8 @@ SocketServerStats SocketServer::stats() const {
 
 Client::~Client() { close(); }
 
-common::Status Client::connect(const std::string& spec) {
-  auto endpoint = parse_endpoint(spec);
-  if (!endpoint) return common::Status::error(endpoint.message());
-  auto fd = connect_endpoint(endpoint.value());
+common::Status Client::connect(const std::string& path) {
+  auto fd = connect_unix(path);
   if (!fd) return common::Status::error(fd.message());
   fd_ = fd.value();
   return common::Status::ok();
@@ -370,7 +378,7 @@ common::Status Client::send_raw(const std::string& bytes) {
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    return errno_status("send");
+    return common::Status::error(errno_text("send"));
   }
   return common::Status::ok();
 }

@@ -1,4 +1,4 @@
-// Socket front end for the warpd engine (unix-domain or TCP transport).
+// Socket front end for the warpd engine, over one unix-domain socket.
 //
 // One listener thread accepts connections; one reader thread per connection
 // frames '\n'-delimited request lines (protocol.hpp), submits them to the
@@ -8,23 +8,11 @@
 // lines are answered with "err" replies; nothing a client sends can crash
 // or stop the server (fuzz-gated by tests/warpd_proto_test.cpp).
 //
-// Transport: `path` is an endpoint spec parsed by transport.hpp —
-// "unix:<path>" / a bare filesystem path (AF_UNIX, the original transport)
-// or "tcp:<host>:<port>" (AF_INET; port 0 auto-assigns, see port()). The
-// line protocol is byte-identical over either, so every determinism gate
-// holds across transports.
+// `path` is the socket's filesystem path: start() unlinks any stale socket
+// there and binds a fresh one, stop() unlinks it. A path that is empty or
+// does not fit sockaddr_un::sun_path with its terminator (107 bytes on
+// Linux) makes start() and Client::connect() fail before any socket exists.
 //
-// Cluster hooks (all optional, all unset for a standalone server):
-//   route        called instead of Warpd::submit for each well-formed warp
-//                request — the cluster coordinator forwards the session to
-//                its ShardRing owner or falls back to the local engine. The
-//                callback must fire exactly once, like Warpd::submit's.
-//   control      offered every non-"warp" line the built-in ops don't
-//                claim; returning a line answers it (replication and peer
-//                control ops live here), nullopt falls through to the
-//                normal unknown-verb error.
-//   extra_stats  appended to the "stats" reply line ("k=v k=v" text) —
-//                forwarding/replication counters ride here.
 // The stats op also reports per-site injected-fault counters from the
 // attached injectors ("fault.<site>=N"), so harnesses can assert a fault
 // schedule actually fired instead of inferring it from timing.
@@ -43,9 +31,8 @@
 // remaining replies while sessions still complete server-side. Injected
 // fault counts are the injector's: the stats op's fault.<site>= fields.
 //
-// One common::Backoff serves the accept thread and every connection
-// thread. Its jitter seed is 0x9E3779B97F4A7C15 ^ engine.node_id, so
-// cluster nodes decorrelate and one seed reproduces the sleep schedule.
+// One common::Backoff, at its default seed, serves the accept thread and
+// every connection thread, so one seed reproduces the sleep schedule.
 //
 // Graceful drain: the "drain" protocol op or request_drain() (what a
 // daemon's SIGTERM handler calls) makes the engine shed all new sessions
@@ -58,10 +45,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,24 +54,18 @@
 #include "common/error.hpp"
 #include "common/fault_injector.hpp"
 #include "common/retry.hpp"
-#include "serve/transport.hpp"
 #include "serve/warpd.hpp"
 
 namespace warp::serve {
 
 struct SocketServerOptions {
-  /// Endpoint spec ("unix:<path>", bare path, or "tcp:<host>:<port>"); see
-  /// transport.hpp. Unix sockets are unlinked and rebound by start().
+  /// Filesystem path of the unix socket; start() unlinks and rebinds it.
   std::string path;
   WarpdOptions engine;
   std::size_t max_line_bytes = protocol::kMaxLineBytes;
   /// Injector for the serve.* sites (not owned; may be null). May be the
   /// same injector as engine.fault or a different one.
   common::FaultInjector* fault = nullptr;
-  /// Cluster hooks — see the header comment. All optional.
-  std::function<void(const protocol::Request&, Warpd::Callback)> route;
-  std::function<std::optional<std::string>(std::string_view)> control;
-  std::function<std::string()> extra_stats;
 };
 
 struct SocketServerStats {
@@ -108,12 +87,6 @@ class SocketServer {
 
   /// Bind + listen + start accepting. Error if the socket cannot be bound.
   common::Status start();
-
-  /// The bound TCP port after start() (resolves a tcp:...:0 spec); 0 for
-  /// unix endpoints.
-  std::uint16_t port() const { return port_; }
-  /// The parsed endpoint after start(), with any auto-assigned port filled.
-  const Endpoint& endpoint() const { return endpoint_; }
 
   /// Stop accepting, finish every admitted session (Warpd::stop), write the
   /// remaining replies, close all connections and join every thread.
@@ -155,12 +128,9 @@ class SocketServer {
 
   SocketServerOptions options_;
   std::unique_ptr<Warpd> engine_;
-  Endpoint endpoint_;
-  std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   std::atomic<bool> closing_{false};
   std::atomic<bool> drain_requested_{false};
-  bool started_ = false;
   bool stopped_ = false;
   common::Backoff backoff_;
 
@@ -171,9 +141,8 @@ class SocketServer {
   std::thread accept_thread_;
 };
 
-/// Minimal blocking line-oriented client, for tests, the bench drivers and
-/// the cluster's peer links. connect() takes the same endpoint specs as the
-/// server.
+/// Minimal blocking line-oriented client, for tests and the bench drivers.
+/// connect() takes the server's socket path.
 class Client {
  public:
   Client() = default;
@@ -181,7 +150,7 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  common::Status connect(const std::string& spec);
+  common::Status connect(const std::string& path);
   /// Write `line` + '\n'.
   common::Status send_line(const std::string& line);
   /// Write raw bytes with no framing added (tests send partial lines).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.hpp"
 #include "workloads/workload.hpp"
 
 namespace warp::serve {
@@ -169,7 +170,6 @@ void Warpd::admit(const protocol::Request& request, std::string err,
     lock.unlock();
     SessionOutcome out;
     out.id = request.id;
-    out.node = options_.node_id;
     if (busy) {
       out.status = protocol::ReplyStatus::kBusy;
       out.error = "busy";
@@ -462,7 +462,6 @@ std::optional<Warpd::Delivery> Warpd::try_finalize_locked(Session& s) {
   out.error = s.message;
   out.entry = s.entry;
   out.dpm_job = s.has_job;
-  out.node = options_.node_id;
   out.latency_ms = ms_since(s.admitted);
   if (s.status == protocol::ReplyStatus::kOk) {
     latencies_by_seq_[s.seq] = out.latency_ms;
@@ -496,7 +495,6 @@ std::vector<SessionOutcome> run_serial(const std::vector<protocol::Request>& req
     const protocol::Request& request = requests[i];
     SessionOutcome& out = outcomes[i];
     out.id = request.id;
-    out.node = options.node_id;
     std::string err = validate_request(request);
     if (err.empty()) {
       if (request.seq) {
@@ -546,16 +544,6 @@ std::vector<SessionOutcome> run_serial(const std::vector<protocol::Request>& req
   }
   warpsys::assign_dpm_waits(rows, warpsys::DpmQueuePolicy::kRoundRobin);
   return outcomes;
-}
-
-common::Result<common::Digest> kernel_digest_for(const protocol::Request& request,
-                                                 const experiments::HarnessOptions& base) {
-  using R = common::Result<common::Digest>;
-  const std::string err = validate_request(request);
-  if (!err.empty()) return R::error(err);
-  auto built = build_session(request, base);
-  if (!built) return R::error(built.message());
-  return kernel_hash_of(*built.value());
 }
 
 }  // namespace warp::serve

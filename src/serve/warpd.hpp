@@ -84,7 +84,6 @@
 #include <vector>
 
 #include "common/fault_injector.hpp"
-#include "common/hash.hpp"
 #include "experiments/harness.hpp"
 #include "partition/cache.hpp"
 #include "serve/protocol.hpp"
@@ -166,9 +165,6 @@ struct WarpdOptions {
   common::FaultInjector* fault = nullptr;
   /// Occupancy caps; disabled (unlimited) by default.
   AdmissionOptions admission;
-  /// This engine's cluster node id, stamped on every outcome (and thus on
-  /// every ok reply's node= field). 0 for a standalone server.
-  std::uint32_t node_id = 0;
   /// Per-session template (cpu config, system config, ...). Its `cache`
   /// member is ignored — the engine passes `cache` above per DPM call.
   experiments::HarnessOptions base;
@@ -195,7 +191,6 @@ struct SessionOutcome {
   std::uint64_t retry_after_ms = 0;  // kBusy only
   warpsys::MultiWarpEntry entry;
   bool dpm_job = false;     // the profiled run filed a DPM job (kOk only)
-  std::uint32_t node = 0;   // WarpdOptions::node_id of the admitting engine
   double latency_ms = 0.0;  // host admission -> completion
 };
 
@@ -346,16 +341,5 @@ class Warpd {
 /// subsequence is what must match run_serial over that subsequence.
 std::vector<SessionOutcome> run_serial(const std::vector<protocol::Request>& requests,
                                        const WarpdOptions& options);
-
-/// The kernel content hash of `request`: the assembled program words plus
-/// the DPM-relevant config knobs (max_candidates, csd_max_terms —
-/// packed_width is host-only and excluded). This is the exact digest Warpd
-/// counts unique_kernels by, exposed so the cluster coordinator can route a
-/// request to its ShardRing owner before any node builds it. Building the
-/// WarpSystem is the only way to get the assembled words, so callers on a
-/// hot path should cache per (workload, max_candidates, csd_max_terms).
-/// Errors on unknown workloads.
-common::Result<common::Digest> kernel_digest_for(const protocol::Request& request,
-                                                 const experiments::HarnessOptions& base);
 
 }  // namespace warp::serve

@@ -583,32 +583,6 @@ TEST(FaultInjection, TransientStoreIoIsRetriedWithinBudget) {
   EXPECT_GT(store.stats().io_retries, 0u) << "faults must have forced retries";
 }
 
-// A replicated envelope installs through put()'s path and retry budget: a
-// transient schedule on the store sites is absorbed, and the import lands.
-TEST(FaultInjection, TransientStoreIoIsRetriedOnImport) {
-  TempDir src_dir("import_src");
-  TempDir dst_dir("import_dst");
-  const auto key = make_key("pnr", 23, 24);
-  const std::vector<std::uint8_t> payload = {9, 8, 7, 6};
-  partition::DiskArtifactStore source({.directory = src_dir.path.string()});
-  ASSERT_TRUE(source.put(key, 6, 1, payload));
-  const std::string name = partition::DiskArtifactStore::name_for(key);
-  const auto envelope = source.export_raw(name);
-  ASSERT_TRUE(envelope.has_value());
-
-  common::FaultConfig flaky;
-  flaky.io_error_p = 0.9;
-  flaky.max_consecutive = 2;  // below common::kRetryAttempts
-  common::FaultInjector fault(flaky);
-  partition::DiskArtifactStore target({.directory = dst_dir.path.string(), .fault = &fault});
-  ASSERT_TRUE(target.import_raw(name, *envelope));
-  EXPECT_GT(target.stats().io_retries, 0u) << "import must retry injected store faults";
-  EXPECT_EQ(target.stats().put_failures, 0u);
-  auto got = target.get(key, 6, 1);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, payload);
-}
-
 // Satellite: a cached *transient* failure must be retried, not replayed; a
 // deterministic failure stays cached.
 TEST(ArtifactCache, TransientFailuresAreRetriedDeterministicOnesCached) {

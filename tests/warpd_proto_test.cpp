@@ -5,14 +5,17 @@
 // malformed, oversized and unknown-workload lines get "err" replies. These
 // tests fuzz parse_request/parse_reply with byte flips and truncations of
 // canonical lines (run under ASan/UBSan in CI), pin the %.17g bit-exact
-// double round-trip the cross-transport determinism gates rely on, and
-// drive a live server with garbage, oversized lines and flipped request
-// bytes, requiring one reply per line and a clean stop.
+// double round-trip the socket determinism gates rely on, and drive a live
+// server with garbage, oversized lines and flipped request bytes, requiring
+// one reply per line and a clean stop. Socket paths that do not fit
+// sun_path are rejected before any file appears.
 #include <gtest/gtest.h>
 
+#include <sys/un.h>
 #include <unistd.h>
 
-#include <cstring>
+#include <cstdlib>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,6 +90,7 @@ TEST(WarpdProtocol, RejectsMalformedRequests) {
       "warp id=1 workload=brev bogus=1",
       "warp id=1 workload=brev noequals",
       "warp id=1 workload=brev =value",
+      "warp id=1 workload=crc fwd=2",  // fwd= is not a request key
   };
   for (const char* line : kBad) {
     EXPECT_FALSE(serve::protocol::parse_request(line)) << "accepted: '" << line << "'";
@@ -188,6 +192,13 @@ TEST(WarpdProtocol, ReplyParserRejectsMissingFields) {
   EXPECT_FALSE(serve::protocol::parse_reply("ok id=1 workload=brev warped=1 sw_s=1"));
   EXPECT_FALSE(serve::protocol::parse_reply("err id=1"));
   EXPECT_FALSE(serve::protocol::parse_reply("hmm id=1 msg=x"));
+  // A complete ok line, then the same line with a key the grammar does not
+  // have (node=).
+  ASSERT_TRUE(serve::protocol::parse_reply(
+      "ok id=1 workload=brev warped=1 sw_s=1 warped_s=1 speedup=1 dpm_s=0 wait_s=0 detail=x"));
+  EXPECT_FALSE(serve::protocol::parse_reply(
+      "ok id=1 workload=brev warped=1 sw_s=1 warped_s=1 speedup=1 dpm_s=0 wait_s=0 node=0 "
+      "detail=x"));
 }
 
 TEST(WarpdProtocol, BusyReplyRoundTrip) {
@@ -231,85 +242,6 @@ TEST(WarpdProtocol, RejectsMalformedBusyAndTimeoutReplies) {
   for (const char* line : kBad) {
     EXPECT_FALSE(serve::protocol::parse_reply(line)) << "accepted: '" << line << "'";
   }
-}
-
-// The cluster-internal forwarding tag: present => the receiver executes
-// locally and never re-forwards, so it must round-trip exactly and reject
-// line noise (a mis-parsed fwd= could loop a session between nodes).
-TEST(WarpdProtocol, ForwardTagRoundTrip) {
-  Request request;
-  request.id = 11;
-  request.workload = "crc";
-  request.forwarded_from = 2;
-  const std::string line = serve::protocol::encode_request(request);
-  EXPECT_NE(line.find("fwd=2"), std::string::npos) << line;
-  auto parsed = serve::protocol::parse_request(line);
-  ASSERT_TRUE(parsed) << parsed.message();
-  EXPECT_EQ(parsed.value(), request);
-
-  // Absent tag parses as absent — pre-cluster requests are unchanged.
-  auto plain = serve::protocol::parse_request("warp id=1 workload=crc");
-  ASSERT_TRUE(plain);
-  EXPECT_FALSE(plain.value().forwarded_from.has_value());
-
-  const char* kBad[] = {
-      "warp id=1 workload=crc fwd=",
-      "warp id=1 workload=crc fwd=-1",
-      "warp id=1 workload=crc fwd=1024",  // > kMaxNodeId
-      "warp id=1 workload=crc fwd=abc",
-      "warp id=1 workload=crc fwd=1 fwd=2",
-  };
-  for (const char* bad : kBad) {
-    EXPECT_FALSE(serve::protocol::parse_request(bad)) << "accepted: '" << bad << "'";
-  }
-}
-
-// node= names the warpd node whose sequencer admitted the session; cluster
-// clients group wait-chain replays by it. Always encoded, optional on parse
-// so pre-cluster reply lines still decode.
-TEST(WarpdProtocol, NodeFieldRoundTripAndLegacyDefault) {
-  auto reply = serve::protocol::make_ok_reply(9, warpsys::MultiWarpEntry{});
-  reply.node = 5;
-  const std::string line = serve::protocol::encode_reply(reply);
-  EXPECT_NE(line.find(" node=5 "), std::string::npos) << line;
-  auto parsed = serve::protocol::parse_reply(line);
-  ASSERT_TRUE(parsed) << parsed.message();
-  EXPECT_EQ(parsed.value().node, 5u);
-
-  // A pre-cluster line (no node=) defaults to node 0.
-  std::string legacy = line;
-  const auto at = legacy.find(" node=5");
-  ASSERT_NE(at, std::string::npos);
-  legacy.erase(at, std::strlen(" node=5"));
-  auto legacy_parsed = serve::protocol::parse_reply(legacy);
-  ASSERT_TRUE(legacy_parsed) << legacy_parsed.message();
-  EXPECT_EQ(legacy_parsed.value().node, 0u);
-}
-
-// The hex codec carries binary store envelopes over the line protocol
-// (sput/sget); it parses wire input, so it must reject rather than throw.
-TEST(WarpdProtocol, HexCodecRoundTripAndRejection) {
-  std::string all_bytes;
-  for (int b = 0; b < 256; ++b) all_bytes.push_back(static_cast<char>(b));
-  const std::string hex = serve::protocol::hex_encode(all_bytes);
-  EXPECT_EQ(hex.size(), all_bytes.size() * 2);
-  EXPECT_EQ(hex.find_first_not_of("0123456789abcdef"), std::string::npos);
-  auto decoded = serve::protocol::hex_decode(hex);
-  ASSERT_TRUE(decoded) << decoded.message();
-  EXPECT_EQ(decoded.value(), all_bytes);
-
-  auto empty = serve::protocol::hex_decode("");
-  ASSERT_TRUE(empty);
-  EXPECT_TRUE(empty.value().empty());
-
-  // Decoding is liberal about case (encoders are lowercase-only).
-  auto upper = serve::protocol::hex_decode("AB");
-  ASSERT_TRUE(upper);
-  EXPECT_EQ(upper.value(), std::string(1, static_cast<char>(0xAB)));
-
-  EXPECT_FALSE(serve::protocol::hex_decode("abc"));   // odd length
-  EXPECT_FALSE(serve::protocol::hex_decode("0g"));    // non-hex byte
-  EXPECT_FALSE(serve::protocol::hex_decode("0x41"));  // no radix prefixes
 }
 
 // Byte-flip fuzz: every byte of the canonical lines, several masks. The
@@ -419,6 +351,46 @@ TEST(WarpdServer, SurvivesHostileClient) {
   const auto engine_stats = server.engine().stats();
   EXPECT_EQ(engine_stats.completed, ok_replies);
   EXPECT_GE(engine_stats.rejected, 1u);  // the unknown workload
+}
+
+// The socket path must be nonempty and fit sockaddr_un::sun_path with its
+// terminator. A bad path fails start() and connect() before any socket
+// exists, so no file appears; the longest path that fits still serves.
+TEST(WarpdServer, RejectsSocketPathsThatDoNotFit) {
+  char dir_template[] = "/tmp/warpd_path_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::filesystem::path dir = dir_template;
+  const std::size_t sun_path_bytes = sizeof(sockaddr_un::sun_path);  // 108 on Linux
+  std::string longest = dir.string() + "/";
+  longest.append(sun_path_bytes - 1 - longest.size(), 's');
+  const std::string too_long = longest + "s";
+
+  for (const std::string& path : {std::string(), too_long}) {
+    serve::SocketServerOptions options;
+    options.path = path;
+    options.engine.workers = 1;
+    serve::SocketServer server(options);
+    EXPECT_FALSE(server.start()) << "start() took a " << path.size() << "-byte path";
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << "a " << path.size() << "-byte path left a file";
+    serve::Client client;
+    EXPECT_FALSE(client.connect(path)) << "connect() took a " << path.size() << "-byte path";
+  }
+
+  serve::SocketServerOptions options;
+  options.path = longest;
+  options.engine.workers = 1;
+  serve::SocketServer server(options);
+  ASSERT_TRUE(server.start());
+  serve::Client client;
+  ASSERT_TRUE(client.connect(longest));
+  ASSERT_TRUE(client.send_line("ping"));
+  auto pong = client.read_line();
+  ASSERT_TRUE(pong) << pong.message();
+  EXPECT_EQ(pong.value(), "pong");
+  client.close();
+  server.stop();
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << "stop() must unlink the socket";
+  std::filesystem::remove(dir);
 }
 
 // An oversized line is answered as soon as the budget is blown — even
