@@ -20,28 +20,18 @@
 // deviates from the serial cache-off reference. Speedups are reported, not
 // gated: they depend on the host's core count.
 //
-// The scale-out now also measures the crash-safe persistent artifact store
-// (partition/disk_store.hpp): per scale it times a cold-store run (wiped
-// directory) against a warm-store run that simulates a process restart — a
-// fresh in-memory cache over the reopened directory — so the JSON shows what
-// persistence buys across restarts (store_cold_ms vs store_warm_ms).
-//
 // --check: fast CI gate. Runs a 12-system mix (two replicas per kernel)
 // through serial/parallel x cache-off/cold/warm and the FIFO/priority
 // queue policies, verifies bit-identity everywhere and that cached stages
-// ran once per unique kernel; then exercises the persistent store cold,
-// across a simulated restart, and with every resident file deterministically
-// pre-corrupted (damaged files must be quarantined, results bit-identical);
-// finally sweeps >= 10 deterministic fault-injection seeds (store I/O
-// errors, torn writes, corrupted reads, stage failures) and requires the
-// MultiWarpEntry tables to stay bit-identical under every schedule. Writes
-// no JSON.
+// ran once per unique kernel; then sweeps 10 deterministic fault-injection
+// seeds (transient stage failures, starting at --fault-seed) and requires
+// the MultiWarpEntry tables to stay bit-identical under every schedule.
+// Writes no JSON.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <thread>
 
@@ -50,7 +40,6 @@
 #include "common/table.hpp"
 #include "experiments/harness.hpp"
 #include "partition/cache.hpp"
-#include "partition/disk_store.hpp"
 #include "partition/pipeline.hpp"
 #include "serve/multiprocessor.hpp"
 
@@ -100,69 +89,17 @@ struct ScalePoint {
   double serial_ms = 0.0;
   double parallel_ms = 0.0;
   double cached_ms = 0.0;   // parallel + fresh shared artifact cache
-  double store_cold_ms = 0.0;  // parallel + fresh cache + wiped disk store
-  double store_warm_ms = 0.0;  // simulated restart: fresh cache, reopened store
   double speedup = 0.0;
   double cached_speedup = 0.0;
   bool identical = false;
   bool cached_identical = false;
-  bool store_identical = false;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t store_disk_hits = 0;  // warm-run misses served from disk
-  std::uint64_t store_files = 0;
-  std::uint64_t store_bytes = 0;
 };
-
-struct CorruptionPlan {
-  std::size_t flipped = 0;
-  std::size_t truncated = 0;
-  std::size_t untouched = 0;
-};
-
-// Deterministically damage a store directory in place: sorted by file name,
-// artifact i gets a byte flipped mid-file (i % 3 == 0), is truncated to half
-// (i % 3 == 1), or is left intact (i % 3 == 2).
-CorruptionPlan corrupt_store_dir(const std::filesystem::path& dir) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".art")
-      files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  CorruptionPlan plan;
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    if (i % 3 == 0) {
-      if (std::FILE* f = std::fopen(files[i].c_str(), "r+b")) {
-        std::fseek(f, 0, SEEK_END);
-        const long size = std::ftell(f);
-        if (size > 0) {
-          std::fseek(f, size / 2, SEEK_SET);
-          const int c = std::fgetc(f);
-          std::fseek(f, size / 2, SEEK_SET);
-          std::fputc((c == EOF ? 0 : c) ^ 0x5A, f);
-        }
-        std::fclose(f);
-        ++plan.flipped;
-      }
-    } else if (i % 3 == 1) {
-      const auto size = fs::file_size(files[i], ec);
-      if (!ec) {
-        fs::resize_file(files[i], size / 2, ec);
-        if (!ec) ++plan.truncated;
-      }
-    } else {
-      ++plan.untouched;
-    }
-  }
-  return plan;
-}
 
 // --- --check: the CI cache-determinism gate --------------------------------
 
-int run_check(const std::string& store_base, std::uint64_t fault_seed) {
+int run_check(std::uint64_t fault_seed) {
   const auto mix = replicated_mix(12);  // two replicas of each kernel
   const std::size_t unique = unique_kernel_count(mix);
 
@@ -248,101 +185,31 @@ int run_check(const std::string& store_base, std::uint64_t fault_seed) {
                 static_cast<unsigned long long>(s.misses));
   }
 
-  // --- Persistent store: cold, restart-warm, pre-corrupted. ----------------
-  namespace fs = std::filesystem;
-  const fs::path store_dir =
-      store_base.empty() ? fs::path("fig4_check_store") : fs::path(store_base);
-  std::error_code ec;
-  fs::remove_all(store_dir, ec);
-  {
-    partition::DiskArtifactStore store({.directory = store_dir.string()});
-    partition::ArtifactCache mem;
-    mem.attach_store(&store);
-    serve::MultiWarpOptions options;  // parallel round robin
-    options.cache = &mem;
-    expect_same("parallel, cold store", timed_run(mix, options).entries, reference);
-    const auto st = store.stats();
-    if (st.files == 0) {
-      std::printf("  FAIL: cold run persisted no artifacts\n");
-      ok = false;
-    }
-    std::printf("  store after cold run: %llu files, %llu bytes\n",
-                static_cast<unsigned long long>(st.files),
-                static_cast<unsigned long long>(st.bytes));
-  }
-  {
-    // Simulated process restart: a fresh in-memory cache over the reopened
-    // directory. Every stage must resolve from disk, not recompute.
-    partition::DiskArtifactStore store({.directory = store_dir.string()});
-    partition::ArtifactCache mem;
-    mem.attach_store(&store);
-    serve::MultiWarpOptions options;
-    options.cache = &mem;
-    expect_same("restart, warm store", timed_run(mix, options).entries, reference);
-    if (mem.total_disk_hits() == 0 || store.stats().hits == 0) {
-      std::printf("  FAIL: warm store served no disk hits across the restart\n");
-      ok = false;
-    }
-  }
-  {
-    const auto plan = corrupt_store_dir(store_dir);
-    partition::DiskArtifactStore store({.directory = store_dir.string()});
-    partition::ArtifactCache mem;
-    mem.attach_store(&store);
-    serve::MultiWarpOptions options;
-    options.cache = &mem;
-    expect_same("restart, pre-corrupted store", timed_run(mix, options).entries,
-                reference);
-    const auto st = store.stats();
-    const std::size_t damaged = plan.flipped + plan.truncated;
-    std::printf("  store corruption: %zu flipped + %zu truncated + %zu intact -> "
-                "%llu quarantined, %llu disk hits\n",
-                plan.flipped, plan.truncated, plan.untouched,
-                static_cast<unsigned long long>(st.quarantined),
-                static_cast<unsigned long long>(mem.total_disk_hits()));
-    if (damaged == 0 || st.quarantined < damaged) {
-      std::printf("  FAIL: expected every damaged file quarantined (%zu), got %llu\n",
-                  damaged, static_cast<unsigned long long>(st.quarantined));
-      ok = false;
-    }
-  }
-
   // --- Deterministic fault-injection sweep. --------------------------------
   const int kFaultSeeds = 10;
   std::printf("fig4 --check: fault sweep, %d seeds from %llu (transient profile)\n",
               kFaultSeeds, static_cast<unsigned long long>(fault_seed));
-  const fs::path fault_dir = store_dir.string() + "_fault";
   std::uint64_t injected_total = 0;
   for (int s = 0; s < kFaultSeeds; ++s) {
     const std::uint64_t seed = fault_seed + static_cast<std::uint64_t>(s);
     common::FaultInjector fault(common::FaultConfig::transient_sweep(seed));
-    fs::remove_all(fault_dir, ec);
-    partition::DiskArtifactStore store(
-        {.directory = fault_dir.string(), .fault = &fault});
-    partition::ArtifactCache mem;
-    mem.attach_store(&store);
+    partition::ArtifactCache fault_cache;
     serve::MultiWarpOptions options;
-    options.cache = &mem;
+    options.cache = &fault_cache;
     options.fault = &fault;
-    const auto got = timed_run(mix, options).entries;
-    const bool same = got == reference;
-    const auto fstats = fault.stats();
-    const auto sstats = store.stats();
-    std::printf("  fault seed %-4llu injected=%-5llu retries=%-4llu quarantined=%-3llu %s\n",
+    const bool same = timed_run(mix, options).entries == reference;
+    const std::uint64_t injected = fault.stats().injected;
+    std::printf("  fault seed %-4llu injected=%-5llu %s\n",
                 static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(fstats.injected),
-                static_cast<unsigned long long>(sstats.io_retries),
-                static_cast<unsigned long long>(sstats.quarantined),
+                static_cast<unsigned long long>(injected),
                 same ? "bit-identical" : "DEVIATES");
     if (!same) ok = false;
-    injected_total += fstats.injected;
+    injected_total += injected;
   }
   if (injected_total == 0) {
     std::printf("  FAIL: the fault sweep injected nothing — probes not wired through\n");
     ok = false;
   }
-  fs::remove_all(store_dir, ec);
-  fs::remove_all(fault_dir, ec);
 
   std::printf("fig4 --check: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
@@ -353,8 +220,7 @@ int run_check(const std::string& store_base, std::uint64_t fault_seed) {
 int main(int argc, char** argv) {
   std::size_t max_systems = 64;
   bool check = false;
-  std::string store_dir;          // base directory for persistent-store runs
-  std::uint64_t fault_seed = 1;   // first seed of the --check fault sweep
+  std::uint64_t fault_seed = 1;  // first seed of the --check fault sweep
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--max-systems") == 0 && i + 1 < argc) {
       char* end = nullptr;
@@ -368,8 +234,6 @@ int main(int argc, char** argv) {
       max_systems = static_cast<std::size_t>(value);
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
-    } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
-      store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
       char* end = nullptr;
       ++i;
@@ -383,13 +247,12 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (supported: --max-systems N, --check, "
-                   "--store DIR, --fault-seed S)\n",
+                   "--fault-seed S)\n",
                    argv[i]);
       return 1;
     }
   }
-  if (check) return run_check(store_dir, fault_seed);
-  if (store_dir.empty()) store_dir = "fig4_store";
+  if (check) return run_check(fault_seed);
 
   // --- The paper's six-processor experiment (round robin). ---------------
   const auto mix6 = replicated_mix(6);
@@ -470,61 +333,21 @@ int main(int argc, char** argv) {
     }
     last_stage_stats = stats;
 
-    // Persistent store, cold vs. warm across a simulated process restart:
-    // both runs start from an empty in-memory cache; only the warm one finds
-    // the previous run's artifacts already on disk.
-    const std::filesystem::path scale_dir =
-        std::filesystem::path(store_dir) / common::format("scale_%zu", n);
-    std::error_code ec;
-    std::filesystem::remove_all(scale_dir, ec);
-    {
-      partition::DiskArtifactStore store({.directory = scale_dir.string()});
-      partition::ArtifactCache mem;
-      mem.attach_store(&store);
-      serve::MultiWarpOptions store_options;
-      store_options.cache = &mem;
-      const auto cold = timed_run(mix, store_options);
-      point.store_cold_ms = cold.ms;
-      point.store_identical = cold.entries == serial.entries;
-    }
-    {
-      partition::DiskArtifactStore store({.directory = scale_dir.string()});
-      partition::ArtifactCache mem;
-      mem.attach_store(&store);
-      serve::MultiWarpOptions store_options;
-      store_options.cache = &mem;
-      const auto warm = timed_run(mix, store_options);
-      point.store_warm_ms = warm.ms;
-      point.store_identical =
-          point.store_identical && warm.entries == serial.entries;
-      point.store_disk_hits = mem.total_disk_hits();
-      const auto st = store.stats();
-      point.store_files = st.files;
-      point.store_bytes = st.bytes;
-    }
-
-    all_identical = all_identical && point.identical && point.cached_identical &&
-                    point.store_identical;
+    all_identical = all_identical && point.identical && point.cached_identical;
     points.push_back(point);
   }
 
   common::Table scale_table({"Systems", "Serial (ms)", "Parallel (ms)", "Cached (ms)",
-                             "Store cold (ms)", "Store warm (ms)", "Disk hits",
                              "Host speedup", "Cached speedup", "Bit-identical"});
   for (const auto& p : points) {
     scale_table.add_row(
         {common::format("%zu", p.systems), common::format("%.0f", p.serial_ms),
          common::format("%.0f", p.parallel_ms), common::format("%.0f", p.cached_ms),
-         common::format("%.0f", p.store_cold_ms),
-         common::format("%.0f", p.store_warm_ms),
-         common::format("%llu", static_cast<unsigned long long>(p.store_disk_hits)),
          common::format("%.2fx", p.speedup), common::format("%.2fx", p.cached_speedup),
-         (p.identical && p.cached_identical && p.store_identical) ? "yes" : "NO"});
+         (p.identical && p.cached_identical) ? "yes" : "NO"});
   }
   std::printf("Host scale-out (%u hardware threads): serial vs. threaded vs. threaded +\n"
-              "shared artifact cache (partitioning stages once per unique kernel).\n"
-              "Store columns: cold = wiped persistent store under a fresh cache; warm =\n"
-              "the same directory reopened after a simulated process restart.\n\n%s\n",
+              "shared artifact cache (partitioning stages once per unique kernel).\n\n%s\n",
               host_threads, scale_table.to_string().c_str());
 
   FILE* json = std::fopen("BENCH_fig4.json", "w");
@@ -540,22 +363,14 @@ int main(int argc, char** argv) {
     const auto& p = points[i];
     std::fprintf(json,
                  "    {\"systems\": %zu, \"serial_ms\": %.2f, \"parallel_ms\": %.2f, "
-                 "\"cached_parallel_ms\": %.2f, \"store_cold_ms\": %.2f, "
-                 "\"store_warm_ms\": %.2f, \"host_speedup\": %.3f, "
+                 "\"cached_parallel_ms\": %.2f, \"host_speedup\": %.3f, "
                  "\"cached_speedup\": %.3f, \"cache_hits\": %llu, "
-                 "\"cache_misses\": %llu, \"store_disk_hits\": %llu, "
-                 "\"store_files\": %llu, \"store_bytes\": %llu, "
-                 "\"bit_identical\": %s, \"cache_bit_identical\": %s, "
-                 "\"store_bit_identical\": %s}%s\n",
-                 p.systems, p.serial_ms, p.parallel_ms, p.cached_ms, p.store_cold_ms,
-                 p.store_warm_ms, p.speedup, p.cached_speedup,
-                 static_cast<unsigned long long>(p.cache_hits),
+                 "\"cache_misses\": %llu, \"bit_identical\": %s, "
+                 "\"cache_bit_identical\": %s}%s\n",
+                 p.systems, p.serial_ms, p.parallel_ms, p.cached_ms, p.speedup,
+                 p.cached_speedup, static_cast<unsigned long long>(p.cache_hits),
                  static_cast<unsigned long long>(p.cache_misses),
-                 static_cast<unsigned long long>(p.store_disk_hits),
-                 static_cast<unsigned long long>(p.store_files),
-                 static_cast<unsigned long long>(p.store_bytes),
                  p.identical ? "true" : "false", p.cached_identical ? "true" : "false",
-                 p.store_identical ? "true" : "false",
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n");

@@ -3,23 +3,19 @@
 // Default mode queues 256 warp sessions (a cycled 8-workload mix with
 // periodic config overrides — 16 unique kernels) through the full stack:
 // a line-protocol client over the Unix-domain socket into a warpd engine at
-// worker counts {1, 2, 4}, then cold- and warm-persistent-store runs over
-// an all-unique-kernel stream (every session a distinct content hash, so
-// cold pays the CAD flow per session and warm serves it from disk). Every
-// run's result table must be bit-identical to its serial reference engine
-// (run_serial) — the threaded host scheduler and the cache/store must never
+// worker counts {1, 2, 4}, each over a fresh artifact cache. Every run's
+// result table must be bit-identical to the serial reference engine
+// (run_serial) — the threaded host scheduler and the cache must never
 // change a simulated number. Emits BENCH_warpd.json (schema in
 // docs/benchmarks.md) with admission->completion latency percentiles
-// (nearest-rank p50/p95/p99), the DPM thread's occupancy and cache/store
-// hit counters. Gated: bit-identity everywhere, and the warm-store p50
-// must beat the cold-store p50 (persistence pays).
+// (nearest-rank p50/p95/p99), the DPM thread's occupancy and cache hit
+// counters. Gated: bit-identity everywhere.
 //
 // --check: fast CI gate — a 64-session stream at worker counts {1, 2, 4}
-// against the serial reference; with --store DIR it adds cold/warm
-// persistent-store runs, and with --fault-seed S a 10-seed transient
-// fault-injection sweep (one injector wired through engine, store and the
-// serve.accept/read/write socket sites) requiring bit-identical tables
-// under every schedule. Writes no JSON.
+// against the serial reference; with --fault-seed S it adds a 10-seed
+// transient fault-injection sweep (one injector wired through the engine's
+// stage sites and the serve.accept/read/write socket sites) requiring
+// bit-identical tables under every schedule. Writes no JSON.
 //
 // --serve PATH: CLI daemon mode — serve on PATH until stdin closes.
 #include <algorithm>
@@ -27,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +33,6 @@
 #include "common/strings.hpp"
 #include "experiments/harness.hpp"
 #include "partition/cache.hpp"
-#include "partition/disk_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/warpd.hpp"
@@ -70,29 +64,6 @@ std::vector<Request> make_requests(std::size_t n) {
   return requests;
 }
 
-// The store stream: every session a distinct kernel content hash (the
-// max_candidates/csd_max_terms overrides are part of the hash), so a
-// cold-store run pays the full CAD flow + envelope write per session while a
-// warm run serves every session from disk. That makes the warm-vs-cold p50
-// comparison structural — on a saturated queue the repeat mix's per-unique-
-// kernel saving (16 kernels) is smaller than run-to-run timing noise.
-// Unique for n <= 64 * 17 = 1088 (i % 64 determines the workload too).
-std::vector<Request> make_unique_requests(std::size_t n) {
-  const auto& workloads = workloads::extended_workloads();
-  std::vector<Request> requests;
-  requests.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Request request;
-    request.id = i;
-    request.seq = i;
-    request.workload = workloads[i % workloads.size()].name;
-    request.overrides.max_candidates = 1 + static_cast<unsigned>(i % 64);
-    request.overrides.csd_max_terms = static_cast<unsigned>((i / 64) % 17);
-    requests.push_back(request);
-  }
-  return requests;
-}
-
 struct RunResult {
   std::string label;
   unsigned workers = 0;  // 0 = serial reference
@@ -105,8 +76,6 @@ struct RunResult {
   std::uint64_t unique_kernels = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t store_disk_hits = 0;
-  std::uint64_t store_files = 0;
   std::uint64_t dpm_jobs = 0;  // DPM services run by the DPM thread
   double dpm_busy_ms = 0.0;    // host wall clock spent in them
 };
@@ -124,12 +93,11 @@ void add_cache_counters(RunResult& run, const partition::ArtifactCache& cache) {
   }
 }
 
-RunResult serial_reference(const std::vector<Request>& requests,
-                           const char* label = "serial_reference") {
+RunResult serial_reference(const std::vector<Request>& requests) {
   serve::WarpdOptions options;
   options.base = experiments::default_options();
   RunResult run;
-  run.label = label;
+  run.label = "serial_reference";
   const auto start = std::chrono::steady_clock::now();
   const auto outcomes = serve::run_serial(requests, options);
   run.wall_ms = std::chrono::duration<double, std::milli>(
@@ -242,8 +210,7 @@ bool check_identical(const RunResult& reference, RunResult& run) {
 
 // --- --check: the CI smoke gate -------------------------------------------
 
-int run_check(std::size_t sessions, const std::string& store_base,
-              std::uint64_t fault_seed, bool have_fault_seed) {
+int run_check(std::size_t sessions, std::uint64_t fault_seed, bool have_fault_seed) {
   const auto requests = make_requests(sessions);
   std::printf("warpd --check: %zu sessions over the socket protocol\n", sessions);
   const auto reference = serial_reference(requests);
@@ -264,44 +231,15 @@ int run_check(std::size_t sessions, const std::string& store_base,
     }
   }
 
-  namespace fs = std::filesystem;
-  if (!store_base.empty()) {
-    const fs::path store_dir(store_base);
-    std::error_code ec;
-    fs::remove_all(store_dir, ec);
-    for (const char* label : {"store_cold", "store_warm"}) {
-      partition::DiskArtifactStore store({.directory = store_dir.string()});
-      partition::ArtifactCache cache;
-      cache.attach_store(&store);
-      serve::WarpdOptions engine;
-      engine.base = experiments::default_options();
-      engine.cache = &cache;
-      auto run = socket_run(label, requests, engine, nullptr);
-      ok = check_identical(reference, run) && ok;
-      if (std::strcmp(label, "store_warm") == 0 && cache.total_disk_hits() == 0) {
-        std::printf("  FAIL: warm store served no disk hits\n");
-        ok = false;
-      }
-    }
-    fs::remove_all(store_dir, ec);
-  }
-
   if (have_fault_seed) {
     const int kSeeds = 10;
     std::printf("warpd --check: fault sweep, %d seeds from %llu (transient profile)\n",
                 kSeeds, static_cast<unsigned long long>(fault_seed));
-    const fs::path fault_dir =
-        (store_base.empty() ? std::string("warpd_check_fault") : store_base + "_fault");
-    std::error_code ec;
     std::uint64_t injected_total = 0;
     for (int s = 0; s < kSeeds; ++s) {
       const std::uint64_t seed = fault_seed + static_cast<std::uint64_t>(s);
       common::FaultInjector fault(common::FaultConfig::transient_sweep(seed));
-      fs::remove_all(fault_dir, ec);
-      partition::DiskArtifactStore store(
-          {.directory = fault_dir.string(), .fault = &fault});
       partition::ArtifactCache cache;
-      cache.attach_store(&store);
       serve::WarpdOptions engine;
       engine.base = experiments::default_options();
       engine.cache = &cache;
@@ -312,11 +250,12 @@ int run_check(std::size_t sessions, const std::string& store_base,
       ok = check_identical(reference, run) && ok;
       injected_total += fault.stats().injected;
     }
+    std::printf("  injected %llu faults over %d seeds\n",
+                static_cast<unsigned long long>(injected_total), kSeeds);
     if (injected_total == 0) {
       std::printf("  FAIL: the fault sweep injected nothing — probes not wired through\n");
       ok = false;
     }
-    fs::remove_all(fault_dir, ec);
   }
 
   std::printf("warpd --check: %s\n", ok ? "PASS" : "FAIL");
@@ -325,14 +264,8 @@ int run_check(std::size_t sessions, const std::string& store_base,
 
 // --- --serve: CLI daemon mode ---------------------------------------------
 
-int run_daemon(const std::string& path, const std::string& store_base) {
-  partition::DiskArtifactStore* store = nullptr;
-  partition::DiskArtifactStore store_storage({.directory = store_base});
+int run_daemon(const std::string& path) {
   partition::ArtifactCache cache;
-  if (!store_base.empty()) {
-    store = &store_storage;
-    cache.attach_store(store);
-  }
   serve::WarpdOptions engine;
   engine.base = experiments::default_options();
   engine.cache = &cache;
@@ -344,9 +277,8 @@ int run_daemon(const std::string& path, const std::string& store_base) {
     std::fprintf(stderr, "warpd: %s\n", status.message().c_str());
     return 1;
   }
-  std::printf("warpd: serving on %s (%u workers%s); EOF on stdin stops\n", path.c_str(),
-              server.engine().workers(),
-              store_base.empty() ? "" : ", persistent store attached");
+  std::printf("warpd: serving on %s (%u workers); EOF on stdin stops\n", path.c_str(),
+              server.engine().workers());
   int c;
   while ((c = std::getchar()) != EOF) {
   }
@@ -359,8 +291,7 @@ int run_daemon(const std::string& path, const std::string& store_base) {
   return 0;
 }
 
-void emit_json(const std::vector<RunResult>& runs, std::size_t sessions,
-               std::size_t store_sessions, bool warm_beats_cold) {
+void emit_json(const std::vector<RunResult>& runs, std::size_t sessions) {
   FILE* json = std::fopen("BENCH_warpd.json", "w");
   if (!json) {
     std::fprintf(stderr, "cannot write BENCH_warpd.json\n");
@@ -368,10 +299,7 @@ void emit_json(const std::vector<RunResult>& runs, std::size_t sessions,
   }
   std::fprintf(json, "{\n  \"bench\": \"warpd\",\n");
   std::fprintf(json, "  \"sessions\": %zu,\n", sessions);
-  std::fprintf(json, "  \"store_sessions\": %zu,\n", store_sessions);
   std::fprintf(json, "  \"host_threads\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(json, "  \"warm_p50_beats_cold_p50\": %s,\n",
-               warm_beats_cold ? "true" : "false");
   std::fprintf(json, "  \"runs\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& r = runs[i];
@@ -380,15 +308,12 @@ void emit_json(const std::vector<RunResult>& runs, std::size_t sessions,
                  "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
                  "\"bit_identical\": %s, \"unique_kernels\": %llu, "
                  "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-                 "\"store_disk_hits\": %llu, \"store_files\": %llu, "
                  "\"dpm_jobs\": %llu, \"dpm_busy_ms\": %.2f}%s\n",
                  r.label.c_str(), r.workers, r.wall_ms, r.p50_ms, r.p95_ms, r.p99_ms,
                  r.identical ? "true" : "false",
                  static_cast<unsigned long long>(r.unique_kernels),
                  static_cast<unsigned long long>(r.cache_hits),
                  static_cast<unsigned long long>(r.cache_misses),
-                 static_cast<unsigned long long>(r.store_disk_hits),
-                 static_cast<unsigned long long>(r.store_files),
                  static_cast<unsigned long long>(r.dpm_jobs), r.dpm_busy_ms,
                  i + 1 < runs.size() ? "," : "");
   }
@@ -402,7 +327,6 @@ void emit_json(const std::vector<RunResult>& runs, std::size_t sessions,
 int main(int argc, char** argv) {
   std::size_t sessions = 256;
   bool check = false;
-  std::string store_dir;
   std::string serve_path;
   std::uint64_t fault_seed = 1;
   bool have_fault_seed = false;
@@ -418,8 +342,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       sessions = static_cast<std::size_t>(value);
-    } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
-      store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--serve") == 0 && i + 1 < argc) {
       serve_path = argv[++i];
     } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
@@ -436,14 +358,13 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (supported: --check, --sessions N, "
-                   "--store DIR, --fault-seed S, --serve PATH)\n",
+                   "--fault-seed S, --serve PATH)\n",
                    argv[i]);
       return 1;
     }
   }
-  if (!serve_path.empty()) return run_daemon(serve_path, store_dir);
-  if (check) return run_check(std::min<std::size_t>(sessions, 64), store_dir, fault_seed,
-                              have_fault_seed);
+  if (!serve_path.empty()) return run_daemon(serve_path);
+  if (check) return run_check(std::min<std::size_t>(sessions, 64), fault_seed, have_fault_seed);
 
   std::printf("warpd bench: %zu sessions, 8-workload mix, 16 unique kernels\n", sessions);
   const auto requests = make_requests(sessions);
@@ -469,58 +390,7 @@ int main(int argc, char** argv) {
     runs.push_back(std::move(run));
   }
 
-  // Persistent store: an all-unique kernel stream (own serial reference),
-  // a cold run over a wiped directory, then a simulated restart (fresh
-  // in-memory cache, reopened directory). Cold pays the CAD flows and
-  // envelope-write fsyncs up front; warm serves them from disk — which the
-  // p50 gate pins. The stream is capped at 64 sessions: the cold-side cost
-  // is a fixed absolute offset (every artifact is built early in the
-  // stream), while queueing noise grows with stream length, so a long
-  // saturated stream would bury the persistence signal below host jitter.
-  const std::size_t store_sessions = std::min<std::size_t>(sessions, 64);
-  const auto store_requests = make_unique_requests(store_sessions);
-  runs.push_back(serial_reference(store_requests, "store_serial_reference"));
-  const RunResult store_reference = runs.back();
-  std::printf("  %-28s workers=- wall=%7.0fms p50=%6.1fms p95=%6.1fms p99=%6.1fms\n",
-              store_reference.label.c_str(), store_reference.wall_ms,
-              store_reference.p50_ms, store_reference.p95_ms, store_reference.p99_ms);
-  namespace fs = std::filesystem;
-  const fs::path store_path(store_dir.empty() ? "warpd_store" : store_dir);
-  std::error_code ec;
-  fs::remove_all(store_path, ec);
-  double cold_p50 = 0.0, warm_p50 = 0.0;
-  for (const char* label : {"store_cold", "store_warm"}) {
-    partition::DiskArtifactStore store({.directory = store_path.string()});
-    partition::ArtifactCache cache;
-    cache.attach_store(&store);
-    serve::WarpdOptions engine;
-    engine.base = experiments::default_options();
-    engine.cache = &cache;
-    auto run = socket_run(label, store_requests, engine, nullptr);
-    add_cache_counters(run, cache);
-    run.store_disk_hits = cache.total_disk_hits();
-    run.store_files = store.stats().files;
-    ok = check_identical(store_reference, run) && ok;
-    if (std::strcmp(label, "store_cold") == 0) {
-      cold_p50 = run.p50_ms;
-    } else {
-      warm_p50 = run.p50_ms;
-      if (run.store_disk_hits == 0) {
-        std::printf("  FAIL: warm store served no disk hits\n");
-        ok = false;
-      }
-    }
-    runs.push_back(std::move(run));
-  }
-  fs::remove_all(store_path, ec);
-
-  const bool warm_beats_cold = warm_p50 < cold_p50;
-  std::printf("  store p50 (%zu unique sessions): cold=%.1fms warm=%.1fms -> %s\n",
-              store_sessions, cold_p50, warm_p50,
-              warm_beats_cold ? "persistence pays" : "FAIL: warm run not faster");
-  if (!warm_beats_cold) ok = false;
-
-  emit_json(runs, sessions, store_sessions, warm_beats_cold);
+  emit_json(runs, sessions);
   if (!ok) {
     std::fprintf(stderr, "FAIL: a gate failed (see above)\n");
     return 1;

@@ -25,10 +25,11 @@
 //              queued sessions past their deadline must resolve "timeout",
 //              the rest must still serve bit-identically;
 //   chaos      (--chaos, or the default full bench) a daemon with a
-//              persistent store and a transient fault schedule is SIGKILLed
-//              mid-stream; a warm respawn on the same socket+store must
-//              serve every unanswered session (disk hits > 0) and then
-//              drain gracefully via the "drain" op, exiting 0.
+//              transient fault schedule is SIGKILLed mid-stream; a cold
+//              respawn on the same socket must serve every unanswered
+//              session bit-identically, report injected faults in its
+//              stats, and then drain gracefully via the "drain" op,
+//              exiting 0.
 //
 // Verification is reply-table-only — the driver never peeks into the
 // daemon:
@@ -54,7 +55,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -70,7 +70,6 @@
 #include "common/strings.hpp"
 #include "experiments/harness.hpp"
 #include "partition/cache.hpp"
-#include "partition/disk_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/warpd.hpp"
@@ -91,7 +90,6 @@ void on_sigterm(int) { g_sigterm = 1; }
 
 struct DaemonArgs {
   std::string socket;
-  std::string store_dir;
   std::optional<std::uint64_t> fault_seed;  // transient_sweep profile
   unsigned workers = 2;
   std::size_t max_sessions = 0;
@@ -100,22 +98,15 @@ struct DaemonArgs {
 
 // The child process: one SocketServer supervised by a 50ms poll loop. SIGTERM
 // (the handler only sets a flag — drain takes locks) or a remote "drain" op
-// ends the loop; drain() finishes in-flight sessions, probes the store-flush
-// barrier and stops. Exit 0 is the graceful-shutdown contract the driver
-// asserts.
+// ends the loop; drain() finishes in-flight sessions and stops. Exit 0 is
+// the graceful-shutdown contract the parent process asserts.
 int run_daemon(const DaemonArgs& args) {
   std::signal(SIGTERM, on_sigterm);
   std::optional<common::FaultInjector> fault;
   if (args.fault_seed) {
     fault.emplace(common::FaultConfig::transient_sweep(*args.fault_seed));
   }
-  std::optional<partition::DiskArtifactStore> store;
   partition::ArtifactCache cache;
-  if (!args.store_dir.empty()) {
-    store.emplace(partition::DiskStoreOptions{.directory = args.store_dir,
-                                              .fault = fault ? &*fault : nullptr});
-    cache.attach_store(&*store);
-  }
   serve::WarpdOptions engine;
   engine.workers = args.workers;
   engine.base = experiments::default_options();
@@ -144,10 +135,6 @@ int run_daemon(const DaemonArgs& args) {
 pid_t spawn_daemon(const DaemonArgs& args) {
   std::vector<std::string> argv = {"--daemon", "--socket", args.socket, "--workers",
                                    std::to_string(args.workers)};
-  if (!args.store_dir.empty()) {
-    argv.push_back("--store");
-    argv.push_back(args.store_dir);
-  }
   if (args.fault_seed) {
     argv.push_back("--fault-seed");
     argv.push_back(std::to_string(*args.fault_seed));
@@ -167,7 +154,7 @@ pid_t spawn_daemon(const DaemonArgs& args) {
 
 // Three distinct cheap kernels (small max_candidates keeps the CAD flow
 // short on a small host), repeated heavily — repeats are what admission
-// queues, coalescing merges and the warm store serves. Each key appears on
+// queues, coalescing merges and the artifact cache serves. Each key appears on
 // two *adjacent* ids so that with >= 2 workers the second claim reliably
 // finds the first still in flight and coalesces onto it.
 Request make_load_request(std::uint64_t id) {
@@ -415,17 +402,15 @@ struct RunConfig {
   std::size_t max_queued = 0;
   std::size_t deadline_every = 0;  // every k-th request carries deadline_ms
   std::uint64_t deadline_ms = 0;
-  bool chaos = false;         // SIGKILL mid-stream, warm respawn, resend
+  bool chaos = false;         // SIGKILL mid-stream, cold respawn, resend
   bool use_drain_op = false;  // finish via "drain" op instead of SIGTERM
   bool drain_mid_stream = false;  // drain while busy retries are in flight
   std::optional<std::uint64_t> fault_seed;
-  std::string store_dir;        // persistent store directory ("" = none)
   bool full_table_gate = false; // 1-connection runs: full run_serial identity
   // Gates this run must satisfy (beyond identity, which every run must).
   bool expect_busy = false;
   bool expect_timeouts = false;
   bool expect_coalescing = false;
-  bool expect_disk_hits = false;
 };
 
 struct RunResult {
@@ -434,8 +419,8 @@ struct RunResult {
   unsigned kills = 0;
   double wall_ms = 0.0, goodput_per_s = 0.0;
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
-  std::uint64_t coalesced = 0, pipeline_runs = 0, max_queue_depth = 0, peak_sessions = 0,
-                disk_hits = 0;
+  std::uint64_t coalesced = 0, pipeline_runs = 0, max_queue_depth = 0, peak_sessions = 0;
+  std::uint64_t injected = 0;  // the final incarnation's fault.<site>= counts
   bool identical = true;  // pure fields + wait chains (+ full table if gated)
   bool passed = true;     // identical and every expected-behaviour gate
 };
@@ -459,7 +444,6 @@ RunResult execute_run(const RunConfig& config,
       "/tmp/warpd_load_%d_%s.sock", static_cast<int>(::getpid()), config.label.c_str());
   DaemonArgs daemon_args;
   daemon_args.socket = socket_path;
-  daemon_args.store_dir = config.store_dir;
   daemon_args.fault_seed = config.fault_seed;
   daemon_args.workers = config.workers;
   daemon_args.max_sessions = config.max_sessions;
@@ -492,9 +476,9 @@ RunResult execute_run(const RunConfig& config,
     ++result.kills;
     ok_run = verify_wait_chain(phase_a.wait_chain, /*exact=*/false, config.label) && ok_run;
 
-    // Phase B: warm respawn on the same socket and store; resend every id
-    // without a terminal reply. A different fault seed exercises a second
-    // transient schedule against the same artifacts.
+    // Phase B: cold respawn on the same socket; resend every id without a
+    // terminal reply. A different fault seed exercises a second transient
+    // schedule.
     if (daemon_args.fault_seed) *daemon_args.fault_seed += 1000;
     pid = spawn_daemon(daemon_args);
     std::vector<std::uint64_t> remaining;
@@ -623,7 +607,9 @@ RunResult execute_run(const RunConfig& config,
     result.pipeline_runs = stats.get("pipeline_runs");
     result.max_queue_depth = stats.get("max_queue_depth");
     result.peak_sessions = stats.get("peak_sessions");
-    result.disk_hits = stats.get("disk_hits");
+    for (const auto& [key, count] : stats.values) {
+      if (key.rfind("fault.", 0) == 0) result.injected += count;
+    }
     if (config.use_drain_op) {
       send_drain(socket_path);
     } else {
@@ -675,8 +661,8 @@ RunResult execute_run(const RunConfig& config,
                 static_cast<unsigned long long>(result.ok));
     ok_run = false;
   }
-  if (config.expect_disk_hits && result.disk_hits == 0) {
-    std::printf("  FAIL %s: warm respawn served no disk hits\n", config.label.c_str());
+  if (config.fault_seed && result.injected == 0) {
+    std::printf("  FAIL %s: the fault schedule injected nothing\n", config.label.c_str());
     ok_run = false;
   }
   if (config.max_queued != 0 && result.max_queue_depth > config.max_queued) {
@@ -688,14 +674,16 @@ RunResult execute_run(const RunConfig& config,
   result.passed = ok_run;
   std::printf(
       "  %-16s conns=%u rate=%4.0f/s sessions=%3zu ok=%3llu busy=%4llu timeout=%3llu "
-      "coalesced=%3llu runs=%3llu depth=%2llu kills=%u wall=%6.0fms p50=%6.1fms %s\n",
+      "coalesced=%3llu runs=%3llu depth=%2llu kills=%u faults=%llu wall=%6.0fms p50=%6.1fms "
+      "%s\n",
       config.label.c_str(), config.connections, config.rate_per_s, config.sessions,
       static_cast<unsigned long long>(result.ok),
       static_cast<unsigned long long>(result.busy_replies),
       static_cast<unsigned long long>(result.timeouts),
       static_cast<unsigned long long>(result.coalesced),
       static_cast<unsigned long long>(result.pipeline_runs),
-      static_cast<unsigned long long>(result.max_queue_depth), result.kills, result.wall_ms,
+      static_cast<unsigned long long>(result.max_queue_depth), result.kills,
+      static_cast<unsigned long long>(result.injected), result.wall_ms,
       result.p50_ms, result.passed ? "PASS" : "FAIL");
   return result;
 }
@@ -758,8 +746,7 @@ RunConfig deadline_config(std::size_t sessions) {
   return config;
 }
 
-RunConfig chaos_config(std::size_t sessions, const std::string& store_dir,
-                       std::uint64_t fault_seed) {
+RunConfig chaos_config(std::size_t sessions, std::uint64_t fault_seed) {
   RunConfig config;
   config.label = "chaos";
   config.sessions = sessions;
@@ -769,10 +756,8 @@ RunConfig chaos_config(std::size_t sessions, const std::string& store_dir,
   config.max_queued = 6;
   config.chaos = true;
   config.use_drain_op = true;
-  config.store_dir = store_dir;
   config.fault_seed = fault_seed;
   config.expect_busy = true;
-  config.expect_disk_hits = true;
   return config;
 }
 
@@ -793,7 +778,7 @@ void emit_json(const std::vector<RunResult>& runs) {
         "\"sessions\": %zu, \"ok\": %llu, \"busy\": %llu, \"timeouts\": %llu, "
         "\"shed\": %llu, "
         "\"coalesced\": %llu, \"pipeline_runs\": %llu, \"max_queue_depth\": %llu, "
-        "\"peak_sessions\": %llu, \"disk_hits\": %llu, \"kills\": %u, "
+        "\"peak_sessions\": %llu, \"kills\": %u, "
         "\"wall_ms\": %.2f, \"goodput_per_s\": %.2f, \"p50_ms\": %.3f, "
         "\"p95_ms\": %.3f, \"p99_ms\": %.3f, \"bit_identical\": %s}%s\n",
         r.config.label.c_str(), r.config.connections, r.config.rate_per_s,
@@ -804,9 +789,8 @@ void emit_json(const std::vector<RunResult>& runs) {
         static_cast<unsigned long long>(r.coalesced),
         static_cast<unsigned long long>(r.pipeline_runs),
         static_cast<unsigned long long>(r.max_queue_depth),
-        static_cast<unsigned long long>(r.peak_sessions),
-        static_cast<unsigned long long>(r.disk_hits), r.kills, r.wall_ms, r.goodput_per_s,
-        r.p50_ms, r.p95_ms, r.p99_ms, r.identical ? "true" : "false",
+        static_cast<unsigned long long>(r.peak_sessions), r.kills, r.wall_ms,
+        r.goodput_per_s, r.p50_ms, r.p95_ms, r.p99_ms, r.identical ? "true" : "false",
         i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
@@ -824,7 +808,6 @@ int main(int argc, char** argv) {
   std::uint64_t fault_seed = 1;
   bool have_fault_seed = false;
   DaemonArgs daemon_args;
-  std::string store_dir;
   for (int i = 1; i < argc; ++i) {
     const auto uint_arg = [&](const char* flag) -> std::uint64_t {
       if (i + 1 >= argc) {
@@ -851,8 +834,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--fault-seed") == 0) {
       fault_seed = uint_arg("--fault-seed");
       have_fault_seed = true;
-    } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
-      store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
       daemon_args.socket = argv[++i];
     } else if (std::strcmp(argv[i], "--workers") == 0) {
@@ -864,13 +845,12 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (supported: --check, --chaos, --sessions N, "
-                   "--fault-seed S, --store DIR)\n",
+                   "--fault-seed S)\n",
                    argv[i]);
       return 1;
     }
   }
   if (daemon_mode) {
-    daemon_args.store_dir = store_dir;
     // --fault-seed on the daemon command line arms the transient injector.
     if (have_fault_seed) daemon_args.fault_seed = fault_seed;
     if (daemon_args.socket.empty()) {
@@ -879,11 +859,6 @@ int main(int argc, char** argv) {
     }
     return run_daemon(daemon_args);
   }
-
-  namespace fs = std::filesystem;
-  const std::string chaos_store =
-      store_dir.empty() ? common::format("warpd_load_store_%d", static_cast<int>(::getpid()))
-                        : store_dir;
 
   if (check) sessions = std::min<std::size_t>(sessions, 24);
   std::printf("warpd_load%s: 3-kernel mix, open-loop, %zu sessions per run\n",
@@ -894,13 +869,13 @@ int main(int argc, char** argv) {
     configs.push_back(overload_config(sessions));
     configs.push_back(drainstorm_config(sessions));
     configs.push_back(deadline_config(std::min<std::size_t>(sessions, 16)));
-    if (chaos) configs.push_back(chaos_config(sessions, chaos_store, fault_seed));
+    if (chaos) configs.push_back(chaos_config(sessions, fault_seed));
   } else {
     configs.push_back(baseline_config(sessions));
     configs.push_back(overload_config(sessions));
     configs.push_back(drainstorm_config(sessions));
     configs.push_back(deadline_config(sessions));
-    configs.push_back(chaos_config(sessions, chaos_store, fault_seed));
+    configs.push_back(chaos_config(sessions, fault_seed));
   }
 
   // One probe per position of the key cycle (period 6 with the adjacent
@@ -909,15 +884,12 @@ int main(int argc, char** argv) {
   for (std::uint64_t id = 0; id < 6; ++id) probe_requests.push_back(make_load_request(id));
   const auto references = make_references(probe_requests);
 
-  std::error_code ec;
-  fs::remove_all(chaos_store, ec);
   bool ok = true;
   std::vector<RunResult> results;
   for (const auto& config : configs) {
     results.push_back(execute_run(config, references));
     ok = results.back().passed && ok;
   }
-  fs::remove_all(chaos_store, ec);
 
   if (!check) emit_json(results);
   std::printf("warpd_load: %s\n", ok ? "PASS" : "FAIL");

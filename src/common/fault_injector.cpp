@@ -4,34 +4,18 @@
 
 namespace warp::common {
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kIoError: return "io_error";
-    case FaultKind::kTornWrite: return "torn_write";
-    case FaultKind::kCorruptRead: return "corrupt_read";
-    case FaultKind::kStageFail: return "stage_fail";
-  }
-  return "unknown";
-}
-
 double FaultInjector::probability(FaultKind kind) const {
   switch (kind) {
     case FaultKind::kIoError: return config_.io_error_p;
-    case FaultKind::kTornWrite: return config_.torn_write_p;
-    case FaultKind::kCorruptRead: return config_.corrupt_read_p;
     case FaultKind::kStageFail: return config_.stage_fail_p;
   }
   return 0.0;
 }
 
-std::uint64_t FaultInjector::mix(std::string_view site, std::uint64_t salt) const {
+double FaultInjector::uniform(std::string_view site, std::uint64_t salt) const {
   Hasher h;
   h.u64(config_.seed).str(site).u64(salt);
-  return h.finish().lo;
-}
-
-double FaultInjector::uniform(std::string_view site, std::uint64_t salt) const {
-  return static_cast<double>(mix(site, salt) >> 11) * (1.0 / 9007199254740992.0);
+  return static_cast<double>(h.finish().lo >> 11) * (1.0 / 9007199254740992.0);
 }
 
 bool FaultInjector::probe(std::string_view site, FaultKind kind) {
@@ -59,40 +43,6 @@ bool FaultInjector::probe(std::string_view site, FaultKind kind) {
     state.consecutive = 0;
   }
   return fire;
-}
-
-void FaultInjector::corrupt(std::string_view site, std::vector<std::uint8_t>& bytes) {
-  if (bytes.empty()) return;
-  std::uint64_t occurrence;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = sites_.find(site);
-    if (it == sites_.end()) it = sites_.emplace(std::string(site), SiteState{}).first;
-    occurrence = it->second.occurrences++;
-  }
-  const unsigned flips = 1 + static_cast<unsigned>(mix(site, occurrence * 16 + 1) % 4);
-  for (unsigned i = 0; i < flips; ++i) {
-    const std::uint64_t r = mix(site, occurrence * 16 + 2 + i);
-    const std::size_t pos = static_cast<std::size_t>(r % bytes.size());
-    const std::uint8_t bit = static_cast<std::uint8_t>(1u << ((r >> 32) % 8));
-    bytes[pos] ^= bit;
-  }
-}
-
-std::size_t FaultInjector::torn_length(std::string_view site, std::size_t full) {
-  if (full == 0) return 0;
-  std::uint64_t occurrence;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = sites_.find(site);
-    if (it == sites_.end()) it = sites_.emplace(std::string(site), SiteState{}).first;
-    occurrence = it->second.occurrences++;
-  }
-  // Keep between half and all-but-one byte: a nearly complete file is the
-  // hardest torn write to detect.
-  const std::uint64_t r = mix(site, occurrence * 32 + 5);
-  const std::size_t lo = full / 2;
-  return lo + static_cast<std::size_t>(r % (full - lo));
 }
 
 FaultStats FaultInjector::stats() const {

@@ -1,30 +1,24 @@
-// Deterministic fault injection for the warp pipeline and artifact store.
+// Deterministic fault injection for the warp pipeline and the warpd server.
 //
 // The warp-processing transparency contract (the whole premise of the
 // paper) is that a failure anywhere in the on-chip CAD flow leaves the
 // binary executing in software with no observable difference beyond lost
 // speedup. To test that contract end-to-end, the FaultInjector is threaded
-// through the persistent artifact store, every partition-pipeline stage and
+// through every partition-pipeline stage ("stage.<name>", kStageFail) and
 // the warpd serving stack — "serve.accept"/"serve.read"/"serve.write" on
-// the socket front end, "serve.admit" at engine admission (sheds the
+// the socket front end and "serve.admit" at engine admission (sheds the
 // request as a deterministic "busy"; only armed when admission caps are
-// enabled) and "serve.drain" at the graceful-drain flush barrier, all
-// kIoError — see serve/server.hpp and serve/warpd.hpp — as named probe
-// *sites*. A probe asks "does fault kind K fire here?", and
+// enabled), all kIoError — see serve/server.hpp and serve/warpd.hpp — as
+// named probe *sites*. A probe asks "does fault kind K fire here?", and
 // the answer is a pure function of (seed, site, per-site occurrence count)
 // — so a fault schedule is reproducible from its seed alone, across runs
 // and platforms.
 //
-// Probe kinds map to the failure modes a long-running store/serving daemon
-// actually sees:
-//   kIoError     — an open/read/write/rename fails (transient; the caller
-//                  retries through common::retry, common/retry.hpp, and
-//                  then degrades);
-//   kTornWrite   — a crash mid-put leaves a truncated file under the
-//                  *final* name (what an unsynced rename can expose);
-//   kCorruptRead — loaded bytes are corrupted in flight (bit rot, DMA
-//                  error) — the checksum trailer must catch it;
-//   kStageFail   — a pipeline stage's host computation fails outright.
+// Probe kinds:
+//   kIoError   — a socket accept/read/write or an admission step fails
+//                (transient; the caller retries through common::retry,
+//                common/retry.hpp, and then degrades);
+//   kStageFail — a pipeline stage's host computation fails outright.
 //
 // Transient-then-success semantics: `max_consecutive` caps how many times
 // in a row one site can fault (the occurrence counter keeps advancing, the
@@ -50,37 +44,29 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace warp::common {
 
+// The values salt each probe's draw, so a seed keeps its schedule.
 enum class FaultKind : std::uint8_t {
   kIoError = 1,
-  kTornWrite = 2,
-  kCorruptRead = 3,
   kStageFail = 4,
 };
-
-const char* fault_kind_name(FaultKind kind);
 
 struct FaultConfig {
   std::uint64_t seed = 1;
   double io_error_p = 0.0;
-  double torn_write_p = 0.0;
-  double corrupt_read_p = 0.0;
   double stage_fail_p = 0.0;
   /// Max injected faults in a row at one site before the next probe there is
   /// forced to succeed; 0 = unlimited (persistent faults).
   unsigned max_consecutive = 3;
 
-  /// A moderate all-sites transient profile for sweeps: every kind enabled,
+  /// A moderate all-sites transient profile for sweeps: both kinds enabled,
   /// convergence guaranteed (max_consecutive 2 < common::kRetryAttempts).
   static FaultConfig transient_sweep(std::uint64_t seed) {
     FaultConfig config;
     config.seed = seed;
     config.io_error_p = 0.10;
-    config.torn_write_p = 0.10;
-    config.corrupt_read_p = 0.05;
     config.stage_fail_p = 0.05;
     config.max_consecutive = 2;
     return config;
@@ -101,16 +87,6 @@ class FaultInjector {
   /// counter either way.
   bool probe(std::string_view site, FaultKind kind);
 
-  /// Deterministic corruption for a fired kCorruptRead: flips 1..4 bytes of
-  /// `bytes` at positions derived from (seed, site, occurrence). No-op on an
-  /// empty buffer.
-  void corrupt(std::string_view site, std::vector<std::uint8_t>& bytes);
-
-  /// Deterministic truncation point for a fired kTornWrite: somewhere in
-  /// [0, full), biased toward keeping most of the file (the nastiest case —
-  /// a mostly-complete artifact must still be rejected).
-  std::size_t torn_length(std::string_view site, std::size_t full);
-
   FaultStats stats() const;
   const FaultConfig& config() const { return config_; }
 
@@ -124,7 +100,6 @@ class FaultInjector {
   double probability(FaultKind kind) const;
   /// Uniform [0,1) from (seed, site, salt) — the one source of randomness.
   double uniform(std::string_view site, std::uint64_t salt) const;
-  std::uint64_t mix(std::string_view site, std::uint64_t salt) const;
 
   mutable std::mutex mutex_;
   FaultConfig config_;

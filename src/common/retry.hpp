@@ -1,10 +1,10 @@
 // The one retry discipline for host I/O under transient faults.
 //
-// The artifact store (partition/disk_store.hpp) and the socket front end
-// (serve/server.hpp) each retry a failed step a bounded number of times and
-// then degrade. Both do it through retry() below, with one attempt budget
-// and one backoff shape, so a transient fault schedule converges the same
-// way everywhere.
+// The socket front end (serve/server.hpp) retries a failed accept, read or
+// write a bounded number of times and then degrades. It does so through
+// retry() below, with one attempt budget and one backoff shape, and the
+// pipeline's stage retries share the budget, so a transient fault schedule
+// converges the same way everywhere.
 //
 //   kRetryAttempts  attempts per step. Above the default
 //                   FaultConfig::max_consecutive (3), so a transient-then-

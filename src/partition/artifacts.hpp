@@ -7,10 +7,6 @@
 // deterministic rejection (replayable forever) from a transient host-side
 // failure (must be retried). Metered unit counts ride along so virtual-time
 // charges can be replayed deterministically on hits.
-//
-// Every artifact also has a versioned binary serialization
-// (partition/artifact_serde.hpp) so the on-disk store can persist it across
-// processes; growing an artifact struct means bumping that codec's version.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
-// The content-addressed key shared by the in-memory artifact cache and the
-// on-disk artifact store, plus the failure-kind vocabulary both layers use
-// to decide whether a cached rejection may be replayed.
+// The content-addressed key of the artifact cache, plus the failure-kind
+// vocabulary it uses to decide whether a cached rejection may be replayed.
 #pragma once
 
 #include <cstddef>
@@ -17,7 +16,7 @@ struct CacheKey {
   common::Digest config;  // hash of the stage-relevant options
   bool operator==(const CacheKey&) const = default;
 
-  /// Canonical digest of the whole key — the on-disk store's file identity.
+  /// Canonical digest of the whole key (CacheKeyHash takes its low word).
   common::Digest digest() const {
     common::Hasher h;
     h.str(stage).digest(input).digest(config);
@@ -37,13 +36,11 @@ struct CacheKeyHash {
 ///   kDeterministic — the stage rejected its input for a reason that is a
 ///                    pure function of the input (non-affine addressing,
 ///                    unroutable netlist, ...). Recomputing would fail the
-///                    same way, so the rejection caches and persists like
-///                    any artifact.
-///   kTransient     — the failure came from the host environment (injected
-///                    fault, I/O error), not from the input. Caching it
+///                    same way, so the rejection caches like any artifact.
+///   kTransient     — the failure came from the host environment (an
+///                    injected stage fault), not from the input. Caching it
 ///                    verbatim would replay a stale failure forever, so the
-///                    cache treats such entries as misses (retry) and never
-///                    persists them to disk.
+///                    cache treats such entries as misses (retry).
 enum class FailureKind : std::uint8_t {
   kNone = 0,
   kDeterministic = 1,

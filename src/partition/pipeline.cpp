@@ -9,7 +9,6 @@
 #include "decompile/decoder.hpp"
 #include "isa/isa.hpp"
 #include "logicopt/rocm.hpp"
-#include "partition/artifact_serde.hpp"
 
 namespace warp::partition {
 namespace {

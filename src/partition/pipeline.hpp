@@ -54,7 +54,7 @@ inline constexpr const char* kStageStub = "stub";
 const std::vector<std::string>& stage_names();
 
 // Typed stage artifacts (FrontendArtifact ... StubArtifact) live in
-// partition/artifacts.hpp; their binary codecs in partition/artifact_serde.hpp.
+// partition/artifacts.hpp.
 
 // --- The pipeline ----------------------------------------------------------
 

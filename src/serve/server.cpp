@@ -179,13 +179,10 @@ void SocketServer::connection_main(std::shared_ptr<Connection> conn) {
 std::string SocketServer::stats_line() {
   const WarpdStats es = engine_->stats();
   const SocketServerStats ss = stats();
-  const std::uint64_t disk_hits =
-      options_.engine.cache != nullptr ? options_.engine.cache->total_disk_hits() : 0;
   std::string line = common::format(
       "stats admitted=%llu completed=%llu rejected=%llu busy=%llu "
       "timeouts=%llu coalesced=%llu pipeline_runs=%llu unique_kernels=%llu "
-      "max_queue_depth=%llu peak_sessions=%llu peak_bytes=%llu "
-      "disk_hits=%llu replies=%llu draining=%d",
+      "max_queue_depth=%llu peak_sessions=%llu replies=%llu draining=%d",
       static_cast<unsigned long long>(es.admitted),
       static_cast<unsigned long long>(es.completed),
       static_cast<unsigned long long>(es.rejected),
@@ -196,8 +193,6 @@ std::string SocketServer::stats_line() {
       static_cast<unsigned long long>(es.unique_kernels),
       static_cast<unsigned long long>(es.max_queue_depth),
       static_cast<unsigned long long>(es.peak_sessions),
-      static_cast<unsigned long long>(es.peak_bytes),
-      static_cast<unsigned long long>(disk_hits),
       static_cast<unsigned long long>(ss.replies), es.draining ? 1 : 0);
   // Per-site injected-fault counters from every distinct attached injector:
   // the chaos harnesses assert "the schedule actually fired" off these.
@@ -313,13 +308,6 @@ void SocketServer::drain() {
   request_drain();
   // In-flight sessions finish; everything arriving meanwhile is shed busy.
   engine_->drain();
-  // The store is write-through (tmp -> fsync -> rename -> dir fsync on
-  // every put), so the flush barrier is structurally a no-op — but a real
-  // daemon would fsync here, and the fault site keeps that path honest.
-  common::retry(backoff_, [&] {
-    return common::injected(options_.fault, "serve.drain") ? common::Attempt::kRetry
-                                                           : common::Attempt::kDone;
-  });
   stop();
 }
 

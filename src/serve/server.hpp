@@ -18,28 +18,26 @@
 // schedule actually fired instead of inferring it from timing.
 //
 // Fault injection: the sites "serve.accept", "serve.read" and
-// "serve.write" (kIoError) model a flaky front end; "serve.drain" models
-// the final store-flush barrier of a graceful drain. Every site runs under
-// common::retry (common/retry.hpp), the store's discipline: up to
-// common::kRetryAttempts attempts, so a transient schedule (max_consecutive
-// below the budget) is absorbed invisibly — sessions complete
-// bit-identically. An accept or recv error other than EINTR stops at once.
-// A persistent fault degrades cleanly, never fatally: accept never admits
-// the connection (clients see a hang, the server keeps serving others and
-// shuts down cleanly), a dead read drops the rest of the connection's input
-// after in-flight sessions finish, and a dead write drops that connection's
-// remaining replies while sessions still complete server-side. Injected
-// fault counts are the injector's: the stats op's fault.<site>= fields.
+// "serve.write" (kIoError) model a flaky front end. Every site runs under
+// common::retry (common/retry.hpp): up to common::kRetryAttempts attempts,
+// so a transient schedule (max_consecutive below the budget) is absorbed
+// invisibly — sessions complete bit-identically. An accept or recv error
+// other than EINTR stops at once. A persistent fault degrades cleanly,
+// never fatally: accept never admits the connection (clients see a hang,
+// the server keeps serving others and shuts down cleanly), a dead read
+// drops the rest of the connection's input after in-flight sessions finish,
+// and a dead write drops that connection's remaining replies while sessions
+// still complete server-side. Injected fault counts are the injector's: the
+// stats op's fault.<site>= fields.
 //
 // One common::Backoff, at its default seed, serves the accept thread and
 // every connection thread, so one seed reproduces the sleep schedule.
 //
 // Graceful drain: the "drain" protocol op or request_drain() (what a
 // daemon's SIGTERM handler calls) makes the engine shed all new sessions
-// as "busy" while in-flight ones finish; drain() then waits them out,
-// probes the serve.drain flush barrier and stops the server. A supervisor
-// observing drain_requested() can exit 0 afterwards — the persistent store
-// is write-through, so the next incarnation starts warm.
+// as "busy" while in-flight ones finish; drain() then waits them out and
+// stops the server. A supervisor observing drain_requested() can exit 0
+// afterwards; the next incarnation starts with a cold artifact cache.
 #pragma once
 
 #include <atomic>
@@ -100,10 +98,9 @@ class SocketServer {
   void request_drain();
   bool drain_requested() const { return drain_requested_.load(); }
 
-  /// Finish a graceful drain: wait out in-flight sessions, probe the
-  /// serve.drain store-flush barrier (bounded retries; the write-through
-  /// store makes it structurally a no-op) and stop(). Calls request_drain()
-  /// first if nobody did. Returns once the server is fully stopped.
+  /// Finish a graceful drain: wait out in-flight sessions and stop(). Calls
+  /// request_drain() first if nobody did. Returns once the server is fully
+  /// stopped.
   void drain();
 
   Warpd& engine() { return *engine_; }

@@ -72,18 +72,14 @@ common::Digest kernel_hash_of(const warpsys::WarpSystem& system) {
 }  // namespace
 
 std::optional<std::uint64_t> AdmissionController::try_admit() {
-  const std::uint64_t bytes_after = bytes_ + options_.session_bytes;
   const bool over =
       (options_.max_sessions != 0 && sessions_ + 1 > options_.max_sessions) ||
-      (options_.max_queued != 0 && queued_ + 1 > options_.max_queued) ||
-      (options_.max_bytes != 0 && bytes_after > options_.max_bytes);
+      (options_.max_queued != 0 && queued_ + 1 > options_.max_queued);
   if (over) return retry_hint_ms();
   ++sessions_;
   ++queued_;
-  bytes_ = bytes_after;
   peak_sessions_ = std::max<std::uint64_t>(peak_sessions_, sessions_);
   peak_queued_ = std::max<std::uint64_t>(peak_queued_, queued_);
-  peak_bytes_ = std::max(peak_bytes_, bytes_);
   return std::nullopt;
 }
 
@@ -99,7 +95,6 @@ void AdmissionController::started() {
 
 void AdmissionController::finished() {
   if (sessions_ > 0) --sessions_;
-  bytes_ -= std::min(bytes_, options_.session_bytes);
 }
 
 Warpd::Warpd(WarpdOptions options)
@@ -241,7 +236,6 @@ WarpdStats Warpd::stats() const {
   WarpdStats stats = stats_;
   stats.max_queue_depth = admission_.peak_queued();
   stats.peak_sessions = admission_.peak_sessions();
-  stats.peak_bytes = admission_.peak_bytes();
   stats.draining = draining_;
   stats.latencies_ms.clear();
   stats.latencies_ms.reserve(latencies_by_seq_.size());

@@ -33,7 +33,7 @@
 //
 // Overload semantics (all host-side, none change accepted results):
 //
-//   admission   AdmissionController bounds sessions/queued/bytes in flight.
+//   admission   AdmissionController bounds sessions and queued sessions.
 //               A request over any cap is shed *before* it takes a seq slot
 //               or locks the seq mode: the outcome is kBusy with a
 //               deterministic retry_after_ms hint that grows with queue
@@ -99,18 +99,13 @@ struct AdmissionOptions {
   std::size_t max_sessions = 0;
   /// Admitted-but-unstarted sessions (the claim queue).
   std::size_t max_queued = 0;
-  /// Accounting bytes in flight: session_bytes per admitted session.
-  std::uint64_t max_bytes = 0;
-  /// Accounting charge per session — an envelope for one built WarpSystem
-  /// (program + memories + partition artifacts), not a measurement.
-  std::uint64_t session_bytes = 256 * 1024;
   /// Busy retry hint: min(busy_retry_cap_ms, busy_retry_ms * (queued + 1)).
   /// Deterministic in the occupancy at shed time, so identical request
   /// schedules get identical hints.
   std::uint64_t busy_retry_ms = 25;
   std::uint64_t busy_retry_cap_ms = 2000;
 
-  bool enabled() const { return max_sessions != 0 || max_queued != 0 || max_bytes != 0; }
+  bool enabled() const { return max_sessions != 0 || max_queued != 0; }
 };
 
 /// Bounded-occupancy bookkeeping for warpd admission. Not thread-safe on
@@ -135,29 +130,25 @@ class AdmissionController {
   const AdmissionOptions& options() const { return options_; }
   std::size_t sessions() const { return sessions_; }
   std::size_t queued() const { return queued_; }
-  std::uint64_t bytes() const { return bytes_; }
   std::uint64_t peak_sessions() const { return peak_sessions_; }
   std::uint64_t peak_queued() const { return peak_queued_; }
-  std::uint64_t peak_bytes() const { return peak_bytes_; }
 
  private:
   AdmissionOptions options_;
   std::size_t sessions_ = 0;  // admitted, not yet finalized
   std::size_t queued_ = 0;    // admitted, not yet started
-  std::uint64_t bytes_ = 0;
   std::uint64_t peak_sessions_ = 0;
   std::uint64_t peak_queued_ = 0;
-  std::uint64_t peak_bytes_ = 0;
 };
 
 struct WarpdOptions {
   /// Session worker threads; 0 = std::thread::hardware_concurrency().
   unsigned workers = 0;
   /// Shared artifact cache consulted by every DPM job (not owned; may be
-  /// null). Typically has a DiskArtifactStore attached — that is what makes
-  /// repeat kernels disk hits across server restarts.
+  /// null). It lives as long as its owner keeps it: a restarted server
+  /// starts cold.
   partition::ArtifactCache* cache = nullptr;
-  /// Shared deterministic fault injector for the pipeline/store sites (not
+  /// Shared deterministic fault injector for the pipeline's stage sites (not
   /// owned; may be null). Socket-layer sites live in server.hpp; the
   /// engine-level "serve.admit" site fires here, and only when admission
   /// caps are enabled (an injected admission fault sheds the request
@@ -205,7 +196,6 @@ struct WarpdStats {
   std::uint64_t unique_kernels = 0;  // distinct kernel content hashes seen
   std::uint64_t max_queue_depth = 0; // peak admitted-but-unstarted occupancy
   std::uint64_t peak_sessions = 0;   // peak admitted-but-unfinalized
-  std::uint64_t peak_bytes = 0;      // peak accounting bytes in flight
   std::uint64_t dpm_jobs = 0;        // DPM services run by the DPM thread
   double dpm_busy_ms = 0.0;          // host wall clock spent in them
   bool draining = false;

@@ -3,11 +3,14 @@
 // count and any DPM queue policy must produce bit-identical MultiWarpEntry
 // tables AND bit-identical per-stage virtual times — while replicated
 // kernels actually resolve their partitioning stages from the cache.
+// Injected stage faults are invisible too: transient schedules converge to
+// the fault-free table, a cached transient failure is retried rather than
+// replayed, and persistent faults land in the software-fallback path.
 #include <gtest/gtest.h>
 
+#include "common/fault_injector.hpp"
 #include "common/hash.hpp"
 #include "experiments/harness.hpp"
-#include "partition/artifact_serde.hpp"
 #include "partition/cache.hpp"
 #include "partition/pipeline.hpp"
 #include "serve/multiprocessor.hpp"
@@ -48,9 +51,12 @@ TEST(PartitionCache, ColdAndWarmCacheMatchCacheOffReference) {
   serial_on.cache = &cache;
   EXPECT_EQ(run_mix(kMix, serial_on).entries, reference) << "cold cache";
   const std::uint64_t cold_hits = cache.total_hits();
+  const std::size_t cold_size = cache.size();
   EXPECT_GT(cold_hits, 0u) << "replicated kernels must hit within one cold run";
   EXPECT_EQ(run_mix(kMix, serial_on).entries, reference) << "warm cache";
   EXPECT_GT(cache.total_hits(), cold_hits) << "warm run must hit on every system";
+  // The cache holds one entry per unique key: the warm pass adds none.
+  EXPECT_EQ(cache.size(), cold_size);
 
   // Stages computed once per unique kernel across both runs.
   const auto stats = cache.stats();
@@ -188,59 +194,6 @@ std::shared_ptr<const partition::DecompileArtifact> rejection(const char* why) {
   return artifact;
 }
 
-TEST(PartitionCache, EntryCapEvictsLeastRecentlyUsed) {
-  partition::ArtifactCache cache(partition::ArtifactCacheOptions{.max_entries = 2});
-  const auto k0 = salted_key("decompile", 0);
-  const auto k1 = salted_key("decompile", 1);
-  const auto k2 = salted_key("decompile", 2);
-  cache.put<partition::DecompileArtifact>(k0, rejection("a"));
-  cache.put<partition::DecompileArtifact>(k1, rejection("b"));
-  // Touch k0 so k1 is the least recently used, then overflow the cap.
-  ASSERT_NE(cache.find<partition::DecompileArtifact>(k0), nullptr);
-  cache.put<partition::DecompileArtifact>(k2, rejection("c"));
-
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.total_evictions(), 1u);
-  EXPECT_EQ(cache.find<partition::DecompileArtifact>(k1), nullptr) << "LRU evicted";
-  EXPECT_NE(cache.find<partition::DecompileArtifact>(k0), nullptr) << "touched survives";
-  EXPECT_NE(cache.find<partition::DecompileArtifact>(k2), nullptr) << "newest survives";
-}
-
-TEST(PartitionCache, ByteCapTracksEncodedSizesAndEvicts) {
-  // Each deterministic-rejection artifact encodes to a few dozen bytes; a
-  // small byte budget holds only some of them.
-  partition::ArtifactCache cache(partition::ArtifactCacheOptions{.max_bytes = 160});
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    cache.put<partition::DecompileArtifact>(salted_key("decompile", i),
-                                            rejection("non-affine address"));
-  }
-  EXPECT_GT(cache.total_bytes(), 0u);
-  EXPECT_LE(cache.total_bytes(), 160u);
-  EXPECT_GT(cache.total_evictions(), 0u);
-  EXPECT_LT(cache.size(), 8u);
-  // The newest entry always survives (the bound never evicts what was just
-  // inserted, so a single oversized artifact still caches).
-  EXPECT_NE(cache.find<partition::DecompileArtifact>(salted_key("decompile", 7)),
-            nullptr);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.at("decompile").evictions, cache.total_evictions());
-}
-
-TEST(PartitionCache, BoundedCacheStaysBitIdenticalEndToEnd) {
-  MultiWarpOptions serial_off;
-  serial_off.parallel = false;
-  const auto reference = run_mix(kMix, serial_off).entries;
-
-  // A cap small enough to evict mid-run: correctness must not depend on
-  // residency, only host time does.
-  partition::ArtifactCache cache(partition::ArtifactCacheOptions{.max_entries = 3});
-  MultiWarpOptions serial_on = serial_off;
-  serial_on.cache = &cache;
-  EXPECT_EQ(run_mix(kMix, serial_on).entries, reference) << "bounded cold";
-  EXPECT_EQ(run_mix(kMix, serial_on).entries, reference) << "bounded warm";
-  EXPECT_LE(cache.size(), 3u);
-}
-
 TEST(PartitionCache, FailedPartitionsAreCachedIdentically) {
   // A pointer-chasing loop cannot be partitioned; replicated copies must
   // produce the identical fallback entry from the cached failure artifacts.
@@ -292,6 +245,79 @@ TEST(PartitionCache, FailedPartitionsAreCachedIdentically) {
   const warpsys::PartitionOutcome* last = on_systems[2]->outcome();
   ASSERT_NE(last, nullptr);
   EXPECT_EQ(last->cache_misses, 0u) << "third replica recomputed a failing stage";
+}
+
+// A cached *transient* failure must be retried, not replayed; a
+// deterministic failure stays cached.
+TEST(ArtifactCache, TransientFailuresAreRetriedDeterministicOnesCached) {
+  partition::ArtifactCache cache;
+  const auto key = salted_key("decompile", 31);
+
+  auto transient = std::make_shared<partition::DecompileArtifact>();
+  transient->ok = false;
+  transient->error = "injected stage fault";
+  transient->fail_kind = partition::FailureKind::kTransient;
+  cache.put<partition::DecompileArtifact>(key, transient,
+                                          partition::FailureKind::kTransient);
+  EXPECT_EQ(cache.find<partition::DecompileArtifact>(key), nullptr)
+      << "a transient failure must read as a miss (retry)";
+  EXPECT_EQ(cache.stats().at("decompile").transient_retries, 1u);
+
+  // The retry landed on a deterministic rejection: it replaces the transient
+  // entry and is served from then on.
+  const auto deterministic = rejection("decompile: non-affine address");
+  cache.put<partition::DecompileArtifact>(key, deterministic,
+                                          partition::FailureKind::kDeterministic);
+  auto found = cache.find<partition::DecompileArtifact>(key);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->error, deterministic->error);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(FaultInjection, TransientSchedulesAreBitIdentical) {
+  MultiWarpOptions serial_off;
+  serial_off.parallel = false;
+  const auto reference = run_mix(kMix, serial_off).entries;
+
+  std::uint64_t injected = 0;
+  for (const std::uint64_t seed : {7ull, 8ull, 9ull}) {
+    common::FaultInjector fault(common::FaultConfig::transient_sweep(seed));
+    MultiWarpOptions options = serial_off;
+    options.fault = &fault;
+    EXPECT_EQ(run_mix(kMix, options).entries, reference) << "seed " << seed;
+    injected += fault.stats().injected;
+  }
+  EXPECT_GT(injected, 0u) << "the sweep must actually inject faults";
+}
+
+TEST(FaultInjection, PersistentStageFaultFallsBackToSoftware) {
+  common::FaultConfig lethal;
+  lethal.stage_fail_p = 1.0;
+  lethal.max_consecutive = 0;  // the retry budget can never converge
+  common::FaultInjector fault(lethal);
+
+  MultiWarpOptions options;
+  options.parallel = false;
+  options.fault = &fault;
+  const auto run = run_mix(kMix, options);
+  ASSERT_EQ(run.entries.size(), kMix.size());
+  for (std::size_t i = 0; i < run.entries.size(); ++i) {
+    // The contract of warp processing: a failed DPM flow leaves the binary
+    // running in software — no warp, no crash, no exception.
+    EXPECT_FALSE(run.entries[i].warped) << "cpu" << i;
+    EXPECT_GT(run.entries[i].sw_seconds, 0.0) << "cpu" << i;
+    EXPECT_GT(run.entries[i].warped_seconds, 0.0) << "cpu" << i;
+    const warpsys::PartitionOutcome* outcome = run.systems[i]->outcome();
+    ASSERT_NE(outcome, nullptr);
+    EXPECT_FALSE(outcome->success);
+  }
+
+  // The fallback is itself deterministic: a second identical schedule
+  // produces the identical table.
+  common::FaultInjector fault2(lethal);
+  MultiWarpOptions again = options;
+  again.fault = &fault2;
+  EXPECT_EQ(run_mix(kMix, again).entries, run.entries);
 }
 
 }  // namespace

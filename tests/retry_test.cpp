@@ -1,5 +1,5 @@
-// The one retry discipline (common/retry.hpp) that the artifact store and
-// the socket server share.
+// The one retry discipline (common/retry.hpp) of the socket server, whose
+// attempt budget the pipeline's stage retries share.
 //
 // Pins the backoff shape (attempt k sleeps in [b, 2b) for b = 50 us << k,
 // reproducible from the seed), the attempt budget (kRetryAttempts, above

@@ -8,7 +8,8 @@
 // double round-trip the socket determinism gates rely on, and drive a live
 // server with garbage, oversized lines and flipped request bytes, requiring
 // one reply per line and a clean stop. Socket paths that do not fit
-// sun_path are rejected before any file appears.
+// sun_path are rejected before any file appears, and the stats reply
+// carries the counters the benchmark reads by key.
 #include <gtest/gtest.h>
 
 #include <sys/un.h>
@@ -16,6 +17,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -351,6 +353,66 @@ TEST(WarpdServer, SurvivesHostileClient) {
   const auto engine_stats = server.engine().stats();
   EXPECT_EQ(engine_stats.completed, ok_replies);
   EXPECT_GE(engine_stats.rejected, 1u);  // the unknown workload
+}
+
+// The "stats" reply carries the engine counters that perfbench's warpd_warm
+// workload reads by key, each equal to the engine's own value. A missing key
+// would read as 0 there, so the keys are pinned here; the removed
+// disk_hits and peak_bytes keys must stay gone.
+TEST(WarpdServer, StatsReplyCarriesTheBenchmarkKeys) {
+  serve::SocketServerOptions options;
+  options.path =
+      common::format("/tmp/warpd_proto_stats_%d.sock", static_cast<int>(::getpid()));
+  options.engine.workers = 1;
+  options.engine.admission.max_sessions = 2;  // a burst sheds some sessions busy
+  options.engine.base = experiments::default_options();
+  serve::SocketServer server(options);
+  ASSERT_TRUE(server.start());
+
+  serve::Client client;
+  ASSERT_TRUE(client.connect(options.path));
+  const unsigned kSessions = 6;
+  for (unsigned i = 0; i < kSessions; ++i) {
+    ASSERT_TRUE(client.send_line(common::format("warp id=%u workload=brev", i)));
+  }
+  for (unsigned got = 0; got < kSessions; ++got) {
+    auto line = client.read_line();
+    ASSERT_TRUE(line) << line.message();
+    ASSERT_TRUE(serve::protocol::parse_reply(line.value())) << line.value();
+  }
+  ASSERT_TRUE(client.send_line("stats"));
+  auto line = client.read_line();
+  ASSERT_TRUE(line) << line.message();
+
+  std::map<std::string, std::uint64_t> fields;
+  const auto tokens = common::split(line.value(), " ");
+  ASSERT_FALSE(tokens.empty());
+  EXPECT_EQ(tokens[0], "stats");
+  for (std::size_t i = 1; i < tokens.size(); ++i) {
+    const std::string_view token = tokens[i];
+    const std::size_t eq = token.find('=');
+    ASSERT_NE(eq, std::string_view::npos) << line.value();
+    const std::string key(token.substr(0, eq));
+    EXPECT_EQ(fields.count(key), 0u) << "duplicate key " << key;
+    fields[key] = std::strtoull(std::string(token.substr(eq + 1)).c_str(), nullptr, 10);
+  }
+  const serve::WarpdStats engine = server.engine().stats();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"max_queue_depth", engine.max_queue_depth},
+      {"coalesced", engine.coalesced},
+      {"pipeline_runs", engine.pipeline_runs},
+      {"busy", engine.busy_rejected},
+      {"timeouts", engine.timeouts},
+  };
+  for (const auto& [key, value] : expected) {
+    ASSERT_EQ(fields.count(key), 1u) << key << " missing from: " << line.value();
+    EXPECT_EQ(fields.at(key), value) << key;
+  }
+  EXPECT_GT(engine.pipeline_runs, 0u);
+  EXPECT_EQ(fields.count("disk_hits"), 0u) << line.value();
+  EXPECT_EQ(fields.count("peak_bytes"), 0u) << line.value();
+  client.close();
+  server.stop();
 }
 
 // The socket path must be nonempty and fit sockaddr_un::sun_path with its

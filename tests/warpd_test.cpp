@@ -1,21 +1,20 @@
 // End-to-end determinism battery for the warpd serving engine.
 //
 // The contract under test: the threaded host scheduler, the socket
-// transport, the artifact cache/persistent store and any transient fault
-// schedule are all invisible in the result tables. Identical request
-// streams must produce bit-identical MultiWarpEntry rows (including the
-// virtual-time dpm_wait_seconds) across worker counts, interleaved client
-// schedules and cold vs. warm stores — always equal to the serial
-// reference engine. Persistent faults must degrade cleanly: stage faults
-// land in the software-fallback path, socket faults drop connections, and
-// the server always stops without hanging. This binary runs under TSan and
-// ASan/UBSan in CI.
+// transport, the artifact cache and any transient fault schedule are all
+// invisible in the result tables. Identical request streams must produce
+// bit-identical MultiWarpEntry rows (including the virtual-time
+// dpm_wait_seconds) across worker counts, interleaved client schedules and
+// server restarts — always equal to the serial reference engine.
+// Persistent faults must degrade cleanly: stage faults land in the
+// software-fallback path, socket faults drop connections, and the server
+// always stops without hanging. This binary runs under TSan and ASan/UBSan
+// in CI.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <chrono>
-#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -25,7 +24,6 @@
 #include "common/strings.hpp"
 #include "experiments/harness.hpp"
 #include "partition/cache.hpp"
-#include "partition/disk_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/warpd.hpp"
@@ -34,25 +32,9 @@
 namespace warp {
 namespace {
 
-namespace fs = std::filesystem;
-
 using serve::SessionOutcome;
 using serve::protocol::Request;
 using warpsys::MultiWarpEntry;
-
-struct TempDir {
-  explicit TempDir(const std::string& name)
-      : path(fs::temp_directory_path() /
-             common::format("warpd_%s_%d", name.c_str(), static_cast<int>(::getpid()))) {
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  fs::path path;
-};
 
 std::string socket_path(const std::string& tag) {
   return common::format("/tmp/warpd_%s_%d.sock", tag.c_str(), static_cast<int>(::getpid()));
@@ -211,46 +193,16 @@ TEST(Warpd, InterleavedClientsWithExplicitSeq) {
   EXPECT_TRUE(by_id == reference);
 }
 
-// Cold store vs. a warm restart over the same directory: bit-identical
-// tables, and the warm run must actually serve from disk.
-TEST(Warpd, ColdAndWarmStoreBitIdentical) {
-  TempDir dir("store");
-  const auto requests = make_requests(6, /*explicit_seq=*/true);
-  const auto reference = entries_of(serve::run_serial(requests, engine_options()));
-  for (const char* phase : {"cold", "warm"}) {
-    partition::DiskArtifactStore store({.directory = dir.path.string()});
-    partition::ArtifactCache cache;
-    cache.attach_store(&store);
-    serve::WarpdOptions options = engine_options();
-    options.cache = &cache;
-    const auto got = socket_entries(requests, options, nullptr,
-                                    std::string("store_") + phase);
-    EXPECT_TRUE(got == reference) << phase;
-    if (std::string(phase) == "warm") {
-      EXPECT_GT(cache.total_disk_hits(), 0u);
-      EXPECT_GT(store.stats().hits, 0u);
-    } else {
-      EXPECT_GT(store.stats().files, 0u);
-    }
-  }
-}
-
 // Ten transient fault seeds, one injector wired through the engine's
-// pipeline sites, the persistent store and the serve.accept/read/write
-// socket sites: every session completes and every table is bit-identical.
+// pipeline sites and the serve.accept/read/write socket sites: every
+// session completes and every table is bit-identical.
 TEST(Warpd, TransientFaultSweepIsBitIdentical) {
   const auto requests = make_requests(4, /*explicit_seq=*/true);
   const auto reference = entries_of(serve::run_serial(requests, engine_options()));
-  TempDir dir("fault");
   std::uint64_t injected_total = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     common::FaultInjector fault(common::FaultConfig::transient_sweep(seed));
-    const fs::path store_dir = dir.path / common::format("seed_%llu",
-                                                         static_cast<unsigned long long>(seed));
-    partition::DiskArtifactStore store(
-        {.directory = store_dir.string(), .fault = &fault});
     partition::ArtifactCache cache;
-    cache.attach_store(&store);
     serve::WarpdOptions options = engine_options();
     options.cache = &cache;
     options.fault = &fault;
@@ -521,17 +473,13 @@ TEST(Warpd, DrainedEngineShedsBusyAfterStop) {
   }
 }
 
-// Graceful drain over a persistent store, then a supervised restart: the
-// second incarnation answers the same stream bit-identically and serves it
-// warm from disk — recovery costs disk reads, not CAD reruns.
-TEST(Warpd, GracefulDrainThenWarmRestart) {
-  TempDir dir("drainstore");
+// Graceful drain, then a supervised restart: the second incarnation starts
+// with a cold cache and answers the same stream bit-identically.
+TEST(Warpd, GracefulDrainThenColdRestart) {
   const auto requests = make_requests(4, /*explicit_seq=*/false);
   std::vector<std::vector<MultiWarpEntry>> tables;
   for (const char* phase : {"first", "second"}) {
-    partition::DiskArtifactStore store({.directory = dir.path.string()});
     partition::ArtifactCache cache;
-    cache.attach_store(&store);
     serve::SocketServerOptions options;
     options.path = socket_path(std::string("drain_") + phase);
     options.engine = engine_options();
@@ -556,16 +504,10 @@ TEST(Warpd, GracefulDrainThenWarmRestart) {
     }
     tables.push_back(std::move(by_id));
 
-    server.drain();  // graceful: waits out in-flight work, flushes, stops
+    server.drain();  // graceful: waits out in-flight work, then stops
     EXPECT_TRUE(server.drain_requested());
     EXPECT_TRUE(server.engine().stats().draining);
     EXPECT_EQ(server.engine().stats().completed, requests.size());
-    if (std::string(phase) == "second") {
-      EXPECT_GT(cache.total_disk_hits(), 0u);  // warm: served from the store
-      EXPECT_GT(store.stats().hits, 0u);
-    } else {
-      EXPECT_GT(store.stats().files, 0u);  // write-through: already durable
-    }
   }
   EXPECT_TRUE(tables[0] == tables[1]);
 }
