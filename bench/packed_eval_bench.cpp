@@ -19,12 +19,20 @@
 // component the lane-block widening vectorizes — for every kernel with
 // surviving packed nodes.
 //
+// Per registered workload it also times whole runs at default_options():
+// the profiled software run of the original binary and the warped run of
+// the patched one (median of 21 alternating runs each, host ms), and their
+// ratio. The warped run is where the WCLA's short invocations share lane
+// blocks, so this is the per-kernel cost the simulator pays for warping.
+//
 // Emits BENCH_packed_eval.json in the working directory so the performance
 // trajectory is tracked in-repo.
 //
 // `--check`: skip all timing; verify bit-exactness of every width (and
 // auto) against the scalar engine on all registered workloads, print a
-// table with the reason of every scalar run, and exit nonzero on any
+// table with the reason of every scalar run, require idct's warped run,
+// whose invocations share lane blocks, to leave the data image of its
+// forced-scalar warped run at every width, and exit nonzero on any
 // mismatch. No timing thresholds, so it is stable on shared CI runners.
 #include <algorithm>
 #include <chrono>
@@ -78,6 +86,17 @@ struct KernelResult {
   std::vector<WidthResult> widths;       // executor sweep (packed kernels)
   std::vector<FabricPassResult> fabric;  // bare netlist pass (nodes > 0)
 };
+
+/// Host cost of simulating one workload's software and warped runs.
+struct RunCost {
+  std::string name;
+  double software_ms = 0.0;  // median profiled software run, original binary
+  double warped_ms = 0.0;    // median warped run, patched binary
+  std::uint64_t invocations = 0;
+  std::uint64_t packed_blocks = 0;
+};
+
+constexpr int kCostRuns = 21;
 
 /// The full warp flow for one workload (experiments::flow_workload), with
 /// bench-style fail-fast error handling.
@@ -205,6 +224,59 @@ KernelResult bench_kernel(const std::string& name) {
   return out;
 }
 
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+template <typename Fn>
+double time_ms(Fn&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Software and warped runs of `workload` at default_options(), alternated
+/// kCostRuns times on two systems (the warped one patched by the DPM).
+RunCost time_runs(const workloads::Workload& workload) {
+  const experiments::HarnessOptions options = experiments::default_options();
+  auto program = isa::assemble(workload.source, options.cpu);
+  if (!program) {
+    std::fprintf(stderr, "%s: assemble: %s\n", workload.name.c_str(),
+                 program.message().c_str());
+    std::exit(1);
+  }
+  warpsys::WarpSystem software(program.value(), workload.init, options.system);
+  warpsys::WarpSystem warped(program.value(), workload.init, options.system);
+  if (!warped.run_software() || !warped.warp().success) {
+    std::fprintf(stderr, "%s: did not warp\n", workload.name.c_str());
+    std::exit(1);
+  }
+  RunCost cost;
+  cost.name = workload.name;
+  std::vector<double> software_ms, warped_ms;
+  for (int i = 0; i < kCostRuns; ++i) {
+    bool ok = true;
+    software_ms.push_back(time_ms([&] { ok = software.run_software().is_ok() && ok; }));
+    warped_ms.push_back(time_ms([&] {
+      auto run = warped.run_warped();
+      ok = run.is_ok() && ok;
+      if (run) {
+        cost.invocations = run.value().wcla.invocations;
+        cost.packed_blocks = run.value().wcla.packed_blocks;
+      }
+    }));
+    if (!ok) {
+      std::fprintf(stderr, "%s: run failed\n", workload.name.c_str());
+      std::exit(1);
+    }
+  }
+  cost.software_ms = median(software_ms);
+  cost.warped_ms = median(warped_ms);
+  return cost;
+}
+
 bool kernel_ok(const KernelResult& r) {
   bool ok = r.auto_bit_exact;
   for (const auto& w : r.widths) ok = ok && w.bit_exact;
@@ -215,7 +287,7 @@ bool kernel_ok(const KernelResult& r) {
   return ok && r.width_auto_choice != 0 && r.auto_packed_iterations > 0;
 }
 
-void write_json(const std::vector<KernelResult>& results) {
+void write_json(const std::vector<KernelResult>& results, const std::vector<RunCost>& costs) {
   FILE* json = std::fopen("BENCH_packed_eval.json", "w");
   if (!json) {
     std::fprintf(stderr, "cannot write BENCH_packed_eval.json\n");
@@ -255,6 +327,17 @@ void write_json(const std::vector<KernelResult>& results) {
                    fr.iters_per_sec, fr.speedup_vs_w1);
     }
     std::fprintf(json, "]}%s\n", i + 1 < results.size() ? "," : "");
+  }
+  std::fprintf(json, "  ],\n  \"runs\": [\n");
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    const auto& c = costs[i];
+    std::fprintf(json,
+                 "    {\"name\": \"%s\", \"software_ms\": %.4f, \"warped_ms\": %.4f, "
+                 "\"ratio\": %.3f, \"invocations\": %llu, \"packed_blocks\": %llu}%s\n",
+                 c.name.c_str(), c.software_ms, c.warped_ms, c.warped_ms / c.software_ms,
+                 static_cast<unsigned long long>(c.invocations),
+                 static_cast<unsigned long long>(c.packed_blocks),
+                 i + 1 < costs.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
@@ -318,6 +401,32 @@ int run_check() {
   }
   std::printf("scalar = bit-exact, but ran entirely on the scalar engine (reason in the "
               "last column)\n");
+
+  // idct's 96 trip-8 invocations share lane blocks in the warped run: at
+  // every width, the whole run must leave the image of the same run with the
+  // executor forced scalar (which shares nothing), in fewer blocks than
+  // invocations.
+  auto idct = run_flow(workloads::workload_by_name("idct"), 0);
+  KernelExecutor* exec = idct.system->wcla().executor();
+  std::printf("idct warped run, shared blocks vs. forced scalar:");
+  for (const unsigned width : {0u, 1u, 2u, 4u}) {
+    exec->set_packed_options(PackedOptions{width});
+    exec->set_engine(KernelExecutor::EvalEngine::kScalar);
+    const auto scalar_run = idct.system->run_warped();
+    const std::uint64_t scalar_sum = idct.system->data_mem().checksum_words();
+    exec->set_engine(KernelExecutor::EvalEngine::kAuto);
+    const auto shared_run = idct.system->run_warped();
+    const bool ran = scalar_run.is_ok() && shared_run.is_ok();
+    const hwsim::WclaStats stats = ran ? shared_run.value().wcla : hwsim::WclaStats{};
+    const bool exact = ran && idct.system->data_mem().checksum_words() == scalar_sum;
+    const bool shared = stats.packed_blocks != 0 && stats.packed_blocks < stats.invocations;
+    all_exact = all_exact && exact && shared;
+    std::printf("  W%u %llu blocks/%llu %s", width,
+                static_cast<unsigned long long>(stats.packed_blocks),
+                static_cast<unsigned long long>(stats.invocations),
+                !exact ? "FAIL" : shared ? "ok" : "UNSHARED");
+  }
+  std::printf("  (W0 = auto)\n");
   if (!all_exact) {
     std::fprintf(stderr, "FAIL: engines disagree\n");
     return 1;
@@ -348,6 +457,10 @@ int main(int argc, char** argv) {
   };
   std::vector<KernelResult> results;
   for (const char* name : kernels) results.push_back(bench_kernel(name));
+  std::vector<RunCost> costs;
+  for (const auto& workload : workloads::extended_workloads()) {
+    costs.push_back(time_runs(workload));
+  }
 
   std::printf("packed-eval microbenchmark (lane-block widths 1/2/4 = 64/128/256 iters/pass)\n");
   std::printf("%-8s %8s %6s %6s %12s | %-34s | %6s %12s\n", "kernel", "trip", "luts",
@@ -373,7 +486,18 @@ int main(int argc, char** argv) {
     all_ok = all_ok && kernel_ok(r);
   }
 
-  write_json(results);
+  std::printf("\nwhole runs at default_options (median of %d alternating runs, host ms)\n",
+              kCostRuns);
+  std::printf("%-8s %12s %12s %7s %12s %14s\n", "kernel", "software ms", "warped ms", "ratio",
+              "invocations", "packed blocks");
+  for (const auto& c : costs) {
+    std::printf("%-8s %12.3f %12.3f %7.2f %12llu %14llu\n", c.name.c_str(), c.software_ms,
+                c.warped_ms, c.warped_ms / c.software_ms,
+                static_cast<unsigned long long>(c.invocations),
+                static_cast<unsigned long long>(c.packed_blocks));
+  }
+
+  write_json(results, costs);
 
   if (!all_ok) {
     std::fprintf(stderr, "FAIL: engines disagree or the packed path never engaged\n");

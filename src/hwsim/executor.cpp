@@ -37,6 +37,28 @@ unsigned ref_stage(const NetRef& ref, const std::vector<unsigned>& lut_stage,
                                              ref.index));
 }
 
+/// Index of `reg` in ir.live_in_regs, the order the stub latches CONST[k]
+/// in (-1 when the register is not latched).
+int live_in_slot(const decompile::KernelIR& ir, unsigned reg) {
+  const auto it = std::find(ir.live_in_regs.begin(), ir.live_in_regs.end(), reg);
+  return it == ir.live_in_regs.end() ? -1
+                                     : static_cast<int>(it - ir.live_in_regs.begin());
+}
+
+std::uint32_t slot_value(const KernelInvocation& invocation, int slot) {
+  return slot < 0 ? 0 : invocation.live_in[static_cast<std::size_t>(slot)];
+}
+
+/// Sets lanes [lane0, lane0 + lanes) in a block of lane words.
+void set_lane_range(std::uint64_t* words, unsigned lane0, unsigned lanes) {
+  for (unsigned lane = lane0, end = lane0 + lanes; lane < end;) {
+    const unsigned bit = lane % kPackedWordBits;
+    const unsigned n = std::min(end - lane, kPackedWordBits - bit);
+    words[lane / kPackedWordBits] |= (n == kPackedWordBits ? ~0ull : ((1ull << n) - 1)) << bit;
+    lane += n;
+  }
+}
+
 }  // namespace
 
 const char* scalar_reason_name(ScalarReason reason) {
@@ -119,6 +141,7 @@ void KernelExecutor::bind_ports() {
         break;
       case PortSpec::Kind::kLiveIn:
         binding.kind = InputBinding::Kind::kLiveIn;
+        binding.slot = live_in_slot(ir, spec.a);
         break;
       case PortSpec::Kind::kIv:
         binding.kind = InputBinding::Kind::kIv;
@@ -148,7 +171,6 @@ void KernelExecutor::bind_ports() {
     }
     input_bindings_[i] = binding;
   }
-  livein_cache_.assign(input_bindings_.size(), 0);
 
   // Output index tables: one bit-list per consumed word, so reading a word
   // is a gather over its own bits instead of an O(outputs) scan.
@@ -211,7 +233,12 @@ void KernelExecutor::bind_ports() {
   }
 
   iv_step_.resize(ir.iv_regs.size());
-  for (std::size_t p = 0; p < ir.iv_regs.size(); ++p) iv_step_[p] = ir.iv_regs[p].second;
+  iv_slot_.resize(ir.iv_regs.size());
+  for (std::size_t p = 0; p < ir.iv_regs.size(); ++p) {
+    iv_step_[p] = ir.iv_regs[p].second;
+    iv_slot_[p] = live_in_slot(ir, ir.iv_regs[p].first);
+  }
+  envelopes_.resize(ir.streams.size());
 
   inputs_.assign(netlist.primary_inputs.size(), false);
   mac_results_.assign(kernel_.mac_ops.size(), 0);
@@ -358,28 +385,20 @@ int KernelExecutor::find_write_node(unsigned stream, unsigned tap) const {
   return it->second;
 }
 
-std::uint32_t KernelExecutor::iv_value(int iv_pos, std::uint64_t iter) const {
+std::uint32_t KernelExecutor::iv_value(const KernelInvocation& invocation, int iv_pos,
+                                       std::uint64_t iter) const {
   if (iv_pos < 0) return 0;
-  return iv_init_[static_cast<std::size_t>(iv_pos)] +
-         static_cast<std::uint32_t>(
-             static_cast<std::int64_t>(iv_step_[static_cast<std::size_t>(iv_pos)]) *
-             static_cast<std::int64_t>(iter));
+  const auto p = static_cast<std::size_t>(iv_pos);
+  return slot_value(invocation, iv_slot_[p]) +
+         static_cast<std::uint32_t>(static_cast<std::int64_t>(iv_step_[p]) *
+                                    static_cast<std::int64_t>(iter));
 }
 
-bool KernelExecutor::streams_hazard_free(const KernelInvocation& invocation,
-                                         unsigned block_lanes) const {
+bool KernelExecutor::stream_envelopes(const KernelInvocation& invocation,
+                                      StreamEnvelope* out) const {
   const auto& ir = kernel_.ir;
-  if (invocation.trip == 0) return true;
-  const std::int64_t last_iter = static_cast<std::int64_t>(invocation.trip) - 1;
-  // No block spans more iterations than the trip.
-  const std::int64_t window =
-      static_cast<std::int64_t>(std::min<std::uint64_t>(block_lanes, invocation.trip));
-
-  struct Range {
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-  };
-  std::vector<Range> ranges(ir.streams.size());
+  const std::int64_t last_iter =
+      invocation.trip == 0 ? 0 : static_cast<std::int64_t>(invocation.trip) - 1;
   for (std::size_t s = 0; s < ir.streams.size(); ++s) {
     const auto& stream = ir.streams[s];
     const std::int64_t base = invocation.stream_bases[s];
@@ -398,14 +417,25 @@ bool KernelExecutor::streams_hazard_free(const KernelInvocation& invocation,
     hi += stream.elem_bytes - 1;
     // Addresses that wrap 32 bits defeat the interval analysis: fall back.
     if (lo < 0 || hi >= (std::int64_t{1} << 32)) return false;
-    ranges[s] = {lo, hi};
+    out[s] = {lo, hi};
   }
+  return true;
+}
+
+bool KernelExecutor::streams_hazard_free(const KernelInvocation& invocation,
+                                         const StreamEnvelope* envelopes,
+                                         unsigned block_lanes) const {
+  const auto& ir = kernel_.ir;
+  if (invocation.trip == 0) return true;
+  // No block spans more iterations than the trip.
+  const std::int64_t window =
+      static_cast<std::int64_t>(std::min<std::uint64_t>(block_lanes, invocation.trip));
 
   for (std::size_t ws = 0; ws < ir.streams.size(); ++ws) {
     if (!ir.streams[ws].is_write) continue;
     for (std::size_t rs = 0; rs < ir.streams.size(); ++rs) {
       if (ir.streams[rs].is_write) continue;
-      if (ranges[ws].hi < ranges[rs].lo || ranges[rs].hi < ranges[ws].lo) continue;
+      if (!envelopes[ws].overlaps(envelopes[rs])) continue;
 
       // Overlapping ranges are only safe for the exact in-place pattern,
       // where a write from iteration i can alias a read from iteration
@@ -440,20 +470,65 @@ bool KernelExecutor::streams_hazard_free(const KernelInvocation& invocation,
   return true;
 }
 
-unsigned KernelExecutor::select_packed_width(const KernelInvocation& invocation) const {
+unsigned KernelExecutor::select_packed_width(const KernelInvocation& invocation) {
   // A pinned width is honored as-is (hazards drop to scalar, matching the
   // historical W=1 semantics); auto mode starts from the trip/plan-size
   // heuristic and narrows the block until its hazard window closes.
+  if (invocation.trip != 0 && !stream_envelopes(invocation, envelopes_.data())) return 0;
   if (packed_options_.width != 0) {
-    return streams_hazard_free(invocation, packed_options_.width * kPackedWordBits)
+    return streams_hazard_free(invocation, envelopes_.data(),
+                               packed_options_.width * kPackedWordBits)
                ? packed_options_.width
                : 0;
   }
   unsigned width = packed_->choose_width(invocation.trip);
-  while (width != 0 && !streams_hazard_free(invocation, width * kPackedWordBits)) {
+  while (width != 0 &&
+         !streams_hazard_free(invocation, envelopes_.data(), width * kPackedWordBits)) {
     width >>= 1;
   }
   return width;
+}
+
+unsigned KernelExecutor::shared_block_width(const KernelInvocation& invocation,
+                                            std::vector<StreamEnvelope>& envelopes) {
+  const auto& ir = kernel_.ir;
+  if (!packed_ || engine_ != EvalEngine::kAuto || !ir.accumulators.empty() ||
+      invocation.trip == 0 || invocation.stream_bases.size() != ir.streams.size() ||
+      invocation.live_in.size() != ir.live_in_regs.size() || !invocation.acc_init.empty()) {
+    return 0;
+  }
+  const unsigned width = packed_options_.width != 0
+                             ? packed_options_.width
+                             : packed_->choose_width(~std::uint64_t{0});
+  const unsigned block_lanes = width * kPackedWordBits;
+  envelopes.resize(ir.streams.size());
+  if (invocation.trip >= block_lanes || !stream_envelopes(invocation, envelopes.data()) ||
+      !streams_hazard_free(invocation, envelopes.data(), block_lanes)) {
+    return 0;
+  }
+  return width;
+}
+
+void KernelExecutor::run_shared_block(sim::Memory& memory, const BlockSegment* segments,
+                                      std::size_t count) {
+  if (count == 0) return;
+  if (!packed_ || !kernel_.ir.accumulators.empty()) {
+    throw common::InternalError("executor: shared block on a kernel that cannot share one");
+  }
+  const BlockSegment& last = segments[count - 1];
+  const unsigned lanes = last.lane0 + last.lanes;
+  unsigned width = packed_options_.width;
+  if (width == 0) {
+    width = 1;
+    while (width * kPackedWordBits < lanes) width <<= 1;
+  }
+  if (width > kMaxPackedWidth || lanes > width * kPackedWordBits) {
+    throw common::InternalError(
+        common::format("executor: %u lanes overflow a %u-word shared block", lanes, width));
+  }
+  packed_->set_width(width);
+  std::vector<std::uint32_t> no_acc;
+  run_packed_block(memory, segments, count, width, no_acc);
 }
 
 common::Result<KernelRunResult> KernelExecutor::run(sim::Memory& memory,
@@ -464,27 +539,18 @@ common::Result<KernelRunResult> KernelExecutor::run(sim::Memory& memory,
   if (invocation.stream_bases.size() != ir.streams.size()) {
     return Result::error("invocation stream base count mismatch");
   }
+  if (invocation.live_in.size() != ir.live_in_regs.size()) {
+    return Result::error("invocation live-in count mismatch");
+  }
   if (invocation.acc_init.size() != ir.accumulators.size()) {
     return Result::error("invocation accumulator init count mismatch");
   }
 
-  // Accumulator state (both MAC-held and fabric-held).
-  std::vector<std::uint32_t> acc = invocation.acc_init;
-
-  // Per-run tables: induction-variable initial values and cached live-ins,
-  // so the per-iteration paths never touch the live_in hash map.
-  iv_init_.assign(ir.iv_regs.size(), 0);
-  for (std::size_t p = 0; p < ir.iv_regs.size(); ++p) {
-    const auto it = invocation.live_in.find(ir.iv_regs[p].first);
-    iv_init_[p] = (it != invocation.live_in.end()) ? it->second : 0;
-  }
-  for (std::size_t i = 0; i < input_bindings_.size(); ++i) {
-    if (input_bindings_[i].kind != InputBinding::Kind::kLiveIn) continue;
-    const auto it = invocation.live_in.find(input_bindings_[i].a);
-    livein_cache_[i] = (it != invocation.live_in.end()) ? it->second : 0;
-  }
-
-  KernelRunResult result;
+  KernelRunResult result = timing(invocation.trip);
+  // Accumulator state (both MAC-held and fabric-held), threaded through
+  // the blocks or iterations in place.
+  std::vector<std::uint32_t>& acc = result.acc_final;
+  acc = invocation.acc_init;
   result.scalar_reason = scalar_reason_;
   if (result.scalar_reason == ScalarReason::kNone && verify_against_dfg) {
     result.scalar_reason = ScalarReason::kVerify;
@@ -502,8 +568,10 @@ common::Result<KernelRunResult> KernelExecutor::run(sim::Memory& memory,
     packed_->set_width(width);
     const std::uint64_t block = std::uint64_t{width} * kPackedWordBits;
     for (std::uint64_t iter = 0; iter < invocation.trip; iter += block) {
-      const auto lanes = static_cast<unsigned>(std::min(block, invocation.trip - iter));
-      run_packed_block(memory, invocation, iter, lanes, acc, width);
+      const BlockSegment segment{&invocation, iter, 0,
+                                 static_cast<unsigned>(std::min(block, invocation.trip - iter))};
+      run_packed_block(memory, &segment, 1, width, acc);
+      ++result.packed_blocks;
     }
     result.packed_iterations = invocation.trip;
     if (invocation.trip != 0) result.packed_width = width;
@@ -513,13 +581,16 @@ common::Result<KernelRunResult> KernelExecutor::run(sim::Memory& memory,
     }
     result.scalar_iterations = invocation.trip;
   }
+  return result;
+}
 
+KernelRunResult KernelExecutor::timing(std::uint64_t trip) const {
+  KernelRunResult result;
   const unsigned ii = kernel_.initiation_interval();
-  result.wcla_cycles = static_cast<std::uint64_t>(ii) * invocation.trip +
-                       config_.pipeline_stages() + kStartupCycles;
+  result.wcla_cycles =
+      static_cast<std::uint64_t>(ii) * trip + config_.pipeline_stages() + kStartupCycles;
   result.clock_mhz = config_.fabric_clock_mhz();
   result.time_ns = static_cast<double>(result.wcla_cycles) * 1000.0 / result.clock_mhz;
-  result.acc_final = acc;
   return result;
 }
 
@@ -563,10 +634,10 @@ void KernelExecutor::run_scalar_iter(sim::Memory& memory, const KernelInvocation
           word = tap_values_[binding.a][binding.b];
           break;
         case InputBinding::Kind::kLiveIn:
-          word = livein_cache_[i];
+          word = slot_value(invocation, binding.slot);
           break;
         case InputBinding::Kind::kIv:
-          word = iv_value(binding.iv_pos, iter);
+          word = iv_value(invocation, binding.iv_pos, iter);
           break;
         case InputBinding::Kind::kMacResult:
           word = mac_results_[binding.a];
@@ -614,7 +685,9 @@ void KernelExecutor::run_scalar_iter(sim::Memory& memory, const KernelInvocation
     }
     if (verify_against_dfg) {
       decompile::Dfg::Inputs golden;
-      for (const auto& [reg, value_in] : invocation.live_in) golden.live_in[reg] = value_in;
+      for (std::size_t k = 0; k < ir.live_in_regs.size(); ++k) {
+        golden.live_in[ir.live_in_regs[k]] = invocation.live_in[k];
+      }
       for (std::size_t s = 0; s < ir.streams.size(); ++s) {
         for (unsigned t = 0; t < ir.streams[s].burst; ++t) {
           golden.stream_in[(static_cast<std::uint32_t>(s) << 16) | t] = tap_values_[s][t];
@@ -626,7 +699,7 @@ void KernelExecutor::run_scalar_iter(sim::Memory& memory, const KernelInvocation
       }
       for (std::size_t p = 0; p < ir.iv_regs.size(); ++p) {
         golden.live_in.erase(ir.iv_regs[p].first);  // iv regs enter the DFG as kIv nodes
-        golden.iv[ir.iv_regs[p].first] = iv_value(static_cast<int>(p), iter);
+        golden.iv[ir.iv_regs[p].first] = iv_value(invocation, static_cast<int>(p), iter);
       }
       const std::uint32_t expect = ir.dfg.eval(
           find_write_node(static_cast<unsigned>(out.stream), out.tap), golden);
@@ -696,32 +769,38 @@ void KernelExecutor::run_state_cone(unsigned lanes, std::vector<std::uint32_t>& 
   }
 }
 
-void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocation& invocation,
-                                      std::uint64_t iter0, unsigned lanes,
-                                      std::vector<std::uint32_t>& acc, unsigned width) {
+void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* segments,
+                                      std::size_t count, unsigned width,
+                                      std::vector<std::uint32_t>& acc) {
   const auto& ir = kernel_.ir;
-
-  // 1. Batched DADG reads: the block's valid iterations of every read tap,
-  //    loaded one word per iteration (spare lanes of a partial block read
-  //    0, never memory) and block-transposed in place into lane blocks (the
-  //    width words at row b*width = the lane block of tap bit b).
   const unsigned block_lanes = width * kPackedWordBits;
+  const unsigned lanes = segments[count - 1].lane0 + segments[count - 1].lanes;
+
+  // 1. Batched DADG reads: the block's valid lanes of every read tap, each
+  //    segment's iterations from its own stream base, loaded one word per
+  //    lane (spare lanes of a partial block read 0, never memory) and
+  //    block-transposed in place into lane blocks (the width words at row
+  //    b*width = the lane block of tap bit b). Every lane is read before
+  //    any is written (step 5).
   for (std::size_t s = 0; s < ir.streams.size(); ++s) {
     const auto& stream = ir.streams[s];
     if (stream.is_write) continue;
     for (unsigned t = 0; t < stream.burst; ++t) {
       auto& words = block_taps_[tap_base_[s] + t];
-      const std::uint32_t tap_offset =
-          invocation.stream_bases[s] + t * static_cast<std::uint32_t>(stream.tap_stride_bytes);
-      for (unsigned j = 0; j < lanes; ++j) {
-        const std::uint32_t addr =
-            tap_offset +
-            static_cast<std::uint32_t>(static_cast<std::int64_t>(stream.stride_bytes) *
-                                       static_cast<std::int64_t>(iter0 + j));
-        switch (stream.elem_bytes) {
-          case 1: words[j] = memory.read8(addr); break;
-          case 2: words[j] = memory.read16(addr); break;
-          default: words[j] = memory.read32(addr); break;
+      for (const BlockSegment* seg = segments; seg != segments + count; ++seg) {
+        const std::uint32_t tap_offset = seg->invocation->stream_bases[s] +
+                                         t * static_cast<std::uint32_t>(stream.tap_stride_bytes);
+        std::uint64_t* lane_words = words.data() + seg->lane0;
+        for (unsigned j = 0; j < seg->lanes; ++j) {
+          const std::uint32_t addr =
+              tap_offset +
+              static_cast<std::uint32_t>(static_cast<std::int64_t>(stream.stride_bytes) *
+                                         static_cast<std::int64_t>(seg->iter0 + j));
+          switch (stream.elem_bytes) {
+            case 1: lane_words[j] = memory.read8(addr); break;
+            case 2: lane_words[j] = memory.read16(addr); break;
+            default: lane_words[j] = memory.read32(addr); break;
+          }
         }
       }
       std::fill(words.begin() + lanes, words.begin() + block_lanes, 0);
@@ -729,13 +808,17 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
     }
   }
 
-  // Induction-variable lane blocks, one row set per iv reg.
+  // Induction-variable lane blocks, one row set per iv reg, each segment
+  // counting from its own latched start (mod 2^32, as iv_value).
   for (std::size_t p = 0; p < ir.iv_regs.size(); ++p) {
-    for (unsigned j = 0; j < lanes; ++j) {
-      iv_planes_[p][j] = iv_value(static_cast<int>(p), iter0 + j);
+    auto& plane = iv_planes_[p];
+    const auto step = static_cast<std::uint32_t>(iv_step_[p]);
+    for (const BlockSegment* seg = segments; seg != segments + count; ++seg) {
+      const std::uint32_t start = iv_value(*seg->invocation, static_cast<int>(p), seg->iter0);
+      for (unsigned j = 0; j < seg->lanes; ++j) plane[seg->lane0 + j] = start + step * j;
     }
-    std::fill(iv_planes_[p].begin() + lanes, iv_planes_[p].begin() + block_lanes, 0);
-    common::transpose64_blocked(iv_planes_[p].data(), width);
+    std::fill(plane.begin() + lanes, plane.begin() + block_lanes, 0);
+    common::transpose64_blocked(plane.data(), width);
   }
 
   // 2. Wire the lane blocks to the fabric inputs. MAC results start at 0,
@@ -748,8 +831,14 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
             i, &block_taps_[static_cast<std::size_t>(binding.tap_index)][binding.bit * width]);
         break;
       case InputBinding::Kind::kLiveIn: {
-        const std::uint64_t lane = ((livein_cache_[i] >> binding.bit) & 1u) ? ~0ull : 0ull;
-        for (unsigned w = 0; w < width; ++w) packed_->set_input(i, w, lane);
+        // Each segment's lanes carry its own latched bit.
+        std::array<std::uint64_t, kMaxPackedWidth> lane_words{};
+        for (const BlockSegment* seg = segments; seg != segments + count; ++seg) {
+          if ((slot_value(*seg->invocation, binding.slot) >> binding.bit) & 1u) {
+            set_lane_range(lane_words.data(), seg->lane0, seg->lanes);
+          }
+        }
+        packed_->set_input_block(i, lane_words.data());
         break;
       }
       case InputBinding::Kind::kIv:
@@ -799,26 +888,29 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
     acc[static_cast<std::size_t>(kernel_.mac_ops[m].acc_index)] += sum;
   }
 
-  // 5. Stream writes of the valid lanes, in iteration-major order (the
-  //    scalar engine's order, in case two write taps alias).
+  // 5. Stream writes of the valid lanes, in iteration-major order and
+  //    segment by segment (the scalar engine's order, in case two write
+  //    taps or two invocations alias).
   if (!kernel_.write_outputs.empty()) {
     for (std::size_t w = 0; w < kernel_.write_outputs.size(); ++w) {
       unpack_group(write_groups_[w], write_words_[w].data(), width);
     }
-    for (unsigned j = 0; j < lanes; ++j) {
-      for (std::size_t w = 0; w < kernel_.write_outputs.size(); ++w) {
-        const auto& out = kernel_.write_outputs[w];
-        const auto& stream = ir.streams[out.stream];
-        const std::uint32_t addr =
-            invocation.stream_bases[out.stream] +
-            static_cast<std::uint32_t>(static_cast<std::int64_t>(stream.stride_bytes) *
-                                       static_cast<std::int64_t>(iter0 + j)) +
-            out.tap * static_cast<std::uint32_t>(stream.tap_stride_bytes);
-        const std::uint32_t value = static_cast<std::uint32_t>(write_words_[w][j]);
-        switch (stream.elem_bytes) {
-          case 1: memory.write8(addr, static_cast<std::uint8_t>(value)); break;
-          case 2: memory.write16(addr, static_cast<std::uint16_t>(value)); break;
-          default: memory.write32(addr, value); break;
+    for (const BlockSegment* seg = segments; seg != segments + count; ++seg) {
+      for (unsigned j = 0; j < seg->lanes; ++j) {
+        for (std::size_t w = 0; w < kernel_.write_outputs.size(); ++w) {
+          const auto& out = kernel_.write_outputs[w];
+          const auto& stream = ir.streams[out.stream];
+          const std::uint32_t addr =
+              seg->invocation->stream_bases[out.stream] +
+              static_cast<std::uint32_t>(static_cast<std::int64_t>(stream.stride_bytes) *
+                                         static_cast<std::int64_t>(seg->iter0 + j)) +
+              out.tap * static_cast<std::uint32_t>(stream.tap_stride_bytes);
+          const auto value = static_cast<std::uint32_t>(write_words_[w][seg->lane0 + j]);
+          switch (stream.elem_bytes) {
+            case 1: memory.write8(addr, static_cast<std::uint8_t>(value)); break;
+            case 2: memory.write16(addr, static_cast<std::uint16_t>(value)); break;
+            default: memory.write32(addr, value); break;
+          }
         }
       }
     }

@@ -16,7 +16,12 @@
 //     per run), one contiguous W-word lane block per net, with batched
 //     stream tap reads and writes per block. The last trip % (W*64)
 //     iterations run as one partial block whose spare lanes are never read
-//     from or written to memory. Hard-MAC results that feed back into the
+//     from or written to memory. A block is filled by 1..n invocation
+//     segments (run_packed_block), each with its own stream bases, IV
+//     starts and live-in lane masks: run() fills each block from one
+//     invocation, and run_shared_block() fills one block from several short
+//     invocations of an accumulator-free kernel that WclaDevice queued
+//     (see src/hwsim/README.md). Hard-MAC results that feed back into the
 //     fabric within an iteration are staged: the plan is split at the MACs,
 //     and between stages the W*64 products are formed lane by lane and fed
 //     in as inputs of the next stage. Fabric-held accumulator state (the
@@ -37,6 +42,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -55,9 +61,25 @@ inline constexpr unsigned kStartupCycles = 2;  // DADG setup + result writeback
 /// Per-invocation inputs provided by the patched software stub.
 struct KernelInvocation {
   std::uint64_t trip = 0;
-  std::vector<std::uint32_t> stream_bases;        // per stream, byte address
-  std::unordered_map<unsigned, std::uint32_t> live_in;  // reg -> value
-  std::vector<std::uint32_t> acc_init;            // per accumulator
+  std::vector<std::uint32_t> stream_bases;  // per stream, byte address
+  std::vector<std::uint32_t> live_in;       // per live-in slot (order = ir.live_in_regs)
+  std::vector<std::uint32_t> acc_init;      // per accumulator
+};
+
+/// The byte interval [lo, hi] one stream touches over a whole invocation.
+struct StreamEnvelope {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  bool overlaps(const StreamEnvelope& other) const { return lo <= other.hi && other.lo <= hi; }
+};
+
+/// One invocation's share of a packed lane block: its iterations
+/// [iter0, iter0 + lanes) fill block lanes [lane0, lane0 + lanes).
+struct BlockSegment {
+  const KernelInvocation* invocation = nullptr;
+  std::uint64_t iter0 = 0;
+  unsigned lane0 = 0;
+  unsigned lanes = 0;
 };
 
 /// Why a run used the scalar reference engine (kNone: it ran packed).
@@ -77,6 +99,8 @@ enum class ScalarReason : std::uint8_t {
   /// EvalEngine::kScalar.
   kForcedScalar,
 };
+inline constexpr std::size_t kScalarReasonCount =
+    static_cast<std::size_t>(ScalarReason::kForcedScalar) + 1;
 const char* scalar_reason_name(ScalarReason reason);
 
 struct KernelRunResult {
@@ -87,10 +111,12 @@ struct KernelRunResult {
   // Engine split, for tests and the microbenchmark: how many iterations ran
   // through the packed lane-block engine vs. the scalar reference engine,
   // the lane-block width (in 64-bit words) the packed passes used (0 when
-  // no packed pass ran), and why the run was scalar.
+  // no packed pass ran), how many packed blocks it evaluated, and why the
+  // run was scalar.
   std::uint64_t packed_iterations = 0;
   std::uint64_t scalar_iterations = 0;
   unsigned packed_width = 0;
+  std::uint64_t packed_blocks = 0;
   ScalarReason scalar_reason = ScalarReason::kNone;
 };
 
@@ -114,6 +140,26 @@ class KernelExecutor {
   /// on the scalar engine.
   common::Result<KernelRunResult> run(sim::Memory& memory, const KernelInvocation& invocation,
                                       bool verify_against_dfg = false);
+
+  /// The cycle model alone: what run() reports for a trip of `trip`
+  /// iterations in wcla_cycles, clock_mhz and time_ns.
+  KernelRunResult timing(std::uint64_t trip) const;
+
+  /// The lane-block width (words) of the shared block `invocation` may be
+  /// queued into, or 0 when it must run alone through run(). Nonzero only
+  /// for the auto engine on an accumulator-free kernel that runs packed,
+  /// a well-formed invocation with 0 < trip < width*64, and streams
+  /// hazard-free within the trip. The width is the pinned one, or the
+  /// widest the auto rule gives the plan (PackedEvaluator::choose_width of
+  /// an unbounded trip). Fills `envelopes` with one entry per stream.
+  unsigned shared_block_width(const KernelInvocation& invocation,
+                              std::vector<StreamEnvelope>& envelopes);
+  /// Run `count` segments, each a whole invocation that shared_block_width
+  /// accepted, as one packed block, lane0 = the lanes of the segments
+  /// before it. No invocation may read what an earlier one writes: the
+  /// block reads every lane before it writes any. Runs at the pinned width,
+  /// or the narrowest that holds the lanes.
+  void run_shared_block(sim::Memory& memory, const BlockSegment* segments, std::size_t count);
 
   void set_engine(EvalEngine engine) { engine_ = engine; }
   /// Re-pin or re-enable auto selection of the lane-block width (used by
@@ -143,6 +189,7 @@ class KernelExecutor {
     unsigned bit = 0;
     int iv_pos = -1;   // kIv: index into ir.iv_regs (-1: unknown reg, reads 0)
     int tap_index = -1;  // kStream: flattened (stream, tap) scratch index
+    int slot = -1;     // kLiveIn: live-in slot (-1: not latched, reads 0)
   };
   /// One netlist output bit contributing to a word read (write value, MAC
   /// operand, or next accumulator state).
@@ -168,23 +215,29 @@ class KernelExecutor {
                                 const std::vector<bool>& lut_values) const;
   int find_write_node(unsigned stream, unsigned tap) const;
 
+  /// Each stream's envelope over `invocation` into `out`; false when an
+  /// address wraps 32 bits.
+  bool stream_envelopes(const KernelInvocation& invocation, StreamEnvelope* out) const;
   /// True when the invocation's write streams cannot feed a read stream
   /// within one `block_lanes`-iteration block (packed batching preserves
   /// the scalar read-then-write order only across iterations in different
   /// positions). Wider blocks widen the hazard window, so this is checked
-  /// per candidate width.
-  bool streams_hazard_free(const KernelInvocation& invocation, unsigned block_lanes) const;
+  /// per candidate width. `envelopes` are the invocation's (stream_envelopes).
+  bool streams_hazard_free(const KernelInvocation& invocation, const StreamEnvelope* envelopes,
+                           unsigned block_lanes) const;
   /// Lane-block width (words) the packed engine will use for this
   /// invocation; 0 when the invocation must run scalar.
-  unsigned select_packed_width(const KernelInvocation& invocation) const;
+  unsigned select_packed_width(const KernelInvocation& invocation);
 
   void run_scalar_iter(sim::Memory& memory, const KernelInvocation& invocation,
                        std::uint64_t iter, std::vector<std::uint32_t>& acc,
                        bool verify_against_dfg);
-  /// One packed block of `lanes` <= width*64 iterations starting at iter0.
-  void run_packed_block(sim::Memory& memory, const KernelInvocation& invocation,
-                        std::uint64_t iter0, unsigned lanes, std::vector<std::uint32_t>& acc,
-                        unsigned width);
+  /// The one packed block routine: `count` >= 1 segments filling lanes
+  /// [0, lanes) of a width*64-lane block, contiguous and in lane order.
+  /// Accumulator state threads through `acc`, so a kernel with accumulators
+  /// runs one segment per block.
+  void run_packed_block(sim::Memory& memory, const BlockSegment* segments, std::size_t count,
+                        unsigned width, std::vector<std::uint32_t>& acc);
   /// Form MAC m's products for every lane of the block and feed them into
   /// the primary inputs bound to its result.
   void feed_mac_result(std::size_t m, unsigned width);
@@ -192,7 +245,10 @@ class KernelExecutor {
   /// iteration order, threading the fabric-held accumulators through acc.
   void run_state_cone(unsigned lanes, std::vector<std::uint32_t>& acc);
 
-  std::uint32_t iv_value(int iv_pos, std::uint64_t iter) const;
+  /// Induction variable `iv_pos` of ir.iv_regs in iteration `iter`: its
+  /// latched initial value plus step * iter (0 for iv_pos < 0).
+  std::uint32_t iv_value(const KernelInvocation& invocation, int iv_pos,
+                         std::uint64_t iter) const;
   /// Gather a word group out of the packed pass: lane blocks in, one word
   /// per iteration out (in the low 32 bits of each of the width*64 rows).
   void unpack_group(const OutputGroup& group, std::uint64_t* words, unsigned width) const;
@@ -214,13 +270,13 @@ class KernelExecutor {
   std::vector<unsigned> mac_stage_;  // per MAC op: packed stage its operands are ready in
   std::unordered_map<std::uint32_t, int> write_node_;  // (stream<<16|tap) -> DFG node
   std::vector<unsigned> tap_base_;            // per stream: flattened tap index base
+  std::vector<int> iv_slot_;                  // per ir.iv_regs entry: live-in slot (-1: none)
+  std::vector<std::int32_t> iv_step_;         // per ir.iv_regs entry
 
   std::optional<PackedEvaluator> packed_;  // compiled only when supported
 
-  // Per-run state (valid during run()).
-  std::vector<std::uint32_t> iv_init_;        // per ir.iv_regs entry
-  std::vector<std::int32_t> iv_step_;
-  std::vector<std::uint32_t> livein_cache_;   // per input binding (kLiveIn)
+  // Per-run scratch.
+  std::vector<StreamEnvelope> envelopes_;     // per stream
   std::vector<std::vector<std::uint32_t>> tap_values_;  // scalar scratch
   std::vector<bool> inputs_;                  // scalar scratch
   std::vector<std::uint32_t> mac_results_;    // scalar scratch

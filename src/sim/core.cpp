@@ -11,7 +11,9 @@ using isa::InstrClass;
 using isa::Opcode;
 
 Core::Core(Memory& instr_mem, Memory& data_mem, isa::CpuConfig config)
-    : instr_mem_(instr_mem), data_mem_(data_mem), config_(config) {}
+    : instr_mem_(instr_mem), data_mem_(data_mem), config_(config) {
+  instr_mem_.mark_fetched();
+}
 
 void Core::load_program(const isa::Program& program) {
   instr_mem_.load_words(0, program.words);
@@ -47,12 +49,15 @@ std::uint32_t Core::data_read(std::uint32_t addr, unsigned size) {
     stats_.idle_cycles += result.idle_cycles;
     return result.value;
   }
+  if (data_mem_.has_deferred_work()) settle_data_mem();
   switch (size) {
     case 1: return data_mem_.read8(addr);
     case 2: return data_mem_.read16(addr);
     default: return data_mem_.read32(addr);
   }
 }
+
+void Core::settle_data_mem() { data_mem_.settle(); }
 
 void Core::data_write(std::uint32_t addr, std::uint32_t value, unsigned size) {
   if (addr >= kOpbBase) {
@@ -62,6 +67,7 @@ void Core::data_write(std::uint32_t addr, std::uint32_t value, unsigned size) {
     stats_.cycles += kOpbExtraCycles;
     return;
   }
+  if (data_mem_.has_deferred_work()) settle_data_mem();
   switch (size) {
     case 1: data_mem_.write8(addr, static_cast<std::uint8_t>(value)); break;
     case 2: data_mem_.write16(addr, static_cast<std::uint16_t>(value)); break;
@@ -281,12 +287,19 @@ bool Core::step() {
 
 // Flattened so that step() and its callees are inlined into the loop; on
 // perfbench's sw_profile this measured about 8 % more simulated MIPS (see
-// src/sim/README.md).
+// src/sim/README.md). Every exit, a throw included, settles the data
+// Memory's deferred work, so whoever reads the data image next sees it all.
 [[gnu::flatten]] StopReason Core::run(std::uint64_t max_instructions) {
   const std::uint64_t limit = stats_.instructions + max_instructions;
-  while (!halted_ && stats_.instructions < limit) {
-    if (!step()) break;
+  try {
+    while (!halted_ && stats_.instructions < limit) {
+      if (!step()) break;
+    }
+  } catch (...) {
+    if (data_mem_.has_deferred_work()) settle_data_mem();
+    throw;
   }
+  if (data_mem_.has_deferred_work()) settle_data_mem();
   if (!error_.empty()) return StopReason::kError;
   if (halted_) return StopReason::kHalted;
   return StopReason::kMaxInstructions;

@@ -9,7 +9,11 @@
 //   - OPB device dispatch for data accesses at/above sim::kOpbBase;
 //   - separate active/idle cycle counters for the Figure 5 energy model.
 // Each fetched word is decoded once into a table indexed by PC; any write to
-// the instruction Memory drops the table (see src/sim/README.md).
+// the instruction Memory drops the table (see src/sim/README.md). The core
+// settles the data Memory's deferred work (a WCLA's queued invocations)
+// before each data load or store below kOpbBase and on every exit from
+// run(); the instruction Memory accepts no deferred work, so fetch never
+// settles.
 #pragma once
 
 #include <array>
@@ -49,6 +53,8 @@ class Core {
  public:
   /// The core owns neither memory: the instruction BRAM is shared with the
   /// DPM (binary patching) and the data BRAM with the WCLA (DADG streaming).
+  /// Marks `instr_mem` fetched (Memory::mark_fetched), so it never holds
+  /// deferred work, also when it is `data_mem` too.
   Core(Memory& instr_mem, Memory& data_mem, isa::CpuConfig config);
 
   /// Load a program at instruction address 0 and reset the core.
@@ -77,9 +83,12 @@ class Core {
 
   void add_device(OpbDevice* device) { devices_.push_back(device); }
 
-  /// Execute one instruction; returns false if halted or on error.
+  /// Execute one instruction; returns false if halted or on error. A
+  /// caller that steps by hand and then reads data memory itself settles
+  /// it first (Memory::settle).
   bool step();
-  /// Run until halt or the instruction limit. Returns the stop reason.
+  /// Run until halt or the instruction limit. Returns the stop reason. The
+  /// data Memory holds no deferred work when it returns or throws.
   StopReason run(std::uint64_t max_instructions = 500'000'000);
 
   /// Last error message (valid after StopReason::kError).
@@ -103,6 +112,9 @@ class Core {
   const Decoded* decode_at_pc();
   std::uint32_t data_read(std::uint32_t addr, unsigned size);
   void data_write(std::uint32_t addr, std::uint32_t value, unsigned size);
+  /// The barrier's slow path, out of line so the load/store path stays a
+  /// pointer test.
+  [[gnu::cold, gnu::noinline]] void settle_data_mem();
   OpbDevice* find_device(std::uint32_t addr);
 
   Memory& instr_mem_;

@@ -9,20 +9,42 @@
 // Memory object. Every write bumps a generation counter, so a cached view of
 // the contents (the core's decode table) can tell when it is stale, whichever
 // port wrote.
+//
+// A second-port user may also postpone its accesses: it registers itself as
+// the Memory's one deferred-work owner, and whoever is about to observe the
+// contents calls settle() first, which runs the postponed work. sim::Core
+// settles before each data load or store and on every exit from run(); the
+// WCLA queues short kernel invocations this way (src/hwsim/README.md). A
+// Memory a core fetches from never accepts deferred work, so instruction
+// fetch needs no such check (see src/sim/README.md).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 
 namespace warp::sim {
 
+/// Work a second-port user has postponed on a Memory (see Memory::defer).
+class DeferredWork {
+ public:
+  /// Run the postponed work. Memory::settle() has already withdrawn the
+  /// owner when it calls this, so a throw leaves no owner registered.
+  virtual void settle_deferred() = 0;
+
+ protected:
+  ~DeferredWork() = default;
+};
+
 class Memory {
  public:
   explicit Memory(std::size_t size_bytes) : bytes_(size_bytes, 0) {}
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
 
   std::size_t size() const { return bytes_.size(); }
 
@@ -74,6 +96,36 @@ class Memory {
     }
   }
 
+  /// Deferred work: true while an owner has postponed accesses, which every
+  /// observer of the contents must settle() first.
+  bool has_deferred_work() const { return deferred_ != nullptr; }
+  /// False once a core fetches from this Memory (mark_fetched()): a fetch
+  /// must see every write, and the fetch loop does not settle.
+  bool accepts_deferred_work() const { return !fetched_; }
+  /// Register `owner` as the one owner of postponed work. A different
+  /// owner's work is settled first, so work runs in the order it was
+  /// postponed. Throws when the Memory does not accept deferred work.
+  void defer(DeferredWork& owner) {
+    if (fetched_) throw common::InternalError("deferred work on a fetched Memory");
+    if (deferred_ != &owner) {
+      settle();
+      deferred_ = &owner;
+    }
+  }
+  /// Run the postponed work, if any.
+  void settle() {
+    if (deferred_) std::exchange(deferred_, nullptr)->settle_deferred();
+  }
+  /// Drop `owner`'s registration without running its work (its destructor).
+  void withdraw(const DeferredWork& owner) {
+    if (deferred_ == &owner) deferred_ = nullptr;
+  }
+  /// A core fetches from this Memory: settle, and accept no deferred work.
+  void mark_fetched() {
+    settle();
+    fetched_ = true;
+  }
+
   /// Full word-wise snapshot, restorable with load_words(0, ...). Used by
   /// engine-equivalence tests and benches to rerun a kernel on identical
   /// starting data.
@@ -107,6 +159,8 @@ class Memory {
 
   std::vector<std::uint8_t> bytes_;
   std::uint64_t generation_ = 0;
+  DeferredWork* deferred_ = nullptr;
+  bool fetched_ = false;
 };
 
 }  // namespace warp::sim

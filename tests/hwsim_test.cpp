@@ -2,6 +2,8 @@
 // directly (not through the warp runtime), including the cycle model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "decompile/cfg.hpp"
 #include "decompile/extract.hpp"
@@ -50,6 +52,15 @@ Built build_kernel(const std::string& source, const std::string& label) {
   return built;
 }
 
+/// Latch `value` for register `reg` in the invocation's live-in slot (the
+/// stub's CONST[k] order, ir.live_in_regs).
+void set_live_in(KernelInvocation& invocation, const decompile::KernelIR& ir, unsigned reg,
+                 std::uint32_t value) {
+  const auto it = std::find(ir.live_in_regs.begin(), ir.live_in_regs.end(), reg);
+  ASSERT_NE(it, ir.live_in_regs.end()) << "r" << reg << " is not a live-in";
+  invocation.live_in[static_cast<std::size_t>(it - ir.live_in_regs.begin())] = value;
+}
+
 constexpr const char* kSaxpyish = R"(
   li r2, 0x1000
   li r3, 0x2000
@@ -91,10 +102,10 @@ TEST(Executor, TransformsAndAccumulates) {
     invocation.stream_bases.push_back(stream.is_write ? 0x2000 : 0x1000);
   }
   invocation.acc_init.assign(built.ir.accumulators.size(), 0);
-  for (auto reg : built.ir.live_in_regs) invocation.live_in[reg] = 0;
-  invocation.live_in[2] = 0x1000;
-  invocation.live_in[3] = 0x2000;
-  invocation.live_in[4] = 64;
+  invocation.live_in.assign(built.ir.live_in_regs.size(), 0);
+  set_live_in(invocation, built.ir, 2, 0x1000);
+  set_live_in(invocation, built.ir, 3, 0x2000);
+  set_live_in(invocation, built.ir, 4, 64);
 
   auto result = executor.run(mem, invocation, /*verify_against_dfg=*/true);
   ASSERT_TRUE(result.is_ok()) << result.message();
@@ -113,7 +124,7 @@ TEST(Executor, CycleModel) {
   invocation.trip = 64;
   invocation.stream_bases.assign(built.ir.streams.size(), 0x1000);
   invocation.acc_init.assign(built.ir.accumulators.size(), 0);
-  for (auto reg : built.ir.live_in_regs) invocation.live_in[reg] = 0;
+  invocation.live_in.assign(built.ir.live_in_regs.size(), 0);
   auto result = executor.run(mem, invocation);
   ASSERT_TRUE(result.is_ok());
   // II = max(mem=2, mac>=1) = 2; cycles = II*trip + pipeline + startup.
@@ -171,6 +182,77 @@ TEST(WclaDevice, RegisterProtocol) {
   EXPECT_EQ(mem.read32(0x3000), 1u * 3 + 7);
   EXPECT_EQ(device.stats().invocations, 1u);
   EXPECT_GT(device.stats().busy_ns, 0.0);
+}
+
+constexpr const char* kTransform8 = R"(
+  li r2, 0x1000
+  li r3, 0x2000
+  li r4, 8
+loop:
+  lwi r5, r2, 0
+  bslli r6, r5, 1
+  xori r6, r6, 0x1234
+  swi r6, r3, 0
+  addi r2, r2, 4
+  addi r3, r3, 4
+  addi r4, r4, -1
+  bne r4, loop
+  halt
+)";
+
+TEST(WclaDevice, ConfigureRunsQueuedInvocations) {
+  // An accumulator-free kernel with trip 8: a started invocation is
+  // charged at once but queued for a shared lane block, and configure()
+  // must run the queue on the kernel it was queued for.
+  auto built = build_kernel(kTransform8, "loop");
+  ASSERT_TRUE(built.ir.accumulators.empty());
+  sim::Memory mem(1 << 16);
+  sim::Memory reference(1 << 16);
+  for (unsigned i = 0; i < 16; ++i) {
+    mem.write32(0x1000 + 4 * i, i * 0x9E3779B9u + 1);
+    reference.write32(0x1000 + 4 * i, i * 0x9E3779B9u + 1);
+  }
+  KernelExecutor scalar(*built.kernel, *built.config);
+  scalar.set_engine(KernelExecutor::EvalEngine::kScalar);
+
+  WclaDevice device(mem, 85.0);
+  device.configure(built.kernel, built.config);
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    KernelInvocation invocation;
+    invocation.trip = 8;
+    for (const auto& stream : built.ir.streams) {
+      invocation.stream_bases.push_back((stream.is_write ? 0x2000 : 0x1000) + 32 * k);
+    }
+    invocation.live_in.assign(built.ir.live_in_regs.size(), 0);
+    set_live_in(invocation, built.ir, 2, 0x1000 + 32 * k);
+    set_live_in(invocation, built.ir, 3, 0x2000 + 32 * k);
+    set_live_in(invocation, built.ir, 4, 8);
+    ASSERT_TRUE(scalar.run(reference, invocation).is_ok());
+
+    // Program it the way the stub does.
+    device.write32(kWclaBase + kWclaTrip, 8);
+    for (std::size_t s = 0; s < invocation.stream_bases.size(); ++s) {
+      device.write32(kWclaBase + kWclaStreamBase + 4 * static_cast<std::uint32_t>(s),
+                     invocation.stream_bases[s]);
+    }
+    for (std::size_t slot = 0; slot < invocation.live_in.size(); ++slot) {
+      device.write32(kWclaBase + kWclaConstBase + 4 * static_cast<std::uint32_t>(slot),
+                     invocation.live_in[slot]);
+    }
+    device.write32(kWclaBase + kWclaCtrl, 1);
+    EXPECT_TRUE(mem.has_deferred_work());
+    EXPECT_EQ(mem.read32(0x2000 + 32 * k), 0u) << "invocation " << k << " ran at start";
+    const auto status = device.read32(kWclaBase + kWclaStatus);
+    EXPECT_EQ(status.value, 0u);
+    EXPECT_GT(status.idle_cycles, 0u);
+  }
+  EXPECT_EQ(device.stats().invocations, 2u);
+  EXPECT_EQ(device.stats().packed_blocks, 0u);
+
+  device.configure(built.kernel, built.config);
+  EXPECT_FALSE(mem.has_deferred_work());
+  EXPECT_EQ(device.stats().packed_blocks, 1u);  // both invocations shared one block
+  EXPECT_EQ(mem.checksum_words(), reference.checksum_words());
 }
 
 }  // namespace

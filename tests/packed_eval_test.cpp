@@ -5,6 +5,8 @@
 // that the packed engine backs the default executor path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "decompile/cfg.hpp"
 #include "decompile/extract.hpp"
@@ -322,6 +324,15 @@ Built build_kernel(const std::string& source, const std::string& label) {
   return built;
 }
 
+/// Latch `value` for register `reg` in the invocation's live-in slot (the
+/// stub's CONST[k] order, ir.live_in_regs).
+void set_live_in(KernelInvocation& invocation, const decompile::KernelIR& ir, unsigned reg,
+                 std::uint32_t value) {
+  const auto it = std::find(ir.live_in_regs.begin(), ir.live_in_regs.end(), reg);
+  ASSERT_NE(it, ir.live_in_regs.end()) << "r" << reg << " is not a live-in";
+  invocation.live_in[static_cast<std::size_t>(it - ir.live_in_regs.begin())] = value;
+}
+
 constexpr const char* kTransform = R"(
   li r2, 0x1000
   li r3, 0x4000
@@ -347,10 +358,10 @@ TEST(PackedExecutor, MatchesScalarEngineOnKernelRun) {
     invocation.stream_bases.push_back(stream.is_write ? 0x4000 : 0x1000);
   }
   invocation.acc_init.assign(built.ir.accumulators.size(), 0);
-  for (auto reg : built.ir.live_in_regs) invocation.live_in[reg] = 0;
-  invocation.live_in[2] = 0x1000;
-  invocation.live_in[3] = 0x4000;
-  invocation.live_in[4] = 200;
+  invocation.live_in.assign(built.ir.live_in_regs.size(), 0);
+  set_live_in(invocation, built.ir, 2, 0x1000);
+  set_live_in(invocation, built.ir, 3, 0x4000);
+  set_live_in(invocation, built.ir, 4, 200);
 
   common::Rng rng(3);
   sim::Memory mem_packed(1 << 16);
@@ -392,10 +403,10 @@ TEST(PackedExecutor, WidthSweepMatchesScalarEngine) {
     invocation.stream_bases.push_back(stream.is_write ? 0x4000 : 0x1000);
   }
   invocation.acc_init.assign(built.ir.accumulators.size(), 0);
-  for (auto reg : built.ir.live_in_regs) invocation.live_in[reg] = 0;
-  invocation.live_in[2] = 0x1000;
-  invocation.live_in[3] = 0x4000;
-  invocation.live_in[4] = 600;
+  invocation.live_in.assign(built.ir.live_in_regs.size(), 0);
+  set_live_in(invocation, built.ir, 2, 0x1000);
+  set_live_in(invocation, built.ir, 3, 0x4000);
+  set_live_in(invocation, built.ir, 4, 600);
 
   common::Rng rng(17);
   std::vector<std::uint32_t> data(600);
@@ -501,10 +512,10 @@ KernelInvocation sweep_invocation(const Built& built, std::uint64_t trip,
     invocation.stream_bases.push_back(stream.is_write ? kSweepWriteBase : read_base);
   }
   invocation.acc_init = acc_init;
-  for (auto reg : built.ir.live_in_regs) invocation.live_in[reg] = 0;
-  invocation.live_in[2] = read_base;
-  invocation.live_in[3] = kSweepWriteBase;
-  invocation.live_in[4] = static_cast<std::uint32_t>(trip);
+  invocation.live_in.assign(built.ir.live_in_regs.size(), 0);
+  set_live_in(invocation, built.ir, 2, read_base);
+  set_live_in(invocation, built.ir, 3, kSweepWriteBase);
+  set_live_in(invocation, built.ir, 4, static_cast<std::uint32_t>(trip));
   return invocation;
 }
 
@@ -689,9 +700,9 @@ TEST(PackedExecutor, InPlaceTransformStaysPacked) {
   invocation.trip = 150;
   invocation.stream_bases.assign(built.ir.streams.size(), 0x1000);
   invocation.acc_init.assign(built.ir.accumulators.size(), 0);
-  for (auto reg : built.ir.live_in_regs) invocation.live_in[reg] = 0;
-  invocation.live_in[2] = 0x1000;
-  invocation.live_in[4] = 150;
+  invocation.live_in.assign(built.ir.live_in_regs.size(), 0);
+  set_live_in(invocation, built.ir, 2, 0x1000);
+  set_live_in(invocation, built.ir, 4, 150);
 
   sim::Memory mem(1 << 16);
   for (unsigned i = 0; i < 150; ++i) mem.write32(0x1000 + 4 * i, i * 2654435761u);
@@ -728,9 +739,9 @@ TEST(PackedExecutor, SubElementStrideFallsBackToScalar) {
   invocation.trip = 150;
   invocation.stream_bases.assign(built.ir.streams.size(), 0x1000);
   invocation.acc_init.assign(built.ir.accumulators.size(), 0);
-  for (auto reg : built.ir.live_in_regs) invocation.live_in[reg] = 0;
-  invocation.live_in[2] = 0x1000;
-  invocation.live_in[4] = 150;
+  invocation.live_in.assign(built.ir.live_in_regs.size(), 0);
+  set_live_in(invocation, built.ir, 2, 0x1000);
+  set_live_in(invocation, built.ir, 4, 150);
 
   sim::Memory mem_scalar(1 << 16);
   common::Rng seed_rng(9);
