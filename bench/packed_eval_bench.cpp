@@ -1,7 +1,7 @@
 // Packed-evaluation microbenchmark: iterations/sec of the WCLA kernel
-// executor with the scalar reference engine vs. the packed lane-block
-// engine swept across every supported width (W = 1/2/4 words, i.e.
-// 64/128/256 iterations per fabric pass), plus the auto width mode.
+// executor's lane-block engine swept across every supported width (W =
+// 1/2/4 words, i.e. 64/128/256 iterations per fabric pass), plus the auto
+// width mode.
 //
 // Kernels cover the engine's regimes: brev (pure wires, IO-dominated),
 // matmul (MAC-bound), bitmnp (packed-eligible with real fabric logic),
@@ -11,8 +11,9 @@
 // whose few LUTs then run lane by lane). Each kernel goes through the full
 // warp flow (profile -> DPM partition -> configure), the stub's real
 // invocation is captured from the WCLA device, the trip count is scaled up
-// (within the data BRAM) so timing is stable, and every engine/width is
-// checked bit-exact against the scalar reference before timing.
+// (within the data BRAM) so timing is stable, and every width is checked
+// bit-exact against the dataflow-graph reference (hwsim::reference_run)
+// before timing.
 //
 // The sweep also times the bare fabric pass (PackedEvaluator::run on the
 // kernel's mapped netlist, all stages in one pass) per width — the
@@ -29,11 +30,12 @@
 // trajectory is tracked in-repo.
 //
 // `--check`: skip all timing; verify bit-exactness of every width (and
-// auto) against the scalar engine on all registered workloads, print a
-// table with the reason of every scalar run, require idct's warped run,
+// auto) against the DFG reference on all registered workloads, print a
+// table with the reason of every 1-lane run, require idct's warped run,
 // whose invocations share lane blocks, to leave the data image of its
-// forced-scalar warped run at every width, and exit nonzero on any
-// mismatch. No timing thresholds, so it is stable on shared CI runners.
+// verify_hw warped run (every invocation alone, as 1-lane blocks checked
+// against the DFG) at every width, and exit nonzero on any mismatch. No
+// timing thresholds, so it is stable on shared CI runners.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -60,8 +62,7 @@ constexpr unsigned kWidths[] = {1, 2, 4};
 struct WidthResult {
   unsigned width = 0;
   double iters_per_sec = 0.0;
-  double speedup = 0.0;  // vs. the scalar reference engine
-  std::uint64_t packed_iterations = 0;
+  bool full_blocks = false;  // ran full lane blocks, not 1-lane blocks
   bool bit_exact = false;
 };
 
@@ -75,12 +76,10 @@ struct KernelResult {
   std::string name;
   std::uint64_t trip = 0;
   std::size_t luts = 0;
-  std::size_t packed_nodes = 0;  // executor plan (0 when the kernel falls back)
+  std::size_t packed_nodes = 0;  // executor plan
   std::size_t fabric_nodes = 0;  // standalone plan timed by the fabric-pass sweep
   bool packed_supported = false;
-  double scalar_iters_per_sec = 0.0;
-  unsigned width_auto_choice = 0;  // 0: auto fell back to the scalar engine
-  std::uint64_t auto_packed_iterations = 0;
+  unsigned width_auto_choice = 0;  // 0: auto ran 1-lane blocks
   double auto_iters_per_sec = 0.0;
   bool auto_bit_exact = false;
   std::vector<WidthResult> widths;       // executor sweep (packed kernels)
@@ -180,32 +179,22 @@ KernelResult bench_kernel(const std::string& name) {
   out.packed_nodes = exec->packed_node_count();
   out.packed_supported = exec->packed_supported();
 
-  // Scalar reference: baseline timing and the golden memory image every
-  // width is compared against (snapshot/restore so in-place kernels
-  // compare like for like).
+  // The DFG reference: the golden memory image every width is compared
+  // against (snapshot/restore so in-place kernels compare like for like).
   const std::vector<std::uint32_t> snapshot = mem.snapshot_words();
-  exec->set_engine(KernelExecutor::EvalEngine::kScalar);
-  const auto scalar_run = run_once(*exec, mem, inv);
-  const std::uint64_t scalar_sum = mem.checksum_words();
-  out.scalar_iters_per_sec = time_engine(*exec, mem, inv, 0.4);
-  exec->set_engine(KernelExecutor::EvalEngine::kAuto);
-
-  auto check_width = [&](unsigned width) {
-    WidthResult r;
-    r.width = width;
-    exec->set_packed_options(PackedOptions{width});
-    mem.load_words(0, snapshot);
-    const auto run = run_once(*exec, mem, inv);
-    r.packed_iterations = run.packed_iterations;
-    r.bit_exact = mem.checksum_words() == scalar_sum && run.acc_final == scalar_run.acc_final;
-    return r;
-  };
+  const auto reference_acc = hwsim::reference_run(exec->kernel().ir, mem, inv);
+  const std::uint64_t reference_sum = mem.checksum_words();
 
   if (out.packed_supported) {
     for (const unsigned width : kWidths) {
-      WidthResult r = check_width(width);
+      WidthResult r;
+      r.width = width;
+      exec->set_packed_options(PackedOptions{width});
+      mem.load_words(0, snapshot);
+      const auto run = run_once(*exec, mem, inv);
+      r.full_blocks = run.scalar_reason == hwsim::ScalarReason::kNone;
+      r.bit_exact = mem.checksum_words() == reference_sum && run.acc_final == reference_acc;
       r.iters_per_sec = time_engine(*exec, mem, inv, 0.4);
-      r.speedup = r.iters_per_sec / out.scalar_iters_per_sec;
       out.widths.push_back(r);
     }
   }
@@ -214,10 +203,9 @@ KernelResult bench_kernel(const std::string& name) {
   exec->set_packed_options(PackedOptions{});
   mem.load_words(0, snapshot);
   const auto auto_run = run_once(*exec, mem, inv);
-  out.width_auto_choice = auto_run.packed_width;
-  out.auto_packed_iterations = auto_run.packed_iterations;
-  out.auto_bit_exact =
-      mem.checksum_words() == scalar_sum && auto_run.acc_final == scalar_run.acc_final;
+  out.width_auto_choice =
+      auto_run.scalar_reason == hwsim::ScalarReason::kNone ? auto_run.packed_width : 0;
+  out.auto_bit_exact = mem.checksum_words() == reference_sum && auto_run.acc_final == reference_acc;
   out.auto_iters_per_sec = time_engine(*exec, mem, inv, 0.4);
 
   out.fabric = time_fabric_pass(exec->config().netlist, 0.4, &out.fabric_nodes);
@@ -280,11 +268,11 @@ RunCost time_runs(const workloads::Workload& workload) {
 bool kernel_ok(const KernelResult& r) {
   bool ok = r.auto_bit_exact;
   for (const auto& w : r.widths) ok = ok && w.bit_exact;
-  // Pinned widths AND the default auto mode must actually engage the
-  // packed engine — a regression that silently fell back to scalar would
-  // otherwise keep CI green while losing the speedup.
-  for (const auto& w : r.widths) ok = ok && w.packed_iterations > 0;
-  return ok && r.width_auto_choice != 0 && r.auto_packed_iterations > 0;
+  // Pinned widths AND the default auto mode must actually run full lane
+  // blocks — a regression that silently fell back to 1-lane blocks would
+  // otherwise keep CI green while losing the speed.
+  for (const auto& w : r.widths) ok = ok && w.full_blocks;
+  return ok && r.width_auto_choice != 0;
 }
 
 void write_json(const std::vector<KernelResult>& results, const std::vector<RunCost>& costs) {
@@ -300,22 +288,19 @@ void write_json(const std::vector<KernelResult>& results, const std::vector<RunC
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"trip\": %llu, \"luts\": %zu, "
                  "\"packed_nodes\": %zu, \"fabric_nodes\": %zu, \"packed_supported\": %s,\n"
-                 "     \"scalar_iters_per_sec\": %.4e, \"width_auto_choice\": %u, "
-                 "\"auto_iters_per_sec\": %.4e, \"auto_bit_exact\": %s,\n"
+                 "     \"width_auto_choice\": %u, \"auto_iters_per_sec\": %.4e, "
+                 "\"auto_bit_exact\": %s,\n"
                  "     \"executor_widths\": [",
                  r.name.c_str(), static_cast<unsigned long long>(r.trip), r.luts,
                  r.packed_nodes, r.fabric_nodes, r.packed_supported ? "true" : "false",
-                 r.scalar_iters_per_sec, r.width_auto_choice, r.auto_iters_per_sec,
-                 r.auto_bit_exact ? "true" : "false");
+                 r.width_auto_choice, r.auto_iters_per_sec, r.auto_bit_exact ? "true" : "false");
     for (std::size_t w = 0; w < r.widths.size(); ++w) {
       const auto& wr = r.widths[w];
       std::fprintf(json,
                    "%s\n       {\"width\": %u, \"lanes\": %u, \"iters_per_sec\": %.4e, "
-                   "\"speedup\": %.3f, \"packed_iterations\": %llu, \"bit_exact\": %s}",
+                   "\"bit_exact\": %s}",
                    w ? "," : "", wr.width, wr.width * hwsim::kPackedWordBits,
-                   wr.iters_per_sec, wr.speedup,
-                   static_cast<unsigned long long>(wr.packed_iterations),
-                   wr.bit_exact ? "true" : "false");
+                   wr.iters_per_sec, wr.bit_exact ? "true" : "false");
     }
     std::fprintf(json, "],\n     \"fabric_pass\": [");
     for (std::size_t w = 0; w < r.fabric.size(); ++w) {
@@ -345,13 +330,13 @@ void write_json(const std::vector<KernelResult>& results, const std::vector<RunC
 }
 
 /// --check: bit-exactness of every width and the auto mode against the
-/// scalar engine, on every registered workload. No timing.
+/// DFG reference, on every registered workload. No timing.
 int run_check() {
   bool all_exact = true;
   bool any_fallback_regression = false;
-  std::printf("packed-eval width check (scalar reference vs. lane-block widths)\n");
+  std::printf("packed-eval width check (DFG reference vs. lane-block widths)\n");
   std::printf("%-8s %8s %6s %9s %6s %8s %8s %8s %8s  %s\n", "kernel", "trip", "nodes",
-              "supported", "auto_w", "W1", "W2", "W4", "auto", "scalar reason");
+              "supported", "auto_w", "W1", "W2", "W4", "auto", "1-lane reason");
   for (const auto& workload : workloads::extended_workloads()) {
     auto flowed = run_flow(workload, 2048);
     KernelExecutor* exec = flowed.system->wcla().executor();
@@ -359,37 +344,32 @@ int run_check() {
     const KernelInvocation& inv = flowed.invocation;
 
     const std::vector<std::uint32_t> snapshot = mem.snapshot_words();
-    exec->set_engine(KernelExecutor::EvalEngine::kScalar);
-    const auto scalar_run = run_once(*exec, mem, inv);
-    const std::uint64_t scalar_sum = mem.checksum_words();
-    exec->set_engine(KernelExecutor::EvalEngine::kAuto);
+    const auto reference_acc = hwsim::reference_run(exec->kernel().ir, mem, inv);
+    const std::uint64_t reference_sum = mem.checksum_words();
 
     std::string cells[4];
-    std::string reasons;  // distinct reasons of this kernel's scalar runs
+    std::string reasons;  // distinct reasons of this kernel's 1-lane runs
     unsigned auto_width = 0;
     for (int pass = 0; pass < 4; ++pass) {
       const unsigned width = (pass < 3) ? kWidths[pass] : 0;  // 0: auto
       exec->set_packed_options(PackedOptions{width});
       mem.load_words(0, snapshot);
       const auto run = run_once(*exec, mem, inv);
-      const bool exact =
-          mem.checksum_words() == scalar_sum && run.acc_final == scalar_run.acc_final;
-      // Packed-capable kernels with room for at least one block must not
-      // silently fall back — that would hide an engine regression. (The
-      // registered workloads have no block-size-dependent stream hazards,
-      // the one legitimate reason a pinned width may drop to scalar; a
-      // NOPACK cell on a future workload means revisit this expectation,
-      // not that the engines disagree.)
-      const bool unexpected_fallback =
-          exec->packed_supported() && run.packed_iterations == 0 &&
-          inv.trip >= ((pass < 3) ? kWidths[pass] : 1u) * hwsim::kPackedWordBits;
+      const bool exact = mem.checksum_words() == reference_sum && run.acc_final == reference_acc;
+      const bool one_lane = run.scalar_reason != hwsim::ScalarReason::kNone;
+      // Packed-capable kernels must not silently run 1-lane blocks — that
+      // would hide an engine regression. (The registered workloads have no
+      // block-size-dependent stream hazards, the one legitimate reason a
+      // pinned width may drop to 1-lane blocks; a NOPACK cell on a future
+      // workload means revisit this expectation, not that the results
+      // disagree.)
+      const bool unexpected_fallback = exec->packed_supported() && one_lane;
       all_exact = all_exact && exact;
       any_fallback_regression = any_fallback_regression || unexpected_fallback;
-      if (pass == 3) auto_width = run.packed_width;
-      const bool scalar = run.packed_iterations == 0 && inv.trip != 0;
-      cells[pass] = !exact ? "FAIL" : unexpected_fallback ? "NOPACK" : scalar ? "scalar" : "ok";
+      if (pass == 3) auto_width = one_lane ? 0 : run.packed_width;
+      cells[pass] = !exact ? "FAIL" : unexpected_fallback ? "NOPACK" : one_lane ? "1-lane" : "ok";
       const std::string reason = hwsim::scalar_reason_name(run.scalar_reason);
-      if (scalar && reasons.find(reason) == std::string::npos) {
+      if (one_lane && reasons.find(reason) == std::string::npos) {
         reasons += (reasons.empty() ? "" : ", ") + reason;
       }
     }
@@ -399,26 +379,29 @@ int run_check() {
                 cells[1].c_str(), cells[2].c_str(), cells[3].c_str(),
                 reasons.empty() ? "-" : reasons.c_str());
   }
-  std::printf("scalar = bit-exact, but ran entirely on the scalar engine (reason in the "
-              "last column)\n");
+  std::printf("1-lane = bit-exact, but ran 1-lane blocks (reason in the last column)\n");
 
   // idct's 96 trip-8 invocations share lane blocks in the warped run: at
-  // every width, the whole run must leave the image of the same run with the
-  // executor forced scalar (which shares nothing), in fewer blocks than
-  // invocations.
+  // every width, the whole run must leave the image of the verify_hw run
+  // (which queues nothing: every invocation runs alone, as 1-lane blocks
+  // each checked against the DFG), in fewer blocks than invocations.
   auto idct = run_flow(workloads::workload_by_name("idct"), 0);
-  KernelExecutor* exec = idct.system->wcla().executor();
-  std::printf("idct warped run, shared blocks vs. forced scalar:");
+  hwsim::WclaDevice& wcla = idct.system->wcla();
+  std::printf("idct warped run, shared blocks vs. verify_hw:");
   for (const unsigned width : {0u, 1u, 2u, 4u}) {
-    exec->set_packed_options(PackedOptions{width});
-    exec->set_engine(KernelExecutor::EvalEngine::kScalar);
-    const auto scalar_run = idct.system->run_warped();
-    const std::uint64_t scalar_sum = idct.system->data_mem().checksum_words();
-    exec->set_engine(KernelExecutor::EvalEngine::kAuto);
+    wcla.executor()->set_packed_options(PackedOptions{width});
+    wcla.set_verify(true);
+    const auto verified_run = idct.system->run_warped();
+    const std::uint64_t verified_sum = idct.system->data_mem().checksum_words();
+    wcla.set_verify(false);
     const auto shared_run = idct.system->run_warped();
-    const bool ran = scalar_run.is_ok() && shared_run.is_ok();
+    const bool ran = verified_run.is_ok() && shared_run.is_ok();
     const hwsim::WclaStats stats = ran ? shared_run.value().wcla : hwsim::WclaStats{};
-    const bool exact = ran && idct.system->data_mem().checksum_words() == scalar_sum;
+    const hwsim::WclaStats verified = ran ? verified_run.value().wcla : hwsim::WclaStats{};
+    const bool exact =
+        ran && idct.system->data_mem().checksum_words() == verified_sum &&
+        verified.runs_by_reason[static_cast<std::size_t>(hwsim::ScalarReason::kVerify)] ==
+            verified.invocations;
     const bool shared = stats.packed_blocks != 0 && stats.packed_blocks < stats.invocations;
     all_exact = all_exact && exact && shared;
     std::printf("  W%u %llu blocks/%llu %s", width,
@@ -428,14 +411,14 @@ int run_check() {
   }
   std::printf("  (W0 = auto)\n");
   if (!all_exact) {
-    std::fprintf(stderr, "FAIL: engines disagree\n");
+    std::fprintf(stderr, "FAIL: a run disagrees with the DFG reference\n");
     return 1;
   }
   if (any_fallback_regression) {
     std::fprintf(stderr,
-                 "FAIL: packed engine never engaged on a packed-capable kernel "
-                 "(NOPACK above) — results are still bit-exact, but the packed "
-                 "path regressed to the scalar fallback\n");
+                 "FAIL: full lane blocks never engaged on a packed-capable kernel "
+                 "(NOPACK above) — results are still bit-exact, but the engine "
+                 "regressed to 1-lane blocks\n");
     return 1;
   }
   std::printf("all widths bit-exact\n");
@@ -463,20 +446,19 @@ int main(int argc, char** argv) {
   }
 
   std::printf("packed-eval microbenchmark (lane-block widths 1/2/4 = 64/128/256 iters/pass)\n");
-  std::printf("%-8s %8s %6s %6s %12s | %-34s | %6s %12s\n", "kernel", "trip", "luts",
-              "nodes", "scalar it/s", "executor it/s (W1 / W2 / W4)", "auto_w",
-              "auto it/s");
+  std::printf("%-8s %8s %6s %6s | %-34s | %6s %12s\n", "kernel", "trip", "luts", "nodes",
+              "executor it/s (W1 / W2 / W4)", "auto_w", "auto it/s");
   bool all_ok = true;
   for (const auto& r : results) {
-    char widths[64] = "fallback (scalar engine)";
+    char widths[64] = "1-lane blocks";
     if (!r.widths.empty()) {
       std::snprintf(widths, sizeof(widths), "%.2e / %.2e / %.2e",
                     r.widths[0].iters_per_sec, r.widths[1].iters_per_sec,
                     r.widths[2].iters_per_sec);
     }
-    std::printf("%-8s %8llu %6zu %6zu %12.3e | %-34s | %6u %12.3e\n", r.name.c_str(),
-                static_cast<unsigned long long>(r.trip), r.luts, r.packed_nodes,
-                r.scalar_iters_per_sec, widths, r.width_auto_choice, r.auto_iters_per_sec);
+    std::printf("%-8s %8llu %6zu %6zu | %-34s | %6u %12.3e\n", r.name.c_str(),
+                static_cast<unsigned long long>(r.trip), r.luts, r.packed_nodes, widths,
+                r.width_auto_choice, r.auto_iters_per_sec);
     if (!r.fabric.empty()) {
       std::printf("  fabric pass: W1 %.3e  W2 %.3e (%.2fx)  W4 %.3e (%.2fx) it/s\n",
                   r.fabric[0].iters_per_sec, r.fabric[1].iters_per_sec,
@@ -500,7 +482,8 @@ int main(int argc, char** argv) {
   write_json(results, costs);
 
   if (!all_ok) {
-    std::fprintf(stderr, "FAIL: engines disagree or the packed path never engaged\n");
+    std::fprintf(stderr, "FAIL: a width disagrees with the DFG reference or full lane blocks "
+                 "never engaged\n");
     return 1;
   }
   return 0;

@@ -45,8 +45,41 @@ int live_in_slot(const decompile::KernelIR& ir, unsigned reg) {
                                      : static_cast<int>(it - ir.live_in_regs.begin());
 }
 
+/// True when `invocation` carries one value per stream, live-in and
+/// accumulator of `ir`.
+bool well_formed(const decompile::KernelIR& ir, const KernelInvocation& invocation) {
+  return invocation.stream_bases.size() == ir.streams.size() &&
+         invocation.live_in.size() == ir.live_in_regs.size() &&
+         invocation.acc_init.size() == ir.accumulators.size();
+}
+
 std::uint32_t slot_value(const KernelInvocation& invocation, int slot) {
   return slot < 0 ? 0 : invocation.live_in[static_cast<std::size_t>(slot)];
+}
+
+std::uint32_t load(const sim::Memory& memory, std::uint32_t addr, unsigned elem_bytes) {
+  switch (elem_bytes) {
+    case 1: return memory.read8(addr);
+    case 2: return memory.read16(addr);
+    default: return memory.read32(addr);
+  }
+}
+
+void store(sim::Memory& memory, std::uint32_t addr, unsigned elem_bytes, std::uint32_t value) {
+  switch (elem_bytes) {
+    case 1: memory.write8(addr, static_cast<std::uint8_t>(value)); break;
+    case 2: memory.write16(addr, static_cast<std::uint16_t>(value)); break;
+    default: memory.write32(addr, value); break;
+  }
+}
+
+/// Byte address of tap `tap` of `stream` in iteration `iter` (mod 2^32).
+std::uint32_t tap_addr(const decompile::Stream& stream, std::uint32_t base, std::uint64_t iter,
+                       unsigned tap) {
+  return base +
+         static_cast<std::uint32_t>(static_cast<std::int64_t>(stream.stride_bytes) *
+                                    static_cast<std::int64_t>(iter)) +
+         tap * static_cast<std::uint32_t>(stream.tap_stride_bytes);
 }
 
 /// Sets lanes [lane0, lane0 + lanes) in a block of lane words.
@@ -68,7 +101,6 @@ const char* scalar_reason_name(ScalarReason reason) {
     case ScalarReason::kMacOperandInCone: return "mac operand in state cone";
     case ScalarReason::kStreamAlias: return "stream alias";
     case ScalarReason::kVerify: return "verify";
-    case ScalarReason::kForcedScalar: return "forced scalar";
   }
   return "?";
 }
@@ -100,10 +132,6 @@ void KernelExecutor::bind_ports() {
     total_taps += ir.streams[s].burst;
   }
   block_taps_.resize(total_taps);
-  tap_values_.resize(ir.streams.size());
-  for (std::size_t s = 0; s < ir.streams.size(); ++s) {
-    tap_values_[s].assign(ir.streams[s].burst, 0);
-  }
 
   // Structured port descriptors carried on the mapped netlist (computed by
   // techmap); derive them locally for netlists built by hand.
@@ -128,7 +156,6 @@ void KernelExecutor::bind_ports() {
     const PortSpec& spec = input_ports[i];
     InputBinding binding;
     binding.a = spec.a;
-    binding.b = spec.b;
     binding.bit = spec.bit;
     switch (spec.kind) {
       case PortSpec::Kind::kStream:
@@ -183,7 +210,6 @@ void KernelExecutor::bind_ports() {
     OutputBit ob;
     ob.bit = spec.bit;
     ob.output_index = static_cast<std::uint32_t>(i);
-    ob.source = netlist.outputs[i].source;
     switch (spec.kind) {
       case PortSpec::Kind::kWrite: {
         int w = -1;
@@ -228,10 +254,6 @@ void KernelExecutor::bind_ports() {
     if (!out.via_mac) fabric_accs_.push_back(out.acc_index);
   }
 
-  for (const auto& w : ir.writes) {
-    write_node_[(static_cast<std::uint32_t>(w.stream) << 16) | w.tap] = w.node;
-  }
-
   iv_step_.resize(ir.iv_regs.size());
   iv_slot_.resize(ir.iv_regs.size());
   for (std::size_t p = 0; p < ir.iv_regs.size(); ++p) {
@@ -239,14 +261,12 @@ void KernelExecutor::bind_ports() {
     iv_slot_[p] = live_in_slot(ir, ir.iv_regs[p].first);
   }
   envelopes_.resize(ir.streams.size());
-
-  inputs_.assign(netlist.primary_inputs.size(), false);
-  mac_results_.assign(kernel_.mac_ops.size(), 0);
   iv_planes_.resize(ir.iv_regs.size());
   write_words_.resize(kernel_.write_outputs.size());
 
   scalar_reason_ = check_state_cone();
-  if (scalar_reason_ == ScalarReason::kNone) packed_.emplace(netlist, stage_macs());
+  state_cone_ = !state_inputs_.empty() && scalar_reason_ == ScalarReason::kNone;
+  packed_.emplace(netlist, stage_macs());
 }
 
 ScalarReason KernelExecutor::check_state_cone() const {
@@ -281,7 +301,9 @@ ScalarReason KernelExecutor::check_state_cone() const {
   for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
     for (const OutputGroup* group : {&mac_a_groups_[m], &mac_b_groups_[m]}) {
       for (const OutputBit& ob : *group) {
-        if (reads_state(ob.source)) return ScalarReason::kMacOperandInCone;
+        if (reads_state(config_.netlist.outputs[ob.output_index].source)) {
+          return ScalarReason::kMacOperandInCone;
+        }
       }
     }
   }
@@ -289,13 +311,14 @@ ScalarReason KernelExecutor::check_state_cone() const {
 }
 
 std::vector<unsigned> KernelExecutor::stage_macs() {
-  // The scalar engine reads MAC m's operands after the results of MACs
-  // 0..m-1 are in, so the packed plan splits at the MACs: operands that are
-  // ready after stage s give a product that enters as a stage s+1 input.
-  // MACs are staged in op order (synthesis emits them in dataflow order), so
-  // an operand still reading an unstaged result reads its own or a later
-  // MAC's, which the in-order scalar engine would see before it is set.
-  const auto& luts = config_.netlist.luts;
+  // MAC m's operands are read after the results of MACs 0..m-1 are in, so
+  // the plan splits at the MACs: operands that are ready after stage s give
+  // a product that enters as a stage s+1 input. MACs are staged in op order
+  // (synthesis emits them in dataflow order), so an operand still reading an
+  // unstaged result reads its own or a later MAC's, which an in-order MAC
+  // sequence would see before it is set.
+  const auto& netlist = config_.netlist;
+  const auto& luts = netlist.luts;
   std::vector<unsigned> input_stage(input_bindings_.size(), 0);
   for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
     if (kernel_.mac_ops[m].accumulate) continue;  // its result stays 0 in the fabric
@@ -348,7 +371,9 @@ std::vector<unsigned> KernelExecutor::stage_macs() {
   for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
     unsigned stage = 0;
     for (const OutputGroup* group : {&mac_a_groups_[m], &mac_b_groups_[m]}) {
-      for (const OutputBit& ob : *group) stage = std::max(stage, stage_of(ob.source));
+      for (const OutputBit& ob : *group) {
+        stage = std::max(stage, stage_of(netlist.outputs[ob.output_index].source));
+      }
     }
     if (stage == kUnstaged) {
       throw common::InternalError(common::format(
@@ -359,39 +384,14 @@ std::vector<unsigned> KernelExecutor::stage_macs() {
     for (const std::uint32_t i : mac_result_inputs_[m]) input_stage[i] = stage + 1;
   }
 
-  // The state inputs enter one past the last MAC stage, so the plan's final
-  // stage is exactly the state cone.
-  if (!state_inputs_.empty()) {
+  // A kernel the cone can thread gets its state inputs one past the last MAC
+  // stage, so the plan's final stage is exactly the state cone. Any other
+  // kernel runs 1-lane blocks, whose state inputs are set at block start.
+  if (state_cone_) {
     const unsigned cone_stage = 1 + *std::max_element(input_stage.begin(), input_stage.end());
     for (const std::uint32_t i : state_inputs_) input_stage[i] = cone_stage;
   }
   return input_stage;
-}
-
-std::uint32_t KernelExecutor::read_group_word(const OutputGroup& group,
-                                              const std::vector<bool>& lut_values) const {
-  std::uint32_t word = 0;
-  for (const OutputBit& ob : group) {
-    if (techmap::resolve_ref(ob.source, lut_values, inputs_)) word |= 1u << ob.bit;
-  }
-  return word;
-}
-
-int KernelExecutor::find_write_node(unsigned stream, unsigned tap) const {
-  const auto it = write_node_.find((stream << 16) | tap);
-  if (it == write_node_.end()) {
-    throw common::InternalError("executor: no DFG node for write output");
-  }
-  return it->second;
-}
-
-std::uint32_t KernelExecutor::iv_value(const KernelInvocation& invocation, int iv_pos,
-                                       std::uint64_t iter) const {
-  if (iv_pos < 0) return 0;
-  const auto p = static_cast<std::size_t>(iv_pos);
-  return slot_value(invocation, iv_slot_[p]) +
-         static_cast<std::uint32_t>(static_cast<std::int64_t>(iv_step_[p]) *
-                                    static_cast<std::int64_t>(iter));
 }
 
 bool KernelExecutor::stream_envelopes(const KernelInvocation& invocation,
@@ -471,9 +471,9 @@ bool KernelExecutor::streams_hazard_free(const KernelInvocation& invocation,
 }
 
 unsigned KernelExecutor::select_packed_width(const KernelInvocation& invocation) {
-  // A pinned width is honored as-is (hazards drop to scalar, matching the
-  // historical W=1 semantics); auto mode starts from the trip/plan-size
-  // heuristic and narrows the block until its hazard window closes.
+  // A pinned width is honored as-is (hazards drop to 1-lane blocks); auto
+  // mode starts from the trip/plan-size heuristic and narrows the block
+  // until its hazard window closes.
   if (invocation.trip != 0 && !stream_envelopes(invocation, envelopes_.data())) return 0;
   if (packed_options_.width != 0) {
     return streams_hazard_free(invocation, envelopes_.data(),
@@ -492,11 +492,7 @@ unsigned KernelExecutor::select_packed_width(const KernelInvocation& invocation)
 unsigned KernelExecutor::shared_block_width(const KernelInvocation& invocation,
                                             std::vector<StreamEnvelope>& envelopes) {
   const auto& ir = kernel_.ir;
-  if (!packed_ || engine_ != EvalEngine::kAuto || !ir.accumulators.empty() ||
-      invocation.trip == 0 || invocation.stream_bases.size() != ir.streams.size() ||
-      invocation.live_in.size() != ir.live_in_regs.size() || !invocation.acc_init.empty()) {
-    return 0;
-  }
+  if (!ir.accumulators.empty() || invocation.trip == 0 || !well_formed(ir, invocation)) return 0;
   const unsigned width = packed_options_.width != 0
                              ? packed_options_.width
                              : packed_->choose_width(~std::uint64_t{0});
@@ -512,7 +508,7 @@ unsigned KernelExecutor::shared_block_width(const KernelInvocation& invocation,
 void KernelExecutor::run_shared_block(sim::Memory& memory, const BlockSegment* segments,
                                       std::size_t count) {
   if (count == 0) return;
-  if (!packed_ || !kernel_.ir.accumulators.empty()) {
+  if (!kernel_.ir.accumulators.empty()) {
     throw common::InternalError("executor: shared block on a kernel that cannot share one");
   }
   const BlockSegment& last = segments[count - 1];
@@ -536,51 +532,47 @@ common::Result<KernelRunResult> KernelExecutor::run(sim::Memory& memory,
                                                     bool verify_against_dfg) {
   using Result = common::Result<KernelRunResult>;
   const auto& ir = kernel_.ir;
-  if (invocation.stream_bases.size() != ir.streams.size()) {
-    return Result::error("invocation stream base count mismatch");
-  }
-  if (invocation.live_in.size() != ir.live_in_regs.size()) {
-    return Result::error("invocation live-in count mismatch");
-  }
-  if (invocation.acc_init.size() != ir.accumulators.size()) {
-    return Result::error("invocation accumulator init count mismatch");
+  if (!well_formed(ir, invocation)) {
+    return Result::error("invocation stream base, live-in or accumulator init count mismatch");
   }
 
   KernelRunResult result = timing(invocation.trip);
   // Accumulator state (both MAC-held and fabric-held), threaded through
-  // the blocks or iterations in place.
+  // the blocks in place.
   std::vector<std::uint32_t>& acc = result.acc_final;
   acc = invocation.acc_init;
   result.scalar_reason = scalar_reason_;
   if (result.scalar_reason == ScalarReason::kNone && verify_against_dfg) {
     result.scalar_reason = ScalarReason::kVerify;
   }
-  if (result.scalar_reason == ScalarReason::kNone && engine_ == EvalEngine::kScalar) {
-    result.scalar_reason = ScalarReason::kForcedScalar;
-  }
-  unsigned width = 0;
+  unsigned width = 1;
   if (result.scalar_reason == ScalarReason::kNone) {
     width = select_packed_width(invocation);
-    if (width == 0) result.scalar_reason = ScalarReason::kStreamAlias;
-  }
-  if (width != 0) {
-    // Full blocks, then the trip's remainder as one partial block.
-    packed_->set_width(width);
-    const std::uint64_t block = std::uint64_t{width} * kPackedWordBits;
-    for (std::uint64_t iter = 0; iter < invocation.trip; iter += block) {
-      const BlockSegment segment{&invocation, iter, 0,
-                                 static_cast<unsigned>(std::min(block, invocation.trip - iter))};
-      run_packed_block(memory, &segment, 1, width, acc);
-      ++result.packed_blocks;
+    if (width == 0) {
+      result.scalar_reason = ScalarReason::kStreamAlias;
+      width = 1;
     }
-    result.packed_iterations = invocation.trip;
-    if (invocation.trip != 0) result.packed_width = width;
-  } else {
-    for (std::uint64_t iter = 0; iter < invocation.trip; ++iter) {
-      run_scalar_iter(memory, invocation, iter, acc, verify_against_dfg);
-    }
-    result.scalar_iterations = invocation.trip;
   }
+  // Full blocks, then the trip's remainder as one partial block; 1-lane
+  // blocks for every ScalarReason.
+  const std::uint64_t block =
+      result.scalar_reason == ScalarReason::kNone ? std::uint64_t{width} * kPackedWordBits : 1;
+  packed_->set_width(width);
+  std::vector<ReferenceWrite> expect;
+  std::vector<std::uint32_t> expect_acc;
+  for (std::uint64_t iter = 0; iter < invocation.trip; iter += block) {
+    if (verify_against_dfg) {
+      expect.clear();
+      expect_acc = acc;
+      reference_step(ir, memory, invocation, iter, expect_acc, expect);
+    }
+    const BlockSegment segment{&invocation, iter, 0,
+                               static_cast<unsigned>(std::min(block, invocation.trip - iter))};
+    run_packed_block(memory, &segment, 1, width, acc);
+    if (verify_against_dfg) check_against_dfg(iter, expect, expect_acc, acc);
+    ++result.packed_blocks;
+  }
+  if (invocation.trip != 0) result.packed_width = width;
   return result;
 }
 
@@ -592,136 +584,6 @@ KernelRunResult KernelExecutor::timing(std::uint64_t trip) const {
   result.clock_mhz = config_.fabric_clock_mhz();
   result.time_ns = static_cast<double>(result.wcla_cycles) * 1000.0 / result.clock_mhz;
   return result;
-}
-
-void KernelExecutor::run_scalar_iter(sim::Memory& memory, const KernelInvocation& invocation,
-                                     std::uint64_t iter, std::vector<std::uint32_t>& acc,
-                                     bool verify_against_dfg) {
-  const auto& ir = kernel_.ir;
-  const auto& netlist = config_.netlist;
-
-  // Accumulator values at iteration start: what the fabric's AccState
-  // inputs and the golden model both observe.
-  acc_start_of_iter_ = acc;
-
-  // 1. DADG: fetch read-stream taps.
-  for (std::size_t s = 0; s < ir.streams.size(); ++s) {
-    const auto& stream = ir.streams[s];
-    if (stream.is_write) continue;
-    const std::uint32_t base =
-        invocation.stream_bases[s] +
-        static_cast<std::uint32_t>(static_cast<std::int64_t>(stream.stride_bytes) *
-                                   static_cast<std::int64_t>(iter));
-    for (unsigned t = 0; t < stream.burst; ++t) {
-      const std::uint32_t addr =
-          base + t * static_cast<std::uint32_t>(stream.tap_stride_bytes);
-      switch (stream.elem_bytes) {
-        case 1: tap_values_[s][t] = memory.read8(addr); break;
-        case 2: tap_values_[s][t] = memory.read16(addr); break;
-        default: tap_values_[s][t] = memory.read32(addr); break;
-      }
-    }
-  }
-
-  // 2. Evaluate fabric + MAC (MAC ops in order, refreshing the fabric
-  //    between them because operands may depend on earlier results).
-  auto load_inputs = [&] {
-    for (std::size_t i = 0; i < input_bindings_.size(); ++i) {
-      const InputBinding& binding = input_bindings_[i];
-      std::uint32_t word = 0;
-      switch (binding.kind) {
-        case InputBinding::Kind::kStream:
-          word = tap_values_[binding.a][binding.b];
-          break;
-        case InputBinding::Kind::kLiveIn:
-          word = slot_value(invocation, binding.slot);
-          break;
-        case InputBinding::Kind::kIv:
-          word = iv_value(invocation, binding.iv_pos, iter);
-          break;
-        case InputBinding::Kind::kMacResult:
-          word = mac_results_[binding.a];
-          break;
-        case InputBinding::Kind::kAccState:
-          word = acc_start_of_iter_[binding.a];
-          break;
-      }
-      inputs_[i] = (word >> binding.bit) & 1u;
-    }
-  };
-
-  std::fill(mac_results_.begin(), mac_results_.end(), 0);
-  load_inputs();
-  std::vector<bool> lut_values = netlist.evaluate(inputs_);
-  for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
-    const std::uint32_t a = read_group_word(mac_a_groups_[m], lut_values);
-    const std::uint32_t b = read_group_word(mac_b_groups_[m], lut_values);
-    const std::uint32_t product = a * b;
-    if (kernel_.mac_ops[m].accumulate) {
-      acc[static_cast<std::size_t>(kernel_.mac_ops[m].acc_index)] += product;
-    } else {
-      mac_results_[m] = product;  // indexed by global MAC-op number
-      // Refresh fabric with the new MAC result.
-      load_inputs();
-      lut_values = netlist.evaluate(inputs_);
-    }
-  }
-
-  // 3. Stream writes.
-  for (std::size_t w = 0; w < kernel_.write_outputs.size(); ++w) {
-    const auto& out = kernel_.write_outputs[w];
-    const auto& stream = ir.streams[out.stream];
-    const std::uint32_t base =
-        invocation.stream_bases[out.stream] +
-        static_cast<std::uint32_t>(static_cast<std::int64_t>(stream.stride_bytes) *
-                                   static_cast<std::int64_t>(iter));
-    const std::uint32_t addr =
-        base + out.tap * static_cast<std::uint32_t>(stream.tap_stride_bytes);
-    const std::uint32_t value = read_group_word(write_groups_[w], lut_values);
-    switch (stream.elem_bytes) {
-      case 1: memory.write8(addr, static_cast<std::uint8_t>(value)); break;
-      case 2: memory.write16(addr, static_cast<std::uint16_t>(value)); break;
-      default: memory.write32(addr, value); break;
-    }
-    if (verify_against_dfg) {
-      decompile::Dfg::Inputs golden;
-      for (std::size_t k = 0; k < ir.live_in_regs.size(); ++k) {
-        golden.live_in[ir.live_in_regs[k]] = invocation.live_in[k];
-      }
-      for (std::size_t s = 0; s < ir.streams.size(); ++s) {
-        for (unsigned t = 0; t < ir.streams[s].burst; ++t) {
-          golden.stream_in[(static_cast<std::uint32_t>(s) << 16) | t] = tap_values_[s][t];
-        }
-      }
-      // Accumulator live-ins observe the value at iteration start.
-      for (std::size_t k = 0; k < ir.accumulators.size(); ++k) {
-        golden.live_in[ir.accumulators[k].reg] = acc_start_of_iter_[k];
-      }
-      for (std::size_t p = 0; p < ir.iv_regs.size(); ++p) {
-        golden.live_in.erase(ir.iv_regs[p].first);  // iv regs enter the DFG as kIv nodes
-        golden.iv[ir.iv_regs[p].first] = iv_value(invocation, static_cast<int>(p), iter);
-      }
-      const std::uint32_t expect = ir.dfg.eval(
-          find_write_node(static_cast<unsigned>(out.stream), out.tap), golden);
-      std::uint32_t masked = expect;
-      if (stream.elem_bytes == 1) masked &= 0xFFu;
-      if (stream.elem_bytes == 2) masked &= 0xFFFFu;
-      std::uint32_t got = value;
-      if (stream.elem_bytes == 1) got &= 0xFFu;
-      if (stream.elem_bytes == 2) got &= 0xFFFFu;
-      if (got != masked) {
-        throw common::InternalError(common::format(
-            "fabric/DFG mismatch at iter %llu stream %u tap %u: fabric=0x%x dfg=0x%x",
-            static_cast<unsigned long long>(iter), out.stream, out.tap, got, masked));
-      }
-    }
-  }
-
-  // 4. Fabric-held accumulator updates.
-  for (const auto& out : kernel_.acc_outputs) {
-    if (out.via_mac) continue;
-    acc[out.acc_index] = read_group_word(acc_next_groups_[out.acc_index], lut_values);
-  }
 }
 
 void KernelExecutor::unpack_group(const OutputGroup& group, std::uint64_t* words,
@@ -788,19 +650,10 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
     for (unsigned t = 0; t < stream.burst; ++t) {
       auto& words = block_taps_[tap_base_[s] + t];
       for (const BlockSegment* seg = segments; seg != segments + count; ++seg) {
-        const std::uint32_t tap_offset = seg->invocation->stream_bases[s] +
-                                         t * static_cast<std::uint32_t>(stream.tap_stride_bytes);
+        const std::uint32_t base = seg->invocation->stream_bases[s];
         std::uint64_t* lane_words = words.data() + seg->lane0;
         for (unsigned j = 0; j < seg->lanes; ++j) {
-          const std::uint32_t addr =
-              tap_offset +
-              static_cast<std::uint32_t>(static_cast<std::int64_t>(stream.stride_bytes) *
-                                         static_cast<std::int64_t>(seg->iter0 + j));
-          switch (stream.elem_bytes) {
-            case 1: lane_words[j] = memory.read8(addr); break;
-            case 2: lane_words[j] = memory.read16(addr); break;
-            default: lane_words[j] = memory.read32(addr); break;
-          }
+          lane_words[j] = load(memory, tap_addr(stream, base, seg->iter0 + j, t), stream.elem_bytes);
         }
       }
       std::fill(words.begin() + lanes, words.begin() + block_lanes, 0);
@@ -809,20 +662,21 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
   }
 
   // Induction-variable lane blocks, one row set per iv reg, each segment
-  // counting from its own latched start (mod 2^32, as iv_value).
+  // counting from its own latched start plus step * iteration (mod 2^32).
   for (std::size_t p = 0; p < ir.iv_regs.size(); ++p) {
     auto& plane = iv_planes_[p];
     const auto step = static_cast<std::uint32_t>(iv_step_[p]);
     for (const BlockSegment* seg = segments; seg != segments + count; ++seg) {
-      const std::uint32_t start = iv_value(*seg->invocation, static_cast<int>(p), seg->iter0);
+      const std::uint32_t start = slot_value(*seg->invocation, iv_slot_[p]) +
+                                  step * static_cast<std::uint32_t>(seg->iter0);
       for (unsigned j = 0; j < seg->lanes; ++j) plane[seg->lane0 + j] = start + step * j;
     }
     std::fill(plane.begin() + lanes, plane.begin() + block_lanes, 0);
     common::transpose64_blocked(plane.data(), width);
   }
 
-  // 2. Wire the lane blocks to the fabric inputs. MAC results start at 0,
-  //    as in the scalar engine, until their products are fed in.
+  // 2. Wire the lane blocks to the fabric inputs. MAC results start at 0
+  //    until their products are fed in.
   for (std::size_t i = 0; i < input_bindings_.size(); ++i) {
     const InputBinding& binding = input_bindings_[i];
     switch (binding.kind) {
@@ -853,15 +707,21 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
         for (unsigned w = 0; w < width; ++w) packed_->set_input(i, w, 0);
         break;
       case InputBinding::Kind::kAccState:
-        break;  // set lane by lane in the state cone
+        // Set lane by lane in the state cone, or, in the 1-lane blocks of a
+        // kernel without one, from the accumulators at block start.
+        if (!state_cone_) {
+          const std::uint64_t value = ((acc[binding.a] >> binding.bit) & 1u) ? ~0ull : 0;
+          for (unsigned w = 0; w < width; ++w) packed_->set_input(i, w, value);
+        }
+        break;
     }
   }
 
   // 3. Evaluate all width*64 iterations stage by stage; after each stage,
   //    the MACs whose operands are now ready feed their products into the
-  //    next one. A kernel with accumulator state then runs its final stage,
-  //    the state cone, one lane at a time.
-  const unsigned packed_stages = packed_->num_stages() - (state_inputs_.empty() ? 0 : 1);
+  //    next one. A kernel with a state cone then runs its final stage, the
+  //    cone, one lane at a time.
+  const unsigned packed_stages = packed_->num_stages() - (state_cone_ ? 1 : 0);
   for (unsigned stage = 0; stage < packed_stages; ++stage) {
     packed_->run_stage(stage);
     for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
@@ -871,9 +731,9 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
       }
     }
   }
-  if (!state_inputs_.empty()) run_state_cone(lanes, acc);
+  if (state_cone_) run_state_cone(lanes, acc);
 
-  // 4. MAC accumulations: operands come out of the packed pass; the
+  // 4. MAC accumulations: operands come out of the lane blocks; the
   //    products of the valid lanes are summed in iteration order.
   std::array<std::uint64_t, kMaxPackedLanes> words_a;
   std::array<std::uint64_t, kMaxPackedLanes> words_b;
@@ -889,8 +749,8 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
   }
 
   // 5. Stream writes of the valid lanes, in iteration-major order and
-  //    segment by segment (the scalar engine's order, in case two write
-  //    taps or two invocations alias).
+  //    segment by segment (the reference's order, in case two write taps or
+  //    two invocations alias).
   if (!kernel_.write_outputs.empty()) {
     for (std::size_t w = 0; w < kernel_.write_outputs.size(); ++w) {
       unpack_group(write_groups_[w], write_words_[w].data(), width);
@@ -900,17 +760,10 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
         for (std::size_t w = 0; w < kernel_.write_outputs.size(); ++w) {
           const auto& out = kernel_.write_outputs[w];
           const auto& stream = ir.streams[out.stream];
-          const std::uint32_t addr =
-              seg->invocation->stream_bases[out.stream] +
-              static_cast<std::uint32_t>(static_cast<std::int64_t>(stream.stride_bytes) *
-                                         static_cast<std::int64_t>(seg->iter0 + j)) +
-              out.tap * static_cast<std::uint32_t>(stream.tap_stride_bytes);
-          const auto value = static_cast<std::uint32_t>(write_words_[w][seg->lane0 + j]);
-          switch (stream.elem_bytes) {
-            case 1: memory.write8(addr, static_cast<std::uint8_t>(value)); break;
-            case 2: memory.write16(addr, static_cast<std::uint16_t>(value)); break;
-            default: memory.write32(addr, value); break;
-          }
+          store(memory,
+                tap_addr(stream, seg->invocation->stream_bases[out.stream], seg->iter0 + j,
+                         out.tap),
+                stream.elem_bytes, static_cast<std::uint32_t>(write_words_[w][seg->lane0 + j]));
         }
       }
     }
@@ -926,6 +779,94 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
     }
     acc[k] = word;
   }
+}
+
+void KernelExecutor::check_against_dfg(std::uint64_t iter,
+                                       const std::vector<ReferenceWrite>& expect,
+                                       const std::vector<std::uint32_t>& expect_acc,
+                                       const std::vector<std::uint32_t>& acc) const {
+  // Synthesis emits one write output per ir.writes entry, in its order.
+  if (expect.size() != kernel_.write_outputs.size()) {
+    throw common::InternalError("executor: write outputs do not match the DFG's writes");
+  }
+  for (std::size_t w = 0; w < expect.size(); ++w) {
+    const unsigned bits = 8 * expect[w].elem_bytes;
+    const std::uint32_t mask = bits >= 32 ? ~0u : (1u << bits) - 1;
+    const auto got = static_cast<std::uint32_t>(write_words_[w][0]) & mask;
+    if (got != (expect[w].value & mask)) {
+      throw common::InternalError(common::format(
+          "fabric/DFG mismatch at iter %llu stream %u tap %u: fabric=0x%x dfg=0x%x",
+          static_cast<unsigned long long>(iter), kernel_.write_outputs[w].stream,
+          kernel_.write_outputs[w].tap, got, expect[w].value & mask));
+    }
+  }
+  for (std::size_t k = 0; k < acc.size(); ++k) {
+    if (acc[k] != expect_acc[k]) {
+      throw common::InternalError(common::format(
+          "fabric/DFG mismatch at iter %llu accumulator %zu: fabric=0x%x dfg=0x%x",
+          static_cast<unsigned long long>(iter), k, acc[k], expect_acc[k]));
+    }
+  }
+}
+
+// ---- The dataflow-graph reference ------------------------------------------
+
+void reference_step(const decompile::KernelIR& ir, const sim::Memory& memory,
+                    const KernelInvocation& invocation, std::uint64_t iter,
+                    std::vector<std::uint32_t>& acc, std::vector<ReferenceWrite>& writes) {
+  decompile::Dfg::Inputs inputs;
+  for (std::size_t k = 0; k < ir.live_in_regs.size(); ++k) {
+    inputs.live_in[ir.live_in_regs[k]] = invocation.live_in[k];
+  }
+  // Accumulator registers read their value at iteration start.
+  for (std::size_t k = 0; k < ir.accumulators.size(); ++k) {
+    inputs.live_in[ir.accumulators[k].reg] = acc[k];
+  }
+  // An induction register enters the DFG as a kIv node: its latched value
+  // (0 when not latched) plus step * iter.
+  for (const auto& [reg, step] : ir.iv_regs) {
+    const auto it = inputs.live_in.find(reg);
+    const std::uint32_t start = it == inputs.live_in.end() ? 0 : it->second;
+    if (it != inputs.live_in.end()) inputs.live_in.erase(it);
+    inputs.iv[reg] = start + static_cast<std::uint32_t>(static_cast<std::int64_t>(step) *
+                                                        static_cast<std::int64_t>(iter));
+  }
+  for (std::size_t s = 0; s < ir.streams.size(); ++s) {
+    const auto& stream = ir.streams[s];
+    if (stream.is_write) continue;
+    for (unsigned t = 0; t < stream.burst; ++t) {
+      inputs.stream_in[(static_cast<std::uint32_t>(s) << 16) | t] =
+          load(memory, tap_addr(stream, invocation.stream_bases[s], iter, t), stream.elem_bytes);
+    }
+  }
+  for (const auto& w : ir.writes) {
+    const auto& stream = ir.streams[w.stream];
+    writes.push_back({tap_addr(stream, invocation.stream_bases[w.stream], iter, w.tap),
+                      stream.elem_bytes, ir.dfg.eval(w.node, inputs)});
+  }
+  for (std::size_t k = 0; k < ir.accumulators.size(); ++k) {
+    const std::uint32_t f = ir.dfg.eval(ir.accumulators[k].node, inputs);
+    switch (ir.accumulators[k].op) {
+      case decompile::DfgOp::kAdd: acc[k] += f; break;
+      case decompile::DfgOp::kOr: acc[k] |= f; break;
+      case decompile::DfgOp::kXor: acc[k] ^= f; break;
+      case decompile::DfgOp::kAnd: acc[k] &= f; break;
+      default: throw common::InternalError("reference: unsupported accumulator op");
+    }
+  }
+}
+
+std::vector<std::uint32_t> reference_run(const decompile::KernelIR& ir, sim::Memory& memory,
+                                         const KernelInvocation& invocation) {
+  if (!well_formed(ir, invocation)) throw common::InternalError("reference: malformed invocation");
+  std::vector<std::uint32_t> acc = invocation.acc_init;
+  std::vector<ReferenceWrite> writes;
+  for (std::uint64_t iter = 0; iter < invocation.trip; ++iter) {
+    writes.clear();
+    reference_step(ir, memory, invocation, iter, acc, writes);
+    for (const ReferenceWrite& w : writes) store(memory, w.addr, w.elem_bytes, w.value);
+  }
+  return acc;
 }
 
 }  // namespace warp::hwsim

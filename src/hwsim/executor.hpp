@@ -10,42 +10,44 @@
 //     II   = max(1, BRAM accesses/iter, MAC ops/iter)    (port conflicts)
 //   clock  = fabric clock after critical-path derating
 //
-// Two evaluation engines back the same cycle model:
-//   - a packed lane-block engine (PackedEvaluator) that evaluates W*64 loop
-//     iterations per pass (W in {1,2,4}, fixed via PackedOptions or chosen
-//     per run), one contiguous W-word lane block per net, with batched
-//     stream tap reads and writes per block. The last trip % (W*64)
-//     iterations run as one partial block whose spare lanes are never read
-//     from or written to memory. A block is filled by 1..n invocation
-//     segments (run_packed_block), each with its own stream bases, IV
-//     starts and live-in lane masks: run() fills each block from one
-//     invocation, and run_shared_block() fills one block from several short
-//     invocations of an accumulator-free kernel that WclaDevice queued
-//     (see src/hwsim/README.md). Hard-MAC results that feed back into the
-//     fabric within an iteration are staged: the plan is split at the MACs,
-//     and between stages the W*64 products are formed lane by lane and fed
-//     in as inputs of the next stage. Fabric-held accumulator state (the
-//     flip-flops of an or/xor/and reduction) is threaded through a final
-//     stage that holds exactly the state cone, the LUTs that depend on the
-//     state: every earlier stage runs packed, then the cone runs lane by
-//     lane in iteration order, each lane reading the previous lane's next
-//     state. Used unless the invocation's read/write streams may alias
-//     within a block (auto mode narrows the block until it is hazard-free
-//     before giving up), or the kernel has state the cone cannot thread
-//     (ScalarReason);
-//   - the scalar reference engine (one iteration at a time over the shared
-//     techmap::resolve_ref reference semantics), used for those kernels and
-//     invocations, for the golden DFG cross-check mode, and when forced.
+// One evaluation engine backs the cycle model: the lane-block engine
+// (PackedEvaluator) evaluates W*64 loop iterations per pass (W in {1,2,4},
+// fixed via PackedOptions or chosen per run), one contiguous W-word lane
+// block per net, with batched stream tap reads and writes per block. The
+// last trip % (W*64) iterations run as one partial block whose spare lanes
+// are never read from or written to memory. A block is filled by 1..n
+// invocation segments (run_packed_block), each with its own stream bases,
+// IV starts and live-in lane masks: run() fills each block from one
+// invocation, and run_shared_block() fills one block from several short
+// invocations of an accumulator-free kernel that WclaDevice queued (see
+// src/hwsim/README.md). Hard-MAC results that feed back into the fabric
+// within an iteration are staged: the plan is split at the MACs, and
+// between stages the W*64 products are formed lane by lane and fed in as
+// inputs of the next stage. Fabric-held accumulator state (the flip-flops
+// of an or/xor/and reduction) is threaded through a final stage that holds
+// exactly the state cone, the LUTs that depend on the state: every earlier
+// stage runs packed, then the cone runs lane by lane in iteration order,
+// each lane reading the previous lane's next state.
 //
-// The executor also provides a golden cross-check mode that evaluates the
-// original dataflow graph and verifies the fabric against it per iteration.
+// When iterations of one block cannot be evaluated side by side
+// (ScalarReason: the invocation's streams may alias within a block, the
+// kernel has state the cone cannot thread, or the DFG cross-check is on),
+// run() evaluates 1-lane blocks: one iteration, that is one clock of the
+// next-state function, per block. A kernel with a kernel-level reason gets
+// a plan whose state inputs sit at stage 0, set from the accumulators at
+// block start.
+//
+// reference_run() below is the oracle every executor gate compares with:
+// the kernel's dataflow graph (decompile::Dfg::eval), one iteration at a
+// time. It shares no code with techmap or PackedEvaluator, so it also sees
+// what the CAD flow got wrong. The DFG cross-check mode checks every 1-lane
+// block's writes and accumulators against one reference_step.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -82,7 +84,7 @@ struct BlockSegment {
   unsigned lanes = 0;
 };
 
-/// Why a run used the scalar reference engine (kNone: it ran packed).
+/// Why a run evaluated 1-lane blocks (kNone: it ran in full lane blocks).
 enum class ScalarReason : std::uint8_t {
   kNone,
   /// The fabric reads the running value of a MAC-held (add) accumulator,
@@ -94,13 +96,11 @@ enum class ScalarReason : std::uint8_t {
   /// The write streams may alias the read streams within a block at every
   /// width tried.
   kStreamAlias,
-  /// The golden DFG cross-check (verify_against_dfg) runs scalar.
+  /// The DFG cross-check (verify_against_dfg) checks every iteration.
   kVerify,
-  /// EvalEngine::kScalar.
-  kForcedScalar,
 };
 inline constexpr std::size_t kScalarReasonCount =
-    static_cast<std::size_t>(ScalarReason::kForcedScalar) + 1;
+    static_cast<std::size_t>(ScalarReason::kVerify) + 1;
 const char* scalar_reason_name(ScalarReason reason);
 
 struct KernelRunResult {
@@ -108,36 +108,48 @@ struct KernelRunResult {
   double clock_mhz = 0.0;
   double time_ns = 0.0;
   std::vector<std::uint32_t> acc_final;  // per accumulator
-  // Engine split, for tests and the microbenchmark: how many iterations ran
-  // through the packed lane-block engine vs. the scalar reference engine,
-  // the lane-block width (in 64-bit words) the packed passes used (0 when
-  // no packed pass ran), how many packed blocks it evaluated, and why the
-  // run was scalar.
-  std::uint64_t packed_iterations = 0;
-  std::uint64_t scalar_iterations = 0;
+  // For tests and the microbenchmark: the lane-block width (in 64-bit
+  // words) of the run's blocks (0 when the trip is 0), how many blocks it
+  // evaluated (the trip, when they were 1-lane blocks), and why it ran
+  // 1-lane blocks.
   unsigned packed_width = 0;
   std::uint64_t packed_blocks = 0;
   ScalarReason scalar_reason = ScalarReason::kNone;
 };
 
+/// One write of a reference_step: `value`'s low `elem_bytes` bytes at `addr`.
+struct ReferenceWrite {
+  std::uint32_t addr = 0;
+  unsigned elem_bytes = 4;
+  std::uint32_t value = 0;
+};
+
+/// Iteration `iter` of `invocation` on the kernel's dataflow graph. Reads
+/// the iteration's read taps from `memory`, appends the value of every
+/// ir.writes node to `writes` (in program order; memory is not written),
+/// and steps every accumulator, acc = acc <op> eval(acc node). Every node
+/// sees the accumulators as they were at iteration start.
+void reference_step(const decompile::KernelIR& ir, const sim::Memory& memory,
+                    const KernelInvocation& invocation, std::uint64_t iter,
+                    std::vector<std::uint32_t>& acc, std::vector<ReferenceWrite>& writes);
+
+/// The whole invocation on the dataflow graph: one reference_step per
+/// iteration, whose writes land before the next iteration reads. Returns
+/// the final accumulators. Throws InternalError on a malformed invocation.
+std::vector<std::uint32_t> reference_run(const decompile::KernelIR& ir, sim::Memory& memory,
+                                         const KernelInvocation& invocation);
+
 class KernelExecutor {
  public:
-  /// Which evaluation engine run() uses. kAuto picks the packed engine
-  /// whenever it is safe (state the cone can thread, no intra-block stream
-  /// aliasing) and falls back to the scalar reference otherwise; kScalar
-  /// forces the reference engine (the microbenchmark's baseline).
-  enum class EvalEngine : std::uint8_t { kAuto, kScalar };
-
   /// `kernel` and `config` must outlive the executor. `packed` pins or
-  /// auto-selects the lane-block width of the packed engine.
+  /// auto-selects the width of the full lane blocks.
   KernelExecutor(const synth::HwKernel& kernel, const fabric::FabricConfig& config,
                  PackedOptions packed = {});
 
   /// Execute one invocation against `memory`.
-  /// When `verify_against_dfg` is set, every iteration is cross-checked
-  /// against the dataflow-graph golden model (throws InternalError on
-  /// mismatch — a CAD-flow bug, not a data error); verification always runs
-  /// on the scalar engine.
+  /// When `verify_against_dfg` is set, the run evaluates 1-lane blocks and
+  /// checks each one's writes and accumulators against a reference_step
+  /// (throws InternalError on mismatch — a CAD-flow bug, not a data error).
   common::Result<KernelRunResult> run(sim::Memory& memory, const KernelInvocation& invocation,
                                       bool verify_against_dfg = false);
 
@@ -147,9 +159,9 @@ class KernelExecutor {
 
   /// The lane-block width (words) of the shared block `invocation` may be
   /// queued into, or 0 when it must run alone through run(). Nonzero only
-  /// for the auto engine on an accumulator-free kernel that runs packed,
-  /// a well-formed invocation with 0 < trip < width*64, and streams
-  /// hazard-free within the trip. The width is the pinned one, or the
+  /// for an accumulator-free kernel, a well-formed invocation with
+  /// 0 < trip < width*64, and streams hazard-free within the trip. The
+  /// width is the pinned one, or the
   /// widest the auto rule gives the plan (PackedEvaluator::choose_width of
   /// an unbounded trip). Fills `envelopes` with one entry per stream.
   unsigned shared_block_width(const KernelInvocation& invocation,
@@ -161,21 +173,20 @@ class KernelExecutor {
   /// or the narrowest that holds the lanes.
   void run_shared_block(sim::Memory& memory, const BlockSegment* segments, std::size_t count);
 
-  void set_engine(EvalEngine engine) { engine_ = engine; }
   /// Re-pin or re-enable auto selection of the lane-block width (used by
   /// the width-sweep microbenchmark). Throws on unsupported widths.
   void set_packed_options(PackedOptions packed);
   const PackedOptions& packed_options() const { return packed_options_; }
-  /// True when the kernel itself permits packed evaluation: any
+  /// True when the kernel itself permits full lane blocks: any
   /// accumulator state it feeds back is fabric-held and read by no MAC
-  /// operand. Individual invocations may still fall back when their streams
-  /// alias.
+  /// operand. Individual invocations may still run 1-lane blocks when their
+  /// streams alias.
   bool packed_supported() const { return scalar_reason_ == ScalarReason::kNone; }
-  /// Why every run of this kernel is scalar (kNone when packed_supported()).
+  /// Why every run of this kernel evaluates 1-lane blocks (kNone when
+  /// packed_supported()).
   ScalarReason scalar_reason() const { return scalar_reason_; }
-  /// LUT nodes surviving the packed plan's constant/wire folding (0 when
-  /// the kernel cannot use the packed engine).
-  std::size_t packed_node_count() const { return packed_ ? packed_->node_count() : 0; }
+  /// LUT nodes surviving the plan's constant/wire folding.
+  std::size_t packed_node_count() const { return packed_->node_count(); }
 
   const synth::HwKernel& kernel() const { return kernel_; }
   const fabric::FabricConfig& config() const { return config_; }
@@ -185,7 +196,6 @@ class KernelExecutor {
     enum class Kind : std::uint8_t { kStream, kLiveIn, kIv, kMacResult, kAccState };
     Kind kind = Kind::kLiveIn;
     unsigned a = 0;    // stream | reg | mac index | acc index
-    unsigned b = 0;    // tap (streams)
     unsigned bit = 0;
     int iv_pos = -1;   // kIv: index into ir.iv_regs (-1: unknown reg, reads 0)
     int tap_index = -1;  // kStream: flattened (stream, tap) scratch index
@@ -195,8 +205,7 @@ class KernelExecutor {
   /// operand, or next accumulator state).
   struct OutputBit {
     unsigned bit = 0;
-    std::uint32_t output_index = 0;  // netlist output (for the packed engine)
-    techmap::NetRef source;          // resolved source (for the scalar engine)
+    std::uint32_t output_index = 0;  // netlist output
   };
   using OutputGroup = std::vector<OutputBit>;
 
@@ -205,37 +214,32 @@ class KernelExecutor {
   /// The reason the packed plan cannot thread the kernel's accumulator
   /// state (kNone when it can, or there is none).
   ScalarReason check_state_cone() const;
-  /// Stages the MAC ops for the packed plan: sets mac_stage_ and returns
-  /// each primary input's evaluation stage, with the state inputs one past
-  /// the last MAC stage. Throws InternalError when a MAC's operands read its
-  /// own or a later MAC's result, which the scalar engine's in-order MAC
-  /// sequencing would evaluate differently.
+  /// Stages the MAC ops for the plan: sets mac_stage_ and returns each
+  /// primary input's evaluation stage. The state inputs of a kernel the
+  /// cone can thread enter one past the last MAC stage (the cone stage);
+  /// any other kernel's enter at stage 0. Throws InternalError when a MAC's
+  /// operands read its own or a later MAC's result, which an in-order MAC
+  /// sequence would evaluate differently.
   std::vector<unsigned> stage_macs();
-  std::uint32_t read_group_word(const OutputGroup& group,
-                                const std::vector<bool>& lut_values) const;
-  int find_write_node(unsigned stream, unsigned tap) const;
 
   /// Each stream's envelope over `invocation` into `out`; false when an
   /// address wraps 32 bits.
   bool stream_envelopes(const KernelInvocation& invocation, StreamEnvelope* out) const;
   /// True when the invocation's write streams cannot feed a read stream
-  /// within one `block_lanes`-iteration block (packed batching preserves
-  /// the scalar read-then-write order only across iterations in different
-  /// positions). Wider blocks widen the hazard window, so this is checked
+  /// within one `block_lanes`-iteration block (a block reads every lane
+  /// before it writes any, which keeps the one-iteration-at-a-time
+  /// read-then-write order only across iterations in different positions). Wider blocks widen the hazard window, so this is checked
   /// per candidate width. `envelopes` are the invocation's (stream_envelopes).
   bool streams_hazard_free(const KernelInvocation& invocation, const StreamEnvelope* envelopes,
                            unsigned block_lanes) const;
-  /// Lane-block width (words) the packed engine will use for this
-  /// invocation; 0 when the invocation must run scalar.
+  /// Lane-block width (words) of this invocation's full lane blocks; 0
+  /// when it must run 1-lane blocks.
   unsigned select_packed_width(const KernelInvocation& invocation);
 
-  void run_scalar_iter(sim::Memory& memory, const KernelInvocation& invocation,
-                       std::uint64_t iter, std::vector<std::uint32_t>& acc,
-                       bool verify_against_dfg);
-  /// The one packed block routine: `count` >= 1 segments filling lanes
-  /// [0, lanes) of a width*64-lane block, contiguous and in lane order.
-  /// Accumulator state threads through `acc`, so a kernel with accumulators
-  /// runs one segment per block.
+  /// The one block routine: `count` >= 1 segments filling lanes [0, lanes)
+  /// of a width*64-lane block, contiguous and in lane order. Accumulator
+  /// state threads through `acc`, so a kernel with accumulators runs one
+  /// segment per block.
   void run_packed_block(sim::Memory& memory, const BlockSegment* segments, std::size_t count,
                         unsigned width, std::vector<std::uint32_t>& acc);
   /// Form MAC m's products for every lane of the block and feed them into
@@ -244,20 +248,21 @@ class KernelExecutor {
   /// Run the state cone (the plan's final stage) over `lanes` lanes in
   /// iteration order, threading the fabric-held accumulators through acc.
   void run_state_cone(unsigned lanes, std::vector<std::uint32_t>& acc);
+  /// Throws InternalError unless the 1-lane block of iteration `iter` wrote
+  /// `expect`'s values and left the accumulators at `expect_acc`.
+  void check_against_dfg(std::uint64_t iter, const std::vector<ReferenceWrite>& expect,
+                         const std::vector<std::uint32_t>& expect_acc,
+                         const std::vector<std::uint32_t>& acc) const;
 
-  /// Induction variable `iv_pos` of ir.iv_regs in iteration `iter`: its
-  /// latched initial value plus step * iter (0 for iv_pos < 0).
-  std::uint32_t iv_value(const KernelInvocation& invocation, int iv_pos,
-                         std::uint64_t iter) const;
   /// Gather a word group out of the packed pass: lane blocks in, one word
   /// per iteration out (in the low 32 bits of each of the width*64 rows).
   void unpack_group(const OutputGroup& group, std::uint64_t* words, unsigned width) const;
 
   const synth::HwKernel& kernel_;
   const fabric::FabricConfig& config_;
-  EvalEngine engine_ = EvalEngine::kAuto;
   PackedOptions packed_options_;
   ScalarReason scalar_reason_ = ScalarReason::kNone;
+  bool state_cone_ = false;  // the plan's final stage is the state cone
 
   std::vector<InputBinding> input_bindings_;  // per primary input
   std::vector<OutputGroup> write_groups_;     // per kernel write output
@@ -267,20 +272,15 @@ class KernelExecutor {
   std::vector<std::vector<std::uint32_t>> mac_result_inputs_;  // per MAC op: bound inputs
   std::vector<std::uint32_t> state_inputs_;   // kAccState inputs
   std::vector<unsigned> fabric_accs_;         // accumulators held in fabric flip-flops
-  std::vector<unsigned> mac_stage_;  // per MAC op: packed stage its operands are ready in
-  std::unordered_map<std::uint32_t, int> write_node_;  // (stream<<16|tap) -> DFG node
+  std::vector<unsigned> mac_stage_;  // per MAC op: plan stage its operands are ready in
   std::vector<unsigned> tap_base_;            // per stream: flattened tap index base
   std::vector<int> iv_slot_;                  // per ir.iv_regs entry: live-in slot (-1: none)
   std::vector<std::int32_t> iv_step_;         // per ir.iv_regs entry
 
-  std::optional<PackedEvaluator> packed_;  // compiled only when supported
+  std::optional<PackedEvaluator> packed_;  // compiled in bind_ports()
 
   // Per-run scratch.
   std::vector<StreamEnvelope> envelopes_;     // per stream
-  std::vector<std::vector<std::uint32_t>> tap_values_;  // scalar scratch
-  std::vector<bool> inputs_;                  // scalar scratch
-  std::vector<std::uint32_t> mac_results_;    // scalar scratch
-  std::vector<std::uint32_t> acc_start_of_iter_;
   // Per flat (stream, tap) index: loaded as one word per iteration, then
   // block-transposed in place so the W words starting at row b*W are the
   // lane block of tap bit b. Sized for the widest block; narrower widths

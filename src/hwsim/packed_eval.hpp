@@ -1,14 +1,14 @@
-// Bit-packed, levelized evaluation of a mapped LUT netlist in lane blocks.
+// Bit-packed, levelized evaluation of a mapped LUT netlist in lane blocks:
+// the WCLA executor's one fabric engine.
 //
-// The scalar engine (techmap::LutNetlist::evaluate) walks the LUT array
-// once per loop iteration over std::vector<bool> — fine for cross-checking,
-// but it makes the simulator, not the modeled hardware, the bottleneck when
-// a kernel runs millions of iterations. This engine compiles the netlist
-// once into a flat evaluation plan and then evaluates W*64 loop iterations
-// per pass (the lane-block width W is 1, 2 or 4 words), SIMD-within-a-
-// register style: every net owns a contiguous block of W std::uint64_t lane
-// words whose bit j of word g is the net's value in iteration g*64+j of the
-// current block.
+// techmap::LutNetlist::evaluate walks the LUT array once per input frame
+// over std::vector<bool>; it stays the netlist-level reference of the
+// tests. This engine compiles the netlist once into a flat evaluation plan
+// and then evaluates W*64 loop iterations per pass (the lane-block width W
+// is 1, 2 or 4 words), SIMD-within-a-register style: every net owns a
+// contiguous block of W std::uint64_t lane words whose bit j of word g is
+// the net's value in iteration g*64+j of the current block. A 1-lane block
+// (one valid lane of a W=1 pass) evaluates a single iteration.
 //
 // Compilation (PackedEvaluator's constructor) is width-independent:
 //   - every net gets an integer lane slot: slot 0 is constant 0, slot 1 is

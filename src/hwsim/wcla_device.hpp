@@ -19,14 +19,16 @@
 // Short invocations share lane blocks. A start (CTRL write) is charged to
 // the cycle model, WclaStats and the STATUS idle cycles at once, as if the
 // kernel ran there; but an invocation the executor accepts for a shared
-// block (an accumulator-free kernel running packed, trip shorter than one
-// block: KernelExecutor::shared_block_width) is only queued, with the
+// block (an accumulator-free kernel, trip shorter than one block:
+// KernelExecutor::shared_block_width) is only queued, with the
 // device registered as the data Memory's deferred-work owner. The queue
 // runs as one packed block when it is full, when the next invocation
 // cannot join (one of its read envelopes overlaps a queued write envelope,
 // it needs another width, or it runs alone), on configure(), and whenever
 // the core is about to observe data memory (sim::Memory::settle). Nothing
-// but host time can tell the difference (src/hwsim/README.md).
+// but host time can tell the difference (src/hwsim/README.md). With
+// set_verify(true), every invocation runs at its start as 1-lane blocks,
+// each checked against the dataflow-graph reference.
 #pragma once
 
 #include <array>
@@ -53,11 +55,11 @@ struct WclaStats {
   std::uint64_t invocations = 0;
   std::uint64_t wcla_cycles = 0;
   double busy_ns = 0.0;
-  /// Packed lane blocks the executor evaluated; a block shared by queued
-  /// invocations counts once.
+  /// Lane blocks the executor evaluated; a block shared by queued
+  /// invocations counts once, and a 1-lane run counts its trip.
   std::uint64_t packed_blocks = 0;
-  /// Invocations by engine: [kNone] ran packed, every other entry ran on
-  /// the scalar engine for that ScalarReason.
+  /// Invocations by block shape: [kNone] ran in full lane blocks, every
+  /// other entry ran 1-lane blocks for that ScalarReason.
   std::array<std::uint64_t, kScalarReasonCount> runs_by_reason{};
 };
 
@@ -82,8 +84,9 @@ class WclaDevice : public sim::OpbDevice, private sim::DeferredWork {
                  std::shared_ptr<const fabric::FabricConfig> config);
   bool configured() const { return executor_ != nullptr; }
 
-  /// Cross-check the fabric against the DFG golden model on every write
-  /// (slow; used by tests).
+  /// Run every invocation as 1-lane blocks, each checked against the DFG
+  /// reference (writes and accumulators); nothing is queued. Used by tests
+  /// and the examples.
   void set_verify(bool verify) { verify_ = verify; }
 
   const WclaStats& stats() const { return stats_; }
@@ -91,8 +94,8 @@ class WclaDevice : public sim::OpbDevice, private sim::DeferredWork {
 
   /// Direct access for tests and the packed-eval microbenchmark: the
   /// executor and the last invocation the stub programmed. The executor's
-  /// engine and packed options also steer queueing: a forced-scalar engine
-  /// queues nothing, and a pinned width sets the shared block's.
+  /// packed options also steer queueing: a pinned width sets the shared
+  /// block's.
   KernelExecutor* executor() { return executor_.get(); }
   const KernelInvocation& invocation() const { return invocation_; }
 

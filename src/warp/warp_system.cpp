@@ -56,7 +56,13 @@ RunStats WarpSystem::finish_stats() const {
   return stats;
 }
 
-common::Result<RunStats> WarpSystem::run_software() { return run_internal(true); }
+common::Result<RunStats> WarpSystem::run_software() {
+  if (outcome_ && outcome_->success) {
+    return common::Result<RunStats>::error(
+        "run_software() after a successful warp(): the binary is patched");
+  }
+  return run_internal(true);
+}
 
 const PartitionOutcome& WarpSystem::warp(partition::ArtifactCache* cache,
                                          common::FaultInjector* fault) {

@@ -5,8 +5,9 @@
 // instruction-side bus, the WCLA on the OPB with the second data-BRAM port,
 // and the DPM. Its lifecycle mirrors the paper's experimental method:
 //
-//   run_software()  — execute the binary, profiling as it runs; gives the
-//                     software-only baseline (time, instruction mix);
+//   run_software()  — execute the unpatched binary, profiling as it runs;
+//                     gives the software-only baseline (time, instruction
+//                     mix);
 //   warp()          — DPM partitions the hottest suitable loop, configures
 //                     the WCLA and patches the binary;
 //   run_warped()    — re-run the (patched) application: the kernel now
@@ -63,7 +64,8 @@ class WarpSystem {
 
   WarpSystem(isa::Program program, DataInit init_data, WarpSystemConfig config);
 
-  /// Software-only run with profiling. Resets data memory first.
+  /// Software-only run with profiling. Resets data memory first. Refused
+  /// (an error, nothing run) after a successful warp() patched the binary.
   common::Result<RunStats> run_software();
 
   /// Invoke the DPM on the collected profile; patch + configure on success.

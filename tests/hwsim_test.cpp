@@ -137,6 +137,88 @@ TEST(Executor, CycleModel) {
   EXPECT_LE(result.value().clock_mhz, 250.0);
 }
 
+// A read stream, a write stream through a fabric adder, and an XOR
+// reduction whose next state only the accumulator reads.
+constexpr const char* kChecksum = R"(
+  li r2, 0x1000
+  li r3, 0x2000
+  li r4, 64
+  li r8, 0
+loop:
+  lwi r5, r2, 0
+  addi r6, r5, 0x1234
+  swi r6, r3, 0
+  xor r8, r8, r5
+  addi r2, r2, 4
+  addi r3, r3, 4
+  addi r4, r4, -1
+  bne r4, loop
+  li r9, 0x100
+  swi r8, r9, 0
+  halt
+)";
+
+TEST(Executor, VerifyCatchesACorruptedLut) {
+  // A copy of the fabric configuration with one truth-table bit flipped,
+  // first in the LUT driving the top write bit, then in the LUT driving
+  // the top next-state bit of the accumulator: the DFG cross-check must
+  // throw, and an unchecked run must leave a result the DFG reference does
+  // not (the seeded data reaches the flipped row).
+  auto built = build_kernel(kChecksum, "loop");
+  ASSERT_EQ(built.ir.accumulators.size(), 1u);
+  KernelInvocation invocation;
+  invocation.trip = 64;
+  for (const auto& stream : built.ir.streams) {
+    invocation.stream_bases.push_back(stream.is_write ? 0x2000 : 0x1000);
+  }
+  invocation.acc_init = {0x0F0F0F0Fu};
+  invocation.live_in.assign(built.ir.live_in_regs.size(), 0);
+  set_live_in(invocation, built.ir, 2, 0x1000);
+  set_live_in(invocation, built.ir, 3, 0x2000);
+  set_live_in(invocation, built.ir, 4, 64);
+  sim::Memory initial(1 << 16);
+  common::Rng rng(21);
+  for (unsigned i = 0; i < 64; ++i) initial.write32(0x1000 + 4 * i, rng.next_u32());
+  const std::vector<std::uint32_t> snapshot = initial.snapshot_words();
+  sim::Memory reference(1 << 16);
+  reference.load_words(0, snapshot);
+  const auto reference_acc = reference_run(built.ir, reference, invocation);
+
+  for (const auto kind : {techmap::PortSpec::Kind::kWrite, techmap::PortSpec::Kind::kAccNext}) {
+    const bool write = kind == techmap::PortSpec::Kind::kWrite;
+    fabric::FabricConfig corrupted = *built.config;
+    auto& netlist = corrupted.netlist;
+    int lut = -1;
+    for (std::size_t o = 0; o < netlist.outputs.size(); ++o) {
+      if (netlist.output_ports[o].kind == kind &&
+          netlist.outputs[o].source.kind == techmap::NetRef::Kind::kLut) {
+        lut = netlist.outputs[o].source.index;  // the highest bit wins
+      }
+    }
+    ASSERT_GE(lut, 0) << (write ? "write" : "accnext");
+    netlist.luts[static_cast<std::size_t>(lut)].truth ^= 1u;
+
+    sim::Memory checked(1 << 16);
+    checked.load_words(0, snapshot);
+    KernelExecutor verifying(*built.kernel, corrupted);
+    EXPECT_THROW((void)verifying.run(checked, invocation, /*verify_against_dfg=*/true),
+                 common::InternalError)
+        << (write ? "write" : "accnext");
+
+    sim::Memory mem(1 << 16);
+    mem.load_words(0, snapshot);
+    KernelExecutor executor(*built.kernel, corrupted);
+    auto result = executor.run(mem, invocation);
+    ASSERT_TRUE(result.is_ok()) << result.message();
+    if (write) {
+      EXPECT_NE(mem.checksum_words(), reference.checksum_words());
+    } else {
+      EXPECT_EQ(mem.checksum_words(), reference.checksum_words());
+      EXPECT_NE(result.value().acc_final, reference_acc);
+    }
+  }
+}
+
 TEST(Executor, RejectsMalformedInvocation) {
   auto built = build_kernel(kSaxpyish, "loop");
   sim::Memory mem(1 << 16);
@@ -212,9 +294,6 @@ TEST(WclaDevice, ConfigureRunsQueuedInvocations) {
     mem.write32(0x1000 + 4 * i, i * 0x9E3779B9u + 1);
     reference.write32(0x1000 + 4 * i, i * 0x9E3779B9u + 1);
   }
-  KernelExecutor scalar(*built.kernel, *built.config);
-  scalar.set_engine(KernelExecutor::EvalEngine::kScalar);
-
   WclaDevice device(mem, 85.0);
   device.configure(built.kernel, built.config);
   for (std::uint32_t k = 0; k < 2; ++k) {
@@ -227,7 +306,7 @@ TEST(WclaDevice, ConfigureRunsQueuedInvocations) {
     set_live_in(invocation, built.ir, 2, 0x1000 + 32 * k);
     set_live_in(invocation, built.ir, 3, 0x2000 + 32 * k);
     set_live_in(invocation, built.ir, 4, 8);
-    ASSERT_TRUE(scalar.run(reference, invocation).is_ok());
+    (void)reference_run(built.ir, reference, invocation);
 
     // Program it the way the stub does.
     device.write32(kWclaBase + kWclaTrip, 8);

@@ -1,8 +1,9 @@
-// Packed-evaluation engine tests: the 64-lane SWAR engine must agree
-// bit-exactly with the scalar reference on random mapped netlists, on
-// hand-built netlists exercising constant/wire folding, and on full kernel
-// executions; and the experiment harness must stay golden-output-exact now
-// that the packed engine backs the default executor path.
+// Packed-evaluation engine tests: the lane-block engine must agree
+// bit-exactly with the netlist-level reference (techmap::LutNetlist::
+// evaluate) on random mapped netlists and on hand-built netlists exercising
+// constant/wire folding, and full kernel executions, in full and 1-lane
+// blocks, must agree with the dataflow-graph reference (reference_run); and
+// the experiment harness must stay golden-output-exact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -350,7 +351,7 @@ loop:
   halt
 )";
 
-TEST(PackedExecutor, MatchesScalarEngineOnKernelRun) {
+TEST(PackedExecutor, MatchesReferenceOnKernelRun) {
   auto built = build_kernel(kTransform, "loop");
   KernelInvocation invocation;
   invocation.trip = 200;  // three full packed blocks + an 8-lane partial block
@@ -365,37 +366,34 @@ TEST(PackedExecutor, MatchesScalarEngineOnKernelRun) {
 
   common::Rng rng(3);
   sim::Memory mem_packed(1 << 16);
-  sim::Memory mem_scalar(1 << 16);
+  sim::Memory mem_reference(1 << 16);
   for (unsigned i = 0; i < 200; ++i) {
     const std::uint32_t v = rng.next_u32();
     mem_packed.write32(0x1000 + 4 * i, v);
-    mem_scalar.write32(0x1000 + 4 * i, v);
+    mem_reference.write32(0x1000 + 4 * i, v);
   }
 
   KernelExecutor packed_exec(*built.kernel, *built.config);
   ASSERT_TRUE(packed_exec.packed_supported());
   auto packed_result = packed_exec.run(mem_packed, invocation);
   ASSERT_TRUE(packed_result.is_ok()) << packed_result.message();
-  EXPECT_EQ(packed_result.value().packed_iterations, 200u);
-  EXPECT_EQ(packed_result.value().scalar_iterations, 0u);
+  EXPECT_EQ(packed_result.value().scalar_reason, ScalarReason::kNone);
+  EXPECT_EQ(packed_result.value().packed_width, 1u);  // a thin plan stays at one word
+  EXPECT_EQ(packed_result.value().packed_blocks, 4u);
 
-  KernelExecutor scalar_exec(*built.kernel, *built.config);
-  scalar_exec.set_engine(KernelExecutor::EvalEngine::kScalar);
-  auto scalar_result = scalar_exec.run(mem_scalar, invocation);
-  ASSERT_TRUE(scalar_result.is_ok()) << scalar_result.message();
-  EXPECT_EQ(scalar_result.value().packed_iterations, 0u);
-
+  const auto reference_acc = reference_run(built.ir, mem_reference, invocation);
   for (unsigned i = 0; i < 200; ++i) {
-    ASSERT_EQ(mem_packed.read32(0x4000 + 4 * i), mem_scalar.read32(0x4000 + 4 * i)) << i;
+    ASSERT_EQ(mem_packed.read32(0x4000 + 4 * i), mem_reference.read32(0x4000 + 4 * i)) << i;
   }
-  EXPECT_EQ(packed_result.value().acc_final, scalar_result.value().acc_final);
-  EXPECT_EQ(packed_result.value().wcla_cycles, scalar_result.value().wcla_cycles);
+  EXPECT_EQ(mem_packed.checksum_words(), mem_reference.checksum_words());
+  EXPECT_EQ(packed_result.value().acc_final, reference_acc);
+  EXPECT_EQ(packed_result.value().wcla_cycles, packed_exec.timing(200).wcla_cycles);
 }
 
-TEST(PackedExecutor, WidthSweepMatchesScalarEngine) {
-  // Pinned lane-block widths: every width must agree with the scalar
-  // engine bit-exactly and run the whole trip packed, the remainder of
-  // the width*64 blocks as one partial block.
+TEST(PackedExecutor, WidthSweepMatchesReference) {
+  // Pinned lane-block widths: every width must agree with the DFG
+  // reference bit-exactly and run the whole trip in full lane blocks, the
+  // remainder of the width*64 blocks as one partial block.
   auto built = build_kernel(kTransform, "loop");
   KernelInvocation invocation;
   invocation.trip = 600;  // W=4: two 256-lane blocks + an 88-lane partial block
@@ -412,12 +410,9 @@ TEST(PackedExecutor, WidthSweepMatchesScalarEngine) {
   std::vector<std::uint32_t> data(600);
   for (auto& v : data) v = rng.next_u32();
 
-  sim::Memory mem_scalar(1 << 16);
-  for (unsigned i = 0; i < 600; ++i) mem_scalar.write32(0x1000 + 4 * i, data[i]);
-  KernelExecutor scalar_exec(*built.kernel, *built.config);
-  scalar_exec.set_engine(KernelExecutor::EvalEngine::kScalar);
-  auto scalar_result = scalar_exec.run(mem_scalar, invocation);
-  ASSERT_TRUE(scalar_result.is_ok()) << scalar_result.message();
+  sim::Memory mem_reference(1 << 16);
+  for (unsigned i = 0; i < 600; ++i) mem_reference.write32(0x1000 + 4 * i, data[i]);
+  const auto reference_acc = reference_run(built.ir, mem_reference, invocation);
 
   for (const unsigned width : {1u, 2u, 4u}) {
     sim::Memory mem(1 << 16);
@@ -426,15 +421,16 @@ TEST(PackedExecutor, WidthSweepMatchesScalarEngine) {
     ASSERT_TRUE(exec.packed_supported());
     auto result = exec.run(mem, invocation);
     ASSERT_TRUE(result.is_ok()) << result.message();
-    EXPECT_EQ(result.value().packed_iterations, 600u) << width;
+    EXPECT_EQ(result.value().scalar_reason, ScalarReason::kNone) << width;
     EXPECT_EQ(result.value().packed_width, width);
-    EXPECT_EQ(result.value().scalar_iterations, 0u) << width;
+    EXPECT_EQ(result.value().packed_blocks, (600 + 64 * width - 1) / (64 * width)) << width;
     for (unsigned i = 0; i < 600; ++i) {
-      ASSERT_EQ(mem.read32(0x4000 + 4 * i), mem_scalar.read32(0x4000 + 4 * i))
+      ASSERT_EQ(mem.read32(0x4000 + 4 * i), mem_reference.read32(0x4000 + 4 * i))
           << "width " << width << " word " << i;
     }
-    EXPECT_EQ(result.value().acc_final, scalar_result.value().acc_final);
-    EXPECT_EQ(result.value().wcla_cycles, scalar_result.value().wcla_cycles);
+    EXPECT_EQ(mem.checksum_words(), mem_reference.checksum_words()) << width;
+    EXPECT_EQ(result.value().acc_final, reference_acc);
+    EXPECT_EQ(result.value().wcla_cycles, exec.timing(600).wcla_cycles) << width;
   }
 
   // set_packed_options re-pins on a live executor and validates its input.
@@ -519,11 +515,11 @@ KernelInvocation sweep_invocation(const Built& built, std::uint64_t trip,
   return invocation;
 }
 
-/// Runs `invocation` from seeded memory on the scalar engine, through the
-/// golden DFG cross-check, and at every lane-block width (auto, 1, 2, 4),
-/// and requires the same data memory and final accumulators from each.
-/// `reason` is the kernel's: kNone means every width must run packed;
-/// otherwise every run is scalar and must say why.
+/// Runs `invocation` from seeded memory on the DFG reference, through the
+/// executor's DFG cross-check, and at every lane-block width (auto, 1, 2,
+/// 4), and requires the same data memory and final accumulators from each.
+/// `reason` is the kernel's: kNone means every width must run full lane
+/// blocks; otherwise every run is 1-lane blocks and must say why.
 void expect_engines_match(const Built& built, const KernelInvocation& invocation,
                           ScalarReason reason, const std::string& label) {
   sim::Memory initial(kSweepMemBytes);
@@ -538,27 +534,22 @@ void expect_engines_match(const Built& built, const KernelInvocation& invocation
   }
   const std::vector<std::uint32_t> snapshot = initial.snapshot_words();
 
-  sim::Memory mem_scalar(kSweepMemBytes);
-  mem_scalar.load_words(0, snapshot);
-  KernelExecutor scalar_exec(*built.kernel, *built.config);
-  scalar_exec.set_engine(KernelExecutor::EvalEngine::kScalar);
-  auto scalar = scalar_exec.run(mem_scalar, invocation);
-  ASSERT_TRUE(scalar.is_ok()) << label << ": " << scalar.message();
-  EXPECT_EQ(scalar.value().scalar_reason,
-            reason == ScalarReason::kNone ? ScalarReason::kForcedScalar : reason)
-      << label;
+  sim::Memory mem_reference(kSweepMemBytes);
+  mem_reference.load_words(0, snapshot);
+  const auto reference_acc = reference_run(built.ir, mem_reference, invocation);
 
-  // The golden DFG cross-check throws on any fabric/DFG mismatch.
+  // The DFG cross-check throws on any fabric/DFG mismatch.
   sim::Memory mem_dfg(kSweepMemBytes);
   mem_dfg.load_words(0, snapshot);
   KernelExecutor dfg_exec(*built.kernel, *built.config);
   auto dfg = dfg_exec.run(mem_dfg, invocation, /*verify_against_dfg=*/true);
   ASSERT_TRUE(dfg.is_ok()) << label << ": " << dfg.message();
-  EXPECT_EQ(mem_dfg.checksum_words(), mem_scalar.checksum_words()) << label;
-  EXPECT_EQ(dfg.value().acc_final, scalar.value().acc_final) << label;
+  EXPECT_EQ(mem_dfg.checksum_words(), mem_reference.checksum_words()) << label;
+  EXPECT_EQ(dfg.value().acc_final, reference_acc) << label;
   EXPECT_EQ(dfg.value().scalar_reason,
             reason == ScalarReason::kNone ? ScalarReason::kVerify : reason)
       << label;
+  EXPECT_EQ(dfg.value().packed_blocks, invocation.trip) << label;
 
   for (const unsigned width : {0u, 1u, 2u, 4u}) {
     const std::string at = label + " width " + std::to_string(width);
@@ -569,22 +560,27 @@ void expect_engines_match(const Built& built, const KernelInvocation& invocation
     auto result = exec.run(mem, invocation);
     ASSERT_TRUE(result.is_ok()) << at << ": " << result.message();
     EXPECT_EQ(result.value().scalar_reason, reason) << at;
-    EXPECT_EQ(result.value().packed_iterations,
-              reason == ScalarReason::kNone ? invocation.trip : 0u)
+    const std::uint64_t block_lanes =
+        reason == ScalarReason::kNone ? result.value().packed_width * kPackedWordBits : 1;
+    if (width != 0 && reason == ScalarReason::kNone) {
+      EXPECT_EQ(result.value().packed_width, width) << at;
+    }
+    EXPECT_EQ(result.value().packed_blocks, (invocation.trip + block_lanes - 1) / block_lanes)
         << at;
     for (std::uint32_t i = 0; i <= invocation.trip; ++i) {
-      ASSERT_EQ(mem.read32(kSweepWriteBase + 4 * i), mem_scalar.read32(kSweepWriteBase + 4 * i))
+      ASSERT_EQ(mem.read32(kSweepWriteBase + 4 * i),
+                mem_reference.read32(kSweepWriteBase + 4 * i))
           << at << " word " << i;
     }
-    EXPECT_EQ(mem.checksum_words(), mem_scalar.checksum_words()) << at;
-    EXPECT_EQ(result.value().acc_final, scalar.value().acc_final) << at;
-    EXPECT_EQ(result.value().wcla_cycles, scalar.value().wcla_cycles) << at;
+    EXPECT_EQ(mem.checksum_words(), mem_reference.checksum_words()) << at;
+    EXPECT_EQ(result.value().acc_final, reference_acc) << at;
+    EXPECT_EQ(result.value().wcla_cycles, dfg.value().wcla_cycles) << at;
   }
 }
 
-TEST(PackedExecutor, MacFeedbackMatchesScalar) {
+TEST(PackedExecutor, MacFeedbackMatchesReference) {
   // Short trips run as one partial block, long ones as full blocks plus
-  // one, at every width, against the scalar engine and the DFG. Staging
+  // one, at every width, against the DFG reference. Staging
   // walks each LUT once for all MACs; the long chain's eight dependent MACs
   // must still each be staged after their operands.
   for (const auto& [source, macs] : {std::pair{kMacChain, 2u}, std::pair{kLongMacChain, 8u}}) {
@@ -600,8 +596,8 @@ TEST(PackedExecutor, MacFeedbackMatchesScalar) {
 
 TEST(PackedExecutor, RejectsOutOfOrderMacOperands) {
   // Reverse the MAC numbering, so that MAC 0 takes the operands that read
-  // the other MACs' results: the scalar engine would read those results
-  // before they are set, so the packed plan must refuse to stage them.
+  // the other MACs' results: an in-order MAC sequence would read those
+  // results before they are set, so the plan must refuse to stage them.
   for (const char* source : {kMacChain, kLongMacChain}) {
     auto built = build_kernel(source, "loop");
     fabric::FabricConfig reversed = *built.config;
@@ -643,7 +639,7 @@ void sweep_trips(const Built& built, ScalarReason reason, const std::string& sha
   }
 }
 
-TEST(PackedExecutor, StateConeShapesMatchScalar) {
+TEST(PackedExecutor, StateConeShapesMatchReference) {
   // Fabric-held reductions run packed: every LUT outside the state cone in
   // lane blocks, the cone lane by lane in iteration order.
   const struct {
@@ -669,7 +665,8 @@ TEST(PackedExecutor, StateConeShapesMatchScalar) {
 TEST(PackedExecutor, StateTheConeCannotThreadStaysScalar) {
   // A MAC reading the fabric-held state would have to run inside the
   // lane-by-lane cone; a MAC-held sum read back by the fabric changes
-  // outside it. Both stay on the scalar engine, say why, and still match.
+  // outside it. Both run 1-lane blocks (state inputs at stage 0, set from
+  // the running accumulators), say why, and still match.
   auto mac_in_cone = build_kernel(
       reduction_loop("  xor r8, r8, r7\n  mul_p r9, r8, r7\n  swi r9, r3, 0\n"), "loop");
   sweep_trips(mac_in_cone, ScalarReason::kMacOperandInCone, "mac operand in cone");
@@ -710,8 +707,10 @@ TEST(PackedExecutor, InPlaceTransformStaysPacked) {
   KernelExecutor executor(*built.kernel, *built.config);
   auto result = executor.run(mem, invocation);
   ASSERT_TRUE(result.is_ok()) << result.message();
-  EXPECT_EQ(result.value().packed_iterations, 150u);
-  EXPECT_EQ(result.value().scalar_iterations, 0u);
+  EXPECT_EQ(result.value().scalar_reason, ScalarReason::kNone);
+  const unsigned block_lanes = result.value().packed_width * kPackedWordBits;
+  ASSERT_NE(block_lanes, 0u);
+  EXPECT_EQ(result.value().packed_blocks, (150 + block_lanes - 1) / block_lanes);
   for (unsigned i = 0; i < 150; ++i) {
     EXPECT_EQ(mem.read32(0x1000 + 4 * i), (i * 2654435761u) ^ 0x3C3Cu) << i;
   }
@@ -720,8 +719,9 @@ TEST(PackedExecutor, InPlaceTransformStaysPacked) {
 TEST(PackedExecutor, SubElementStrideFallsBackToScalar) {
   // In-place word loop advancing 2 bytes per iteration: the write of
   // iteration i partially overlaps the read of iteration i+1 (no exact
-  // address collision, just byte-range overlap), so the packed engine must
-  // refuse the block batching and match the scalar engine exactly.
+  // address collision, just byte-range overlap), so the executor must
+  // refuse full lane blocks, run 1-lane blocks and match the DFG reference
+  // exactly.
   constexpr const char* kOverlapping = R"(
     li r2, 0x1000
     li r4, 150
@@ -743,35 +743,31 @@ TEST(PackedExecutor, SubElementStrideFallsBackToScalar) {
   set_live_in(invocation, built.ir, 2, 0x1000);
   set_live_in(invocation, built.ir, 4, 150);
 
-  sim::Memory mem_scalar(1 << 16);
+  sim::Memory mem_reference(1 << 16);
   common::Rng seed_rng(9);
   for (unsigned i = 0; i < 200; ++i) {
-    mem_scalar.write32(0x1000 + 4 * i, seed_rng.next_u32());
+    mem_reference.write32(0x1000 + 4 * i, seed_rng.next_u32());
   }
-
-  KernelExecutor scalar_exec(*built.kernel, *built.config);
-  scalar_exec.set_engine(KernelExecutor::EvalEngine::kScalar);
-  auto scalar_result = scalar_exec.run(mem_scalar, invocation);
-  ASSERT_TRUE(scalar_result.is_ok()) << scalar_result.message();
+  (void)reference_run(built.ir, mem_reference, invocation);
 
   // The hazard must hold at auto and at every pinned width: the write of
   // iteration i partially overlaps the read of i+1 no matter how wide the
   // block is.
   for (const unsigned width : {0u, 1u, 2u, 4u}) {
-    // Fresh copy of the original data (the scalar run transformed its own
-    // copy in place).
+    // Fresh copy of the original data (the reference run transformed its
+    // own copy in place).
     sim::Memory mem_auto(1 << 16);
     common::Rng rng(9);
     for (unsigned i = 0; i < 200; ++i) mem_auto.write32(0x1000 + 4 * i, rng.next_u32());
     KernelExecutor exec(*built.kernel, *built.config, hwsim::PackedOptions{width});
     auto result = exec.run(mem_auto, invocation);
     ASSERT_TRUE(result.is_ok()) << result.message();
-    EXPECT_EQ(result.value().packed_iterations, 0u) << width;  // hazard: stays scalar
-    EXPECT_EQ(result.value().packed_width, 0u) << width;
+    EXPECT_EQ(result.value().packed_blocks, 150u) << width;  // hazard: 1-lane blocks
+    EXPECT_EQ(result.value().packed_width, 1u) << width;
     EXPECT_EQ(result.value().scalar_reason, ScalarReason::kStreamAlias) << width;
     EXPECT_EQ(exec.scalar_reason(), ScalarReason::kNone) << width;  // the invocation's, not the kernel's
     for (unsigned i = 0; i < 200; ++i) {
-      ASSERT_EQ(mem_auto.read32(0x1000 + 4 * i), mem_scalar.read32(0x1000 + 4 * i))
+      ASSERT_EQ(mem_auto.read32(0x1000 + 4 * i), mem_reference.read32(0x1000 + 4 * i))
           << "width " << width << " word " << i;
     }
   }
@@ -806,16 +802,16 @@ TEST(PackedExecutor, FirEngagesWideAutoWidthEndToEnd) {
   auto result = exec->run(mem, flowed.value().invocation);
   ASSERT_TRUE(result.is_ok()) << result.message();
   EXPECT_GT(result.value().packed_width, 1u) << "auto mode stayed narrow";
-  EXPECT_GT(result.value().packed_iterations, 0u);
+  EXPECT_EQ(result.value().scalar_reason, ScalarReason::kNone);
 }
 
 TEST(PackedExecutor, AllWorkloadsBitExactAtEveryWidth) {
   // Acceptance gate for the lane-block engine: every registered workload
   // (the paper kernels plus crc and fir) is run through the full warp flow,
   // then its captured invocation is re-executed at every pinned width and
-  // in auto mode and compared word-for-word against the scalar reference.
+  // in auto mode and compared word-for-word against the DFG reference.
   // Every kernel, canrdr's and crc's fabric-held XOR state and idct's MAC
-  // feedback included, must run its whole trip packed.
+  // feedback included, must run its whole trip in full lane blocks.
   for (const auto& workload : workloads::extended_workloads()) {
     // Full flow with the trip stretched (within the data BRAM, keeping
     // packed eligibility) so wide blocks actually engage on
@@ -835,23 +831,24 @@ TEST(PackedExecutor, AllWorkloadsBitExactAtEveryWidth) {
     for (const KernelInvocation* invocation : {&stretched, &stub}) {
       const std::string label = workload.name + " trip " + std::to_string(invocation->trip);
       const std::vector<std::uint32_t> snapshot = mem.snapshot_words();
-      exec->set_engine(KernelExecutor::EvalEngine::kScalar);
-      auto scalar_result = exec->run(mem, *invocation);
-      ASSERT_TRUE(scalar_result.is_ok()) << label;
-      const std::uint64_t scalar_sum = mem.checksum_words();
-      exec->set_engine(KernelExecutor::EvalEngine::kAuto);
+      const auto reference_acc = reference_run(exec->kernel().ir, mem, *invocation);
+      const std::uint64_t reference_sum = mem.checksum_words();
 
       for (const unsigned width : {0u, 1u, 2u, 4u}) {
         mem.load_words(0, snapshot);
         exec->set_packed_options(hwsim::PackedOptions{width});
         auto result = exec->run(mem, *invocation);
         ASSERT_TRUE(result.is_ok()) << label << " width " << width;
-        EXPECT_EQ(mem.checksum_words(), scalar_sum) << label << " width " << width;
-        EXPECT_EQ(result.value().acc_final, scalar_result.value().acc_final)
-            << label << " width " << width;
+        EXPECT_EQ(mem.checksum_words(), reference_sum) << label << " width " << width;
+        EXPECT_EQ(result.value().acc_final, reference_acc) << label << " width " << width;
         // No registered workload aliases its streams within a block, so
-        // no kernel falls back.
-        EXPECT_EQ(result.value().packed_iterations, invocation->trip)
+        // no kernel runs 1-lane blocks.
+        EXPECT_EQ(result.value().scalar_reason, ScalarReason::kNone)
+            << label << " width " << width;
+        const std::uint64_t block_lanes = result.value().packed_width * kPackedWordBits;
+        ASSERT_NE(block_lanes, 0u) << label << " width " << width;
+        EXPECT_EQ(result.value().packed_blocks,
+                  (invocation->trip + block_lanes - 1) / block_lanes)
             << label << " width " << width;
       }
       mem.load_words(0, snapshot);

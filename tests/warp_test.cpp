@@ -40,12 +40,18 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchmarkWarpTest,
                                            "crc"));
 
 // idct is the heaviest CAD job; keep it in its own test so timing is visible.
+// The DFG cross-check runs each of its 96 trip-8 invocations alone, as 8
+// checked 1-lane blocks.
 TEST(BenchmarkWarp, IdctWarpsAndStaysBitExact) {
   const auto& workload = workloads::workload_by_name("idct");
   const auto result = experiments::run_benchmark(workload, verified_options());
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(result.warped) << result.warp_detail;
   EXPECT_GT(result.warp_speedup, 2.0);
+  const hwsim::WclaStats& wcla = result.warp_run.wcla;
+  EXPECT_EQ(wcla.invocations, 96u);
+  EXPECT_EQ(wcla.runs_by_reason[static_cast<std::size_t>(hwsim::ScalarReason::kVerify)], 96u);
+  EXPECT_EQ(wcla.packed_blocks, 768u);
 }
 
 TEST(BenchmarkWarp, BrevIsTheHeadlineKernel) {
@@ -123,6 +129,24 @@ TEST(WarpSystem, FallsBackToSoftwareWhenUnsuitable) {
   auto rerun = system.run_warped();
   ASSERT_TRUE(rerun.is_ok());
   EXPECT_EQ(system.data_mem().read32(0x100), 0x1000u + 4u * 63u);
+}
+
+TEST(WarpSystem, RunSoftwareAfterWarpIsRefused) {
+  // After a successful warp() the binary is patched: a profiled run of it
+  // would invoke the WCLA and profile the stub, not the software baseline.
+  const experiments::HarnessOptions options = experiments::default_options();
+  const auto& idct = workloads::workload_by_name("idct");
+  auto program = isa::assemble(idct.source, options.cpu);
+  ASSERT_TRUE(program.is_ok()) << program.message();
+  warpsys::WarpSystem system(std::move(program).value(), idct.init, options.system);
+  ASSERT_TRUE(system.run_software().is_ok());
+  ASSERT_TRUE(system.run_software().is_ok());  // profiling twice before warp() is fine
+  ASSERT_TRUE(system.warp().success) << system.outcome()->detail;
+  EXPECT_FALSE(system.run_software().is_ok());
+  EXPECT_EQ(system.wcla().stats().invocations, 0u);
+  const auto warped = system.run_warped();
+  ASSERT_TRUE(warped.is_ok()) << warped.message();
+  EXPECT_EQ(warped.value().wcla.invocations, 96u);
 }
 
 TEST(WarpSystem, DpmTimeIsSecondsScale) {
