@@ -16,24 +16,8 @@ void Profiler::reset() {
   updates_ = 0;
 }
 
-void Profiler::on_branch(std::uint32_t pc, std::uint32_t target, bool taken) {
-  // Only taken backward branches mark loop iterations.
-  if (!taken || target >= pc) return;
-  ++updates_;
-
-  // Most updates repeat the previous one (87 % across the extended
-  // workloads), and the scan would reach that entry late: a newcomer takes
-  // the last free entry, so early hot loops sit at the end of the table. So
-  // try the last hit first. Valid entries are unique by (branch_pc,
-  // target_pc) -- one is inserted only on a miss -- so this finds the entry
-  // the scan would.
-  Entry* hit = &entries_[last_hit_];
-  if (!hit->valid || hit->branch_pc != pc || hit->target_pc != target) hit = scan(pc, target);
-  if (hit && hit->count < counter_max_) ++hit->count;
-
-  if (config_.decay_interval != 0 && updates_ % config_.decay_interval == 0) {
-    for (auto& entry : entries_) entry.count >>= 1;
-  }
+void Profiler::decay() {
+  for (auto& entry : entries_) entry.count >>= 1;
 }
 
 Profiler::Entry* Profiler::scan(std::uint32_t pc, std::uint32_t target) {

@@ -136,12 +136,15 @@ void Warpd::admit(const protocol::Request& request, std::string err,
   // or lock the stream's seq mode.
   if (err.empty()) {
     if (request.seq) {
+      // A seq that was admitted before is a duplicate whether or not its
+      // session is finalized yet, so the reply does not depend on host
+      // timing; only a never-admitted seq below the watermark is late.
       if (seq_mode_ == SeqMode::kImplicit) {
         err = "seq on a stream that started without seq";
-      } else if (*request.seq < next_seq_) {
-        err = "seq already served";
       } else if (used_seqs_.count(*request.seq) != 0) {
         err = "duplicate seq";
+      } else if (*request.seq < next_seq_) {
+        err = "seq already served";
       }
     } else if (seq_mode_ == SeqMode::kExplicit) {
       err = "missing seq on a stream that started with seq";

@@ -1,6 +1,7 @@
 #include "sim/core.hpp"
 
 #include <limits>
+#include <optional>
 
 #include "common/strings.hpp"
 
@@ -40,13 +41,14 @@ OpbDevice* Core::find_device(std::uint32_t addr) {
   return nullptr;
 }
 
-std::uint32_t Core::data_read(std::uint32_t addr, unsigned size) {
+std::uint32_t Core::data_read(std::uint32_t addr, unsigned size, Flow& flow) {
   if (addr >= kOpbBase) {
     OpbDevice* device = find_device(addr);
     if (!device) throw common::InternalError("OPB read from unmapped address");
     const OpbReadResult result = device->read32(addr);
     stats_.cycles += result.idle_cycles + kOpbExtraCycles;
     stats_.idle_cycles += result.idle_cycles;
+    flow = Flow::kSync;
     return result.value;
   }
   if (data_mem_.has_deferred_work()) settle_data_mem();
@@ -75,87 +77,133 @@ void Core::data_write(std::uint32_t addr, std::uint32_t value, unsigned size) {
   }
 }
 
-const Core::Decoded* Core::fetch() {
-  if (instr_mem_.generation() != decoded_generation_) {
-    decoded_.clear();
-    decoded_generation_ = instr_mem_.generation();
-  }
-  const std::size_t index = pc_ >> 2;
-  if ((pc_ & 3u) == 0 && index < decoded_.size() && decoded_[index].valid) {
-    return &decoded_[index];
-  }
-  return decode_at_pc();
+void Core::check_generation() {
+  if (instr_mem_.generation() == decoded_generation_) return;
+  fold_superblocks();
+  decoded_.clear();
+  decoded_generation_ = instr_mem_.generation();
 }
 
-const Core::Decoded* Core::decode_at_pc() {
-  if (std::size_t{pc_} + 4 > instr_mem_.size() || (pc_ & 3u) != 0) {
+const Core::Decoded* Core::fetch() {
+  check_generation();
+  const std::size_t index = pc_ >> 2;
+  if ((pc_ & 3u) == 0 && decode(index)) return &decoded_[index];
+  fetch_fault();
+  return nullptr;
+}
+
+namespace {
+
+/// The word at `addr` decoded, when it fits in `mem` and is valid.
+std::optional<Instr> decode_word(const Memory& mem, std::size_t addr) {
+  if (addr + 4 > mem.size()) return std::nullopt;
+  return isa::decode(mem.read32(static_cast<std::uint32_t>(addr)));
+}
+
+bool needs_absent_unit(Opcode op, const isa::CpuConfig& config) {
+  return (isa::requires_barrel_shifter(op) && !config.has_barrel_shifter) ||
+         (isa::requires_multiplier(op) && !config.has_multiplier) ||
+         (isa::requires_divider(op) && !config.has_divider);
+}
+
+/// The immediate of an instruction whose IMM prefix latched `latch`.
+std::int32_t combine_imm(std::uint32_t latch, std::int32_t imm) {
+  return static_cast<std::int32_t>((latch << 16) | (static_cast<std::uint32_t>(imm) & 0xFFFFu));
+}
+
+/// br, brl, brr, rtsd and halt end a superblock; a conditional branch is a
+/// side exit and does not.
+bool ends_superblock(InstrClass cls) {
+  return cls == InstrClass::kJump || cls == InstrClass::kHalt;
+}
+
+}  // namespace
+
+bool Core::decode(std::size_t index) {
+  if (index < decoded_.size() && decoded_[index].valid) return true;
+  const std::size_t addr = index * 4;
+  const auto decoded = decode_word(instr_mem_, addr);
+  // Configuration traps: a binary built for a richer core must not run. A
+  // trapping word is never cached, so it traps again on every execution,
+  // and a superblock ends before it, so it traps only if it executes.
+  if (!decoded || needs_absent_unit(decoded->op, config_)) return false;
+  const Opcode op = decoded->op;
+
+  if (index >= decoded_.size()) decoded_.resize(index + 1);
+  Decoded& d = decoded_[index];
+  d.instr = *decoded;
+  d.imm = decoded->imm;
+  d.cls = isa::classify(op);
+  d.cycles = {static_cast<std::uint8_t>(isa::latency_cycles(op, false)),
+              static_cast<std::uint8_t>(isa::latency_cycles(op, true))};
+  if (index > 0 && op != Opcode::kImm) {
+    const auto prev = decode_word(instr_mem_, addr - 4);
+    d.prefixed = prev && prev->op == Opcode::kImm;
+    if (d.prefixed) d.imm = combine_imm(static_cast<std::uint32_t>(prev->imm) & 0xFFFFu, d.imm);
+  }
+  d.valid = true;
+  return true;
+}
+
+void Core::fetch_fault() {
+  halted_ = true;
+  if ((pc_ & 3u) != 0 || std::size_t{pc_} + 4 > instr_mem_.size()) {
     error_ = common::format("bad PC 0x%08x", pc_);
-    halted_ = true;
-    return nullptr;
+    return;
   }
   const std::uint32_t word = instr_mem_.read32(pc_);
   const auto decoded = isa::decode(word);
   if (!decoded) {
     error_ = common::format("invalid instruction 0x%08x at pc 0x%08x", word, pc_);
-    halted_ = true;
-    return nullptr;
-  }
-  const Opcode op = decoded->op;
-
-  // Configuration traps: a binary built for a richer core must not run. The
-  // word is decoded only when it is about to execute, and a trapping word is
-  // never cached, so it traps again on every run.
-  if ((isa::requires_barrel_shifter(op) && !config_.has_barrel_shifter) ||
-      (isa::requires_multiplier(op) && !config_.has_multiplier) ||
-      (isa::requires_divider(op) && !config_.has_divider)) {
+  } else {
     error_ = common::format("instruction '%s' at pc 0x%08x needs an absent unit",
-                            std::string(isa::mnemonic(op)).c_str(), pc_);
-    halted_ = true;
-    return nullptr;
+                            std::string(isa::mnemonic(decoded->op)).c_str(), pc_);
   }
-
-  const std::size_t index = pc_ >> 2;
-  if (index >= decoded_.size()) decoded_.resize(index + 1);
-  Decoded& d = decoded_[index];
-  d.instr = *decoded;
-  d.cls = isa::classify(op);
-  d.cycles = {static_cast<std::uint8_t>(isa::latency_cycles(op, false)),
-              static_cast<std::uint8_t>(isa::latency_cycles(op, true))};
-  d.branch_event = d.cls == InstrClass::kBranch || op == Opcode::kBr || op == Opcode::kBrl;
-  d.valid = true;
-  return &d;
 }
 
-bool Core::step() {
-  if (halted_) return false;
-  // Only fetch() changes the table, so the entry outlives this step even if
-  // a store below bumps the instruction Memory's generation.
-  const Decoded* entry = fetch();
-  if (!entry) return false;
-  const Instr& instr = entry->instr;
-
-  // Effective immediate: combine with the IMM prefix latch if armed.
-  std::int32_t imm = instr.imm;
-  if (imm_valid_ && instr.op != Opcode::kImm) {
-    imm = static_cast<std::int32_t>((imm_latch_ << 16) |
-                                    (static_cast<std::uint32_t>(instr.imm) & 0xFFFFu));
+std::uint32_t Core::form_superblock(std::size_t index) {
+  // Walk the fall-through path to the first entry that ends a superblock,
+  // already belongs to one, or cannot be cached; then number the walked
+  // entries backwards from there.
+  std::size_t end = index;
+  std::uint32_t run = 0;  // of the entry at `end`
+  for (;; ++end) {
+    if (end < decoded_.size() && decoded_[end].run != 0) {
+      run = decoded_[end].run;
+      break;
+    }
+    if (!decode(end)) break;
+    if (ends_superblock(decoded_[end].cls)) {
+      run = decoded_[end].run = 1;
+      break;
+    }
   }
+  while (end > index) decoded_[--end].run = ++run;
+  return run;
+}
 
+// One instruction's effect on registers, data memory, devices and halted_.
+// step() and run_superblock() handle the IMM latch and charge the counters,
+// each its own way.
+[[gnu::always_inline]] inline Core::Flow Core::execute(const Instr& instr, std::int32_t imm,
+                                                       std::uint32_t pc,
+                                                       std::uint32_t& next_pc) {
   const std::uint32_t a = regs_[instr.ra];
   const std::uint32_t b = regs_[instr.rb];
   const std::int32_t sa = static_cast<std::int32_t>(a);
   const std::int32_t sb = static_cast<std::int32_t>(b);
-  std::uint32_t next_pc = pc_ + 4;
+  const auto uimm = static_cast<std::uint32_t>(imm);
+  Flow flow = Flow::kNext;
   bool branch_taken = false;
   bool write_result = false;
   std::uint32_t result = 0;
 
   switch (instr.op) {
     case Opcode::kAdd: result = a + b; write_result = true; break;
-    case Opcode::kAddi: result = a + static_cast<std::uint32_t>(imm); write_result = true; break;
+    case Opcode::kAddi: result = a + uimm; write_result = true; break;
     case Opcode::kSub: result = a - b; write_result = true; break;
     case Opcode::kMul: result = a * b; write_result = true; break;
-    case Opcode::kMuli: result = a * static_cast<std::uint32_t>(imm); write_result = true; break;
+    case Opcode::kMuli: result = a * uimm; write_result = true; break;
     case Opcode::kIdiv:
       // Division by zero gives 0; overflow (INT_MIN / -1) gives INT_MIN, as
       // on MicroBlaze and in the assembler's __divsi3.
@@ -169,11 +217,11 @@ bool Core::step() {
       write_result = true;
       break;
     case Opcode::kAnd: result = a & b; write_result = true; break;
-    case Opcode::kAndi: result = a & static_cast<std::uint32_t>(imm); write_result = true; break;
+    case Opcode::kAndi: result = a & uimm; write_result = true; break;
     case Opcode::kOr: result = a | b; write_result = true; break;
-    case Opcode::kOri: result = a | static_cast<std::uint32_t>(imm); write_result = true; break;
+    case Opcode::kOri: result = a | uimm; write_result = true; break;
     case Opcode::kXor: result = a ^ b; write_result = true; break;
-    case Opcode::kXori: result = a ^ static_cast<std::uint32_t>(imm); write_result = true; break;
+    case Opcode::kXori: result = a ^ uimm; write_result = true; break;
     case Opcode::kSext8:
       result = static_cast<std::uint32_t>(static_cast<std::int32_t>(static_cast<std::int8_t>(a)));
       write_result = true;
@@ -204,27 +252,18 @@ bool Core::step() {
       result = (a < b) ? static_cast<std::uint32_t>(-1) : (a == b ? 0u : 1u);
       write_result = true;
       break;
-    case Opcode::kLw: result = data_read(a + b, 4); write_result = true; break;
-    case Opcode::kLwi:
-      result = data_read(a + static_cast<std::uint32_t>(imm), 4);
-      write_result = true;
-      break;
-    case Opcode::kLbu: result = data_read(a + b, 1); write_result = true; break;
-    case Opcode::kLbui:
-      result = data_read(a + static_cast<std::uint32_t>(imm), 1);
-      write_result = true;
-      break;
-    case Opcode::kLhu: result = data_read(a + b, 2); write_result = true; break;
-    case Opcode::kLhui:
-      result = data_read(a + static_cast<std::uint32_t>(imm), 2);
-      write_result = true;
-      break;
-    case Opcode::kSw: data_write(a + b, regs_[instr.rd], 4); break;
-    case Opcode::kSwi: data_write(a + static_cast<std::uint32_t>(imm), regs_[instr.rd], 4); break;
-    case Opcode::kSb: data_write(a + b, regs_[instr.rd], 1); break;
-    case Opcode::kSbi: data_write(a + static_cast<std::uint32_t>(imm), regs_[instr.rd], 1); break;
-    case Opcode::kSh: data_write(a + b, regs_[instr.rd], 2); break;
-    case Opcode::kShi: data_write(a + static_cast<std::uint32_t>(imm), regs_[instr.rd], 2); break;
+    case Opcode::kLw: result = data_read(a + b, 4, flow); write_result = true; break;
+    case Opcode::kLwi: result = data_read(a + uimm, 4, flow); write_result = true; break;
+    case Opcode::kLbu: result = data_read(a + b, 1, flow); write_result = true; break;
+    case Opcode::kLbui: result = data_read(a + uimm, 1, flow); write_result = true; break;
+    case Opcode::kLhu: result = data_read(a + b, 2, flow); write_result = true; break;
+    case Opcode::kLhui: result = data_read(a + uimm, 2, flow); write_result = true; break;
+    case Opcode::kSw: data_write(a + b, regs_[instr.rd], 4); flow = Flow::kSync; break;
+    case Opcode::kSwi: data_write(a + uimm, regs_[instr.rd], 4); flow = Flow::kSync; break;
+    case Opcode::kSb: data_write(a + b, regs_[instr.rd], 1); flow = Flow::kSync; break;
+    case Opcode::kSbi: data_write(a + uimm, regs_[instr.rd], 1); flow = Flow::kSync; break;
+    case Opcode::kSh: data_write(a + b, regs_[instr.rd], 2); flow = Flow::kSync; break;
+    case Opcode::kShi: data_write(a + uimm, regs_[instr.rd], 2); flow = Flow::kSync; break;
     case Opcode::kBeq: branch_taken = (a == 0); break;
     case Opcode::kBne: branch_taken = (a != 0); break;
     case Opcode::kBlt: branch_taken = (sa < 0); break;
@@ -232,73 +271,193 @@ bool Core::step() {
     case Opcode::kBgt: branch_taken = (sa > 0); break;
     case Opcode::kBge: branch_taken = (sa >= 0); break;
     case Opcode::kBr:
-      next_pc = pc_ + static_cast<std::uint32_t>(imm);
-      branch_taken = true;
+      next_pc = pc + uimm;
+      flow = Flow::kJump;
       break;
     case Opcode::kBrl:
-      result = pc_ + 4;
+      result = pc + 4;
       write_result = true;
-      next_pc = pc_ + static_cast<std::uint32_t>(imm);
-      branch_taken = true;
+      next_pc = pc + uimm;
+      flow = Flow::kJump;
       break;
     case Opcode::kBrr:
       next_pc = a;
-      branch_taken = true;
+      flow = Flow::kEnd;
       break;
     case Opcode::kRtsd:
-      next_pc = a + static_cast<std::uint32_t>(imm);
-      branch_taken = true;
+      next_pc = a + uimm;
+      flow = Flow::kEnd;
       break;
     case Opcode::kImm:
-      imm_latch_ = static_cast<std::uint32_t>(instr.imm) & 0xFFFFu;
       break;
     case Opcode::kHalt:
       halted_ = true;
+      flow = Flow::kEnd;
       break;
     case Opcode::kOpcodeCount:
       break;
   }
-
-  if (entry->cls == InstrClass::kBranch) {
-    if (branch_taken) {
-      next_pc = pc_ + static_cast<std::uint32_t>(imm);
-      ++stats_.taken_branches;
-    } else {
-      ++stats_.not_taken_branches;
-    }
+  if (branch_taken) {
+    next_pc = pc + uimm;
+    flow = Flow::kBranch;
   }
-
   if (write_result) set_reg(instr.rd, result);
+  return flow;
+}
+
+void Core::loop_branch(std::uint32_t pc, std::uint32_t target) {
+  if (profiler_) profiler_->on_loop_branch(pc, target);
+  if (branch_hook_) branch_hook_(pc, target, true);
+}
+
+bool Core::step() {
+  if (halted_) return false;
+  // Only fetch() changes the table, so the entry outlives this step even if
+  // a store below bumps the instruction Memory's generation.
+  const Decoded* entry = fetch();
+  if (!entry) return false;
+  const Instr& instr = entry->instr;
+
+  // Effective immediate: combine with the IMM prefix latch if armed.
+  std::int32_t imm = instr.imm;
+  if (imm_valid_ && instr.op != Opcode::kImm) imm = combine_imm(imm_latch_, imm);
+  std::uint32_t next_pc = pc_ + 4;
+  const Flow flow = execute(instr, imm, pc_, next_pc);
 
   // IMM latch arms for exactly the next instruction.
+  if (instr.op == Opcode::kImm) imm_latch_ = static_cast<std::uint32_t>(instr.imm) & 0xFFFFu;
   imm_valid_ = (instr.op == Opcode::kImm);
 
-  stats_.cycles += entry->cycles[branch_taken];
+  const bool branch_taken = flow == Flow::kBranch;
+  if (entry->cls == InstrClass::kBranch) {
+    ++(branch_taken ? stats_.taken_branches : stats_.not_taken_branches);
+  }
+  stats_.cycles += entry->cycles[branch_taken];  // a jump's two latencies are equal
   ++stats_.instructions;
   ++stats_.per_class[static_cast<std::size_t>(entry->cls)];
 
-  if (entry->branch_event && branch_hook_) {
-    branch_hook_(pc_, branch_taken ? next_pc : pc_ + 4, branch_taken);
-  }
+  if ((branch_taken || flow == Flow::kJump) && next_pc < pc_) loop_branch(pc_, next_pc);
 
   pc_ = next_pc;
   return !halted_;
 }
 
-// Flattened so that step() and its callees are inlined into the loop; on
-// perfbench's sw_profile this measured about 8 % more simulated MIPS (see
-// src/sim/README.md). Every exit, a throw included, settles the data
-// Memory's deferred work, so whoever reads the data image next sees it all.
-[[gnu::flatten]] StopReason Core::run(std::uint64_t max_instructions) {
-  const std::uint64_t limit = stats_.instructions + max_instructions;
+// Runs the superblock entered at `index` (formed, not prefixed, no IMM
+// latch armed, and no longer than the budget left) until a taken branch, a
+// jump, halt, its last entry, or a store or OPB access after which the
+// instruction Memory changed. Nothing here grows the table.
+Core::SuperblockExit Core::run_superblock(std::size_t index) {
+  Decoded* const start = &decoded_[index];
+  Decoded* const last = start + (start->run - 1);
+  const std::uint64_t generation = decoded_generation_;
+  Decoded* e = start;
+  std::uint32_t pc = static_cast<std::uint32_t>(index << 2);
+  ++start->enters;
   try {
-    while (!halted_ && stats_.instructions < limit) {
-      if (!step()) break;
+    for (;; ++e, pc += 4) {
+      std::uint32_t next_pc = pc + 4;
+      const Flow flow = execute(e->instr, e->imm, pc, next_pc);
+      const auto retired = static_cast<std::uint32_t>(e - start + 1);
+      switch (flow) {
+        case Flow::kNext:
+          break;
+        case Flow::kSync:
+          if (instr_mem_.generation() != generation) {
+            ++e->exits;
+            pc_ = next_pc;
+            return {retired};
+          }
+          break;
+        case Flow::kBranch:
+          ++e->taken;
+          [[fallthrough]];
+        case Flow::kJump:
+          pc_ = next_pc;
+          return {retired, next_pc < pc, pc};
+        case Flow::kEnd:
+          pc_ = next_pc;
+          return {retired};
+      }
+      if (e == last) {
+        // The next word cannot be cached: step() takes it from here.
+        if (e->instr.op == Opcode::kImm) {
+          imm_valid_ = true;
+          imm_latch_ = static_cast<std::uint32_t>(e->instr.imm) & 0xFFFFu;
+        }
+        pc_ = next_pc;
+        return {retired};
+      }
     }
   } catch (...) {
+    // The instruction at e threw and did not retire; those before it did.
+    if (e == start) {
+      --start->enters;
+    } else {
+      ++(e - 1)->exits;
+    }
+    pc_ = pc;
+    if (e->prefixed) {
+      imm_valid_ = true;
+      imm_latch_ = static_cast<std::uint32_t>((e - 1)->instr.imm) & 0xFFFFu;
+    }
+    throw;
+  }
+}
+
+void Core::fold_superblocks() {
+  // Superblocks are contiguous, so the ones that reach an entry are those
+  // entered at or before it, less those that left before it.
+  std::uint64_t live = 0;
+  for (Decoded& d : decoded_) {
+    live += d.enters;
+    if (live != 0) {
+      stats_.instructions += live;
+      stats_.per_class[static_cast<std::size_t>(d.cls)] += live;
+      stats_.cycles += live * d.cycles[0];
+      if (d.cls == InstrClass::kBranch) {
+        stats_.taken_branches += d.taken;
+        stats_.not_taken_branches += live - d.taken;
+        stats_.cycles += d.taken * static_cast<std::uint64_t>(d.cycles[1] - d.cycles[0]);
+      }
+      live -= d.taken + d.exits;
+    }
+    if (d.run == 1) live = 0;  // every superblock that got here ends here
+    d.enters = d.taken = d.exits = 0;
+  }
+}
+
+// Flattened so that step(), the superblock loop and their callees are
+// inlined into the loop (see src/sim/README.md). Every exit, a throw
+// included, folds the superblock counters into stats_ and settles the data
+// Memory's deferred work, so whoever reads either next sees it all.
+[[gnu::flatten]] StopReason Core::run(std::uint64_t max_instructions) {
+  std::uint64_t left = max_instructions;
+  try {
+    while (!halted_ && left != 0) {
+      check_generation();
+      const std::size_t index = pc_ >> 2;
+      if (!imm_valid_ && (pc_ & 3u) == 0) {
+        std::uint32_t run = index < decoded_.size() ? decoded_[index].run : 0;
+        if (run == 0) run = form_superblock(index);
+        if (run != 0 && run <= left && !decoded_[index].prefixed) {
+          const SuperblockExit exit = run_superblock(index);
+          left -= exit.retired;
+          if (exit.loop_branch) loop_branch(exit.branch_pc, pc_);
+          continue;
+        }
+      }
+      // An IMM latch armed at entry, an entry right after an IMM word, a
+      // word that cannot be cached, a bad PC or a budget tail shorter than
+      // the superblock: one instruction.
+      if (!step()) break;
+      --left;
+    }
+  } catch (...) {
+    fold_superblocks();
     if (data_mem_.has_deferred_work()) settle_data_mem();
     throw;
   }
+  fold_superblocks();
   if (data_mem_.has_deferred_work()) settle_data_mem();
   if (!error_.empty()) return StopReason::kError;
   if (halted_) return StopReason::kHalted;

@@ -16,9 +16,7 @@ WarpSystem::WarpSystem(isa::Program program, DataInit init_data, WarpSystemConfi
       wcla_(data_mem_, config.cpu.clock_mhz) {
   wcla_.set_packed_options(config.packed);
   core_.add_device(&wcla_);
-  core_.set_branch_hook([this](std::uint32_t pc, std::uint32_t target, bool taken) {
-    profiler_.on_branch(pc, target, taken);
-  });
+  core_.set_profiler(&profiler_);
   core_.load_program(program_);
 }
 
