@@ -3,6 +3,13 @@
 // 1/2/4 words, i.e. 64/128/256 iterations per fabric pass), plus the auto
 // width mode.
 //
+// Host timing on a shared machine drifts by tens of percent between
+// back-to-back runs, so every timed figure is taken in kRounds rounds: in
+// each round the compared runs alternate (the widths and auto; the
+// software and warped runs) kRunsPerRound times, and the round keeps each
+// one's minimum. The bench reports the median of the round minimums and
+// their spread, (max - min) / median.
+//
 // Kernels cover the engine's regimes: brev (pure wires, IO-dominated),
 // matmul (MAC-bound), bitmnp (packed-eligible with real fabric logic),
 // idct (large netlist whose hard-MAC products feed back into the fabric:
@@ -22,9 +29,12 @@
 //
 // Per registered workload it also times whole runs at default_options():
 // the profiled software run of the original binary and the warped run of
-// the patched one (median of 21 alternating runs each, host ms), and their
-// ratio. The warped run is where the WCLA's short invocations share lane
-// blocks, so this is the per-kernel cost the simulator pays for warping.
+// the patched one (host ms, rounds across all workloads), and their ratio,
+// the warped/software ratio ROADMAP item 4 tracks. The warped run is where
+// the WCLA's short invocations share lane blocks, so this is the
+// per-kernel cost the simulator pays for warping. Each row also carries
+// the kernel's port classes: the 64xW bit-matrix transposes one lane block
+// pays, and the state bits it holds.
 //
 // Emits BENCH_packed_eval.json in the working directory so the performance
 // trajectory is tracked in-repo.
@@ -40,6 +50,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,16 +70,63 @@ using hwsim::PackedOptions;
 
 constexpr unsigned kWidths[] = {1, 2, 4};
 
+constexpr int kRounds = 7;
+constexpr int kRunsPerRound = 15;
+
+/// The median of kRounds round minimums and their spread.
+struct Timing {
+  double median = 0.0;
+  double spread_pct = 0.0;  // (max - min) / median
+};
+
+Timing summarize(std::vector<double> minimums) {
+  std::sort(minimums.begin(), minimums.end());
+  Timing t;
+  t.median = minimums[minimums.size() / 2];
+  t.spread_pct = 100.0 * (minimums.back() - minimums.front()) / t.median;
+  return t;
+}
+
+/// Round minimums (host ms) of `arms` compared runs: in each of kRounds
+/// rounds, `run_ms(a)` runs every arm in turn, kRunsPerRound times, and the
+/// round keeps each arm's minimum.
+template <typename Fn>
+std::vector<std::vector<double>> round_minimums(std::size_t arms, Fn&& run_ms) {
+  std::vector<std::vector<double>> minimums(arms);
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<double> best(arms, 1e300);
+    for (int i = 0; i < kRunsPerRound; ++i) {
+      for (std::size_t a = 0; a < arms; ++a) best[a] = std::min(best[a], run_ms(a));
+    }
+    for (std::size_t a = 0; a < arms; ++a) minimums[a].push_back(best[a]);
+  }
+  return minimums;
+}
+
+/// summarize() of the rates `iterations` per round minimum (ms) reaches.
+Timing summarize_rate(std::vector<double> minimum_ms, double iterations) {
+  for (double& v : minimum_ms) v = 1e3 * iterations / v;
+  return summarize(std::move(minimum_ms));
+}
+
+template <typename Fn>
+double time_ms(Fn&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 struct WidthResult {
   unsigned width = 0;
-  double iters_per_sec = 0.0;
+  Timing iters_per_sec;
   bool full_blocks = false;  // ran full lane blocks, not 1-lane blocks
   bool bit_exact = false;
 };
 
 struct FabricPassResult {
   unsigned width = 0;
-  double iters_per_sec = 0.0;
+  Timing iters_per_sec;
   double speedup_vs_w1 = 0.0;
 };
 
@@ -80,7 +138,7 @@ struct KernelResult {
   std::size_t fabric_nodes = 0;  // standalone plan timed by the fabric-pass sweep
   bool packed_supported = false;
   unsigned width_auto_choice = 0;  // 0: auto ran 1-lane blocks
-  double auto_iters_per_sec = 0.0;
+  Timing auto_iters_per_sec;
   bool auto_bit_exact = false;
   std::vector<WidthResult> widths;       // executor sweep (packed kernels)
   std::vector<FabricPassResult> fabric;  // bare netlist pass (nodes > 0)
@@ -89,13 +147,12 @@ struct KernelResult {
 /// Host cost of simulating one workload's software and warped runs.
 struct RunCost {
   std::string name;
-  double software_ms = 0.0;  // median profiled software run, original binary
-  double warped_ms = 0.0;    // median warped run, patched binary
+  Timing software_ms;  // profiled software run, original binary
+  Timing warped_ms;    // warped run, patched binary
   std::uint64_t invocations = 0;
   std::uint64_t packed_blocks = 0;
+  hwsim::PortClasses port_classes;
 };
-
-constexpr int kCostRuns = 21;
 
 /// The full warp flow for one workload (experiments::flow_workload), with
 /// bench-style fail-fast error handling.
@@ -120,49 +177,55 @@ hwsim::KernelRunResult run_once(KernelExecutor& exec, sim::Memory& mem,
   return std::move(result).value();
 }
 
-double time_engine(KernelExecutor& exec, sim::Memory& mem, const KernelInvocation& inv,
-                   double min_seconds) {
-  (void)run_once(exec, mem, inv);  // warm-up
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t runs = 0;
-  double elapsed = 0.0;
-  do {
-    (void)run_once(exec, mem, inv);
-    ++runs;
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  } while (elapsed < min_seconds);
-  return static_cast<double>(inv.trip) * static_cast<double>(runs) / elapsed;
+/// Iterations/sec of `inv` at each of `widths` (0: auto), alternated in
+/// every round.
+std::vector<Timing> time_widths(KernelExecutor& exec, sim::Memory& mem,
+                                const KernelInvocation& inv,
+                                const std::vector<unsigned>& widths) {
+  auto minimums = round_minimums(widths.size(), [&](std::size_t w) {
+    exec.set_packed_options(PackedOptions{widths[w]});
+    return time_ms([&] { (void)run_once(exec, mem, inv); });
+  });
+  std::vector<Timing> out;
+  for (auto& ms : minimums) out.push_back(summarize_rate(std::move(ms), inv.trip));
+  return out;
 }
 
-/// Time the bare fabric pass (no executor IO) on the mapped netlist.
+/// Iterations per timed batch of bare fabric passes.
+constexpr unsigned kFabricBatchLanes = 1u << 14;
+
+/// Time the bare fabric pass (no executor IO) on the mapped netlist: in
+/// every round, batches of kFabricBatchLanes iterations alternate over the
+/// widths.
 std::vector<FabricPassResult> time_fabric_pass(const techmap::LutNetlist& netlist,
-                                               double min_seconds, std::size_t* nodes_out) {
+                                               std::size_t* nodes_out) {
   std::vector<FabricPassResult> results;
   hwsim::PackedEvaluator evaluator(netlist);
   *nodes_out = evaluator.node_count();
   if (evaluator.node_count() == 0) return results;
   common::Rng rng(0x9E3779B9u);
-  for (const unsigned width : kWidths) {
-    evaluator.set_width(width);
-    for (std::size_t i = 0; i < evaluator.num_inputs(); ++i) {
-      for (unsigned w = 0; w < width; ++w) evaluator.set_input(i, w, rng.next_u64());
+  auto minimums = round_minimums(std::size(kWidths), [&](std::size_t w) {
+    evaluator.set_width(kWidths[w]);  // inputs must be set again after
+    for (std::size_t in = 0; in < evaluator.num_inputs(); ++in) {
+      for (unsigned word = 0; word < kWidths[w]; ++word) {
+        evaluator.set_input(in, word, rng.next_u64());
+      }
     }
-    evaluator.run();  // warm-up
-    const auto start = std::chrono::steady_clock::now();
-    std::uint64_t passes = 0;
-    double elapsed = 0.0;
-    do {
-      evaluator.run();
-      ++passes;
-      elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    } while (elapsed < min_seconds);
+    return time_ms([&] {
+      for (unsigned lanes = 0; lanes < kFabricBatchLanes; lanes += evaluator.lanes()) {
+        evaluator.run();
+      }
+    });
+  });
+  for (std::size_t w = 0; w < std::size(kWidths); ++w) {
     FabricPassResult r;
-    r.width = width;
-    r.iters_per_sec = static_cast<double>(passes) * evaluator.lanes() / elapsed;
+    r.width = kWidths[w];
+    r.iters_per_sec = summarize_rate(std::move(minimums[w]), kFabricBatchLanes);
     results.push_back(r);
   }
-  for (auto& r : results) r.speedup_vs_w1 = r.iters_per_sec / results.front().iters_per_sec;
+  for (auto& r : results) {
+    r.speedup_vs_w1 = r.iters_per_sec.median / results.front().iters_per_sec.median;
+  }
   return results;
 }
 
@@ -185,6 +248,9 @@ KernelResult bench_kernel(const std::string& name) {
   const auto reference_acc = hwsim::reference_run(exec->kernel().ir, mem, inv);
   const std::uint64_t reference_sum = mem.checksum_words();
 
+  // Each pinned width, then auto mode (the default configuration every
+  // harness run uses), checked against the reference before any timing.
+  std::vector<unsigned> timed;
   if (out.packed_supported) {
     for (const unsigned width : kWidths) {
       WidthResult r;
@@ -194,75 +260,94 @@ KernelResult bench_kernel(const std::string& name) {
       const auto run = run_once(*exec, mem, inv);
       r.full_blocks = run.scalar_reason == hwsim::ScalarReason::kNone;
       r.bit_exact = mem.checksum_words() == reference_sum && run.acc_final == reference_acc;
-      r.iters_per_sec = time_engine(*exec, mem, inv, 0.4);
       out.widths.push_back(r);
+      timed.push_back(width);
     }
   }
-
-  // Auto mode (the default configuration every harness run uses).
   exec->set_packed_options(PackedOptions{});
   mem.load_words(0, snapshot);
   const auto auto_run = run_once(*exec, mem, inv);
   out.width_auto_choice =
       auto_run.scalar_reason == hwsim::ScalarReason::kNone ? auto_run.packed_width : 0;
   out.auto_bit_exact = mem.checksum_words() == reference_sum && auto_run.acc_final == reference_acc;
-  out.auto_iters_per_sec = time_engine(*exec, mem, inv, 0.4);
+  timed.push_back(0);
 
-  out.fabric = time_fabric_pass(exec->config().netlist, 0.4, &out.fabric_nodes);
+  const std::vector<Timing> rates = time_widths(*exec, mem, inv, timed);
+  for (std::size_t w = 0; w < out.widths.size(); ++w) out.widths[w].iters_per_sec = rates[w];
+  out.auto_iters_per_sec = rates.back();
+  exec->set_packed_options(PackedOptions{});
+
+  out.fabric = time_fabric_pass(exec->config().netlist, &out.fabric_nodes);
   return out;
 }
 
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
+/// One workload's two systems at default_options(): the original binary,
+/// and the binary the DPM patched.
+struct RunPair {
+  std::unique_ptr<warpsys::WarpSystem> software;
+  std::unique_ptr<warpsys::WarpSystem> warped;
+};
 
-template <typename Fn>
-double time_ms(Fn&& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Software and warped runs of `workload` at default_options(), alternated
-/// kCostRuns times on two systems (the warped one patched by the DPM).
-RunCost time_runs(const workloads::Workload& workload) {
+/// Software and warped runs of every registered workload, all alternating
+/// in every round, so a slow spell of the host hits one round of each, not
+/// every round of one.
+std::vector<RunCost> time_runs() {
   const experiments::HarnessOptions options = experiments::default_options();
-  auto program = isa::assemble(workload.source, options.cpu);
-  if (!program) {
-    std::fprintf(stderr, "%s: assemble: %s\n", workload.name.c_str(),
-                 program.message().c_str());
-    std::exit(1);
+  std::vector<RunPair> pairs;
+  std::vector<RunCost> costs;
+  for (const auto& workload : workloads::extended_workloads()) {
+    auto program = isa::assemble(workload.source, options.cpu);
+    if (!program) {
+      std::fprintf(stderr, "%s: assemble: %s\n", workload.name.c_str(),
+                   program.message().c_str());
+      std::exit(1);
+    }
+    RunPair pair;
+    pair.software =
+        std::make_unique<warpsys::WarpSystem>(program.value(), workload.init, options.system);
+    pair.warped =
+        std::make_unique<warpsys::WarpSystem>(program.value(), workload.init, options.system);
+    if (!pair.warped->run_software() || !pair.warped->warp().success) {
+      std::fprintf(stderr, "%s: did not warp\n", workload.name.c_str());
+      std::exit(1);
+    }
+    // Warm-up: the first touch of each system's memory and scratch.
+    (void)pair.software->run_software();
+    (void)pair.warped->run_warped();
+    RunCost cost;
+    cost.name = workload.name;
+    cost.port_classes = pair.warped->wcla().executor()->port_classes();
+    costs.push_back(cost);
+    pairs.push_back(std::move(pair));
   }
-  warpsys::WarpSystem software(program.value(), workload.init, options.system);
-  warpsys::WarpSystem warped(program.value(), workload.init, options.system);
-  if (!warped.run_software() || !warped.warp().success) {
-    std::fprintf(stderr, "%s: did not warp\n", workload.name.c_str());
-    std::exit(1);
-  }
-  RunCost cost;
-  cost.name = workload.name;
-  std::vector<double> software_ms, warped_ms;
-  for (int i = 0; i < kCostRuns; ++i) {
+  // Arm 2k is workload k's software run, arm 2k + 1 its warped run.
+  auto minimums = round_minimums(2 * pairs.size(), [&](std::size_t arm) {
+    RunPair& pair = pairs[arm / 2];
+    RunCost& cost = costs[arm / 2];
     bool ok = true;
-    software_ms.push_back(time_ms([&] { ok = software.run_software().is_ok() && ok; }));
-    warped_ms.push_back(time_ms([&] {
-      auto run = warped.run_warped();
-      ok = run.is_ok() && ok;
+    const double ms = time_ms([&] {
+      if (arm % 2 == 0) {
+        ok = pair.software->run_software().is_ok();
+        return;
+      }
+      auto run = pair.warped->run_warped();
+      ok = run.is_ok();
       if (run) {
         cost.invocations = run.value().wcla.invocations;
         cost.packed_blocks = run.value().wcla.packed_blocks;
       }
-    }));
+    });
     if (!ok) {
-      std::fprintf(stderr, "%s: run failed\n", workload.name.c_str());
+      std::fprintf(stderr, "%s: run failed\n", cost.name.c_str());
       std::exit(1);
     }
+    return ms;
+  });
+  for (std::size_t k = 0; k < costs.size(); ++k) {
+    costs[k].software_ms = summarize(std::move(minimums[2 * k]));
+    costs[k].warped_ms = summarize(std::move(minimums[2 * k + 1]));
   }
-  cost.software_ms = median(software_ms);
-  cost.warped_ms = median(warped_ms);
-  return cost;
+  return costs;
 }
 
 bool kernel_ok(const KernelResult& r) {
@@ -289,39 +374,47 @@ void write_json(const std::vector<KernelResult>& results, const std::vector<RunC
                  "    {\"name\": \"%s\", \"trip\": %llu, \"luts\": %zu, "
                  "\"packed_nodes\": %zu, \"fabric_nodes\": %zu, \"packed_supported\": %s,\n"
                  "     \"width_auto_choice\": %u, \"auto_iters_per_sec\": %.4e, "
-                 "\"auto_bit_exact\": %s,\n"
+                 "\"auto_spread_pct\": %.1f, \"auto_bit_exact\": %s,\n"
                  "     \"executor_widths\": [",
                  r.name.c_str(), static_cast<unsigned long long>(r.trip), r.luts,
                  r.packed_nodes, r.fabric_nodes, r.packed_supported ? "true" : "false",
-                 r.width_auto_choice, r.auto_iters_per_sec, r.auto_bit_exact ? "true" : "false");
+                 r.width_auto_choice, r.auto_iters_per_sec.median,
+                 r.auto_iters_per_sec.spread_pct, r.auto_bit_exact ? "true" : "false");
     for (std::size_t w = 0; w < r.widths.size(); ++w) {
       const auto& wr = r.widths[w];
       std::fprintf(json,
                    "%s\n       {\"width\": %u, \"lanes\": %u, \"iters_per_sec\": %.4e, "
-                   "\"bit_exact\": %s}",
+                   "\"spread_pct\": %.1f, \"bit_exact\": %s}",
                    w ? "," : "", wr.width, wr.width * hwsim::kPackedWordBits,
-                   wr.iters_per_sec, wr.bit_exact ? "true" : "false");
+                   wr.iters_per_sec.median, wr.iters_per_sec.spread_pct,
+                   wr.bit_exact ? "true" : "false");
     }
     std::fprintf(json, "],\n     \"fabric_pass\": [");
     for (std::size_t w = 0; w < r.fabric.size(); ++w) {
       const auto& fr = r.fabric[w];
       std::fprintf(json,
                    "%s\n       {\"width\": %u, \"lanes\": %u, \"iters_per_sec\": %.4e, "
-                   "\"speedup_vs_w1\": %.3f}",
+                   "\"spread_pct\": %.1f, \"speedup_vs_w1\": %.3f}",
                    w ? "," : "", fr.width, fr.width * hwsim::kPackedWordBits,
-                   fr.iters_per_sec, fr.speedup_vs_w1);
+                   fr.iters_per_sec.median, fr.iters_per_sec.spread_pct, fr.speedup_vs_w1);
     }
     std::fprintf(json, "]}%s\n", i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(json, "  ],\n  \"runs\": [\n");
+  std::fprintf(json, "  ],\n  \"rounds\": %d,\n  \"runs_per_round\": %d,\n  \"runs\": [\n",
+               kRounds, kRunsPerRound);
   for (std::size_t i = 0; i < costs.size(); ++i) {
     const auto& c = costs[i];
     std::fprintf(json,
-                 "    {\"name\": \"%s\", \"software_ms\": %.4f, \"warped_ms\": %.4f, "
-                 "\"ratio\": %.3f, \"invocations\": %llu, \"packed_blocks\": %llu}%s\n",
-                 c.name.c_str(), c.software_ms, c.warped_ms, c.warped_ms / c.software_ms,
+                 "    {\"name\": \"%s\", \"software_ms\": %.4f, \"software_spread_pct\": %.1f, "
+                 "\"warped_ms\": %.4f, \"warped_spread_pct\": %.1f, \"ratio\": %.3f,\n"
+                 "     \"invocations\": %llu, \"packed_blocks\": %llu, "
+                 "\"transposes_per_block\": %u, \"held_state_bits\": %u}%s\n",
+                 c.name.c_str(), c.software_ms.median, c.software_ms.spread_pct,
+                 c.warped_ms.median, c.warped_ms.spread_pct,
+                 c.warped_ms.median / c.software_ms.median,
                  static_cast<unsigned long long>(c.invocations),
                  static_cast<unsigned long long>(c.packed_blocks),
+                 c.port_classes.transposes_per_block(), c.port_classes.held_state_bits,
                  i + 1 < costs.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
@@ -440,43 +533,48 @@ int main(int argc, char** argv) {
   };
   std::vector<KernelResult> results;
   for (const char* name : kernels) results.push_back(bench_kernel(name));
-  std::vector<RunCost> costs;
-  for (const auto& workload : workloads::extended_workloads()) {
-    costs.push_back(time_runs(workload));
-  }
+  const std::vector<RunCost> costs = time_runs();
 
-  std::printf("packed-eval microbenchmark (lane-block widths 1/2/4 = 64/128/256 iters/pass)\n");
-  std::printf("%-8s %8s %6s %6s | %-34s | %6s %12s\n", "kernel", "trip", "luts", "nodes",
+  std::printf("packed-eval microbenchmark (lane-block widths 1/2/4 = 64/128/256 iters/pass; "
+              "median of %d round minimums, spread in %%)\n",
+              kRounds);
+  std::printf("%-8s %8s %6s %6s | %-46s | %6s %18s\n", "kernel", "trip", "luts", "nodes",
               "executor it/s (W1 / W2 / W4)", "auto_w", "auto it/s");
   bool all_ok = true;
   for (const auto& r : results) {
-    char widths[64] = "1-lane blocks";
+    char widths[96] = "1-lane blocks";
     if (!r.widths.empty()) {
-      std::snprintf(widths, sizeof(widths), "%.2e / %.2e / %.2e",
-                    r.widths[0].iters_per_sec, r.widths[1].iters_per_sec,
-                    r.widths[2].iters_per_sec);
+      std::snprintf(widths, sizeof(widths), "%.2e %2.0f / %.2e %2.0f / %.2e %2.0f",
+                    r.widths[0].iters_per_sec.median, r.widths[0].iters_per_sec.spread_pct,
+                    r.widths[1].iters_per_sec.median, r.widths[1].iters_per_sec.spread_pct,
+                    r.widths[2].iters_per_sec.median, r.widths[2].iters_per_sec.spread_pct);
     }
-    std::printf("%-8s %8llu %6zu %6zu | %-34s | %6u %12.3e\n", r.name.c_str(),
+    std::printf("%-8s %8llu %6zu %6zu | %-46s | %6u %12.3e %4.0f\n", r.name.c_str(),
                 static_cast<unsigned long long>(r.trip), r.luts, r.packed_nodes, widths,
-                r.width_auto_choice, r.auto_iters_per_sec);
+                r.width_auto_choice, r.auto_iters_per_sec.median,
+                r.auto_iters_per_sec.spread_pct);
     if (!r.fabric.empty()) {
       std::printf("  fabric pass: W1 %.3e  W2 %.3e (%.2fx)  W4 %.3e (%.2fx) it/s\n",
-                  r.fabric[0].iters_per_sec, r.fabric[1].iters_per_sec,
-                  r.fabric[1].speedup_vs_w1, r.fabric[2].iters_per_sec,
+                  r.fabric[0].iters_per_sec.median, r.fabric[1].iters_per_sec.median,
+                  r.fabric[1].speedup_vs_w1, r.fabric[2].iters_per_sec.median,
                   r.fabric[2].speedup_vs_w1);
     }
     all_ok = all_ok && kernel_ok(r);
   }
 
-  std::printf("\nwhole runs at default_options (median of %d alternating runs, host ms)\n",
-              kCostRuns);
-  std::printf("%-8s %12s %12s %7s %12s %14s\n", "kernel", "software ms", "warped ms", "ratio",
-              "invocations", "packed blocks");
+  std::printf("\nwhole runs at default_options (host ms: median of %d round minimums of %d "
+              "alternating runs, spread in %%)\n",
+              kRounds, kRunsPerRound);
+  std::printf("%-8s %16s %16s %7s %12s %14s %11s %5s\n", "kernel", "software ms", "warped ms",
+              "ratio", "invocations", "packed blocks", "transposes", "held");
   for (const auto& c : costs) {
-    std::printf("%-8s %12.3f %12.3f %7.2f %12llu %14llu\n", c.name.c_str(), c.software_ms,
-                c.warped_ms, c.warped_ms / c.software_ms,
+    std::printf("%-8s %10.3f %4.0f%% %10.3f %4.0f%% %7.2f %12llu %14llu %11u %5u\n",
+                c.name.c_str(), c.software_ms.median, c.software_ms.spread_pct,
+                c.warped_ms.median, c.warped_ms.spread_pct,
+                c.warped_ms.median / c.software_ms.median,
                 static_cast<unsigned long long>(c.invocations),
-                static_cast<unsigned long long>(c.packed_blocks));
+                static_cast<unsigned long long>(c.packed_blocks),
+                c.port_classes.transposes_per_block(), c.port_classes.held_state_bits);
   }
 
   write_json(results, costs);

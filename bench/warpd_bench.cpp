@@ -9,10 +9,13 @@
 // change a simulated number. Emits BENCH_warpd.json (schema in
 // docs/benchmarks.md) with admission->completion latency percentiles
 // (nearest-rank p50/p95/p99), the DPM thread's occupancy and cache hit
-// counters. Gated: bit-identity everywhere.
+// counters. The serial reference runs without a cache or a DPM thread, so
+// its row counts only its DPM jobs. Gated: bit-identity everywhere, and
+// every row's counters must agree with its own session count.
 //
 // --check: fast CI gate — a 64-session stream at worker counts {1, 2, 4}
-// against the serial reference; with --fault-seed S it adds a 10-seed
+// against the serial reference, counters checked the same way; with
+// --fault-seed S it adds a 10-seed
 // transient fault-injection sweep (one injector wired through the engine's
 // stage sites and the serve.accept/read/write socket sites) requiring
 // bit-identical tables under every schedule. Writes no JSON.
@@ -73,14 +76,17 @@ struct RunResult {
   double p95_ms = 0.0;
   double p99_ms = 0.0;
   bool identical = true;  // vs. the serial reference (true for the reference)
+  std::uint64_t dpm_jobs = 0;  // DPM services run (inline, in the serial reference)
+  // Engine runs only (the serial reference has no cache and no DPM thread):
   std::uint64_t unique_kernels = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t dpm_jobs = 0;  // DPM services run by the DPM thread
-  double dpm_busy_ms = 0.0;    // host wall clock spent in them
+  double dpm_busy_ms = 0.0;  // host wall clock the DPM thread spent in its jobs
+  std::size_t latencies = 0;  // sessions with a latency sample
 };
 
 void fill_percentiles(RunResult& run, const std::vector<double>& latencies) {
+  run.latencies = latencies.size();
   run.p50_ms = percentile(latencies, 50.0);
   run.p95_ms = percentile(latencies, 95.0);
   run.p99_ms = percentile(latencies, 99.0);
@@ -112,6 +118,7 @@ RunResult serial_reference(const std::vector<Request>& requests) {
     }
     run.entries.push_back(out.entry);
     latencies.push_back(out.latency_ms);
+    if (out.dpm_job) ++run.dpm_jobs;
   }
   fill_percentiles(run, latencies);
   return run;
@@ -208,13 +215,40 @@ bool check_identical(const RunResult& reference, RunResult& run) {
   return run.identical;
 }
 
+/// A row's counters must agree with its session count (every session
+/// answered ok, or the run exited): one latency per session, at least one
+/// and at most one DPM job per session and, for an engine run, at least one
+/// kernel, no more kernels than DPM jobs and a cache lookup per DPM job.
+bool counters_consistent(const RunResult& run) {
+  const std::size_t ok = run.entries.size();
+  std::string why;
+  if (run.latencies != ok) {
+    why = common::format("%zu latencies", run.latencies);
+  } else if (run.dpm_jobs == 0 || run.dpm_jobs > ok) {
+    why = common::format("%llu DPM jobs", static_cast<unsigned long long>(run.dpm_jobs));
+  } else if (run.workers != 0 &&
+             (run.unique_kernels == 0 || run.unique_kernels > run.dpm_jobs)) {
+    why = common::format("%llu unique kernels for %llu DPM jobs",
+                         static_cast<unsigned long long>(run.unique_kernels),
+                         static_cast<unsigned long long>(run.dpm_jobs));
+  } else if (run.workers != 0 && run.cache_hits + run.cache_misses < run.dpm_jobs) {
+    why = common::format("%llu cache lookups for %llu DPM jobs",
+                         static_cast<unsigned long long>(run.cache_hits + run.cache_misses),
+                         static_cast<unsigned long long>(run.dpm_jobs));
+  }
+  if (why.empty()) return true;
+  std::printf("  FAIL %s: counters contradict its %zu ok sessions: %s\n", run.label.c_str(), ok,
+              why.c_str());
+  return false;
+}
+
 // --- --check: the CI smoke gate -------------------------------------------
 
 int run_check(std::size_t sessions, std::uint64_t fault_seed, bool have_fault_seed) {
   const auto requests = make_requests(sessions);
   std::printf("warpd --check: %zu sessions over the socket protocol\n", sessions);
   const auto reference = serial_reference(requests);
-  bool ok = true;
+  bool ok = counters_consistent(reference);
 
   for (const unsigned workers : {1u, 2u, 4u}) {
     serve::WarpdOptions engine;
@@ -224,11 +258,9 @@ int run_check(std::size_t sessions, std::uint64_t fault_seed, bool have_fault_se
     engine.cache = &cache;
     auto run = socket_run(common::format("socket_workers_%u", workers), requests, engine,
                           nullptr);
+    add_cache_counters(run, cache);
     ok = check_identical(reference, run) && ok;
-    if (run.unique_kernels == 0) {
-      std::printf("  FAIL: engine saw no kernels\n");
-      ok = false;
-    }
+    ok = counters_consistent(run) && ok;
   }
 
   if (have_fault_seed) {
@@ -306,16 +338,18 @@ void emit_json(const std::vector<RunResult>& runs, std::size_t sessions) {
     std::fprintf(json,
                  "    {\"label\": \"%s\", \"workers\": %u, \"wall_ms\": %.2f, "
                  "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
-                 "\"bit_identical\": %s, \"unique_kernels\": %llu, "
-                 "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-                 "\"dpm_jobs\": %llu, \"dpm_busy_ms\": %.2f}%s\n",
+                 "\"bit_identical\": %s, \"dpm_jobs\": %llu",
                  r.label.c_str(), r.workers, r.wall_ms, r.p50_ms, r.p95_ms, r.p99_ms,
-                 r.identical ? "true" : "false",
-                 static_cast<unsigned long long>(r.unique_kernels),
-                 static_cast<unsigned long long>(r.cache_hits),
-                 static_cast<unsigned long long>(r.cache_misses),
-                 static_cast<unsigned long long>(r.dpm_jobs), r.dpm_busy_ms,
-                 i + 1 < runs.size() ? "," : "");
+                 r.identical ? "true" : "false", static_cast<unsigned long long>(r.dpm_jobs));
+    if (r.workers != 0) {  // the serial reference has no cache and no DPM thread
+      std::fprintf(json,
+                   ", \"unique_kernels\": %llu, \"cache_hits\": %llu, "
+                   "\"cache_misses\": %llu, \"dpm_busy_ms\": %.2f",
+                   static_cast<unsigned long long>(r.unique_kernels),
+                   static_cast<unsigned long long>(r.cache_hits),
+                   static_cast<unsigned long long>(r.cache_misses), r.dpm_busy_ms);
+    }
+    std::fprintf(json, "}%s\n", i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
@@ -376,7 +410,7 @@ int main(int argc, char** argv) {
               reference.label.c_str(), reference.wall_ms, reference.p50_ms,
               reference.p95_ms, reference.p99_ms);
 
-  bool ok = true;
+  bool ok = counters_consistent(reference);
   for (const unsigned workers : {1u, 2u, 4u}) {
     serve::WarpdOptions engine;
     engine.workers = workers;
@@ -387,6 +421,7 @@ int main(int argc, char** argv) {
                           nullptr);
     add_cache_counters(run, cache);
     ok = check_identical(reference, run) && ok;
+    ok = counters_consistent(run) && ok;
     runs.push_back(std::move(run));
   }
 

@@ -455,6 +455,9 @@ RunResult execute_run(const RunConfig& config,
 
   std::vector<std::uint64_t> all_ids(config.sessions);
   for (std::uint64_t id = 0; id < config.sessions; ++id) all_ids[id] = id;
+  // The final incarnation's stats: after its last reply, or just before a
+  // mid-stream drain takes it down.
+  StatsLine stats;
 
   const std::uint64_t jitter_seed = config.fault_seed ? *config.fault_seed : 0xD1CEull;
   if (config.chaos) {
@@ -517,6 +520,7 @@ RunResult execute_run(const RunConfig& config,
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
+      stats = query_stats(socket_path);
       send_drain(socket_path);
     });
     run_incarnation(socket_path, requests, all_ids, config.connections, config.rate_per_s,
@@ -600,16 +604,17 @@ RunResult execute_run(const RunConfig& config,
   result.identical = ok_run;
 
   // Stats from the (final, graceful) incarnation, then shut it down. A
-  // mid-stream drain already took the daemon down — no socket to query.
+  // mid-stream drain already took the daemon down; its stats were taken
+  // just before the drain.
+  if (!config.drain_mid_stream) stats = query_stats(socket_path);
+  result.coalesced = stats.get("coalesced");
+  result.pipeline_runs = stats.get("pipeline_runs");
+  result.max_queue_depth = stats.get("max_queue_depth");
+  result.peak_sessions = stats.get("peak_sessions");
+  for (const auto& [key, count] : stats.values) {
+    if (key.rfind("fault.", 0) == 0) result.injected += count;
+  }
   if (!config.drain_mid_stream) {
-    const StatsLine stats = query_stats(socket_path);
-    result.coalesced = stats.get("coalesced");
-    result.pipeline_runs = stats.get("pipeline_runs");
-    result.max_queue_depth = stats.get("max_queue_depth");
-    result.peak_sessions = stats.get("peak_sessions");
-    for (const auto& [key, count] : stats.values) {
-      if (key.rfind("fault.", 0) == 0) result.injected += count;
-    }
     if (config.use_drain_op) {
       send_drain(socket_path);
     } else {
@@ -668,6 +673,25 @@ RunResult execute_run(const RunConfig& config,
   if (config.max_queued != 0 && result.max_queue_depth > config.max_queued) {
     std::printf("  FAIL %s: max_queue_depth %llu exceeds the cap %zu\n", config.label.c_str(),
                 static_cast<unsigned long long>(result.max_queue_depth), config.max_queued);
+    ok_run = false;
+  }
+  // The counters must agree with the ok replies. Every ok session ran its
+  // own pipeline or followed one; stats that saw the whole stream (one
+  // incarnation, taken after its last reply) account for each exactly, and
+  // a snapshot before a drain or a kill sees a subset. A session that was
+  // admitted at all sets the peaks.
+  const std::uint64_t served = result.pipeline_runs + result.coalesced;
+  const bool whole_stream = !config.drain_mid_stream && !config.chaos;
+  if ((whole_stream ? served != result.ok : served > result.ok) ||
+      (result.ok != 0 && result.peak_sessions == 0) ||
+      result.max_queue_depth > result.peak_sessions) {
+    std::printf("  FAIL %s: counters contradict ok=%llu (pipeline_runs=%llu coalesced=%llu "
+                "peak_sessions=%llu max_queue_depth=%llu)\n",
+                config.label.c_str(), static_cast<unsigned long long>(result.ok),
+                static_cast<unsigned long long>(result.pipeline_runs),
+                static_cast<unsigned long long>(result.coalesced),
+                static_cast<unsigned long long>(result.peak_sessions),
+                static_cast<unsigned long long>(result.max_queue_depth));
     ok_run = false;
   }
 

@@ -1,6 +1,7 @@
 #include "hwsim/executor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/bitutil.hpp"
@@ -131,7 +132,6 @@ void KernelExecutor::bind_ports() {
     tap_base_[s] = total_taps;
     total_taps += ir.streams[s].burst;
   }
-  block_taps_.resize(total_taps);
 
   // Structured port descriptors carried on the mapped netlist (computed by
   // techmap); derive them locally for netlists built by hand.
@@ -201,9 +201,9 @@ void KernelExecutor::bind_ports() {
 
   // Output index tables: one bit-list per consumed word, so reading a word
   // is a gather over its own bits instead of an O(outputs) scan.
-  write_groups_.assign(kernel_.write_outputs.size(), {});
-  mac_a_groups_.assign(kernel_.mac_ops.size(), {});
-  mac_b_groups_.assign(kernel_.mac_ops.size(), {});
+  write_ports_.assign(kernel_.write_outputs.size(), {});
+  mac_a_ports_.assign(kernel_.mac_ops.size(), {});
+  mac_b_ports_.assign(kernel_.mac_ops.size(), {});
   acc_next_groups_.assign(ir.accumulators.size(), {});
   for (std::size_t i = 0; i < netlist.outputs.size(); ++i) {
     const PortSpec& spec = output_ports[i];
@@ -223,20 +223,20 @@ void KernelExecutor::bind_ports() {
           throw common::InternalError("executor: write output without a kernel slot: " +
                                       netlist.outputs[i].name);
         }
-        write_groups_[static_cast<std::size_t>(w)].push_back(ob);
+        write_ports_[static_cast<std::size_t>(w)].bits.push_back(ob);
         break;
       }
       case PortSpec::Kind::kMacA:
-        if (spec.a >= mac_a_groups_.size()) {
+        if (spec.a >= mac_a_ports_.size()) {
           throw common::InternalError("executor: MAC A output out of range");
         }
-        mac_a_groups_[spec.a].push_back(ob);
+        mac_a_ports_[spec.a].bits.push_back(ob);
         break;
       case PortSpec::Kind::kMacB:
-        if (spec.a >= mac_b_groups_.size()) {
+        if (spec.a >= mac_b_ports_.size()) {
           throw common::InternalError("executor: MAC B output out of range");
         }
-        mac_b_groups_[spec.a].push_back(ob);
+        mac_b_ports_[spec.a].bits.push_back(ob);
         break;
       case PortSpec::Kind::kAccNext:
         if (spec.a >= acc_next_groups_.size()) {
@@ -251,7 +251,7 @@ void KernelExecutor::bind_ports() {
   }
 
   for (const auto& out : kernel_.acc_outputs) {
-    if (!out.via_mac) fabric_accs_.push_back(out.acc_index);
+    if (!out.via_mac) fabric_accs_.push_back(FabricAcc{out.acc_index, 0, {}});
   }
 
   iv_step_.resize(ir.iv_regs.size());
@@ -264,9 +264,170 @@ void KernelExecutor::bind_ports() {
   iv_planes_.resize(ir.iv_regs.size());
   write_words_.resize(kernel_.write_outputs.size());
 
+  initiation_interval_ = kernel_.initiation_interval();
+  fixed_cycles_ = std::uint64_t{config_.pipeline_stages()} + kStartupCycles;
+  clock_mhz_ = config_.fabric_clock_mhz();
+
   scalar_reason_ = check_state_cone();
   state_cone_ = !state_inputs_.empty() && scalar_reason_ == ScalarReason::kNone;
   packed_.emplace(netlist, stage_macs());
+  classify_ports();
+}
+
+void KernelExecutor::classify_ports() {
+  const auto& netlist = config_.netlist;
+  const auto& ir = kernel_.ir;
+  port_classes_ = {};
+  const auto source_of = [&](const OutputBit& ob) -> const InputBinding* {
+    const NetRef& src = netlist.outputs[ob.output_index].source;
+    const auto index = static_cast<std::size_t>(src.index);
+    if (src.kind != NetRef::Kind::kPrimaryInput || index >= input_bindings_.size()) {
+      return nullptr;
+    }
+    return &input_bindings_[index];
+  };
+
+  // Held state bits: next-state bit b of a fabric-held accumulator wired
+  // straight to bit b of its own state input. Every other next-state bit
+  // changes, and is read back from the fabric.
+  for (FabricAcc& f : fabric_accs_) {
+    for (const OutputBit& ob : acc_next_groups_[f.index]) {
+      const InputBinding* in = source_of(ob);
+      if (in != nullptr && in->kind == InputBinding::Kind::kAccState && in->a == f.index &&
+          in->bit == ob.bit && ob.bit < 32) {
+        f.held |= 1u << ob.bit;
+      } else {
+        f.changing.push_back(ob);
+      }
+    }
+    port_classes_.held_state_bits += static_cast<unsigned>(std::popcount(f.held));
+  }
+
+  // The consumed words: every write value, the operands of every
+  // accumulating MAC, and those of every MAC whose product the fabric reads.
+  std::vector<WordPort*> words;
+  for (WordPort& port : write_ports_) words.push_back(&port);
+  for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
+    const bool accumulate = kernel_.mac_ops[m].accumulate;
+    if (!accumulate && mac_result_inputs_[m].empty()) continue;  // unread products
+    if (!accumulate) fed_macs_.push_back(m);
+    words.push_back(&mac_a_ports_[m]);
+    words.push_back(&mac_b_ports_[m]);
+  }
+  port_classes_.mac_feeds = static_cast<unsigned>(fed_macs_.size());
+
+  // A word's kind: constant bits, plus at most one source whose bit b
+  // feeds word bit b; any other source makes it a computed word.
+  for (WordPort* port : words) {
+    using Kind = WordPort::Kind;
+    port->kind = Kind::kConstant;
+    for (const OutputBit& ob : port->bits) {
+      const NetRef::Kind src = netlist.outputs[ob.output_index].source.kind;
+      if (ob.bit >= 32) {
+        port->kind = Kind::kComputed;
+        break;
+      }
+      if (src == NetRef::Kind::kConst0) continue;
+      if (src == NetRef::Kind::kConst1) {
+        port->ones |= 1u << ob.bit;
+        continue;
+      }
+      const InputBinding* in = source_of(ob);
+      Kind kind = Kind::kComputed;
+      int source = -1;
+      if (in != nullptr && in->bit == ob.bit) {
+        if (in->kind == InputBinding::Kind::kStream) {
+          kind = Kind::kTap;
+          source = in->tap_index;
+        } else if (in->kind == InputBinding::Kind::kLiveIn) {
+          kind = Kind::kLiveIn;
+          source = in->slot;
+        }
+      }
+      if (kind == Kind::kComputed ||
+          (port->mask != 0 && (kind != port->kind || source != port->source))) {
+        port->kind = Kind::kComputed;
+        break;
+      }
+      port->kind = kind;
+      port->source = source;
+      port->mask |= 1u << ob.bit;
+    }
+    switch (port->kind) {
+      case Kind::kConstant: ++port_classes_.constant_words; break;
+      case Kind::kTap: ++port_classes_.tap_words; break;
+      case Kind::kLiveIn: ++port_classes_.live_in_words; break;
+      case Kind::kComputed: ++port_classes_.computed_words; break;
+    }
+  }
+
+  // The fabric inputs something reads from the planes: LUT fanins, and
+  // the sources of computed words and of changing next-state bits.
+  std::vector<bool> read(input_bindings_.size(), false);
+  const auto mark = [&](const NetRef& ref) {
+    const auto index = static_cast<std::size_t>(ref.index);
+    if (ref.kind == NetRef::Kind::kPrimaryInput && index < read.size()) read[index] = true;
+  };
+  for (const auto& lut : netlist.luts) {
+    for (unsigned k = 0; k < lut.num_inputs; ++k) mark(lut.inputs[k]);
+  }
+  for (const WordPort* port : words) {
+    if (port->kind != WordPort::Kind::kComputed) continue;
+    for (const OutputBit& ob : port->bits) mark(netlist.outputs[ob.output_index].source);
+  }
+  for (const FabricAcc& f : fabric_accs_) {
+    for (const OutputBit& ob : f.changing) mark(netlist.outputs[ob.output_index].source);
+  }
+
+  // Planes: a read tap is transposed in place, or in a row of its own when
+  // tap words read its loaded words too.
+  std::size_t taps = 0;
+  for (const auto& stream : ir.streams) taps += stream.burst;
+  std::vector<bool> tap_word_read(taps, false);
+  for (const WordPort* port : words) {
+    if (port->kind == WordPort::Kind::kTap) {
+      tap_word_read[static_cast<std::size_t>(port->source)] = true;
+    }
+  }
+  tap_plane_.assign(taps, -1);
+  std::size_t rows = taps;
+  std::vector<bool> iv_read(ir.iv_regs.size(), false);
+  for (std::size_t i = 0; i < input_bindings_.size(); ++i) {
+    if (!read[i]) continue;
+    const InputBinding& binding = input_bindings_[i];
+    if (binding.kind == InputBinding::Kind::kStream) {
+      const auto f = static_cast<std::size_t>(binding.tap_index);
+      if (tap_plane_[f] < 0) tap_plane_[f] = static_cast<int>(tap_word_read[f] ? rows++ : f);
+    } else if (binding.kind == InputBinding::Kind::kIv && binding.iv_pos >= 0) {
+      iv_read[static_cast<std::size_t>(binding.iv_pos)] = true;
+    }
+  }
+  block_taps_.resize(rows);
+  for (std::size_t s = 0; s < ir.streams.size(); ++s) {
+    if (ir.streams[s].is_write) continue;
+    for (unsigned t = 0; t < ir.streams[s].burst; ++t) {
+      if (tap_plane_[tap_base_[s] + t] >= 0) ++port_classes_.plane_taps;
+    }
+  }
+  for (std::size_t p = 0; p < iv_read.size(); ++p) {
+    if (iv_read[p]) iv_used_.push_back(static_cast<unsigned>(p));
+  }
+  port_classes_.iv_planes = static_cast<unsigned>(iv_used_.size());
+
+  // Wiring: a state input of a held bit is set once per block (its value
+  // cannot change within one); the cone sets the others lane by lane. A
+  // kernel without a cone sets every state input at block start.
+  for (std::size_t i = 0; i < input_bindings_.size(); ++i) {
+    if (!read[i]) continue;
+    const InputBinding& binding = input_bindings_[i];
+    bool per_lane = false;
+    if (binding.kind == InputBinding::Kind::kAccState && state_cone_) {
+      const auto f = std::find_if(fabric_accs_.begin(), fabric_accs_.end(),
+                                  [&](const FabricAcc& acc) { return acc.index == binding.a; });
+      per_lane = f == fabric_accs_.end() || binding.bit >= 32 || !((f->held >> binding.bit) & 1u);
+    }
+    (per_lane ? lane_state_inputs_ : block_inputs_).push_back(static_cast<std::uint32_t>(i));
+  }
 }
 
 ScalarReason KernelExecutor::check_state_cone() const {
@@ -275,8 +436,8 @@ ScalarReason KernelExecutor::check_state_cone() const {
   // fabric.
   std::vector<bool> is_state(input_bindings_.size(), false);
   for (const std::uint32_t i : state_inputs_) {
-    if (std::find(fabric_accs_.begin(), fabric_accs_.end(), input_bindings_[i].a) ==
-        fabric_accs_.end()) {
+    if (std::none_of(fabric_accs_.begin(), fabric_accs_.end(),
+                     [&](const FabricAcc& f) { return f.index == input_bindings_[i].a; })) {
       return ScalarReason::kMacHeldState;
     }
     is_state[i] = true;
@@ -299,8 +460,8 @@ ScalarReason KernelExecutor::check_state_cone() const {
     }
   }
   for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
-    for (const OutputGroup* group : {&mac_a_groups_[m], &mac_b_groups_[m]}) {
-      for (const OutputBit& ob : *group) {
+    for (const WordPort* port : {&mac_a_ports_[m], &mac_b_ports_[m]}) {
+      for (const OutputBit& ob : port->bits) {
         if (reads_state(config_.netlist.outputs[ob.output_index].source)) {
           return ScalarReason::kMacOperandInCone;
         }
@@ -370,8 +531,8 @@ std::vector<unsigned> KernelExecutor::stage_macs() {
   mac_stage_.assign(kernel_.mac_ops.size(), 0);
   for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
     unsigned stage = 0;
-    for (const OutputGroup* group : {&mac_a_groups_[m], &mac_b_groups_[m]}) {
-      for (const OutputBit& ob : *group) {
+    for (const WordPort* port : {&mac_a_ports_[m], &mac_b_ports_[m]}) {
+      for (const OutputBit& ob : port->bits) {
         stage = std::max(stage, stage_of(netlist.outputs[ob.output_index].source));
       }
     }
@@ -578,56 +739,84 @@ common::Result<KernelRunResult> KernelExecutor::run(sim::Memory& memory,
 
 KernelRunResult KernelExecutor::timing(std::uint64_t trip) const {
   KernelRunResult result;
-  const unsigned ii = kernel_.initiation_interval();
-  result.wcla_cycles =
-      static_cast<std::uint64_t>(ii) * trip + config_.pipeline_stages() + kStartupCycles;
-  result.clock_mhz = config_.fabric_clock_mhz();
+  result.wcla_cycles = std::uint64_t{initiation_interval_} * trip + fixed_cycles_;
+  result.clock_mhz = clock_mhz_;
   result.time_ns = static_cast<double>(result.wcla_cycles) * 1000.0 / result.clock_mhz;
   return result;
 }
 
-void KernelExecutor::unpack_group(const OutputGroup& group, std::uint64_t* words,
-                                  unsigned width) const {
-  const unsigned block_lanes = width * kPackedWordBits;
-  std::fill(words, words + block_lanes, 0);
-  for (const OutputBit& ob : group) {
-    for (unsigned w = 0; w < width; ++w) {
-      words[ob.bit * width + w] = packed_->output(ob.output_index, w);
+void KernelExecutor::form_word(const WordPort& port, const BlockSegment* segments,
+                               std::size_t count, unsigned width, std::uint64_t* words) const {
+  const unsigned lanes = segments[count - 1].lane0 + segments[count - 1].lanes;
+  switch (port.kind) {
+    case WordPort::Kind::kConstant:
+      std::fill(words, words + lanes, port.ones);
+      break;
+    case WordPort::Kind::kTap: {
+      // The loaded words of every segment, at its own lanes.
+      const auto& loaded = block_taps_[static_cast<std::size_t>(port.source)];
+      for (unsigned j = 0; j < lanes; ++j) words[j] = (loaded[j] & port.mask) | port.ones;
+      break;
     }
+    case WordPort::Kind::kLiveIn:
+      for (const BlockSegment* seg = segments; seg != segments + count; ++seg) {
+        const std::uint64_t value =
+            (slot_value(*seg->invocation, port.source) & port.mask) | port.ones;
+        std::fill(words + seg->lane0, words + seg->lane0 + seg->lanes, value);
+      }
+      break;
+    case WordPort::Kind::kComputed:
+      // Gathered out of the packed pass: lane blocks in, one word per
+      // iteration out, in every one of the width*64 rows.
+      std::fill(words, words + width * kPackedWordBits, 0);
+      for (const OutputBit& ob : port.bits) {
+        for (unsigned w = 0; w < width; ++w) {
+          words[ob.bit * width + w] = packed_->output(ob.output_index, w);
+        }
+      }
+      common::transpose64_unblocked(words, width);
+      break;
   }
-  common::transpose64_unblocked(words, width);
 }
 
-void KernelExecutor::feed_mac_result(std::size_t m, unsigned width) {
+void KernelExecutor::feed_mac_result(std::size_t m, const BlockSegment* segments,
+                                     std::size_t count, unsigned width) {
   const unsigned block_lanes = width * kPackedWordBits;
+  const unsigned lanes = segments[count - 1].lane0 + segments[count - 1].lanes;
   std::array<std::uint64_t, kMaxPackedLanes> product;  // A operands, then products
   std::array<std::uint64_t, kMaxPackedLanes> operand_b;
-  unpack_group(mac_a_groups_[m], product.data(), width);
-  unpack_group(mac_b_groups_[m], operand_b.data(), width);
-  for (unsigned j = 0; j < block_lanes; ++j) {
+  form_word(mac_a_ports_[m], segments, count, width, product.data());
+  form_word(mac_b_ports_[m], segments, count, width, operand_b.data());
+  for (unsigned j = 0; j < lanes; ++j) {
     product[j] = static_cast<std::uint32_t>(product[j]) * static_cast<std::uint32_t>(operand_b[j]);
   }
+  std::fill(product.begin() + lanes, product.begin() + block_lanes, 0);
   common::transpose64_blocked(product.data(), width);
   for (const std::uint32_t i : mac_result_inputs_[m]) {
     packed_->set_input_block(i, &product[input_bindings_[i].bit * width]);
   }
 }
 
+std::uint32_t KernelExecutor::next_state(const FabricAcc& f, std::uint32_t state,
+                                         unsigned lane) const {
+  std::uint32_t next = state & f.held;
+  for (const OutputBit& ob : f.changing) {
+    next |= static_cast<std::uint32_t>(packed_->output_lane(ob.output_index, lane)) << ob.bit;
+  }
+  return next;
+}
+
 void KernelExecutor::run_state_cone(unsigned lanes, std::vector<std::uint32_t>& acc) {
+  // Held bits were set once for the block; only the changing bits thread
+  // from lane to lane.
   const unsigned cone = packed_->num_stages() - 1;
   for (unsigned j = 0; j < lanes; ++j) {
-    for (const std::uint32_t i : state_inputs_) {
+    for (const std::uint32_t i : lane_state_inputs_) {
       const InputBinding& binding = input_bindings_[i];
       packed_->set_input_lane(i, j, (acc[binding.a] >> binding.bit) & 1u);
     }
     packed_->run_stage_lane(cone, j);
-    for (const unsigned k : fabric_accs_) {
-      std::uint32_t next = 0;
-      for (const OutputBit& ob : acc_next_groups_[k]) {
-        next |= static_cast<std::uint32_t>(packed_->output_lane(ob.output_index, j)) << ob.bit;
-      }
-      acc[k] = next;
-    }
+    for (const FabricAcc& f : fabric_accs_) acc[f.index] = next_state(f, acc[f.index], j);
   }
 }
 
@@ -640,15 +829,17 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
 
   // 1. Batched DADG reads: the block's valid lanes of every read tap, each
   //    segment's iterations from its own stream base, loaded one word per
-  //    lane (spare lanes of a partial block read 0, never memory) and
-  //    block-transposed in place into lane blocks (the width words at row
-  //    b*width = the lane block of tap bit b). Every lane is read before
-  //    any is written (step 5).
+  //    lane; tap words read these. A tap that a LUT or a computed word
+  //    reads is then block-transposed into lane blocks (the width words at
+  //    row b*width = the lane block of tap bit b), in place or, when tap
+  //    words read it too, in its own row; its spare lanes read 0, never
+  //    memory. Every lane is read before any is written (step 5).
   for (std::size_t s = 0; s < ir.streams.size(); ++s) {
     const auto& stream = ir.streams[s];
     if (stream.is_write) continue;
     for (unsigned t = 0; t < stream.burst; ++t) {
-      auto& words = block_taps_[tap_base_[s] + t];
+      const unsigned f = tap_base_[s] + t;
+      auto& words = block_taps_[f];
       for (const BlockSegment* seg = segments; seg != segments + count; ++seg) {
         const std::uint32_t base = seg->invocation->stream_bases[s];
         std::uint64_t* lane_words = words.data() + seg->lane0;
@@ -656,14 +847,19 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
           lane_words[j] = load(memory, tap_addr(stream, base, seg->iter0 + j, t), stream.elem_bytes);
         }
       }
-      std::fill(words.begin() + lanes, words.begin() + block_lanes, 0);
-      common::transpose64_blocked(words.data(), width);
+      const int plane = tap_plane_[f];
+      if (plane < 0) continue;
+      std::uint64_t* rows = block_taps_[static_cast<std::size_t>(plane)].data();
+      if (static_cast<unsigned>(plane) != f) std::copy(words.begin(), words.begin() + lanes, rows);
+      std::fill(rows + lanes, rows + block_lanes, 0);
+      common::transpose64_blocked(rows, width);
     }
   }
 
-  // Induction-variable lane blocks, one row set per iv reg, each segment
-  // counting from its own latched start plus step * iteration (mod 2^32).
-  for (std::size_t p = 0; p < ir.iv_regs.size(); ++p) {
+  // Induction-variable lane blocks of the IV registers a fabric input
+  // reads, each segment counting from its own latched start plus
+  // step * iteration (mod 2^32).
+  for (const unsigned p : iv_used_) {
     auto& plane = iv_planes_[p];
     const auto step = static_cast<std::uint32_t>(iv_step_[p]);
     for (const BlockSegment* seg = segments; seg != segments + count; ++seg) {
@@ -675,14 +871,15 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
     common::transpose64_blocked(plane.data(), width);
   }
 
-  // 2. Wire the lane blocks to the fabric inputs. MAC results start at 0
-  //    until their products are fed in.
-  for (std::size_t i = 0; i < input_bindings_.size(); ++i) {
+  // 2. Wire the lane blocks to the fabric inputs something reads. MAC
+  //    results start at 0 until their products are fed in.
+  for (const std::uint32_t i : block_inputs_) {
     const InputBinding& binding = input_bindings_[i];
     switch (binding.kind) {
       case InputBinding::Kind::kStream:
         packed_->set_input_block(
-            i, &block_taps_[static_cast<std::size_t>(binding.tap_index)][binding.bit * width]);
+            i, &block_taps_[static_cast<std::size_t>(
+                tap_plane_[static_cast<std::size_t>(binding.tap_index)])][binding.bit * width]);
         break;
       case InputBinding::Kind::kLiveIn: {
         // Each segment's lanes carry its own latched bit.
@@ -706,14 +903,13 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
       case InputBinding::Kind::kMacResult:
         for (unsigned w = 0; w < width; ++w) packed_->set_input(i, w, 0);
         break;
-      case InputBinding::Kind::kAccState:
-        // Set lane by lane in the state cone, or, in the 1-lane blocks of a
-        // kernel without one, from the accumulators at block start.
-        if (!state_cone_) {
-          const std::uint64_t value = ((acc[binding.a] >> binding.bit) & 1u) ? ~0ull : 0;
-          for (unsigned w = 0; w < width; ++w) packed_->set_input(i, w, value);
-        }
+      case InputBinding::Kind::kAccState: {
+        // A held bit of the state cone, or, in the 1-lane blocks of a
+        // kernel without one, any state bit: its value at block start.
+        const std::uint64_t value = ((acc[binding.a] >> binding.bit) & 1u) ? ~0ull : 0;
+        for (unsigned w = 0; w < width; ++w) packed_->set_input(i, w, value);
         break;
+      }
     }
   }
 
@@ -724,23 +920,20 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
   const unsigned packed_stages = packed_->num_stages() - (state_cone_ ? 1 : 0);
   for (unsigned stage = 0; stage < packed_stages; ++stage) {
     packed_->run_stage(stage);
-    for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
-      if (!kernel_.mac_ops[m].accumulate && mac_stage_[m] == stage &&
-          !mac_result_inputs_[m].empty()) {
-        feed_mac_result(m, width);  // unread products are not formed
-      }
+    for (const std::size_t m : fed_macs_) {
+      if (mac_stage_[m] == stage) feed_mac_result(m, segments, count, width);
     }
   }
   if (state_cone_) run_state_cone(lanes, acc);
 
-  // 4. MAC accumulations: operands come out of the lane blocks; the
-  //    products of the valid lanes are summed in iteration order.
+  // 4. MAC accumulations: the products of the valid lanes' operands are
+  //    summed in iteration order.
   std::array<std::uint64_t, kMaxPackedLanes> words_a;
   std::array<std::uint64_t, kMaxPackedLanes> words_b;
   for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
     if (!kernel_.mac_ops[m].accumulate) continue;
-    unpack_group(mac_a_groups_[m], words_a.data(), width);
-    unpack_group(mac_b_groups_[m], words_b.data(), width);
+    form_word(mac_a_ports_[m], segments, count, width, words_a.data());
+    form_word(mac_b_ports_[m], segments, count, width, words_b.data());
     std::uint32_t sum = 0;
     for (unsigned j = 0; j < lanes; ++j) {
       sum += static_cast<std::uint32_t>(words_a[j]) * static_cast<std::uint32_t>(words_b[j]);
@@ -753,7 +946,7 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
   //    two invocations alias).
   if (!kernel_.write_outputs.empty()) {
     for (std::size_t w = 0; w < kernel_.write_outputs.size(); ++w) {
-      unpack_group(write_groups_[w], write_words_[w].data(), width);
+      form_word(write_ports_[w], segments, count, width, write_words_[w].data());
     }
     for (const BlockSegment* seg = segments; seg != segments + count; ++seg) {
       for (unsigned j = 0; j < seg->lanes; ++j) {
@@ -771,14 +964,8 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const BlockSegment* s
 
   // 6. A fabric-held accumulator ends at the last valid lane's next state
   //    (the state cone already threaded it there).
-  for (const unsigned k : fabric_accs_) {
-    std::uint32_t word = 0;
-    for (const OutputBit& ob : acc_next_groups_[k]) {
-      word |= static_cast<std::uint32_t>(packed_->output_lane(ob.output_index, lanes - 1))
-              << ob.bit;
-    }
-    acc[k] = word;
-  }
+  if (state_cone_) return;
+  for (const FabricAcc& f : fabric_accs_) acc[f.index] = next_state(f, acc[f.index], lanes - 1);
 }
 
 void KernelExecutor::check_against_dfg(std::uint64_t iter,

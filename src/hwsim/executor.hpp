@@ -10,6 +10,9 @@
 //     II   = max(1, BRAM accesses/iter, MAC ops/iter)    (port conflicts)
 //   clock  = fabric clock after critical-path derating
 //
+// Its constants (II, the pipeline depth and the derated clock) are fixed
+// per kernel and computed once, at construction.
+//
 // One evaluation engine backs the cycle model: the lane-block engine
 // (PackedEvaluator) evaluates W*64 loop iterations per pass (W in {1,2,4},
 // fixed via PackedOptions or chosen per run), one contiguous W-word lane
@@ -29,13 +32,28 @@
 // stage runs packed, then the cone runs lane by lane in iteration order,
 // each lane reading the previous lane's next state.
 //
+// Only the bits LUTs compute cross the bit planes (64xW bit-matrix
+// transposes). At construction every consumed word (stream write value,
+// MAC operand) is classified from the sources of its netlist output bits
+// (PortClasses): a constant word, a tap word (bit b from bit b of one read
+// tap), a live-in word (bit b from bit b of one live-in), where constant
+// bits may fill the rest of a tap or live-in word, or a computed word,
+// gathered from the planes. The first three are formed per lane from the
+// loaded words or the latched values. A read tap or IV register is
+// transposed into planes only when a LUT or a computed word reads it, and
+// only the fabric inputs something reads are wired. An accumulator-next bit
+// wired to the same bit of its own state input is held: it is set once per
+// block as a constant lane block, and the state cone sets and reads only
+// the changing bits lane by lane.
+//
 // When iterations of one block cannot be evaluated side by side
 // (ScalarReason: the invocation's streams may alias within a block, the
 // kernel has state the cone cannot thread, or the DFG cross-check is on),
 // run() evaluates 1-lane blocks: one iteration, that is one clock of the
 // next-state function, per block. A kernel with a kernel-level reason gets
 // a plan whose state inputs sit at stage 0, set from the accumulators at
-// block start.
+// block start. 1-lane blocks go through the same block routine, port
+// classes included.
 //
 // reference_run() below is the oracle every executor gate compares with:
 // the kernel's dataflow graph (decompile::Dfg::eval), one iteration at a
@@ -139,6 +157,26 @@ void reference_step(const decompile::KernelIR& ir, const sim::Memory& memory,
 std::vector<std::uint32_t> reference_run(const decompile::KernelIR& ir, sim::Memory& memory,
                                          const KernelInvocation& invocation);
 
+/// How one kernel's ports move through a lane block, fixed at construction
+/// from the netlist (src/hwsim/README.md, "Port classes"). Words are the
+/// consumed ones: every stream write value, every accumulating MAC's
+/// operands, and the operands of every MAC whose product the fabric reads.
+struct PortClasses {
+  unsigned plane_taps = 0;      // read taps a LUT or a computed word reads
+  unsigned iv_planes = 0;       // IV registers a wired fabric input reads
+  unsigned constant_words = 0;  // every bit constant
+  unsigned tap_words = 0;       // bit b from bit b of one read tap (or constant)
+  unsigned live_in_words = 0;   // bit b from bit b of one live-in (or constant)
+  unsigned computed_words = 0;  // gathered from the planes
+  unsigned mac_feeds = 0;       // MAC products transposed back into the fabric
+  unsigned held_state_bits = 0;  // accumulator-next bits wired to their own state
+
+  /// 64xW bit-matrix transposes one lane block pays.
+  unsigned transposes_per_block() const {
+    return plane_taps + iv_planes + computed_words + mac_feeds;
+  }
+};
+
 class KernelExecutor {
  public:
   /// `kernel` and `config` must outlive the executor. `packed` pins or
@@ -187,6 +225,8 @@ class KernelExecutor {
   ScalarReason scalar_reason() const { return scalar_reason_; }
   /// LUT nodes surviving the plan's constant/wire folding.
   std::size_t packed_node_count() const { return packed_->node_count(); }
+  /// The kernel's port classes, the same for every block shape.
+  const PortClasses& port_classes() const { return port_classes_; }
 
   const synth::HwKernel& kernel() const { return kernel_; }
   const fabric::FabricConfig& config() const { return config_; }
@@ -198,7 +238,7 @@ class KernelExecutor {
     unsigned a = 0;    // stream | reg | mac index | acc index
     unsigned bit = 0;
     int iv_pos = -1;   // kIv: index into ir.iv_regs (-1: unknown reg, reads 0)
-    int tap_index = -1;  // kStream: flattened (stream, tap) scratch index
+    int tap_index = -1;  // kStream: flattened (stream, tap) index
     int slot = -1;     // kLiveIn: live-in slot (-1: not latched, reads 0)
   };
   /// One netlist output bit contributing to a word read (write value, MAC
@@ -208,9 +248,32 @@ class KernelExecutor {
     std::uint32_t output_index = 0;  // netlist output
   };
   using OutputGroup = std::vector<OutputBit>;
+  /// A consumed word and how each lane of it is formed (see PortClasses).
+  /// Every kind but kComputed skips the planes: lane value =
+  /// (source & mask) | ones, the source being a loaded tap word (kTap), a
+  /// segment's latched live-in (kLiveIn) or nothing (kConstant).
+  struct WordPort {
+    enum class Kind : std::uint8_t { kConstant, kTap, kLiveIn, kComputed };
+    OutputGroup bits;
+    Kind kind = Kind::kComputed;
+    std::uint32_t ones = 0;  // constant-1 bits
+    std::uint32_t mask = 0;  // bits taken from the source
+    int source = -1;         // kTap: flat tap index; kLiveIn: slot (-1 reads 0)
+  };
+  /// A fabric-held accumulator: its held bits (next state = state) and the
+  /// next-state bits the fabric changes.
+  struct FabricAcc {
+    unsigned index = 0;
+    std::uint32_t held = 0;
+    OutputGroup changing;
+  };
 
   /// Builds the port tables, and the packed plan when the kernel permits.
   void bind_ports();
+  /// Classifies every consumed word and state bit, and lists the planes to
+  /// build and the fabric inputs to wire (everything a LUT or a computed
+  /// word reads). Fills port_classes_.
+  void classify_ports();
   /// The reason the packed plan cannot thread the kernel's accumulator
   /// state (kNone when it can, or there is none).
   ScalarReason check_state_cone() const;
@@ -244,47 +307,68 @@ class KernelExecutor {
                         unsigned width, std::vector<std::uint32_t>& acc);
   /// Form MAC m's products for every lane of the block and feed them into
   /// the primary inputs bound to its result.
-  void feed_mac_result(std::size_t m, unsigned width);
+  void feed_mac_result(std::size_t m, const BlockSegment* segments, std::size_t count,
+                       unsigned width);
   /// Run the state cone (the plan's final stage) over `lanes` lanes in
   /// iteration order, threading the fabric-held accumulators through acc.
   void run_state_cone(unsigned lanes, std::vector<std::uint32_t>& acc);
+  /// Fabric-held accumulator `f`'s next state in block lane `lane`, from
+  /// its present state `state`.
+  std::uint32_t next_state(const FabricAcc& f, std::uint32_t state, unsigned lane) const;
   /// Throws InternalError unless the 1-lane block of iteration `iter` wrote
   /// `expect`'s values and left the accumulators at `expect_acc`.
   void check_against_dfg(std::uint64_t iter, const std::vector<ReferenceWrite>& expect,
                          const std::vector<std::uint32_t>& expect_acc,
                          const std::vector<std::uint32_t>& acc) const;
 
-  /// Gather a word group out of the packed pass: lane blocks in, one word
-  /// per iteration out (in the low 32 bits of each of the width*64 rows).
-  void unpack_group(const OutputGroup& group, std::uint64_t* words, unsigned width) const;
+  /// `port`'s word for the block's valid lanes, one per lane in the low 32
+  /// bits of `words` (a computed word fills all width*64 rows).
+  void form_word(const WordPort& port, const BlockSegment* segments, std::size_t count,
+                 unsigned width, std::uint64_t* words) const;
 
   const synth::HwKernel& kernel_;
   const fabric::FabricConfig& config_;
   PackedOptions packed_options_;
   ScalarReason scalar_reason_ = ScalarReason::kNone;
   bool state_cone_ = false;  // the plan's final stage is the state cone
+  // The cycle model's per-kernel constants.
+  unsigned initiation_interval_ = 1;
+  std::uint64_t fixed_cycles_ = 0;  // pipeline stages + kStartupCycles
+  double clock_mhz_ = 0.0;
 
   std::vector<InputBinding> input_bindings_;  // per primary input
-  std::vector<OutputGroup> write_groups_;     // per kernel write output
-  std::vector<OutputGroup> mac_a_groups_;     // per MAC op
-  std::vector<OutputGroup> mac_b_groups_;     // per MAC op
+  std::vector<WordPort> write_ports_;         // per kernel write output
+  std::vector<WordPort> mac_a_ports_;         // per MAC op
+  std::vector<WordPort> mac_b_ports_;         // per MAC op
   std::vector<OutputGroup> acc_next_groups_;  // per accumulator
   std::vector<std::vector<std::uint32_t>> mac_result_inputs_;  // per MAC op: bound inputs
   std::vector<std::uint32_t> state_inputs_;   // kAccState inputs
-  std::vector<unsigned> fabric_accs_;         // accumulators held in fabric flip-flops
+  std::vector<FabricAcc> fabric_accs_;        // accumulators held in fabric flip-flops
   std::vector<unsigned> mac_stage_;  // per MAC op: plan stage its operands are ready in
   std::vector<unsigned> tap_base_;            // per stream: flattened tap index base
   std::vector<int> iv_slot_;                  // per ir.iv_regs entry: live-in slot (-1: none)
   std::vector<std::int32_t> iv_step_;         // per ir.iv_regs entry
 
+  // What a block moves, from classify_ports().
+  PortClasses port_classes_;
+  std::vector<int> tap_plane_;       // per flat tap: block_taps_ row of its planes (-1: none)
+  std::vector<unsigned> iv_used_;    // ir.iv_regs entries whose plane is built
+  std::vector<std::size_t> fed_macs_;  // non-accumulating MACs whose products are fed
+  // Fabric inputs something reads, set once per block (state inputs of the
+  // cone's held bits included), and the cone's changing state inputs, set
+  // lane by lane.
+  std::vector<std::uint32_t> block_inputs_;
+  std::vector<std::uint32_t> lane_state_inputs_;
+
   std::optional<PackedEvaluator> packed_;  // compiled in bind_ports()
 
   // Per-run scratch.
   std::vector<StreamEnvelope> envelopes_;     // per stream
-  // Per flat (stream, tap) index: loaded as one word per iteration, then
-  // block-transposed in place so the W words starting at row b*W are the
-  // lane block of tap bit b. Sized for the widest block; narrower widths
-  // use a prefix.
+  // Rows [0, taps): per flat (stream, tap) index, the loaded words, one per
+  // lane. A tap only planes read is block-transposed in place, so the W
+  // words starting at row b*W are the lane block of tap bit b; a tap that
+  // tap words read too is copied into a row past the taps and transposed
+  // there. Sized for the widest block; narrower widths use a prefix.
   std::vector<std::array<std::uint64_t, kMaxPackedLanes>> block_taps_;
   std::vector<std::array<std::uint64_t, kMaxPackedLanes>> iv_planes_;   // per iv reg
   std::vector<std::array<std::uint64_t, kMaxPackedLanes>> write_words_;  // per write output

@@ -22,7 +22,10 @@ WarpSystem::WarpSystem(isa::Program program, DataInit init_data, WarpSystemConfi
 
 common::Result<RunStats> WarpSystem::run_internal(bool profile) {
   if (init_data_) init_data_(data_mem_);
+  // Only the software run feeds the profiler: the profile is what warp()
+  // partitions, and a warped run would add the patched binary's branches.
   if (profile) profiler_.reset();
+  core_.set_profiler(profile ? &profiler_ : nullptr);
   core_.reset();
   core_.clear_stats();
   wcla_.clear_stats();

@@ -77,9 +77,12 @@ class WarpSystem {
   const PartitionOutcome& warp(partition::ArtifactCache* cache = nullptr,
                                common::FaultInjector* fault = nullptr);
 
-  /// Run the (possibly patched) binary. Resets data memory first.
+  /// Run the (possibly patched) binary. Resets data memory first. The
+  /// profiler is detached, so loop_profiler() keeps the software run's
+  /// profile.
   common::Result<RunStats> run_warped();
 
+  /// The profile of the last run_software().
   const profiler::Profiler& loop_profiler() const { return profiler_; }
   const PartitionOutcome* outcome() const {
     return outcome_ ? &*outcome_ : nullptr;

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "decompile/cfg.hpp"
 #include "decompile/extract.hpp"
 #include "decompile/liveness.hpp"
@@ -18,6 +19,7 @@
 #include "isa/assembler.hpp"
 #include "pnr/pnr.hpp"
 #include "techmap/techmap.hpp"
+#include "workloads/workload.hpp"
 
 namespace warp::hwsim {
 
@@ -30,7 +32,7 @@ synth::GateNetlist random_gate_netlist(common::Rng& rng, unsigned inputs, unsign
                                        unsigned outputs) {
   synth::GateNetlist net;
   std::vector<int> pool = {net.const0(), net.const1()};
-  for (unsigned i = 0; i < inputs; ++i) pool.push_back(net.add_input("x" + std::to_string(i)));
+  for (unsigned i = 0; i < inputs; ++i) pool.push_back(net.add_input(common::format("x%u", i)));
   for (unsigned g = 0; g < gates; ++g) {
     const int a = pool[rng.below(static_cast<std::uint32_t>(pool.size()))];
     const int b = pool[rng.below(static_cast<std::uint32_t>(pool.size()))];
@@ -44,7 +46,7 @@ synth::GateNetlist random_gate_netlist(common::Rng& rng, unsigned inputs, unsign
     pool.push_back(id);
   }
   for (unsigned o = 0; o < outputs; ++o) {
-    net.add_output("o" + std::to_string(o),
+    net.add_output(common::format("o%u", o),
                    pool[pool.size() - 1 - (o % std::min<std::size_t>(pool.size(), 8))]);
   }
   return net;
@@ -674,6 +676,196 @@ TEST(PackedExecutor, StateTheConeCannotThreadStaysScalar) {
   auto stored_sum = build_kernel(reduction_loop("  add r11, r11, r7\n  swi r11, r3, 0\n"),
                                  "loop");
   sweep_trips(stored_sum, ScalarReason::kMacHeldState, "stored mac sum");
+}
+
+// ---- Port classes -----------------------------------------------------------
+
+/// One line per PortClasses, so a mismatch prints both whole.
+std::string describe(const PortClasses& c) {
+  return common::format(
+      "transposes %u: planes %u iv %u | words const %u tap %u live-in %u computed %u | "
+      "feeds %u | held %u",
+      c.transposes_per_block(), c.plane_taps, c.iv_planes, c.constant_words, c.tap_words,
+      c.live_in_words, c.computed_words, c.mac_feeds, c.held_state_bits);
+}
+
+PortClasses classes(unsigned plane_taps, unsigned constant_words, unsigned tap_words,
+                    unsigned live_in_words, unsigned computed_words, unsigned mac_feeds,
+                    unsigned held_state_bits) {
+  PortClasses c;
+  c.plane_taps = plane_taps;
+  c.constant_words = constant_words;
+  c.tap_words = tap_words;
+  c.live_in_words = live_in_words;
+  c.computed_words = computed_words;
+  c.mac_feeds = mac_feeds;
+  c.held_state_bits = held_state_bits;
+  return c;
+}
+
+/// Builds `body` inside reduction_loop, requires its port classes (so the
+/// shape exercises the intended path: a fallback to the planes fails here,
+/// not only in a timing) and sweeps it against the DFG reference.
+void sweep_shape(const std::string& body, const PortClasses& expect, const std::string& shape) {
+  auto built = build_kernel(reduction_loop(body), "loop");
+  KernelExecutor exec(*built.kernel, *built.config);
+  ASSERT_EQ(describe(exec.port_classes()), describe(expect)) << shape;
+  sweep_trips(built, ScalarReason::kNone, shape);
+}
+
+TEST(PackedExecutor, PortClassesMatchPinnedTable) {
+  // What one lane block moves through the bit planes, per registered
+  // kernel at the harness options. No kernel reads an IV register; matmul's
+  // MAC operands are tap words and g3fax's write is a live-in word, so
+  // neither transposes anything; canrdr and crc hold 24 of their 32 state
+  // bits.
+  const struct {
+    const char* name;
+    unsigned transposes;  // per block
+    PortClasses classes;
+  } expected[] = {
+      {"matmul", 0, classes(0, 0, 2, 0, 0, 0, 0)},  {"g3fax", 0, classes(0, 0, 0, 1, 0, 0, 0)},
+      {"canrdr", 3, classes(1, 1, 0, 0, 2, 0, 24)}, {"crc", 3, classes(1, 1, 0, 0, 2, 0, 24)},
+      {"brev", 2, classes(1, 0, 0, 0, 1, 0, 0)},    {"bitmnp", 2, classes(1, 0, 0, 0, 1, 0, 0)},
+      {"fir", 5, classes(4, 0, 0, 0, 1, 0, 0)},     {"idct", 56, classes(8, 20, 0, 0, 28, 20, 0)},
+  };
+  ASSERT_EQ(std::size(expected), workloads::extended_workloads().size());
+  for (const auto& e : expected) {
+    auto flowed = experiments::flow_workload(workloads::workload_by_name(e.name),
+                                             experiments::default_options(), 0);
+    ASSERT_TRUE(flowed.is_ok()) << flowed.message();
+    const PortClasses& got = flowed.value().system->wcla().executor()->port_classes();
+    EXPECT_EQ(got.transposes_per_block(), e.transposes) << e.name;
+    EXPECT_EQ(describe(got), describe(e.classes)) << e.name;
+  }
+}
+
+TEST(PackedExecutor, PortClassShapesMatchReference) {
+  // reduction_loop reads r5 through r2 and derives r6 = r5 >> 16 and
+  // r7 = r5 & 0x7FFF. Each shape is swept over kConeTrips (full, partial
+  // and 1-lane verify blocks) at every width against the DFG reference.
+
+  // One read tap that both LUTs (the xori) and tap words (both operands of
+  // the MAC) read: it is transposed in a row of its own, and the tap words
+  // read the loaded words.
+  sweep_shape("  mul_p r9, r5, r5\n  add r11, r11, r9\n  xori r12, r5, 0x5A5A\n"
+              "  swi r12, r3, 0\n",
+              classes(1, 0, 2, 0, 1, 0, 0), "tap read by a LUT and a tap word");
+
+  // A MAC operand and a write that use only bits 0..14 of the tap (r7), and
+  // a write that adds constant-1 bits above them: tap words masked to their
+  // bits, no planes at all.
+  sweep_shape("  mul_p r9, r7, r7\n  add r11, r11, r9\n  swi r7, r3, 0\n", classes(0, 0, 3, 0, 0, 0, 0),
+              "partial tap words");
+  sweep_shape("  oril r9, r7, 0x50000\n  swi r9, r3, 0\n", classes(0, 0, 1, 0, 0, 0, 0),
+              "tap word with constant bits");
+
+  // Bits 15..31 of the XOR state are held (r7 has no bits there), and the
+  // cone's adder reads every state bit, held ones included: the held bits'
+  // lane blocks must be set at block start.
+  sweep_shape("  xor r8, r8, r7\n  add r9, r8, r5\n  swi r9, r3, 0\n",
+              classes(1, 0, 0, 0, 1, 0, 17), "held state bits a cone LUT reads");
+
+  // A constant write and a constant MAC operand (the multiply has more CSD
+  // digits than csd_max_terms), in partial blocks.
+  sweep_shape("  addi r9, r0, 0x5A5\n  swi r9, r3, 0\n  muli_p r12, r5, 11611\n"
+              "  add r11, r11, r12\n",
+              classes(0, 2, 1, 0, 0, 0, 0), "constant words");
+
+  // The fabric reads the loop counter r4, an induction variable: its plane
+  // is built, each lane counting down from the latched trip.
+  PortClasses reads_iv = classes(1, 0, 0, 0, 1, 0, 0);
+  reads_iv.iv_planes = 1;
+  sweep_shape("  add r9, r5, r4\n  swi r9, r3, 0\n", reads_iv, "an IV plane");
+}
+
+// An accumulator-free loop whose three writes are a tap word (r6), a
+// live-in word (r7, from r9) and a computed word (r8), one per tap of a
+// 12-byte write stride.
+constexpr const char* kWordKinds = R"(
+  li r2, 0x1000
+  li r3, 0x4000
+  li r4, 8
+  li r9, 0x12345678
+loop:
+  lwi r5, r2, 0
+  andi r6, r5, 0x0FF0
+  andi r7, r9, 0x7F7F
+  xori r8, r5, 0x5A5A
+  swi r6, r3, 0
+  swi r7, r3, 4
+  swi r8, r3, 8
+  addi r2, r2, 4
+  addi r3, r3, 12
+  addi r4, r4, -1
+  bne r4, loop
+  halt
+)";
+
+TEST(PackedExecutor, SharedBlockWordsFollowEachSegment) {
+  // Invocations with their own stream bases and live-ins share one block:
+  // each segment's tap words read its own loaded lanes and its live-in
+  // words carry its own latched value. Compared with the DFG reference run
+  // invocation by invocation, at every width, and with every invocation
+  // alone in 1-lane verify blocks.
+  auto built = build_kernel(kWordKinds, "loop");
+  {
+    KernelExecutor exec(*built.kernel, *built.config);
+    ASSERT_EQ(describe(exec.port_classes()), describe(classes(1, 0, 1, 1, 1, 0, 0)));
+  }
+  const std::uint64_t trips[] = {5, 8, 1, 20, 13};
+  std::vector<KernelInvocation> invocations;
+  for (std::size_t k = 0; k < std::size(trips); ++k) {
+    KernelInvocation inv;
+    inv.trip = trips[k];
+    const auto read_base = static_cast<std::uint32_t>(0x1000 + 0x100 * k);
+    const auto write_base = static_cast<std::uint32_t>(0x4000 + 0x200 * k);
+    for (const auto& stream : built.ir.streams) {
+      inv.stream_bases.push_back(stream.is_write ? write_base : read_base);
+    }
+    inv.live_in.assign(built.ir.live_in_regs.size(), 0);
+    set_live_in(inv, built.ir, 2, read_base);
+    set_live_in(inv, built.ir, 3, write_base);
+    set_live_in(inv, built.ir, 9, 0x9E3779B9u * static_cast<std::uint32_t>(k + 1));
+    invocations.push_back(inv);
+  }
+  sim::Memory initial(1 << 16);
+  common::Rng rng(41);
+  for (std::uint32_t a = 0x1000; a < 0x1800; a += 4) initial.write32(a, rng.next_u32());
+  const std::vector<std::uint32_t> snapshot = initial.snapshot_words();
+
+  sim::Memory mem_reference(1 << 16);
+  mem_reference.load_words(0, snapshot);
+  for (const auto& inv : invocations) (void)reference_run(built.ir, mem_reference, inv);
+
+  sim::Memory mem_verify(1 << 16);
+  mem_verify.load_words(0, snapshot);
+  KernelExecutor verify_exec(*built.kernel, *built.config);
+  for (const auto& inv : invocations) {
+    auto result = verify_exec.run(mem_verify, inv, /*verify_against_dfg=*/true);
+    ASSERT_TRUE(result.is_ok()) << result.message();
+    EXPECT_EQ(result.value().packed_blocks, inv.trip);
+  }
+  EXPECT_EQ(mem_verify.checksum_words(), mem_reference.checksum_words());
+
+  for (const unsigned width : {0u, 1u, 2u, 4u}) {
+    KernelExecutor exec(*built.kernel, *built.config, PackedOptions{width});
+    std::vector<BlockSegment> segments;
+    unsigned lane0 = 0;
+    for (const auto& inv : invocations) {
+      std::vector<StreamEnvelope> envelopes;
+      ASSERT_NE(exec.shared_block_width(inv, envelopes), 0u) << width;
+      segments.push_back({&inv, 0, lane0, static_cast<unsigned>(inv.trip)});
+      lane0 += static_cast<unsigned>(inv.trip);
+    }
+    sim::Memory mem(1 << 16);
+    mem.load_words(0, snapshot);
+    exec.run_shared_block(mem, segments.data(), segments.size());
+    for (std::uint32_t a = 0x4000; a < 0x4000 + 0x200 * std::size(trips); a += 4) {
+      ASSERT_EQ(mem.read32(a), mem_reference.read32(a)) << "width " << width << " addr " << a;
+    }
+    EXPECT_EQ(mem.checksum_words(), mem_reference.checksum_words()) << width;
+  }
 }
 
 TEST(PackedExecutor, InPlaceTransformStaysPacked) {

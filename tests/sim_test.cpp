@@ -489,9 +489,12 @@ std::string candidates_of(const profiler::Profiler& profiler) {
 }
 
 // The current binary of `system` from reset, as WarpSystem::run_internal
-// runs it, but one step() at a time.
-void step_run(warpsys::WarpSystem& system, const workloads::Workload& w) {
+// runs it, but one step() at a time. Like run_internal, a warped run
+// (`profile` false) steps with the profiler detached; a profiled one feeds
+// the profiler the constructor attached, so it must be the system's first.
+void step_run(warpsys::WarpSystem& system, const workloads::Workload& w, bool profile) {
   w.init(system.data_mem());
+  if (!profile) system.core().set_profiler(nullptr);
   system.core().reset();
   system.core().clear_stats();
   system.wcla().clear_stats();
@@ -602,7 +605,7 @@ TEST(Sim, RunMatchesStepLoop) {
       warpsys::WarpSystem by_run(program.value(), w.init, config);
       warpsys::WarpSystem by_step(program.value(), w.init, config);
       ASSERT_TRUE(by_run.run_software().is_ok()) << w.name;
-      step_run(by_step, w);
+      step_run(by_step, w, /*profile=*/true);
       expect_same_run(by_run, by_step, w.name, "software");
     }
     auto program = isa::assemble(w.source, options.cpu);
@@ -610,11 +613,11 @@ TEST(Sim, RunMatchesStepLoop) {
     warpsys::WarpSystem by_run(program.value(), w.init, options.system);
     warpsys::WarpSystem by_step(program.value(), w.init, options.system);
     ASSERT_TRUE(by_run.run_software().is_ok()) << w.name;
-    step_run(by_step, w);
+    step_run(by_step, w, /*profile=*/true);
     const bool partitioned = by_run.warp().success;
     ASSERT_EQ(by_step.warp().success, partitioned) << w.name;
     ASSERT_TRUE(by_run.run_warped().is_ok()) << w.name;
-    step_run(by_step, w);
+    step_run(by_step, w, /*profile=*/false);
     expect_same_run(by_run, by_step, w.name, "warped");
   }
 }

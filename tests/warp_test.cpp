@@ -149,6 +149,33 @@ TEST(WarpSystem, RunSoftwareAfterWarpIsRefused) {
   EXPECT_EQ(warped.value().wcla.invocations, 96u);
 }
 
+TEST(WarpSystem, WarpedRunLeavesProfileUnchanged) {
+  // Only the software run feeds the profiler: after a warped run,
+  // loop_profiler() still holds the software run's profile, every candidate
+  // and every update of it.
+  const experiments::HarnessOptions options = experiments::default_options();
+  for (const auto& workload : workloads::extended_workloads()) {
+    auto program = isa::assemble(workload.source, options.cpu);
+    ASSERT_TRUE(program.is_ok()) << workload.name << ": " << program.message();
+    warpsys::WarpSystem system(std::move(program).value(), workload.init, options.system);
+    ASSERT_TRUE(system.run_software().is_ok()) << workload.name;
+    const auto candidates = system.loop_profiler().candidates();
+    const std::uint64_t updates = system.loop_profiler().updates();
+    ASSERT_TRUE(system.warp().success) << workload.name << ": " << system.outcome()->detail;
+    const auto warped = system.run_warped();
+    ASSERT_TRUE(warped.is_ok()) << workload.name << ": " << warped.message();
+    EXPECT_NE(warped.value().wcla.invocations, 0u) << workload.name;
+    EXPECT_EQ(system.loop_profiler().updates(), updates) << workload.name;
+    const auto after = system.loop_profiler().candidates();
+    ASSERT_EQ(after.size(), candidates.size()) << workload.name;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i].branch_pc, candidates[i].branch_pc) << workload.name << ' ' << i;
+      EXPECT_EQ(after[i].target_pc, candidates[i].target_pc) << workload.name << ' ' << i;
+      EXPECT_EQ(after[i].count, candidates[i].count) << workload.name << ' ' << i;
+    }
+  }
+}
+
 TEST(WarpSystem, DpmTimeIsSecondsScale) {
   // The on-chip tools must be lean: partitioning time on the 85 MHz DPM
   // should be milliseconds-to-seconds, not hours (the JIT-compilation
