@@ -101,16 +101,6 @@ bool is_commutative(DfgOp op) {
 
 }  // namespace
 
-Dfg Dfg::restore(std::vector<DfgNode> nodes) {
-  Dfg dfg;
-  dfg.nodes_ = std::move(nodes);
-  dfg.index_.reserve(dfg.nodes_.size());
-  for (std::size_t i = 0; i < dfg.nodes_.size(); ++i) {
-    dfg.index_.emplace(dfg.nodes_[i], static_cast<int>(i));
-  }
-  return dfg;
-}
-
 int Dfg::intern(const DfgNode& n) {
   const auto it = index_.find(n);
   if (it != index_.end()) return it->second;

@@ -96,13 +96,6 @@ class Dfg {
   };
   std::uint32_t eval(int id, const Inputs& inputs) const;
 
-  /// Rebuild a Dfg from a previously built node array (artifact
-  /// deserialization). The nodes are adopted verbatim — *not* re-run through
-  /// add() — because add() folds and canonicalizes, which would renumber a
-  /// graph that was already folded when it was serialized. The intern index
-  /// is reconstructed so later add() calls keep hash-consing correctly.
-  static Dfg restore(std::vector<DfgNode> nodes);
-
   std::string to_string() const;
 
  private:

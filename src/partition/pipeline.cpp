@@ -108,7 +108,6 @@ Pipeline::Pipeline(const warpsys::DpmOptions& options, ArtifactCache* cache,
     common::Hasher h;
     const pnr::PlaceOptions& p = options_.pnr.place;
     h.u64(p.seed).u32(p.moves_per_lut).f64(p.initial_temperature).f64(p.cooling);
-    h.boolean(p.incremental).boolean(p.verify_incremental);
     const pnr::RouteOptions& r = options_.pnr.route;
     h.u32(r.max_iterations).f64(r.present_factor).f64(r.history_factor);
     const fabric::FabricGeometry& g = options_.fabric;

@@ -24,32 +24,17 @@ struct Net {
   std::vector<Endpoint> endpoints;
 };
 
-// Maintained bounding box of one net (the VPR scheme): the four extremes
-// plus how many endpoints sit on each extreme. The counts make most moves
-// O(1): an endpoint leaving an extreme with count > 1 just decrements, and
-// only a shrink off a *unique* extreme forces a full endpoint rescan.
-struct NetBox {
-  int min_x = 0, max_x = 0, min_y = 0, max_y = 0;
-  int cnt_min_x = 0, cnt_max_x = 0, cnt_min_y = 0, cnt_max_y = 0;
-
-  double hpwl() const { return static_cast<double>((max_x - min_x) + (max_y - min_y)); }
-};
-
 struct PlacerState {
-  const LutNetlist& netlist;
   const FabricGeometry& geometry;
   std::vector<Net> nets;
-  std::vector<std::vector<int>> nets_of_lut;  // lut -> net indices (deduped)
-  std::vector<std::vector<std::pair<int, int>>> nets_of_lut_mult;  // (net, multiplicity)
+  std::vector<std::vector<int>> nets_of_lut;  // lut -> distinct net indices, ascending
   std::vector<int> lut_slot;                  // lut -> slot index
   std::vector<int> slot_lut;                  // slot -> lut (-1 free)
   std::vector<int> lut_x, lut_y;              // cached site coords per lut
-  std::vector<NetBox> boxes;
   std::vector<LutSite> input_pads;
   std::vector<LutSite> output_pads;
 
-  explicit PlacerState(const LutNetlist& nl, const FabricGeometry& g)
-      : netlist(nl), geometry(g) {}
+  explicit PlacerState(const FabricGeometry& g) : geometry(g) {}
 
   unsigned slot_count() const {
     return geometry.width * geometry.height * geometry.luts_per_clb;
@@ -87,61 +72,21 @@ struct PlacerState {
     return static_cast<double>((max_x - min_x) + (max_y - min_y));
   }
 
-  // Exact bbox + extreme counts from current endpoint positions.
-  NetBox scan_box(const Net& net) const {
-    NetBox box;
-    box.min_x = box.min_y = 1 << 30;
-    box.max_x = box.max_y = -(1 << 30);
-    for (const auto& ep : net.endpoints) {
-      int x, y;
-      position_of(ep, x, y);
-      if (x < box.min_x) { box.min_x = x; box.cnt_min_x = 1; }
-      else if (x == box.min_x) ++box.cnt_min_x;
-      if (x > box.max_x) { box.max_x = x; box.cnt_max_x = 1; }
-      else if (x == box.max_x) ++box.cnt_max_x;
-      if (y < box.min_y) { box.min_y = y; box.cnt_min_y = 1; }
-      else if (y == box.min_y) ++box.cnt_min_y;
-      if (y > box.max_y) { box.max_y = y; box.cnt_max_y = 1; }
-      else if (y == box.max_y) ++box.cnt_max_y;
-    }
-    return box;
-  }
-
   void set_lut_slot(int lut, int slot) {
     lut_slot[static_cast<std::size_t>(lut)] = slot;
     const LutSite site = site_of_slot(slot);
     lut_x[static_cast<std::size_t>(lut)] = site.x;
     lut_y[static_cast<std::size_t>(lut)] = site.y;
   }
+
+  // Put `lut` in slot `to` and `other` (-1: none) in slot `from`.
+  void assign(int lut, int to, int other, int from) {
+    set_lut_slot(lut, to);
+    slot_lut[static_cast<std::size_t>(to)] = lut;
+    slot_lut[static_cast<std::size_t>(from)] = other;
+    if (other >= 0) set_lut_slot(other, from);
+  }
 };
-
-// Nets at or below this endpoint count skip the box machinery entirely: a
-// direct two-scan delta is as cheap as the O(1) update for a handful of
-// endpoints, and it sidesteps the count scheme's degenerate case (every
-// endpoint of a 2-pin net is a unique extreme, so almost every move would
-// force a rescan anyway).
-constexpr std::size_t kSmallNetEndpoints = 8;
-
-// One axis of the incremental update: an endpoint moved from `from` to `to`.
-// Returns false when the box must be rescanned (shrink off a unique extreme).
-bool move_axis(int from, int to, int& mn, int& mx, int& cnt_mn, int& cnt_mx) {
-  if (from == to) return true;
-  // Add `to`.
-  if (to < mn) { mn = to; cnt_mn = 1; }
-  else if (to == mn) ++cnt_mn;
-  if (to > mx) { mx = to; cnt_mx = 1; }
-  else if (to == mx) ++cnt_mx;
-  // Remove `from`.
-  if (from == mn) {
-    if (cnt_mn == 1) return false;
-    --cnt_mn;
-  }
-  if (from == mx) {
-    if (cnt_mx == 1) return false;
-    --cnt_mx;
-  }
-  return true;
-}
 
 // Pads distributed along the left (inputs) and right (outputs) IO columns.
 LutSite input_pad_site(std::size_t index, std::size_t total, const FabricGeometry& g) {
@@ -169,7 +114,7 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
         "design needs %zu LUTs, fabric has %u", netlist.luts.size(), geometry.lut_capacity()));
   }
 
-  PlacerState st(netlist, geometry);
+  PlacerState st(geometry);
   const std::size_t num_luts = netlist.luts.size();
 
   // Pads.
@@ -221,23 +166,15 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
     }
   }
 
+  // Nets are visited in ascending order, so each list comes out sorted and a
+  // LUT that sinks one net on several pins is listed once.
   st.nets_of_lut.assign(num_luts, {});
   for (std::size_t n = 0; n < st.nets.size(); ++n) {
     for (const auto& ep : st.nets[n].endpoints) {
-      if (ep.lut >= 0) st.nets_of_lut[static_cast<std::size_t>(ep.lut)].push_back(
-          static_cast<int>(n));
+      if (ep.lut < 0) continue;
+      auto& list = st.nets_of_lut[static_cast<std::size_t>(ep.lut)];
+      if (list.empty() || list.back() != static_cast<int>(n)) list.push_back(static_cast<int>(n));
     }
-  }
-  st.nets_of_lut_mult.assign(num_luts, {});
-  for (std::size_t i = 0; i < num_luts; ++i) {
-    auto& list = st.nets_of_lut[i];
-    std::sort(list.begin(), list.end());
-    for (int n : list) {
-      auto& with_mult = st.nets_of_lut_mult[i];
-      if (!with_mult.empty() && with_mult.back().first == n) ++with_mult.back().second;
-      else with_mult.emplace_back(n, 1);
-    }
-    list.erase(std::unique(list.begin(), list.end()), list.end());
   }
 
   // Constructive seed: LUTs in topological (id) order, column-major sweep
@@ -252,13 +189,7 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
   }
 
   double cost = 0.0;
-  st.boxes.resize(st.nets.size());
-  for (std::size_t n = 0; n < st.nets.size(); ++n) {
-    if (st.nets[n].endpoints.size() > kSmallNetEndpoints) {
-      st.boxes[n] = st.scan_box(st.nets[n]);
-    }
-    cost += st.net_hpwl(st.nets[n]);
-  }
+  for (const Net& net : st.nets) cost += st.net_hpwl(net);
 
   // Simulated annealing.
   common::Rng rng(options.seed);
@@ -268,12 +199,12 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
   double temperature = options.initial_temperature;
   const std::uint64_t moves_per_stage = std::max<std::uint64_t>(total_moves / 40, 1);
 
-  // Scratch for incremental moves, reused across the annealing loop. The
-  // stamp arrays give O(1) "seen this move?" checks without clearing.
-  std::vector<std::pair<int, NetBox>> saved_boxes;  // big-net undo log for one move
-  std::vector<int> affected_small;                  // small nets touched this move
-  std::vector<std::uint64_t> net_saved_stamp(st.nets.size(), 0);
-  std::vector<std::uint64_t> net_done_stamp(st.nets.size(), 0);  // rescanned early
+  // A move's delta rescans the distinct nets of the moved LUT and of the LUT
+  // it displaces, before and after the swap. HPWL values are integer-valued
+  // doubles, so the running cost stays exact. net_stamp[n] == result.moves
+  // marks net n as already gathered this move.
+  std::vector<int> affected;
+  std::vector<std::uint64_t> net_stamp(st.nets.size(), 0);
 
   for (std::uint64_t move = 0; move < total_moves && num_luts > 0; ++move) {
     const int lut = static_cast<int>(rng.below(static_cast<std::uint32_t>(num_luts)));
@@ -281,180 +212,34 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
     const int old_slot = st.lut_slot[static_cast<std::size_t>(lut)];
     if (new_slot == old_slot) continue;
     const int other = st.slot_lut[static_cast<std::size_t>(new_slot)];
-
-    double delta = 0.0;
     ++result.moves;
 
-    if (!options.incremental) {
-      // Exact-rescan baseline: recompute each affected net's HPWL from its
-      // endpoints before and after the move.
-      std::vector<int> affected = st.nets_of_lut[static_cast<std::size_t>(lut)];
-      if (other >= 0) {
-        for (int n : st.nets_of_lut[static_cast<std::size_t>(other)]) affected.push_back(n);
-        std::sort(affected.begin(), affected.end());
-        affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
-      }
-      double before = 0.0;
-      for (int n : affected) before += st.net_hpwl(st.nets[static_cast<std::size_t>(n)]);
-
-      st.set_lut_slot(lut, new_slot);
-      st.slot_lut[static_cast<std::size_t>(new_slot)] = lut;
-      st.slot_lut[static_cast<std::size_t>(old_slot)] = other;
-      if (other >= 0) st.set_lut_slot(other, old_slot);
-
-      double after = 0.0;
-      for (int n : affected) after += st.net_hpwl(st.nets[static_cast<std::size_t>(n)]);
-      delta = after - before;
-
-      const bool accept = delta <= 0.0 || rng.chance(std::exp(-delta / temperature));
-      if (accept) {
-        cost += delta;
-        ++result.accepted_moves;
-      } else {
-        st.set_lut_slot(lut, old_slot);
-        st.slot_lut[static_cast<std::size_t>(old_slot)] = lut;
-        st.slot_lut[static_cast<std::size_t>(new_slot)] = other;
-        if (other >= 0) st.set_lut_slot(other, new_slot);
-      }
-      if (move % moves_per_stage == moves_per_stage - 1) temperature *= options.cooling;
-      continue;
-    }
-
-    // Incremental path. Small nets (the overwhelming majority) get a direct
-    // two-scan delta — for a handful of endpoints that is as cheap as any
-    // bookkeeping — while big nets use the maintained bounding boxes with
-    // O(1) updates. The before-sums are gathered first (old positions), then
-    // the move is applied, then boxes are updated and the after-sums read.
-    const int ax0 = st.lut_x[static_cast<std::size_t>(lut)];
-    const int ay0 = st.lut_y[static_cast<std::size_t>(lut)];
-    int bx0 = 0, by0 = 0;
-    if (other >= 0) {
-      bx0 = st.lut_x[static_cast<std::size_t>(other)];
-      by0 = st.lut_y[static_cast<std::size_t>(other)];
-    }
-
-    const std::uint64_t stamp = result.moves;
+    affected.clear();
     double before = 0.0;
-    saved_boxes.clear();
-    affected_small.clear();
-    auto gather = [&](int n) {
-      const std::size_t nn = static_cast<std::size_t>(n);
-      if (net_saved_stamp[nn] == stamp) return;
-      net_saved_stamp[nn] = stamp;
-      ++result.delta_evaluations;
-      if (st.nets[nn].endpoints.size() <= kSmallNetEndpoints) {
-        affected_small.push_back(n);
-        before += st.net_hpwl(st.nets[nn]);
-      } else {
-        saved_boxes.emplace_back(n, st.boxes[nn]);
-        before += st.boxes[nn].hpwl();
-      }
-    };
-    for (const auto& [n, mult] : st.nets_of_lut_mult[static_cast<std::size_t>(lut)]) {
-      gather(n);
-    }
-    if (other >= 0) {
-      for (const auto& [n, mult] : st.nets_of_lut_mult[static_cast<std::size_t>(other)]) {
-        gather(n);
-      }
-    }
-
-    st.set_lut_slot(lut, new_slot);
-    st.slot_lut[static_cast<std::size_t>(new_slot)] = lut;
-    st.slot_lut[static_cast<std::size_t>(old_slot)] = other;
-    if (other >= 0) st.set_lut_slot(other, old_slot);
-    const int ax1 = st.lut_x[static_cast<std::size_t>(lut)];
-    const int ay1 = st.lut_y[static_cast<std::size_t>(lut)];
-
-    // Push the moved endpoints through the big nets' boxes. Positions are
-    // already final, so a shrink-forced rescan is exact at any point; a
-    // rescanned net is marked done and later endpoint moves (the second LUT
-    // of a swap sharing the net) must be skipped.
-    auto update_net = [&](int n, int fx, int fy, int tx, int ty, int mult) {
-      NetBox& box = st.boxes[static_cast<std::size_t>(n)];
-      for (int m = 0; m < mult; ++m) {
-        if (!move_axis(fx, tx, box.min_x, box.max_x, box.cnt_min_x, box.cnt_max_x) ||
-            !move_axis(fy, ty, box.min_y, box.max_y, box.cnt_min_y, box.cnt_max_y)) {
-          box = st.scan_box(st.nets[static_cast<std::size_t>(n)]);
-          ++result.bbox_rescans;
-          return false;  // net done, skip its remaining endpoint moves
-        }
-      }
-      return true;
-    };
-    if (!saved_boxes.empty()) {
-      for (const auto& [n, mult] : st.nets_of_lut_mult[static_cast<std::size_t>(lut)]) {
+    auto gather = [&](int moved) {
+      for (const int n : st.nets_of_lut[static_cast<std::size_t>(moved)]) {
         const std::size_t nn = static_cast<std::size_t>(n);
-        if (st.nets[nn].endpoints.size() <= kSmallNetEndpoints) continue;
-        if (net_done_stamp[nn] != stamp && !update_net(n, ax0, ay0, ax1, ay1, mult)) {
-          net_done_stamp[nn] = stamp;
-        }
+        if (net_stamp[nn] == result.moves) continue;
+        net_stamp[nn] = result.moves;
+        affected.push_back(n);
+        before += st.net_hpwl(st.nets[nn]);
       }
-      if (other >= 0) {
-        for (const auto& [n, mult] : st.nets_of_lut_mult[static_cast<std::size_t>(other)]) {
-          const std::size_t nn = static_cast<std::size_t>(n);
-          if (st.nets[nn].endpoints.size() <= kSmallNetEndpoints) continue;
-          if (net_done_stamp[nn] != stamp && !update_net(n, bx0, by0, ax0, ay0, mult)) {
-            net_done_stamp[nn] = stamp;
-          }
-        }
-      }
-    }
+    };
+    gather(lut);
+    if (other >= 0) gather(other);
+    result.delta_evaluations += affected.size();
 
+    st.assign(lut, new_slot, other, old_slot);
     double after = 0.0;
-    for (const int n : affected_small) after += st.net_hpwl(st.nets[static_cast<std::size_t>(n)]);
-    for (const auto& [n, saved] : saved_boxes) {
-      (void)saved;
-      after += st.boxes[static_cast<std::size_t>(n)].hpwl();
-    }
-    delta = after - before;
-
-    if (options.verify_incremental) {
-      // Exact cross-check: every big net's maintained box must equal a fresh
-      // endpoint scan, and the summed delta must match an exact rescan of
-      // all affected nets (all quantities are integer-valued, so equality
-      // is exact).
-      for (const auto& [n, saved] : saved_boxes) {
-        const NetBox fresh = st.scan_box(st.nets[static_cast<std::size_t>(n)]);
-        const NetBox& kept = st.boxes[static_cast<std::size_t>(n)];
-        if (fresh.min_x != kept.min_x || fresh.max_x != kept.max_x ||
-            fresh.min_y != kept.min_y || fresh.max_y != kept.max_y ||
-            fresh.cnt_min_x != kept.cnt_min_x || fresh.cnt_max_x != kept.cnt_max_x ||
-            fresh.cnt_min_y != kept.cnt_min_y || fresh.cnt_max_y != kept.cnt_max_y) {
-          return common::Result<PlaceResult>::error(common::format(
-              "incremental bbox drift on net %d at move %llu", n,
-              static_cast<unsigned long long>(result.moves)));
-        }
-      }
-      double exact_after = 0.0;
-      for (const int n : affected_small) {
-        exact_after += st.net_hpwl(st.nets[static_cast<std::size_t>(n)]);
-      }
-      for (const auto& [n, saved] : saved_boxes) {
-        (void)saved;
-        exact_after += st.net_hpwl(st.nets[static_cast<std::size_t>(n)]);
-      }
-      if (exact_after - before != delta) {
-        return common::Result<PlaceResult>::error(common::format(
-            "incremental delta %f != exact %f at move %llu", delta, exact_after - before,
-            static_cast<unsigned long long>(result.moves)));
-      }
-    }
+    for (const int n : affected) after += st.net_hpwl(st.nets[static_cast<std::size_t>(n)]);
+    const double delta = after - before;
 
     const bool accept = delta <= 0.0 || rng.chance(std::exp(-delta / temperature));
     if (accept) {
       cost += delta;
       ++result.accepted_moves;
     } else {
-      // Revert positions and restore the saved big-net boxes (small nets
-      // carry no maintained state).
-      st.set_lut_slot(lut, old_slot);
-      st.slot_lut[static_cast<std::size_t>(old_slot)] = lut;
-      st.slot_lut[static_cast<std::size_t>(new_slot)] = other;
-      if (other >= 0) st.set_lut_slot(other, new_slot);
-      for (const auto& [n, saved] : saved_boxes) {
-        st.boxes[static_cast<std::size_t>(n)] = saved;
-      }
+      st.assign(lut, old_slot, other, new_slot);
     }
     if (move % moves_per_stage == moves_per_stage - 1) temperature *= options.cooling;
   }

@@ -3,11 +3,9 @@
 // These are the lean on-chip algorithms of the warp-processing tool flow:
 //   - placement: greedy constructive seed refined by a short simulated-
 //     annealing schedule over half-perimeter wirelength (the "lean placement"
-//     of Lysecky & Vahid, DATE'04). A move's cost delta is computed from
-//     maintained per-net bounding boxes (min/max coordinates plus occupancy
-//     counts at each extreme, the classic VPR scheme), so it is O(1) per
-//     affected net instead of O(endpoints); an exact-rescan mode is kept
-//     both as the pre-incremental baseline and as a per-move drift check;
+//     of Lysecky & Vahid, DATE'04). A move's cost delta rescans the
+//     endpoints of each distinct net of the moved and the displaced LUT,
+//     before and after the swap;
 //   - routing: ROCR-style negotiated congestion (Lysecky, Vahid, Tan,
 //     DAC'04 "Dynamic FPGA Routing for Just-in-Time FPGA Compilation"):
 //     every net is routed by A* over the routing-resource grid; overused
@@ -41,14 +39,6 @@ struct PlaceOptions {
   unsigned moves_per_lut = 24;     // annealing budget (lean!)
   double initial_temperature = 8.0;
   double cooling = 0.92;
-  // Incremental bounding-box cost updates (default). false selects the
-  // exact-rescan baseline that recomputes each affected net's HPWL from its
-  // endpoints on every move; both modes produce bit-identical placements for
-  // the same seed (deltas are integer-exact).
-  bool incremental = true;
-  // Debug: in incremental mode, cross-check every move's delta against an
-  // exact rescan of the affected nets and fail on any drift.
-  bool verify_incremental = false;
 };
 
 struct PlaceResult {
@@ -58,12 +48,8 @@ struct PlaceResult {
   double hpwl = 0.0;
   std::uint64_t moves = 0;           // metered work
   std::uint64_t accepted_moves = 0;
-  // Distinct nets whose delta was evaluated incrementally, summed over all
-  // moves (small nets via a two-scan delta, big nets via an O(1) bbox
-  // update). bbox_rescans counts the big-net updates that degraded to a
-  // full endpoint rescan (shrink off a unique extreme).
+  // Distinct nets whose HPWL a move's delta rescanned, summed over all moves.
   std::uint64_t delta_evaluations = 0;
-  std::uint64_t bbox_rescans = 0;
 };
 
 struct RouteOptions {

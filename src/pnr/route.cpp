@@ -502,7 +502,7 @@ common::Digest content_hash(const PnrResult& result) {
   common::Hasher h;
   h.digest(fabric::content_hash(result.config));
   h.f64(result.place.hpwl).u64(result.place.moves).u64(result.place.accepted_moves);
-  h.u64(result.place.delta_evaluations).u64(result.place.bbox_rescans);
+  h.u64(result.place.delta_evaluations);
   h.boolean(result.route.success).u32(result.route.iterations).u64(result.route.expansions);
   h.f64(result.route.critical_path_ns).u32(result.route.max_hops);
   h.u64(result.route.nets_rerouted);

@@ -16,7 +16,6 @@ std::vector<warpsys::MultiWarpEntry> run_multiprocessor(
   for (std::size_t i = 0; i < n; ++i) {
     entries[i].name = i < names.size() ? names[i] : "cpu" + std::to_string(i);
     rows[i].entry = &entries[i];
-    rows[i].priority = i < options.priorities.size() ? options.priorities[i] : 0;
   }
 
   if (options.parallel && n > 0) {
@@ -47,7 +46,7 @@ std::vector<warpsys::MultiWarpEntry> run_multiprocessor(
       warpsys::warped_phase(system, entries[i], partitioned);
     }
   }
-  warpsys::assign_dpm_waits(rows, options.policy);
+  warpsys::assign_dpm_waits(rows);
   return entries;
 }
 

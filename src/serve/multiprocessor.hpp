@@ -13,9 +13,9 @@
 //             one DPM thread runs the partitioning jobs one at a time.
 //
 // Either way the waits come from warpsys::assign_dpm_waits over the
-// finished rows, in the policy's virtual-time order — never from host
-// timing or host DPM order. It lives in serve/ because the parallel engine
-// is warpd's; warp/ stays free of serve/ (serve -> experiments -> warp).
+// finished rows, round robin in processor order — never from host timing
+// or host DPM order. It lives in serve/ because the parallel engine is
+// warpd's; warp/ stays free of serve/ (serve -> experiments -> warp).
 #pragma once
 
 #include <memory>
@@ -33,14 +33,10 @@ struct MultiWarpOptions {
   /// Worker thread count; 0 means std::thread::hardware_concurrency(),
   /// always clamped to the number of systems. Ignored when !parallel.
   unsigned threads = 0;
-  warpsys::DpmQueuePolicy policy = warpsys::DpmQueuePolicy::kRoundRobin;
-  /// Per-processor priorities for DpmQueuePolicy::kPriority (higher first;
-  /// missing entries are 0).
-  std::vector<int> priorities;
   /// Shared content-addressed artifact cache consulted by every DPM job
   /// (partition/cache.hpp). With N replicated kernels the partitioning
   /// stages compute once per *unique* kernel; every simulated number stays
-  /// bit-identical to a cache-less run under any thread count and policy.
+  /// bit-identical to a cache-less run under any thread count.
   /// Not owned; may be null (no caching).
   partition::ArtifactCache* cache = nullptr;
   /// Shared deterministic fault injector threaded through every DPM job's

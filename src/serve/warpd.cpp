@@ -539,7 +539,7 @@ std::vector<SessionOutcome> run_serial(const std::vector<protocol::Request>& req
   for (const auto& [seq, i] : by_seq) {
     rows.push_back({&outcomes[i].entry, outcomes[i].dpm_job});
   }
-  warpsys::assign_dpm_waits(rows, warpsys::DpmQueuePolicy::kRoundRobin);
+  warpsys::assign_dpm_waits(rows);
   return outcomes;
 }
 

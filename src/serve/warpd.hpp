@@ -308,7 +308,7 @@ class Warpd {
   std::set<std::uint64_t> used_seqs_;  // explicit mode duplicate detection
   enum class SeqMode { kUnset, kImplicit, kExplicit };
   SeqMode seq_mode_ = SeqMode::kUnset;
-  warpsys::DpmVirtualClock clock_;  // kRoundRobin: serves in seq order
+  warpsys::DpmVirtualClock clock_;  // round robin, in seq order
   std::set<std::pair<std::uint64_t, std::uint64_t>> kernels_seen_;
   AdmissionController admission_;
   // In-flight coalescing leaders: request content key -> admission index.

@@ -26,35 +26,6 @@ const std::string& GateNetlist::input_name(int id) const {
   throw common::InternalError("input_name: not an input gate");
 }
 
-GateNetlist GateNetlist::restore(std::vector<Gate> gates, std::vector<int> input_ids,
-                                 std::vector<std::string> input_names,
-                                 std::vector<OutputBit> outputs) {
-  if (gates.size() < 2 || gates[0].kind != GateKind::kConst0 ||
-      gates[1].kind != GateKind::kConst1 || input_ids.size() != input_names.size()) {
-    throw common::InternalError("GateNetlist::restore: malformed parts");
-  }
-  const int size = static_cast<int>(gates.size());
-  for (const int id : input_ids) {
-    if (id < 0 || id >= size || gates[static_cast<std::size_t>(id)].kind != GateKind::kInput) {
-      throw common::InternalError("GateNetlist::restore: bad input id");
-    }
-  }
-  GateNetlist net;
-  net.gates_ = std::move(gates);
-  net.input_ids_ = std::move(input_ids);
-  net.input_names_ = std::move(input_names);
-  net.outputs_ = std::move(outputs);
-  net.index_.reserve(net.gates_.size());
-  for (std::size_t i = 0; i < net.gates_.size(); ++i) {
-    const Gate& g = net.gates_[i];
-    if (g.kind == GateKind::kAnd || g.kind == GateKind::kOr || g.kind == GateKind::kXor ||
-        g.kind == GateKind::kNot || g.kind == GateKind::kBuf) {
-      net.index_.emplace(g, static_cast<int>(i));
-    }
-  }
-  return net;
-}
-
 int GateNetlist::intern(Gate g) {
   const auto it = index_.find(g);
   if (it != index_.end()) return it->second;

@@ -78,18 +78,6 @@ class GateNetlist {
   /// and packed engines can be validated bit-exactly against the gate level.
   std::vector<bool> evaluate(const std::vector<bool>& input_values) const;
 
-  /// Rebuild a network from previously built parts (artifact
-  /// deserialization). The gate array is adopted verbatim — *not* replayed
-  /// through gate_*() — because those fold and canonicalize, which would
-  /// renumber a network that was already folded when it was serialized. The
-  /// intern index is reconstructed for later construction calls. Callers
-  /// must pass arrays that came out of a GateNetlist (gates[0]/[1] the
-  /// constants, input_ids/input_names parallel); malformed shapes are
-  /// rejected with InternalError.
-  static GateNetlist restore(std::vector<Gate> gates, std::vector<int> input_ids,
-                             std::vector<std::string> input_names,
-                             std::vector<OutputBit> outputs);
-
   std::string stats_string() const;
 
  private:

@@ -100,7 +100,7 @@ struct PartitionOutcome {
   std::uint64_t rocm_tautology_calls = 0;  // metered ROCM work on the winning candidate
   std::uint64_t rocm_memo_hits = 0;        // IRREDUNDANT verdicts reused from the memo
   double placement_hpwl = 0.0;
-  std::uint64_t place_delta_evaluations = 0;  // per-net incremental HPWL evaluations
+  std::uint64_t place_delta_evaluations = 0;  // nets rescanned by the placer's move deltas
   unsigned route_iterations = 0;
   std::uint64_t route_nets_rerouted = 0;      // selective rip-up victims (iterations 2+)
   double critical_path_ns = 0.0;

@@ -1,6 +1,5 @@
 #include "warp/warp_system.hpp"
 
-#include <algorithm>
 #include <exception>
 
 namespace warp::warpsys {
@@ -82,19 +81,9 @@ const PartitionOutcome& WarpSystem::warp(partition::ArtifactCache* cache,
 
 common::Result<RunStats> WarpSystem::run_warped() { return run_internal(false); }
 
-double DpmVirtualClock::start(double request_seconds) {
-  if (policy == DpmQueuePolicy::kRoundRobin) return busy_ns * 1e-9;
-  start_seconds = std::max(now_seconds, request_seconds);
-  return start_seconds - request_seconds;
-}
+double DpmVirtualClock::start(double /*request_seconds*/) { return busy_ns * 1e-9; }
 
-void DpmVirtualClock::finish(double job_seconds) {
-  if (policy == DpmQueuePolicy::kRoundRobin) {
-    busy_ns += job_seconds * 1e9;
-  } else {
-    now_seconds = start_seconds + job_seconds;
-  }
-}
+void DpmVirtualClock::finish(double job_seconds) { busy_ns += job_seconds * 1e9; }
 
 bool profile_phase(WarpSystem& system, MultiWarpEntry& entry) {
   try {
@@ -152,41 +141,12 @@ void warped_phase(WarpSystem& system, MultiWarpEntry& entry, bool partitioned) {
   }
 }
 
-namespace {
-
-// The policy's deterministic service order over the rows that filed a job.
-std::vector<std::size_t> service_order(const std::vector<DpmRow>& rows,
-                                       DpmQueuePolicy policy) {
-  std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].filed) order.push_back(i);
-  }
-  // Stable sorts: ties keep admission order.
-  switch (policy) {
-    case DpmQueuePolicy::kRoundRobin:
-      break;  // already in admission order
-    case DpmQueuePolicy::kFifo:
-      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return rows[a].entry->sw_seconds < rows[b].entry->sw_seconds;
-      });
-      break;
-    case DpmQueuePolicy::kPriority:
-      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return rows[a].priority > rows[b].priority;
-      });
-      break;
-  }
-  return order;
-}
-
-}  // namespace
-
-void assign_dpm_waits(const std::vector<DpmRow>& rows, DpmQueuePolicy policy) {
-  DpmVirtualClock clock{policy};
-  for (const std::size_t i : service_order(rows, policy)) {
-    MultiWarpEntry& entry = *rows[i].entry;
-    entry.dpm_wait_seconds = clock.start(entry.sw_seconds);
-    clock.finish(entry.dpm_seconds);
+void assign_dpm_waits(const std::vector<DpmRow>& rows) {
+  DpmVirtualClock clock;
+  for (const DpmRow& row : rows) {
+    if (!row.filed) continue;
+    row.entry->dpm_wait_seconds = clock.start(row.entry->sw_seconds);
+    clock.finish(row.entry->dpm_seconds);
   }
 }
 

@@ -21,7 +21,7 @@
 // serve::run_multiprocessor (Figure 4's N-system experiment) and the warpd
 // serving engine. Waits are defined by *virtual* time only, so the reported
 // waits, speedups and partitions are bit-identical whatever the host thread
-// count or DPM service order.
+// count or the order the host ran the DPM jobs in.
 #pragma once
 
 #include <functional>
@@ -122,42 +122,18 @@ struct MultiWarpEntry {
   bool operator==(const MultiWarpEntry&) const = default;
 };
 
-/// How the shared single-server DPM orders queued partitioning jobs. Service
-/// order is always defined by *virtual* time (the simulated clocks), never by
-/// host completion order, so results are deterministic under any host
-/// scheduling.
-enum class DpmQueuePolicy {
-  /// The paper's policy: strictly by processor index. Processor i's wait is
-  /// the DPM busy time accumulated by jobs 0..i-1 (the serial baseline).
-  kRoundRobin,
-  /// First-come-first-served by virtual request time — the instant the
-  /// profiled software run completes — with ties broken by processor index.
-  /// The wait is the queueing delay between request and service start.
-  kFifo,
-  /// Served by descending DpmRow::priority (ties broken by processor
-  /// index); waits as in kFifo. Batch-arrival model: the DPM starts service
-  /// only once every processor has filed its request (that is what makes
-  /// the order deterministic), so a low-priority job's wait can include DPM
-  /// idle time spent before the higher-priority jobs were even requested.
-  kPriority,
-};
-
-/// Virtual-time bookkeeping of a shared single-server DPM. Round-robin
-/// reports the server's accumulated busy time (the serial baseline's
-/// semantics, kept in nanoseconds to match it bit for bit); kFifo/kPriority
-/// report the queueing delay between a job's virtual request and its service
-/// start, since under those policies service order depends on request times.
-/// Public so every engine over the same virtual DPM (assign_dpm_waits,
-/// warpd's streaming sequencer) shares this arithmetic exactly —
-/// bit-identity across engines depends on it.
+/// Virtual-time bookkeeping of the shared single-server DPM, which serves
+/// jobs round robin, strictly by processor index (the paper's schedule):
+/// a job's wait is the DPM busy time of every job served before it, kept
+/// in nanoseconds to match the serial baseline bit for bit. Public so every
+/// engine over the same virtual DPM (assign_dpm_waits, warpd's streaming
+/// sequencer) shares this arithmetic exactly — bit-identity across engines
+/// depends on it.
 struct DpmVirtualClock {
-  DpmQueuePolicy policy = DpmQueuePolicy::kRoundRobin;
-  double busy_ns = 0.0;      // kRoundRobin
-  double now_seconds = 0.0;  // kFifo / kPriority
-  double start_seconds = 0.0;
+  double busy_ns = 0.0;
 
-  /// Called at service start with the job's virtual request time; returns
-  /// the wait to report.
+  /// Called at service start with the job's virtual request time, which a
+  /// round-robin wait does not depend on; returns the wait to report.
   double start(double request_seconds);
   /// Called at service end with the job's modeled DPM time.
   void finish(double job_seconds);
@@ -190,15 +166,14 @@ struct DpmRow {
   /// The profiled run succeeded and filed a DPM job. Rows without a job
   /// never occupy the DPM and keep their wait untouched.
   bool filed = false;
-  int priority = 0;  // DpmQueuePolicy::kPriority only; higher first
 };
 
 /// The virtual DPM schedule: assign every filed row's dpm_wait_seconds,
-/// serving rows in the policy's order through one DpmVirtualClock. `rows`
-/// are in virtual admission order (processor index, or warpd's seq). A
-/// failed partitioning job still occupies the DPM for its dpm_seconds.
-/// Exact after the fact, whatever order the host ran the DPM jobs in: no
-/// entry field other than the wait depends on that order.
-void assign_dpm_waits(const std::vector<DpmRow>& rows, DpmQueuePolicy policy);
+/// serving rows in order through one DpmVirtualClock. `rows` are in virtual
+/// admission order (processor index, or warpd's seq). A failed
+/// partitioning job still occupies the DPM for its dpm_seconds. Exact after
+/// the fact, whatever order the host ran the DPM jobs in: no entry field
+/// other than the wait depends on that order.
+void assign_dpm_waits(const std::vector<DpmRow>& rows);
 
 }  // namespace warp::warpsys

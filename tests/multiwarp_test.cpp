@@ -12,7 +12,6 @@ namespace warp {
 namespace {
 
 using serve::MultiWarpOptions;
-using warpsys::DpmQueuePolicy;
 using warpsys::MultiWarpEntry;
 
 std::vector<MultiWarpEntry> run_mix(const std::vector<std::string>& mix,
@@ -91,55 +90,6 @@ TEST(MultiWarpParallel, VirtualTimeOrderBeatsHostCompletionOrder) {
   parallel.threads = 2;
   for (int repeat = 0; repeat < 5; ++repeat) {
     expect_identical(reference, run_mix(mix, parallel), "contention repeat");
-  }
-}
-
-TEST(MultiWarpPolicy, FifoServesByVirtualRequestTime) {
-  // brev's profile completes at an earlier virtual time than matmul's, so
-  // FIFO serves cpu1 (brev) before cpu0 (matmul) even though round robin
-  // would do the opposite. Waits under FIFO are queueing delay: zero for the
-  // first-served job, and the tail of brev's service for matmul.
-  const std::vector<std::string> mix = {"matmul", "brev"};
-  MultiWarpOptions fifo;
-  fifo.policy = DpmQueuePolicy::kFifo;
-  fifo.parallel = false;
-  const auto entries = run_mix(mix, fifo);
-  ASSERT_EQ(entries.size(), 2u);
-  const double r_matmul = entries[0].sw_seconds;
-  const double r_brev = entries[1].sw_seconds;
-  ASSERT_LT(r_brev, r_matmul);
-  EXPECT_EQ(entries[1].dpm_wait_seconds, 0.0);
-  const double brev_done = r_brev + entries[1].dpm_seconds;
-  const double expected_wait = brev_done > r_matmul ? brev_done - r_matmul : 0.0;
-  EXPECT_DOUBLE_EQ(entries[0].dpm_wait_seconds, expected_wait);
-
-  for (const unsigned threads : {1u, 2u, 5u}) {
-    MultiWarpOptions fifo_parallel = fifo;
-    fifo_parallel.parallel = true;
-    fifo_parallel.threads = threads;
-    expect_identical(entries, run_mix(mix, fifo_parallel),
-                     "fifo parallel threads=" + std::to_string(threads));
-  }
-}
-
-TEST(MultiWarpPolicy, PriorityOverridesIndexOrder) {
-  const std::vector<std::string> mix = {"matmul", "brev"};
-  MultiWarpOptions priority;
-  priority.policy = DpmQueuePolicy::kPriority;
-  priority.priorities = {0, 5};  // cpu1 outranks cpu0
-  priority.parallel = false;
-  const auto entries = run_mix(mix, priority);
-  ASSERT_EQ(entries.size(), 2u);
-  // cpu1 is served at its request instant; cpu0 queues behind it.
-  EXPECT_EQ(entries[1].dpm_wait_seconds, 0.0);
-  EXPECT_GT(entries[0].dpm_wait_seconds, 0.0);
-
-  for (const unsigned threads : {1u, 2u, 5u}) {
-    MultiWarpOptions priority_parallel = priority;
-    priority_parallel.parallel = true;
-    priority_parallel.threads = threads;
-    expect_identical(entries, run_mix(mix, priority_parallel),
-                     "priority parallel threads=" + std::to_string(threads));
   }
 }
 

@@ -1,8 +1,8 @@
 // Artifact-cache determinism tests: the content-addressed stage cache is a
-// pure host-side optimization. Cold cache, warm cache, any worker-thread
-// count and any DPM queue policy must produce bit-identical MultiWarpEntry
-// tables AND bit-identical per-stage virtual times — while replicated
-// kernels actually resolve their partitioning stages from the cache.
+// pure host-side optimization. Cold cache, warm cache and any worker-thread
+// count must produce bit-identical MultiWarpEntry tables AND bit-identical
+// per-stage virtual times — while replicated kernels actually resolve their
+// partitioning stages from the cache.
 // Injected stage faults are invisible too: transient schedules converge to
 // the fault-free table, a cached transient failure is retried rather than
 // replayed, and persistent faults land in the software-fallback path.
@@ -19,7 +19,6 @@ namespace warp {
 namespace {
 
 using serve::MultiWarpOptions;
-using warpsys::DpmQueuePolicy;
 using warpsys::MultiWarpEntry;
 
 struct MixRun {
@@ -77,25 +76,6 @@ TEST(PartitionCache, ThreadCountsShareOneCacheBitIdentically) {
     parallel.cache = &cache;
     EXPECT_EQ(run_mix(kMix, parallel).entries, reference)
         << "threads=" << threads;
-  }
-}
-
-TEST(PartitionCache, AllQueuePoliciesBitIdenticalWithSharedCache) {
-  partition::ArtifactCache cache;  // one cache across every policy
-  for (const DpmQueuePolicy policy :
-       {DpmQueuePolicy::kRoundRobin, DpmQueuePolicy::kFifo, DpmQueuePolicy::kPriority}) {
-    MultiWarpOptions serial_off;
-    serial_off.parallel = false;
-    serial_off.policy = policy;
-    serial_off.priorities = {1, 4, 0, 5, 2, 3};
-    const auto reference = run_mix(kMix, serial_off).entries;
-
-    MultiWarpOptions parallel_on = serial_off;
-    parallel_on.parallel = true;
-    parallel_on.threads = 2;
-    parallel_on.cache = &cache;
-    EXPECT_EQ(run_mix(kMix, parallel_on).entries, reference)
-        << "policy " << static_cast<int>(policy);
   }
 }
 
