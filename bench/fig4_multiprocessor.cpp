@@ -7,7 +7,8 @@
 // DPM — the cost of sharing), then scales the experiment to 16/32/64
 // replicated kernel mixes and measures the *simulator's* wall clock three
 // ways: the serial reference engine, the threaded engine (warpd's workers
-// run the simulations, its one DPM thread the partitioning jobs), and the
+// run the simulations and take turns running the partitioning jobs, one at
+// a time on the one DPM), and the
 // threaded engine with the shared content-addressed artifact cache
 // (partition/cache.hpp), under which the partitioning stages run once per
 // *unique* kernel instead of once per system. All engines must produce
@@ -132,12 +133,10 @@ int run_check(std::uint64_t fault_seed) {
 
   // A fresh cache of its own, so the once-per-unique-kernel count below
   // still covers exactly the three runs on `cache`.
-  {
-    partition::ArtifactCache cold_cache;
-    serve::MultiWarpOptions parallel_cold;
-    parallel_cold.cache = &cold_cache;
-    expect_same("parallel, cold cache", timed_run(mix, parallel_cold).entries, reference);
-  }
+  partition::ArtifactCache cold_cache;
+  serve::MultiWarpOptions parallel_cold;
+  parallel_cold.cache = &cold_cache;
+  expect_same("parallel, cold cache", timed_run(mix, parallel_cold).entries, reference);
 
   // Once per unique kernel: over three cached runs of 12 systems each, the
   // frontend must have computed exactly `unique` times, and every stage's
@@ -157,6 +156,18 @@ int run_check(std::uint64_t fault_seed) {
   if (hits == 0) {
     std::printf("  FAIL: shared cache saw no hits across replicated systems\n");
     ok = false;
+  }
+  // The workers take their DPM turns one at a time, so the cold parallel
+  // run computes every stage key once, as the serial cold run did.
+  for (const auto& [stage, s] : cold_cache.stats()) {
+    const auto serial = stats.find(stage);
+    if (serial == stats.end() || serial->second.misses != s.misses) {
+      std::printf("  FAIL: the cold parallel run computed %s %llu times, the serial run %llu\n",
+                  stage.c_str(), static_cast<unsigned long long>(s.misses),
+                  serial == stats.end() ? 0ull
+                                        : static_cast<unsigned long long>(serial->second.misses));
+      ok = false;
+    }
   }
   for (const auto& [stage, s] : stats) {
     std::printf("  cache %-10s lookups=%-4llu hits=%-4llu misses=%llu\n", stage.c_str(),

@@ -8,9 +8,9 @@
 // (run_serial) — the threaded host scheduler and the cache must never
 // change a simulated number. Emits BENCH_warpd.json (schema in
 // docs/benchmarks.md) with admission->completion latency percentiles
-// (nearest-rank p50/p95/p99), the DPM thread's occupancy and cache hit
-// counters. The serial reference runs without a cache or a DPM thread, so
-// its row counts only its DPM jobs. Gated: bit-identity everywhere, and
+// (nearest-rank p50/p95/p99), the DPM turns' occupancy and cache hit
+// counters. The serial reference runs without a cache or worker threads,
+// so its row counts only its DPM jobs. Gated: bit-identity everywhere, and
 // every row's counters must agree with its own session count.
 //
 // --check: fast CI gate — a 64-session stream at worker counts {1, 2, 4}
@@ -76,12 +76,12 @@ struct RunResult {
   double p95_ms = 0.0;
   double p99_ms = 0.0;
   bool identical = true;  // vs. the serial reference (true for the reference)
-  std::uint64_t dpm_jobs = 0;  // DPM services run (inline, in the serial reference)
-  // Engine runs only (the serial reference has no cache and no DPM thread):
+  std::uint64_t dpm_jobs = 0;  // DPM jobs run (inline, in the serial reference)
+  // Engine runs only (the serial reference has no cache and no workers):
   std::uint64_t unique_kernels = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  double dpm_busy_ms = 0.0;  // host wall clock the DPM thread spent in its jobs
+  double dpm_busy_ms = 0.0;  // host wall clock the workers' DPM turns took
   std::size_t latencies = 0;  // sessions with a latency sample
 };
 
@@ -341,7 +341,7 @@ void emit_json(const std::vector<RunResult>& runs, std::size_t sessions) {
                  "\"bit_identical\": %s, \"dpm_jobs\": %llu",
                  r.label.c_str(), r.workers, r.wall_ms, r.p50_ms, r.p95_ms, r.p99_ms,
                  r.identical ? "true" : "false", static_cast<unsigned long long>(r.dpm_jobs));
-    if (r.workers != 0) {  // the serial reference has no cache and no DPM thread
+    if (r.workers != 0) {  // the serial reference has no cache and no workers
       std::fprintf(json,
                    ", \"unique_kernels\": %llu, \"cache_hits\": %llu, "
                    "\"cache_misses\": %llu, \"dpm_busy_ms\": %.2f",

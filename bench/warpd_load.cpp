@@ -6,7 +6,7 @@
 // requests at it open-loop — send times follow the arrival schedule, never
 // the replies — across several connections, and checks that every accepted
 // session is still bit-identical to the serial engine while the server
-// sheds, times out, coalesces, is SIGKILLed mid-stream and drains.
+// sheds, times out, is SIGKILLed mid-stream and drains.
 //
 // Run set (scaled by --sessions):
 //   baseline   one connection, modest rate, no caps: the full reply table
@@ -14,8 +14,7 @@
 //   overload   several connections flooding past max_sessions/max_queued:
 //              "busy" replies must appear, retrying their deterministic
 //              retry_ms hints must eventually land every session, the
-//              reported max_queue_depth must respect the cap, and
-//              coalescing must make pipeline_runs < served sessions;
+//              reported max_queue_depth must respect the cap;
 //   drainstorm a capped daemon under the same burst, then "drain" lands
 //              while busy retries are still in flight: the daemon must shed
 //              the storm, finish its in-flight sessions and exit 0 (retry
@@ -154,9 +153,8 @@ pid_t spawn_daemon(const DaemonArgs& args) {
 
 // Three distinct cheap kernels (small max_candidates keeps the CAD flow
 // short on a small host), repeated heavily — repeats are what admission
-// queues, coalescing merges and the artifact cache serves. Each key appears on
-// two *adjacent* ids so that with >= 2 workers the second claim reliably
-// finds the first still in flight and coalesces onto it.
+// queues and the artifact cache serves. Each key appears on two adjacent
+// ids, so with >= 2 workers identical sessions run at once.
 Request make_load_request(std::uint64_t id) {
   static const char* kNames[] = {"brev", "crc", "fir"};
   Request request;
@@ -410,7 +408,6 @@ struct RunConfig {
   // Gates this run must satisfy (beyond identity, which every run must).
   bool expect_busy = false;
   bool expect_timeouts = false;
-  bool expect_coalescing = false;
 };
 
 struct RunResult {
@@ -419,7 +416,7 @@ struct RunResult {
   unsigned kills = 0;
   double wall_ms = 0.0, goodput_per_s = 0.0;
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
-  std::uint64_t coalesced = 0, pipeline_runs = 0, max_queue_depth = 0, peak_sessions = 0;
+  std::uint64_t pipeline_runs = 0, max_queue_depth = 0, peak_sessions = 0;
   std::uint64_t injected = 0;  // the final incarnation's fault.<site>= counts
   bool identical = true;  // pure fields + wait chains (+ full table if gated)
   bool passed = true;     // identical and every expected-behaviour gate
@@ -607,7 +604,6 @@ RunResult execute_run(const RunConfig& config,
   // mid-stream drain already took the daemon down; its stats were taken
   // just before the drain.
   if (!config.drain_mid_stream) stats = query_stats(socket_path);
-  result.coalesced = stats.get("coalesced");
   result.pipeline_runs = stats.get("pipeline_runs");
   result.max_queue_depth = stats.get("max_queue_depth");
   result.peak_sessions = stats.get("peak_sessions");
@@ -658,14 +654,6 @@ RunResult execute_run(const RunConfig& config,
     std::printf("  FAIL %s: deadline run saw no timeout replies\n", config.label.c_str());
     ok_run = false;
   }
-  if (config.expect_coalescing &&
-      !(result.coalesced > 0 && result.pipeline_runs < result.ok)) {
-    std::printf("  FAIL %s: no coalescing (coalesced=%llu pipeline_runs=%llu ok=%llu)\n",
-                config.label.c_str(), static_cast<unsigned long long>(result.coalesced),
-                static_cast<unsigned long long>(result.pipeline_runs),
-                static_cast<unsigned long long>(result.ok));
-    ok_run = false;
-  }
   if (config.fault_seed && result.injected == 0) {
     std::printf("  FAIL %s: the fault schedule injected nothing\n", config.label.c_str());
     ok_run = false;
@@ -676,20 +664,18 @@ RunResult execute_run(const RunConfig& config,
     ok_run = false;
   }
   // The counters must agree with the ok replies. Every ok session ran its
-  // own pipeline or followed one; stats that saw the whole stream (one
-  // incarnation, taken after its last reply) account for each exactly, and
-  // a snapshot before a drain or a kill sees a subset. A session that was
-  // admitted at all sets the peaks.
-  const std::uint64_t served = result.pipeline_runs + result.coalesced;
+  // own pipeline; stats that saw the whole stream (one incarnation, taken
+  // after its last reply) count each exactly, and a snapshot before a drain
+  // or a kill sees a subset. A session that was admitted at all sets the
+  // peaks.
   const bool whole_stream = !config.drain_mid_stream && !config.chaos;
-  if ((whole_stream ? served != result.ok : served > result.ok) ||
+  if ((whole_stream ? result.pipeline_runs != result.ok : result.pipeline_runs > result.ok) ||
       (result.ok != 0 && result.peak_sessions == 0) ||
       result.max_queue_depth > result.peak_sessions) {
-    std::printf("  FAIL %s: counters contradict ok=%llu (pipeline_runs=%llu coalesced=%llu "
+    std::printf("  FAIL %s: counters contradict ok=%llu (pipeline_runs=%llu "
                 "peak_sessions=%llu max_queue_depth=%llu)\n",
                 config.label.c_str(), static_cast<unsigned long long>(result.ok),
                 static_cast<unsigned long long>(result.pipeline_runs),
-                static_cast<unsigned long long>(result.coalesced),
                 static_cast<unsigned long long>(result.peak_sessions),
                 static_cast<unsigned long long>(result.max_queue_depth));
     ok_run = false;
@@ -698,13 +684,12 @@ RunResult execute_run(const RunConfig& config,
   result.passed = ok_run;
   std::printf(
       "  %-16s conns=%u rate=%4.0f/s sessions=%3zu ok=%3llu busy=%4llu timeout=%3llu "
-      "coalesced=%3llu runs=%3llu depth=%2llu kills=%u faults=%llu wall=%6.0fms p50=%6.1fms "
+      "runs=%3llu depth=%2llu kills=%u faults=%llu wall=%6.0fms p50=%6.1fms "
       "%s\n",
       config.label.c_str(), config.connections, config.rate_per_s, config.sessions,
       static_cast<unsigned long long>(result.ok),
       static_cast<unsigned long long>(result.busy_replies),
       static_cast<unsigned long long>(result.timeouts),
-      static_cast<unsigned long long>(result.coalesced),
       static_cast<unsigned long long>(result.pipeline_runs),
       static_cast<unsigned long long>(result.max_queue_depth), result.kills,
       static_cast<unsigned long long>(result.injected), result.wall_ms,
@@ -736,7 +721,6 @@ RunConfig overload_config(std::size_t sessions) {
   config.max_sessions = 6;
   config.max_queued = 4;
   config.expect_busy = true;
-  config.expect_coalescing = true;
   return config;
 }
 
@@ -801,7 +785,7 @@ void emit_json(const std::vector<RunResult>& runs) {
         "    {\"label\": \"%s\", \"connections\": %u, \"rate_per_s\": %.1f, "
         "\"sessions\": %zu, \"ok\": %llu, \"busy\": %llu, \"timeouts\": %llu, "
         "\"shed\": %llu, "
-        "\"coalesced\": %llu, \"pipeline_runs\": %llu, \"max_queue_depth\": %llu, "
+        "\"pipeline_runs\": %llu, \"max_queue_depth\": %llu, "
         "\"peak_sessions\": %llu, \"kills\": %u, "
         "\"wall_ms\": %.2f, \"goodput_per_s\": %.2f, \"p50_ms\": %.3f, "
         "\"p95_ms\": %.3f, \"p99_ms\": %.3f, \"bit_identical\": %s}%s\n",
@@ -810,7 +794,6 @@ void emit_json(const std::vector<RunResult>& runs) {
         static_cast<unsigned long long>(r.busy_replies),
         static_cast<unsigned long long>(r.timeouts),
         static_cast<unsigned long long>(r.shed),
-        static_cast<unsigned long long>(r.coalesced),
         static_cast<unsigned long long>(r.pipeline_runs),
         static_cast<unsigned long long>(r.max_queue_depth),
         static_cast<unsigned long long>(r.peak_sessions), r.kills, r.wall_ms,

@@ -147,7 +147,7 @@ std::map<std::string, warpsys::MultiWarpEntry> make_references(
 bool verify_wait_chain(std::vector<std::pair<double, double>> chain, bool exact,
                        const std::string& label) {
   std::sort(chain.begin(), chain.end());
-  warpsys::DpmVirtualClock clock;  // round robin, as the engine's sequencer
+  warpsys::DpmVirtualClock clock;  // round robin, as the engine's sequencing
   double lower = 0.0;
   for (std::size_t i = 0; i < chain.size(); ++i) {
     const auto [wait, dpm] = chain[i];

@@ -63,7 +63,7 @@ std::map<std::string, warpsys::MultiWarpEntry> make_references(
     const std::vector<serve::protocol::Request>& requests);
 
 /// Replay one engine incarnation's ok replies, as (wait_s, dpm_s) pairs,
-/// through the round-robin DpmVirtualClock the engine's sequencer uses.
+/// through the round-robin DpmVirtualClock the engine's sequencing uses.
 /// Sorted by wait, each wait must equal the accumulated busy time bit for
 /// bit when `exact` (every reply observed). Otherwise replies were lost,
 /// and a lost session only *adds* busy time, so each wait must be at least

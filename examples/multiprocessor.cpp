@@ -8,8 +8,8 @@
 // come online.
 //
 // Host-side, the default engine is threaded: warpd's workers run the
-// software/warped simulations while its one DPM thread runs the
-// partitioning jobs, and the waits follow the virtual-time queue. The
+// software/warped simulations and take turns running the partitioning
+// jobs on the one DPM, and the waits follow the virtual-time queue. The
 // serial engine (parallel = false) computes the exact same table — this
 // example cross-checks that guarantee.
 #include <cstdio>

@@ -9,9 +9,6 @@
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace warp::common {
 
@@ -68,8 +65,7 @@ constexpr unsigned popcount32(std::uint32_t v) { return static_cast<unsigned>(st
 /// word operations instead of one shift/mask pair per bit.
 ///
 /// This is the portable scalar reference; transpose64() below dispatches to
-/// the SIMD butterfly stages where the target has them (SSE2 on any x86-64
-/// build, AVX2 under -DWARP_NATIVE=ON) and is validated against this
+/// the SSE2 butterfly stages on x86-64 builds and is validated against this
 /// implementation by tests/bitutil_test.cpp.
 inline void transpose64_scalar(std::uint64_t m[64]) {
   std::uint64_t mask = 0x00000000FFFFFFFFull;
@@ -125,41 +121,13 @@ inline void transpose64_stage1_sse2(std::uint64_t* m) {
   }
 }
 
-#if defined(__AVX2__)
-// Four butterflies per iteration for stage distances J >= 4.
-template <unsigned J>
-inline void transpose64_stage_avx2(std::uint64_t* m, std::uint64_t mask) {
-  static_assert(J >= 4 && J <= 32);
-  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
-  for (unsigned base = 0; base < 64; base += 2 * J) {
-    for (unsigned k = base; k < base + J; k += 4) {
-      __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + k));
-      __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + k + J));
-      const __m256i t =
-          _mm256_and_si256(_mm256_xor_si256(_mm256_srli_epi64(a, J), b), vmask);
-      a = _mm256_xor_si256(a, _mm256_slli_epi64(t, J));
-      b = _mm256_xor_si256(b, t);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(m + k), a);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(m + k + J), b);
-    }
-  }
-}
-#endif  // __AVX2__
-
 }  // namespace detail
 
 inline void transpose64(std::uint64_t m[64]) {
-#if defined(__AVX2__)
-  detail::transpose64_stage_avx2<32>(m, 0x00000000FFFFFFFFull);
-  detail::transpose64_stage_avx2<16>(m, 0x0000FFFF0000FFFFull);
-  detail::transpose64_stage_avx2<8>(m, 0x00FF00FF00FF00FFull);
-  detail::transpose64_stage_avx2<4>(m, 0x0F0F0F0F0F0F0F0Full);
-#else
   detail::transpose64_stage_sse2<32>(m, 0x00000000FFFFFFFFull);
   detail::transpose64_stage_sse2<16>(m, 0x0000FFFF0000FFFFull);
   detail::transpose64_stage_sse2<8>(m, 0x00FF00FF00FF00FFull);
   detail::transpose64_stage_sse2<4>(m, 0x0F0F0F0F0F0F0F0Full);
-#endif
   detail::transpose64_stage_sse2<2>(m, 0x3333333333333333ull);
   detail::transpose64_stage1_sse2(m);
 }

@@ -5,9 +5,7 @@
 #include <numeric>
 #include <utility>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#elif defined(__SSE2__)
+#if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
 
@@ -263,12 +261,11 @@ void PackedEvaluator::run_stage_lane(unsigned stage, unsigned lane) {
   }
 }
 
-// Vector variants of the same mux tree, one 128/256-bit op per level
-// instead of W unrolled word ops. Dispatch (run() below) prefers, per
-// width, the widest unit the build provides: SSE2 is part of baseline
-// x86-64 so W=2/4 always vectorize there; AVX2 (e.g. -DWARP_NATIVE=ON)
-// does W=4 in single registers; elsewhere W=2 falls back to __uint128_t
-// where the compiler provides it, and the unrolled template otherwise.
+// Vector variants of the same mux tree, one 128-bit op per level instead
+// of W unrolled word ops. SSE2 is part of baseline x86-64, so W=2/4 always
+// vectorize there (W=4 as two halves); elsewhere W=2 falls back to
+// __uint128_t where the compiler provides it, and the unrolled template
+// otherwise.
 // (A __uint128_t pass was also measured on x86-64 and lost to both the
 // unrolled template and SSE2 — the per-node mask broadcasts compile
 // poorly there — so it is only the non-x86 fallback.)
@@ -346,45 +343,6 @@ void PackedEvaluator::run_pass_sse2(const PackedNode* first, const PackedNode* l
 }
 #endif
 
-#if defined(__AVX2__)
-void PackedEvaluator::run_pass_avx2(const PackedNode* first, const PackedNode* last) {
-  static_assert(techmap::kLutInputs == 3, "packed mux tree assumes 3-input LUTs");
-  std::uint64_t* lanes = lanes_.data();
-  for (const PackedNode* node = first; node != last; ++node) {
-    const PackedNode& n = *node;
-    const __m256i a = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(lanes + std::size_t{n.in[0]} * 4));
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(lanes + std::size_t{n.in[1]} * 4));
-    const __m256i c = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(lanes + std::size_t{n.in[2]} * 4));
-    const auto bcast = [](std::uint64_t m) {
-      return _mm256_set1_epi64x(static_cast<long long>(m));
-    };
-    // _mm256_andnot_si256(x, y) = ~x & y, so the ~a/~b/~c factors fold in.
-    const __m256i s0 = _mm256_or_si256(_mm256_andnot_si256(a, bcast(n.mask[0])),
-                                       _mm256_and_si256(a, bcast(n.mask[1])));
-    const __m256i s1 = _mm256_or_si256(_mm256_andnot_si256(a, bcast(n.mask[2])),
-                                       _mm256_and_si256(a, bcast(n.mask[3])));
-    const __m256i s2 = _mm256_or_si256(_mm256_andnot_si256(a, bcast(n.mask[4])),
-                                       _mm256_and_si256(a, bcast(n.mask[5])));
-    const __m256i s3 = _mm256_or_si256(_mm256_andnot_si256(a, bcast(n.mask[6])),
-                                       _mm256_and_si256(a, bcast(n.mask[7])));
-    const __m256i u0 =
-        _mm256_or_si256(_mm256_andnot_si256(b, s0), _mm256_and_si256(b, s1));
-    const __m256i u1 =
-        _mm256_or_si256(_mm256_andnot_si256(b, s2), _mm256_and_si256(b, s3));
-    const __m256i out =
-        _mm256_or_si256(_mm256_andnot_si256(c, u0), _mm256_and_si256(c, u1));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes + std::size_t{n.out} * 4), out);
-  }
-}
-#else
-void PackedEvaluator::run_pass_avx2(const PackedNode* first, const PackedNode* last) {
-  run_pass<4>(first, last);
-}
-#endif
-
 void PackedEvaluator::run_nodes(std::size_t first, std::size_t last) {
   const PackedNode* begin = nodes_.data() + first;
   const PackedNode* end = nodes_.data() + last;
@@ -400,9 +358,7 @@ void PackedEvaluator::run_nodes(std::size_t first, std::size_t last) {
 #endif
       return;
     case 4:
-#if defined(__AVX2__)
-      run_pass_avx2(begin, end);
-#elif defined(__SSE2__)
+#if defined(__SSE2__)
       run_pass_sse2<4>(begin, end);
 #else
       run_pass<4>(begin, end);

@@ -43,7 +43,7 @@
 //
 // Evaluation is instantiated per width from one templated kernel: W=1 is
 // the original one-word SWAR pass, W=2/4 unroll the mux tree over lane
-// pairs/quads (with __uint128_t and AVX2 variants where the toolchain
+// pairs/quads (with SSE2 and __uint128_t variants where the toolchain
 // provides them), and choose_width() implements the heuristic auto mode
 // keyed on plan size and trip count.
 #pragma once
@@ -170,14 +170,12 @@ class PackedEvaluator {
 
   // Mux-tree passes over the nodes [first, last): the unrolled
   // word-at-a-time fallback (any width), W == 2/4 in 128-bit halves
-  // (baseline x86-64), W == 2 via __uint128_t (non-x86 fallback), and
-  // W == 4 in one 256-bit register when compiled in.
+  // (baseline x86-64) and W == 2 via __uint128_t (non-x86 fallback).
   template <unsigned W>
   void run_pass(const PackedNode* first, const PackedNode* last);
   template <unsigned W>
   void run_pass_sse2(const PackedNode* first, const PackedNode* last);
   void run_pass_u128(const PackedNode* first, const PackedNode* last);
-  void run_pass_avx2(const PackedNode* first, const PackedNode* last);
 
   std::vector<PackedNode> nodes_;
   std::vector<std::size_t> stage_end_;  // per stage: one past its last node

@@ -3,10 +3,10 @@
 // Artifacts are immutable once published (the caches hand out shared_ptr
 // <const T>). Stages that can reject their input store the rejection: a
 // cached failure short-circuits the same way a computed one does, with the
-// same error text — and carries a FailureKind so the cache can tell a
-// deterministic rejection (replayable forever) from a transient host-side
-// failure (must be retried). Metered unit counts ride along so virtual-time
-// charges can be replayed deterministically on hits.
+// same error text. Every cached rejection is a pure function of the input;
+// an injected stage fault is never cached (Pipeline::stage). Metered unit
+// counts ride along so virtual-time charges can be replayed
+// deterministically on hits.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,6 @@ struct FrontendArtifact {
 struct DecompileArtifact {
   bool ok = false;
   std::string error;               // rejection reason when !ok
-  FailureKind fail_kind = FailureKind::kNone;  // set iff !ok
   decompile::KernelIR ir;          // valid when ok
   common::Digest ir_hash;          // content hash of `ir`, valid when ok
   std::uint64_t region_instrs = 0; // metered: symbolic-execution units
@@ -47,7 +46,6 @@ struct DecompileArtifact {
 struct SynthArtifact {
   bool ok = false;
   std::string error;
-  FailureKind fail_kind = FailureKind::kNone;
   synth::HwKernel kernel;       // valid when ok
   common::Digest kernel_hash;   // content hash of `kernel`, valid when ok
   std::uint64_t fabric_gates = 0;  // metered: bit-blast units (0 when !ok)
@@ -56,7 +54,6 @@ struct SynthArtifact {
 struct TechmapArtifact {
   bool ok = false;
   std::string error;
-  FailureKind fail_kind = FailureKind::kNone;
   techmap::LutNetlist netlist;   // valid when ok
   techmap::TechmapStats stats;   // metered: cut_count / luts_out
   common::Digest netlist_hash;   // content hash of `netlist`, valid when ok
@@ -73,7 +70,6 @@ struct RocmArtifact {
 struct PnrArtifact {
   bool ok = false;
   std::string error;
-  FailureKind fail_kind = FailureKind::kNone;
   pnr::PnrResult result;       // valid when ok
   common::Digest result_hash;  // content hash of `result`, valid when ok
 };
@@ -85,19 +81,7 @@ struct BitstreamArtifact {
 struct StubArtifact {
   bool ok = false;
   std::string error;
-  FailureKind fail_kind = FailureKind::kNone;
   warpsys::Stub stub;  // valid when ok
 };
-
-/// The failure classification the caches consult before replaying a cached
-/// rejection. Success (and can't-fail artifacts) report kNone.
-inline FailureKind failure_kind(const FrontendArtifact&) { return FailureKind::kNone; }
-inline FailureKind failure_kind(const RocmArtifact&) { return FailureKind::kNone; }
-inline FailureKind failure_kind(const BitstreamArtifact&) { return FailureKind::kNone; }
-inline FailureKind failure_kind(const DecompileArtifact& a) { return a.ok ? FailureKind::kNone : a.fail_kind; }
-inline FailureKind failure_kind(const SynthArtifact& a) { return a.ok ? FailureKind::kNone : a.fail_kind; }
-inline FailureKind failure_kind(const TechmapArtifact& a) { return a.ok ? FailureKind::kNone : a.fail_kind; }
-inline FailureKind failure_kind(const PnrArtifact& a) { return a.ok ? FailureKind::kNone : a.fail_kind; }
-inline FailureKind failure_kind(const StubArtifact& a) { return a.ok ? FailureKind::kNone : a.fail_kind; }
 
 }  // namespace warp::partition

@@ -18,19 +18,17 @@
 // cache, so virtual time must not see ours. What a hit saves is host wall
 // clock only.
 //
-// Failures are artifacts too — with a kind. A *deterministic* rejection
-// (non-affine addressing, unroutable netlist, ...) replays forever: the
-// same input would fail the same way. A *transient* failure (an injected
-// stage fault) must not: find() reports such entries as misses so the stage
-// retries, and the retry's artifact replaces them. See cache_key.hpp.
+// Failures are artifacts too: a rejection (non-affine addressing,
+// unroutable netlist, ...) replays forever, because the same input would
+// fail the same way. An injected stage fault is a property of the host, not
+// of the input, so the pipeline never stores it (Pipeline::stage).
 //
 // The cache is one map in memory, unbounded: it holds one entry per unique
 // key for its lifetime, which the owner (a bench round, a warpd process)
 // scopes.
 //
-// Thread safety: all operations take an internal lock. The engines call the
-// pipeline from one DPM thread at a time, but the cache does not rely on
-// that.
+// Thread safety: all operations take an internal lock. The engines run one
+// DPM job at a time, but the cache does not rely on that.
 #pragma once
 
 #include <cassert>
@@ -50,17 +48,14 @@ struct StageCacheStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t entries = 0;            // artifacts currently resident
-  std::uint64_t transient_retries = 0;  // cached transient failures re-tried
+  std::uint64_t entries = 0;  // artifacts currently resident
 };
 
 class ArtifactCache {
  public:
   /// Look up a stage artifact. Returns nullptr (and counts a miss) when the
-  /// key is unknown and when the resident entry is a transient failure
-  /// (which must be recomputed, not replayed). T must be the artifact type
-  /// the stage always stores under its name — checked by assert in debug
-  /// builds.
+  /// key is unknown. T must be the artifact type the stage always stores
+  /// under its name — checked by assert in debug builds.
   template <typename T>
   std::shared_ptr<const T> find(const CacheKey& key) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -69,30 +64,19 @@ class ArtifactCache {
     const auto it = map_.find(key);
     if (it != map_.end()) {
       assert(it->second.type == std::type_index(typeid(T)));
-      if (it->second.fail_kind != FailureKind::kTransient) {
-        ++stats.hits;
-        return std::static_pointer_cast<const T>(it->second.value);
-      }
-      ++stats.transient_retries;
+      ++stats.hits;
+      return std::static_pointer_cast<const T>(it->second.value);
     }
     ++stats.misses;
     return nullptr;
   }
 
-  /// Store a stage artifact with its failure classification. First writer
-  /// wins, except that a resident *transient* failure is replaced (that is
-  /// the retry landing).
+  /// Store a stage artifact. First writer wins.
   template <typename T>
-  void put(const CacheKey& key, std::shared_ptr<const T> value,
-           FailureKind fail_kind = FailureKind::kNone) {
+  void put(const CacheKey& key, std::shared_ptr<const T> value) {
     std::lock_guard<std::mutex> lock(mutex_);
-    Entry entry{std::type_index(typeid(T)), std::move(value), fail_kind};
-    const auto [it, inserted] = map_.try_emplace(key, std::move(entry));
-    if (inserted) {
-      ++stats_[key.stage].entries;
-    } else if (it->second.fail_kind == FailureKind::kTransient) {
-      it->second = std::move(entry);
-    }
+    Entry entry{std::type_index(typeid(T)), std::move(value)};
+    if (map_.try_emplace(key, std::move(entry)).second) ++stats_[key.stage].entries;
   }
 
   /// Snapshot of the per-stage traffic, ordered by stage name.
@@ -117,7 +101,6 @@ class ArtifactCache {
   struct Entry {
     std::type_index type;
     std::shared_ptr<const void> value;
-    FailureKind fail_kind = FailureKind::kNone;
   };
 
   mutable std::mutex mutex_;

@@ -1,9 +1,7 @@
-// The content-addressed key of the artifact cache, plus the failure-kind
-// vocabulary it uses to decide whether a cached rejection may be replayed.
+// The content-addressed key of the artifact cache.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "common/hash.hpp"
@@ -28,23 +26,6 @@ struct CacheKeyHash {
   std::size_t operator()(const CacheKey& k) const {
     return static_cast<std::size_t>(k.digest().lo);
   }
-};
-
-/// How a stage artifact failed, if it did.
-///
-///   kNone          — the artifact is a success (or the stage cannot fail).
-///   kDeterministic — the stage rejected its input for a reason that is a
-///                    pure function of the input (non-affine addressing,
-///                    unroutable netlist, ...). Recomputing would fail the
-///                    same way, so the rejection caches like any artifact.
-///   kTransient     — the failure came from the host environment (an
-///                    injected stage fault), not from the input. Caching it
-///                    verbatim would replay a stale failure forever, so the
-///                    cache treats such entries as misses (retry).
-enum class FailureKind : std::uint8_t {
-  kNone = 0,
-  kDeterministic = 1,
-  kTransient = 2,
 };
 
 }  // namespace warp::partition

@@ -26,20 +26,18 @@ struct InjectedStageFault : std::runtime_error {
       : std::runtime_error("injected stage fault: " + stage) {}
 };
 
-// The transient failure artifact an exhausted retry budget publishes for
-// stages that *can* represent failure. Marked kTransient so the cache
-// retries it instead of replaying it forever.
+// The failure artifact an exhausted retry budget returns for stages that
+// *can* represent failure. The cache never stores it (Pipeline::stage): the
+// fault came from the host, so the next job recomputes the stage.
 template <typename T>
 std::shared_ptr<const T> injected_failure() {
   if constexpr (requires(T t) {
                   t.ok;
                   t.error;
-                  t.fail_kind;
                 }) {
     auto art = std::make_shared<T>();
     art->ok = false;
     art->error = "injected stage fault";
-    art->fail_kind = FailureKind::kTransient;
     return art;
   } else {
     return nullptr;
@@ -142,7 +140,9 @@ std::shared_ptr<const T> Pipeline::stage(const char* name, const common::Digest&
   // virtual-time charge is derived from the artifact's metered counts, and
   // a transient schedule (fault cap below the budget) always converges to
   // the fault-free artifact — so simulated results are bit-identical with
-  // or without injection, just slower.
+  // or without injection, just slower. An exhausted budget's failure is
+  // returned but never cached.
+  bool injected = false;
   auto compute_with_faults = [&]() -> std::shared_ptr<const T> {
     if (fault_ == nullptr) return compute();
     const std::string site = std::string("stage.") + name;
@@ -151,6 +151,7 @@ std::shared_ptr<const T> Pipeline::stage(const char* name, const common::Digest&
     }
     auto failed = injected_failure<T>();
     if (!failed) throw InjectedStageFault(name);
+    injected = true;
     return failed;
   };
   if (cache_ != nullptr) {
@@ -162,7 +163,7 @@ std::shared_ptr<const T> Pipeline::stage(const char* name, const common::Digest&
     } else {
       ++run_misses_;
       artifact = compute_with_faults();
-      cache_->put<T>(key, artifact, failure_kind(*artifact));
+      if (!injected) cache_->put<T>(key, artifact);
     }
   } else {
     artifact = compute_with_faults();
@@ -204,7 +205,6 @@ std::shared_ptr<const DecompileArtifact> Pipeline::run_decompile(
       art->ir_hash = content_hash(art->ir);
     } else {
       art->error = ir.message();
-      art->fail_kind = FailureKind::kDeterministic;
     }
     return art;
   });
@@ -221,7 +221,6 @@ std::shared_ptr<const SynthArtifact> Pipeline::run_synth(const DecompileArtifact
       art->fabric_gates = art->kernel.fabric.size();
     } else {
       art->error = kernel.message();
-      art->fail_kind = FailureKind::kDeterministic;
     }
     return art;
   });
@@ -237,7 +236,6 @@ std::shared_ptr<const TechmapArtifact> Pipeline::run_techmap(const SynthArtifact
       art->netlist_hash = art->netlist.content_hash();
     } else {
       art->error = mapped.message();
-      art->fail_kind = FailureKind::kDeterministic;
     }
     return art;
   });
@@ -271,7 +269,6 @@ std::shared_ptr<const PnrArtifact> Pipeline::run_pnr(const TechmapArtifact& mapp
       art->result_hash = content_hash(art->result);
     } else {
       art->error = result.message();
-      art->fail_kind = FailureKind::kDeterministic;
     }
     return art;
   });
@@ -313,7 +310,6 @@ std::shared_ptr<const StubArtifact> Pipeline::run_stub(const DecompileArtifact& 
       art->stub = std::move(stub).value();
     } else {
       art->error = stub.message();
-      art->fail_kind = FailureKind::kDeterministic;
     }
     return art;
   });

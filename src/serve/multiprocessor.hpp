@@ -9,8 +9,9 @@
 //             reference;
 //   parallel  a thin adapter over the warpd engine (warpd.hpp): system i is
 //             submitted as a caller-owned session at seq i, warpd's workers
-//             run the profiled and warped simulations concurrently and its
-//             one DPM thread runs the partitioning jobs one at a time.
+//             run the profiled and warped simulations concurrently and
+//             take turns on the one DPM, running the partitioning jobs one
+//             at a time.
 //
 // Either way the waits come from warpsys::assign_dpm_waits over the
 // finished rows, round robin in processor order — never from host timing
@@ -27,8 +28,8 @@
 namespace warp::serve {
 
 struct MultiWarpOptions {
-  /// Host execution: warpd's worker threads and DPM thread when true, the
-  /// single-threaded reference loop when false. Results are identical.
+  /// Host execution: warpd's worker threads when true, the single-threaded
+  /// reference loop when false. Results are identical.
   bool parallel = true;
   /// Worker thread count; 0 means std::thread::hardware_concurrency(),
   /// always clamped to the number of systems. Ignored when !parallel.

@@ -20,7 +20,7 @@
 //                                  daemon exits 0 once in-flight work ends
 //   stats    = "stats"             answered with one "stats k=v ..." line
 //                                  (occupancy + overload counters; the load
-//                                  harness reads coalescing/queue-depth here)
+//                                  harness reads pipeline runs/queue depth here)
 //
 //   reply    = "ok" SP "id=" u64 SP "workload=" name SP "warped=" (0|1)
 //              SP "sw_s=" dbl SP "warped_s=" dbl SP "speedup=" dbl
@@ -78,8 +78,8 @@ struct Request {
   std::string workload;     // extended_workloads() name
   std::optional<std::uint64_t> seq;  // virtual admission slot (warpd.hpp)
   /// Host milliseconds from admission within which the session must start
-  /// (be claimed by a worker or coalesce onto a leader); expired queued
-  /// sessions are cancelled with a "timeout" reply. 1..kMaxDeadlineMs.
+  /// (be claimed by a worker); expired queued sessions are cancelled with a
+  /// "timeout" reply. 1..kMaxDeadlineMs.
   std::optional<std::uint64_t> deadline_ms;
   RequestOverrides overrides;
 

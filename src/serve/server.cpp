@@ -181,14 +181,13 @@ std::string SocketServer::stats_line() {
   const SocketServerStats ss = stats();
   std::string line = common::format(
       "stats admitted=%llu completed=%llu rejected=%llu busy=%llu "
-      "timeouts=%llu coalesced=%llu pipeline_runs=%llu unique_kernels=%llu "
+      "timeouts=%llu pipeline_runs=%llu unique_kernels=%llu "
       "max_queue_depth=%llu peak_sessions=%llu replies=%llu draining=%d",
       static_cast<unsigned long long>(es.admitted),
       static_cast<unsigned long long>(es.completed),
       static_cast<unsigned long long>(es.rejected),
       static_cast<unsigned long long>(es.busy_rejected),
       static_cast<unsigned long long>(es.timeouts),
-      static_cast<unsigned long long>(es.coalesced),
       static_cast<unsigned long long>(es.pipeline_runs),
       static_cast<unsigned long long>(es.unique_kernels),
       static_cast<unsigned long long>(es.max_queue_depth),

@@ -24,22 +24,6 @@ std::string validate_request(const protocol::Request& request) {
   return protocol::check_ranges(request);
 }
 
-// Coalescing identity: everything that can change a session's result table
-// row. packed_width is host-only for the DPM but may still shape the entry,
-// so the key covers the full override set — two requests coalesce only when
-// their entries are provably interchangeable.
-std::string coalesce_key_of(const protocol::Request& request) {
-  const protocol::RequestOverrides& o = request.overrides;
-  std::string key = request.workload;
-  key += '|';
-  key += o.packed_width ? std::to_string(*o.packed_width) : std::string("-");
-  key += '|';
-  key += o.max_candidates ? std::to_string(*o.max_candidates) : std::string("-");
-  key += '|';
-  key += o.csd_max_terms ? std::to_string(*o.csd_max_terms) : std::string("-");
-  return key;
-}
-
 // Assemble the session's WarpSystem with the request's overrides applied.
 common::Result<std::unique_ptr<warpsys::WarpSystem>> build_session(
     const protocol::Request& request, const experiments::HarnessOptions& base) {
@@ -102,10 +86,8 @@ Warpd::Warpd(WarpdOptions options)
       n_workers_(options_.workers ? options_.workers : std::thread::hardware_concurrency()),
       admission_(options_.admission) {
   if (n_workers_ == 0) n_workers_ = 1;
-  threads_.reserve(3 + n_workers_);
-  threads_.emplace_back([this] { sequencer_main(); });
+  threads_.reserve(1 + n_workers_);
   threads_.emplace_back([this] { deadline_main(); });
-  threads_.emplace_back([this] { dpm_main(); });
   for (unsigned w = 0; w < n_workers_; ++w) {
     threads_.emplace_back([this] { worker_main(); });
   }
@@ -230,8 +212,11 @@ void Warpd::stop() {
   }
   for (std::thread& t : threads_) t.join();
   threads_.clear();
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock lock(mutex_);
   stopped_ = true;
+  // With the workers gone every session is dpm_done, so a seq gap that never
+  // filled no longer holds back the sessions after it.
+  deliver(lock, sequence_locked(/*collapse=*/true));
 }
 
 WarpdStats Warpd::stats() const {
@@ -250,39 +235,23 @@ void Warpd::worker_main() {
   std::unique_lock lock(mutex_);
   for (;;) {
     worker_cv_.wait(lock, [&] { return next_claim_ < sessions_.size() || stopping_; });
-    if (next_claim_ >= sessions_.size()) {
-      if (stopping_) break;
-      continue;
-    }
+    if (next_claim_ >= sessions_.size()) break;  // stopping, nothing left to claim
     Session& s = *sessions_[next_claim_++];
     if (s.claimed) continue;  // the deadliner already resolved it
     if (s.deadline && std::chrono::steady_clock::now() >= *s.deadline) {
       // Claim-time expiry: same outcome as a deadliner cancellation — the
       // session never starts, never charges the clock.
       cancel_locked(s);
+      deliver(lock, sequence_locked());
       continue;
     }
     s.claimed = true;
     admission_.started();
-    // A caller-owned system never coalesces: its caller reads that very
-    // system's outcome and memory afterwards.
-    if (!s.caller_owned) {
-      const std::string key = coalesce_key_of(s.request);
-      auto leader = inflight_leaders_.find(key);
-      if (leader != inflight_leaders_.end()) {
-        // Identical request already in flight: subscribe as a follower and
-        // free this worker. The leader resolves us when it lands.
-        sessions_[leader->second]->followers.push_back(s.index);
-        continue;
-      }
-      inflight_leaders_.emplace(key, s.index);
-      s.coalesce_key = key;
-    }
     ++stats_.pipeline_runs;
     lock.unlock();
 
     // Build + profiled run, outside the lock; no other thread touches the
-    // session's pipeline state until the job is filed.
+    // session's pipeline state until it is dpm_done.
     if (!s.caller_owned) {
       auto built = build_session(s.request, options_.base);
       if (built) {
@@ -296,97 +265,60 @@ void Warpd::worker_main() {
     const common::Digest kernel_hash = s.has_job ? kernel_hash_of(*s.system) : common::Digest{};
 
     lock.lock();
+    bool partitioned = false;
     if (s.has_job) {
       if (kernels_seen_.insert({kernel_hash.hi, kernel_hash.lo}).second) {
         ++stats_.unique_kernels;
       }
-      dpm_queue_.insert({s.seq, s.index});
-      dpm_cv_.notify_one();
-      grant_cv_.wait(lock, [&] { return s.dpm_done; });
-    } else {
-      s.dpm_done = true;
-      seq_cv_.notify_all();
+      partitioned = dpm_turn(lock, s);
     }
-    const bool has_job = s.has_job;
-    const bool partitioned = s.partitioned;
+    s.dpm_done = true;
+    deliver(lock, sequence_locked());
     lock.unlock();
-    if (has_job) warpsys::warped_phase(*s.system, s.entry, partitioned);
+    if (s.has_job) warpsys::warped_phase(*s.system, s.entry, partitioned);
     lock.lock();
     s.runs_done = true;
-    std::vector<Delivery> deliveries;
-    resolve_followers_locked(s, deliveries);
-    if (auto delivery = try_finalize_locked(s)) deliveries.push_back(std::move(*delivery));
-    if (!deliveries.empty()) {
-      lock.unlock();
-      for (Delivery& d : deliveries) deliver(std::move(d));
-      lock.lock();
-    }
-  }
-  // Exiting with the lock held: the last worker out releases the DPM and
-  // sequencer threads (their queues are final once no worker can enqueue).
-  if (++workers_exited_ == n_workers_) {
-    dpm_cv_.notify_all();
-    seq_cv_.notify_all();
+    std::vector<Delivery> ready;
+    try_finalize_locked(s, ready);
+    deliver(lock, std::move(ready));
   }
 }
 
-void Warpd::dpm_main() {
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    dpm_cv_.wait(lock, [&] {
-      return !dpm_queue_.empty() || (stopping_ && workers_exited_ == n_workers_);
-    });
-    if (dpm_queue_.empty()) break;
-    // Serve the filed job with the lowest virtual admission slot. The
-    // owning worker is blocked until the grant, so this thread has
-    // exclusive use of the system while the flow runs outside the lock.
-    const std::size_t index = dpm_queue_.begin()->second;
-    dpm_queue_.erase(dpm_queue_.begin());
-    Session& s = *sessions_[index];
-    lock.unlock();
-    const auto start = std::chrono::steady_clock::now();
-    const bool partitioned =
-        warpsys::dpm_phase(*s.system, s.entry, options_.cache, options_.fault);
-    const double busy_ms = ms_since(start);
-    lock.lock();
-    s.partitioned = partitioned;
-    s.dpm_done = true;
-    stats_.dpm_jobs += 1;
-    stats_.dpm_busy_ms += busy_ms;
-    grant_cv_.notify_all();
-    seq_cv_.notify_all();
-  }
+bool Warpd::dpm_turn(std::unique_lock<std::mutex>& lock, Session& s) {
+  dpm_queue_.insert({s.seq, s.index});
+  turn_cv_.wait(lock, [&] { return !dpm_running_ && dpm_queue_.begin()->second == s.index; });
+  dpm_queue_.erase(dpm_queue_.begin());
+  dpm_running_ = true;
+  lock.unlock();
+  const auto start = std::chrono::steady_clock::now();
+  const bool partitioned = warpsys::dpm_phase(*s.system, s.entry, options_.cache, options_.fault);
+  const double busy_ms = ms_since(start);
+  lock.lock();
+  dpm_running_ = false;
+  stats_.dpm_jobs += 1;
+  stats_.dpm_busy_ms += busy_ms;
+  turn_cv_.notify_all();
+  return partitioned;
 }
 
-void Warpd::sequencer_main() {
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    seq_cv_.wait(lock, [&] {
-      const bool collapse = stopping_ && workers_exited_ == n_workers_;
-      if (pending_waits_.empty()) return collapse;
-      const auto& head = *pending_waits_.begin();
-      return head.second->dpm_done && (head.first == next_seq_ || collapse);
-    });
-    if (pending_waits_.empty()) break;
-    Session& s = *pending_waits_.begin()->second;
-    pending_waits_.erase(pending_waits_.begin());
+std::vector<Warpd::Delivery> Warpd::sequence_locked(bool collapse) {
+  std::vector<Delivery> ready;
+  while (!pending_waits_.empty()) {
+    const auto head = pending_waits_.begin();
+    Session& s = *head->second;
+    if (!s.dpm_done || (head->first != next_seq_ && !collapse)) break;
+    pending_waits_.erase(head);
     if (s.has_job) {
       // The one place virtual DPM time advances: strictly in seq order,
-      // with assign_dpm_waits' arithmetic (DpmVirtualClock). Followers
-      // are charged here like anyone else — coalescing saved the host CAD
-      // work, not the session's virtual service.
+      // with assign_dpm_waits' arithmetic (DpmVirtualClock).
       s.entry.dpm_wait_seconds = clock_.start(s.entry.sw_seconds);
       clock_.finish(s.entry.dpm_seconds);
     }
     next_seq_ = s.seq + 1;
     s.wait_done = true;
-    auto delivery = try_finalize_locked(s);
-    if (delivery) {
-      lock.unlock();
-      deliver(std::move(delivery));
-      lock.lock();
-    }
+    try_finalize_locked(s, ready);
   }
+  return ready;
 }
 
 void Warpd::deadline_main() {
@@ -394,14 +326,22 @@ void Warpd::deadline_main() {
   for (;;) {
     const auto now = std::chrono::steady_clock::now();
     std::optional<std::chrono::steady_clock::time_point> next;
+    bool cancelled = false;
     for (std::size_t i = next_claim_; i < sessions_.size(); ++i) {
       Session& s = *sessions_[i];
       if (s.claimed || !s.deadline) continue;
       if (*s.deadline <= now) {
         cancel_locked(s);
+        cancelled = true;
       } else if (!next || *s.deadline < *next) {
         next = *s.deadline;
       }
+    }
+    if (cancelled) {
+      // Rescan afterwards: sessions admitted while the callbacks ran
+      // notified no one.
+      deliver(lock, sequence_locked());
+      continue;
     }
     if (stopping_) break;  // claim-time checks cover the shutdown window
     if (next) {
@@ -419,60 +359,41 @@ void Warpd::cancel_locked(Session& s) {
   s.message = "deadline_ms=" +
               std::to_string(s.request.deadline_ms ? *s.request.deadline_ms : 0) +
               " elapsed before the session started";
-  s.has_job = false;  // the sequencer passes it without charging the clock
+  s.has_job = false;  // sequenced without charging the clock
   s.dpm_done = true;
   s.runs_done = true;
   ++stats_.timeouts;
-  seq_cv_.notify_all();
 }
 
-void Warpd::resolve_followers_locked(Session& leader, std::vector<Delivery>& out) {
-  if (!leader.coalesce_key.empty()) {
-    inflight_leaders_.erase(leader.coalesce_key);
-    leader.coalesce_key.clear();
-  }
-  if (leader.followers.empty()) return;
-  for (const std::size_t index : leader.followers) {
-    Session& f = *sessions_[index];
-    f.entry = leader.entry;
-    // The sequencer assigns f's own wait at f's seq turn; the leader's
-    // (possibly already-assigned) wait must not leak through the copy.
-    f.entry.dpm_wait_seconds = 0.0;
-    f.has_job = leader.has_job;
-    f.partitioned = leader.partitioned;
-    f.dpm_done = true;
-    f.runs_done = true;
-    ++stats_.coalesced;
-    if (auto delivery = try_finalize_locked(f)) out.push_back(std::move(*delivery));
-  }
-  leader.followers.clear();
-  seq_cv_.notify_all();
-}
-
-std::optional<Warpd::Delivery> Warpd::try_finalize_locked(Session& s) {
-  if (s.finalized || !s.runs_done || !s.wait_done) return std::nullopt;
+void Warpd::try_finalize_locked(Session& s, std::vector<Delivery>& out) {
+  if (s.finalized || !s.runs_done || !s.wait_done) return;
   s.finalized = true;
-  SessionOutcome out;
-  out.id = s.request.id;
-  out.seq = s.seq;
-  out.status = s.status;
-  out.error = s.message;
-  out.entry = s.entry;
-  out.dpm_job = s.has_job;
-  out.latency_ms = ms_since(s.admitted);
+  SessionOutcome outcome;
+  outcome.id = s.request.id;
+  outcome.seq = s.seq;
+  outcome.status = s.status;
+  outcome.error = s.message;
+  outcome.entry = s.entry;
+  outcome.dpm_job = s.has_job;
+  outcome.latency_ms = ms_since(s.admitted);
   if (s.status == protocol::ReplyStatus::kOk) {
-    latencies_by_seq_[s.seq] = out.latency_ms;
+    latencies_by_seq_[s.seq] = outcome.latency_ms;
   }
   ++stats_.completed;
   admission_.finished();
   s.system = nullptr;
   s.owned.reset();  // bound live memory to in-flight sessions
   done_cv_.notify_all();
-  return Delivery{std::move(s.done), std::move(out)};
+  out.emplace_back(std::move(s.done), std::move(outcome));
 }
 
-void Warpd::deliver(std::optional<Delivery> delivery) {
-  if (delivery && delivery->first) delivery->first(delivery->second);
+void Warpd::deliver(std::unique_lock<std::mutex>& lock, std::vector<Delivery> deliveries) {
+  if (deliveries.empty()) return;
+  lock.unlock();
+  for (Delivery& d : deliveries) {
+    if (d.first) d.first(d.second);
+  }
+  lock.lock();
 }
 
 std::vector<SessionOutcome> run_serial(const std::vector<protocol::Request>& requests,

@@ -11,19 +11,26 @@
 // Host architecture (all host-side; none of it changes simulated numbers):
 //
 //   workers    claim admitted sessions in admission order; each builds the
-//              system, runs the profiled software run, files the DPM job,
-//              blocks until its grant, then runs the warped re-run;
-//   DPM        one thread serves the filed jobs one at a time, lowest
-//              (seq, admission index) first — the shared DPM is one
-//              embedded processor. Repeats of a kernel therefore serialize
-//              behind their first occurrence and resolve from the shared
-//              cache;
-//   sequencer  one thread owns the *virtual* DPM accounting: it walks
-//              sessions in seq order through a DpmVirtualClock (round
-//              robin), assigning each session's dpm_wait_seconds with the
-//              arithmetic of warpsys::assign_dpm_waits;
+//              system, runs the profiled software run, files the DPM job
+//              and takes its own DPM turn, then runs the warped re-run. A
+//              turn starts when no DPM job is running and the worker's job
+//              is the lowest (seq, admission index) filed — the shared DPM
+//              is one embedded processor. A repeat kernel's turn
+//              therefore resolves from the shared cache;
+//   sequencing the *virtual* DPM accounting is one routine, run by
+//              whichever thread marks a session dpm_done (its worker after
+//              the DPM turn or a failed build, or the thread that cancels
+//              it): it walks sessions in seq order through a
+//              DpmVirtualClock (round robin), assigning each session's
+//              dpm_wait_seconds with the arithmetic of
+//              warpsys::assign_dpm_waits, and finalizes the sessions whose
+//              runs are done. stop() runs it once more, after the workers
+//              exit, to collapse seq gaps that never filled;
 //   deadliner  one thread cancels queued-but-unstarted sessions whose
 //              deadline_ms elapsed, resolving them with a kTimeout outcome.
+//
+// An engine runs workers + 1 threads. Callbacks run with the engine's lock
+// dropped, on a worker, on the deadliner or on the thread that calls stop().
 //
 // Determinism contract: the virtual DPM stays a single-server queue served
 // in seq order, whatever the worker count or the host order of DPM jobs —
@@ -42,17 +49,9 @@
 //               run_serial over that same subsequence.
 //   deadlines   a request's deadline_ms bounds *queueing*, not service:
 //               once a worker starts a session it always finishes. Expired
-//               queued sessions resolve kTimeout, flow through the
-//               sequencer without charging the virtual clock (exactly like
-//               a failed build), and never run simulated work.
-//   coalescing  identical in-flight requests (same workload + overrides)
-//               run the pipeline once: later arrivals subscribe as
-//               followers of the in-flight leader and copy its entry when
-//               it lands. The sequencer still charges the virtual clock
-//               once per session in seq order, so the table is the same as
-//               if each follower had re-run the pipeline — coalescing is
-//               invisible in results, visible only in pipeline_runs/
-//               coalesced stats and host latency.
+//               queued sessions resolve kTimeout, are sequenced without
+//               charging the virtual clock (exactly like a failed build),
+//               and never run simulated work.
 //   drain       begin_drain() makes admission shed everything (kBusy with
 //               the max retry hint) while in-flight sessions finish;
 //               drain() then waits them out. The socket layer builds
@@ -191,12 +190,11 @@ struct WarpdStats {
   std::uint64_t rejected = 0;        // kErr outcomes
   std::uint64_t busy_rejected = 0;   // kBusy sheds (caps, drain, serve.admit)
   std::uint64_t timeouts = 0;        // kTimeout cancellations
-  std::uint64_t coalesced = 0;       // sessions served as followers
-  std::uint64_t pipeline_runs = 0;   // sessions that ran their own pipeline
+  std::uint64_t pipeline_runs = 0;   // sessions a worker started
   std::uint64_t unique_kernels = 0;  // distinct kernel content hashes seen
   std::uint64_t max_queue_depth = 0; // peak admitted-but-unstarted occupancy
   std::uint64_t peak_sessions = 0;   // peak admitted-but-unfinalized
-  std::uint64_t dpm_jobs = 0;        // DPM services run by the DPM thread
+  std::uint64_t dpm_jobs = 0;        // DPM turns taken, one per filed job
   double dpm_busy_ms = 0.0;          // host wall clock spent in them
   bool draining = false;
   std::vector<double> latencies_ms;  // served (kOk) sessions, in seq order
@@ -211,17 +209,18 @@ class Warpd {
   Warpd(const Warpd&) = delete;
   Warpd& operator=(const Warpd&) = delete;
 
-  /// Admit one session. The callback fires exactly once — from an engine
-  /// thread once the session completes, or synchronously (with a kErr or
-  /// kBusy outcome, before submit returns) if the request is rejected or
-  /// shed. Callbacks must not re-enter this Warpd beyond submit().
+  /// Admit one session. The callback fires exactly once — once the session
+  /// completes, from a worker, the deadliner or the thread that calls
+  /// stop(), or synchronously (with a kErr or kBusy outcome, before submit
+  /// returns) if the request is rejected or shed. Callbacks run without the
+  /// engine's lock and must not re-enter this Warpd beyond submit().
   void submit(const protocol::Request& request, Callback done);
 
   /// Admit a caller-owned, already-built system as one session at virtual
   /// slot `seq` (explicit seq mode; `name` becomes the entry's name). The
-  /// session skips the build, carries no deadline and never coalesces: the
-  /// caller reads system.outcome() and data_mem() afterwards, so every
-  /// system runs its own pipeline. `system` must outlive the callback.
+  /// session skips the build and carries no deadline; the caller reads
+  /// system.outcome() and data_mem() afterwards. `system` must outlive the
+  /// callback.
   void submit_system(warpsys::WarpSystem& system, std::string name, std::uint64_t seq,
                      Callback done);
 
@@ -249,8 +248,8 @@ class Warpd {
     protocol::Request request;
     Callback done;
     std::chrono::steady_clock::time_point admitted;
-    /// Host time by which a worker must start this session (claim it, or
-    /// coalesce it onto a leader) — else the deadliner cancels it.
+    /// Host time by which a worker must claim this session — else it is
+    /// cancelled.
     std::optional<std::chrono::steady_clock::time_point> deadline;
     std::uint64_t seq = 0;
     std::size_t index = 0;  // admission index
@@ -260,14 +259,11 @@ class Warpd {
     warpsys::MultiWarpEntry entry;
     protocol::ReplyStatus status = protocol::ReplyStatus::kOk;
     std::string message;       // kTimeout detail
-    std::string coalesce_key;  // nonempty while this session leads its key
-    std::vector<std::size_t> followers;  // admission indices coalesced here
-    bool claimed = false;      // a worker took it (or the deadliner resolved it)
+    bool claimed = false;      // a worker took it (or it was cancelled)
     bool has_job = false;      // profile succeeded; a DPM job was filed
-    bool partitioned = false;
     bool dpm_done = false;     // the DPM served the job (or there was none)
     bool runs_done = false;    // warped/fallback run finished
-    bool wait_done = false;    // sequencer assigned dpm_wait_seconds
+    bool wait_done = false;    // sequence_locked assigned dpm_wait_seconds
     bool finalized = false;
   };
   using Delivery = std::pair<Callback, SessionOutcome>;
@@ -277,32 +273,39 @@ class Warpd {
   void admit(const protocol::Request& request, std::string err,
              warpsys::WarpSystem* system, Callback done);
   void worker_main();
-  void dpm_main();
-  void sequencer_main();
+  /// The DPM turn of a worker's filed job: wait until no DPM job runs and
+  /// `session`'s (seq, admission index) is the lowest filed, then run
+  /// dpm_phase outside the lock. Returns whether the kernel partitioned.
+  bool dpm_turn(std::unique_lock<std::mutex>& lock, Session& session);
   void deadline_main();
-  /// Resolve an admitted-but-unstarted session as kTimeout. The session
-  /// flows through the sequencer (no clock charge) like a failed build.
+  /// Resolve an admitted-but-unstarted session as kTimeout: dpm_done with
+  /// no job, so sequencing passes it without a clock charge, like a failed
+  /// build.
   void cancel_locked(Session& session);
-  /// Copy a landed leader's results onto its followers and finalize them.
-  void resolve_followers_locked(Session& leader, std::vector<Delivery>& out);
-  std::optional<Delivery> try_finalize_locked(Session& session);
-  static void deliver(std::optional<Delivery> delivery);
+  /// Assign dpm_wait_seconds in seq order through clock_, from next_seq_
+  /// up to the first session that is not dpm_done, and finalize the
+  /// sequenced sessions whose runs are done. With `collapse` (stop(), once
+  /// every session is dpm_done) a seq gap no longer stops the walk.
+  std::vector<Delivery> sequence_locked(bool collapse = false);
+  void try_finalize_locked(Session& session, std::vector<Delivery>& out);
+  /// Run the callbacks with `lock` dropped (a callback may submit()), then
+  /// retake it.
+  static void deliver(std::unique_lock<std::mutex>& lock, std::vector<Delivery> deliveries);
 
   WarpdOptions options_;
   unsigned n_workers_ = 1;
 
   mutable std::mutex mutex_;
-  std::condition_variable worker_cv_;   // submit/stop -> workers
-  std::condition_variable grant_cv_;    // DPM thread -> blocked workers
-  std::condition_variable seq_cv_;      // DPM thread/workers -> sequencer
+  std::condition_variable worker_cv_;   // submit/stop -> idle workers
+  std::condition_variable turn_cv_;     // a DPM turn ended -> filed workers
   std::condition_variable done_cv_;     // finalize -> drain()
   std::condition_variable deadline_cv_; // submit/stop -> deadliner
-  std::condition_variable dpm_cv_;      // workers -> DPM thread
 
   std::deque<std::unique_ptr<Session>> sessions_;  // by admission index
   std::size_t next_claim_ = 0;
-  // Filed DPM jobs, ordered by (seq, admission index).
+  // Filed DPM jobs waiting for their turn, ordered by (seq, admission index).
   std::set<std::pair<std::uint64_t, std::size_t>> dpm_queue_;
+  bool dpm_running_ = false;  // a worker is in its DPM turn
   std::map<std::uint64_t, Session*> pending_waits_;  // seq -> session
   std::uint64_t next_seq_ = 0;
   std::set<std::uint64_t> used_seqs_;  // explicit mode duplicate detection
@@ -311,12 +314,9 @@ class Warpd {
   warpsys::DpmVirtualClock clock_;  // round robin, in seq order
   std::set<std::pair<std::uint64_t, std::uint64_t>> kernels_seen_;
   AdmissionController admission_;
-  // In-flight coalescing leaders: request content key -> admission index.
-  std::map<std::string, std::size_t> inflight_leaders_;
   bool draining_ = false;
   bool stopping_ = false;
   bool stopped_ = false;
-  unsigned workers_exited_ = 0;
   WarpdStats stats_;
   std::map<std::uint64_t, double> latencies_by_seq_;
   std::vector<std::thread> threads_;

@@ -127,8 +127,8 @@ struct MultiWarpEntry {
 /// a job's wait is the DPM busy time of every job served before it, kept
 /// in nanoseconds to match the serial baseline bit for bit. Public so every
 /// engine over the same virtual DPM (assign_dpm_waits, warpd's streaming
-/// sequencer) shares this arithmetic exactly — bit-identity across engines
-/// depends on it.
+/// sequence_locked) shares this arithmetic exactly — bit-identity across
+/// engines depends on it.
 struct DpmVirtualClock {
   double busy_ns = 0.0;
 

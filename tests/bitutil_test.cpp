@@ -1,7 +1,6 @@
-// Vectorized 64x64 bit-transpose tests: the SIMD dispatch (SSE2 baseline,
-// AVX2 under -DWARP_NATIVE=ON) must match the portable scalar reference bit
-// for bit, for the flat, blocked and unblocked variants, at every lane-block
-// width the packed evaluator uses.
+// Vectorized 64x64 bit-transpose tests: the SSE2 dispatch must match the
+// portable scalar reference bit for bit, for the flat, blocked and
+// unblocked variants, at every lane-block width the packed evaluator uses.
 #include <gtest/gtest.h>
 
 #include <vector>

@@ -4,12 +4,11 @@
 // per-stage virtual times — while replicated kernels actually resolve their
 // partitioning stages from the cache.
 // Injected stage faults are invisible too: transient schedules converge to
-// the fault-free table, a cached transient failure is retried rather than
-// replayed, and persistent faults land in the software-fallback path.
+// the fault-free table, an injected failure is never cached, and persistent
+// faults land in the software-fallback path.
 #include <gtest/gtest.h>
 
 #include "common/fault_injector.hpp"
-#include "common/hash.hpp"
 #include "experiments/harness.hpp"
 #include "partition/cache.hpp"
 #include "partition/pipeline.hpp"
@@ -156,24 +155,6 @@ TEST(PartitionCache, ParallelRunWarpsEveryCallerOwnedSystem) {
   }
 }
 
-partition::CacheKey salted_key(const char* stage, std::uint32_t salt) {
-  partition::CacheKey key;
-  key.stage = stage;
-  common::Hasher h;
-  h.u32(salt);
-  key.input = h.finish();
-  key.config = key.input;
-  return key;
-}
-
-std::shared_ptr<const partition::DecompileArtifact> rejection(const char* why) {
-  auto artifact = std::make_shared<partition::DecompileArtifact>();
-  artifact->ok = false;
-  artifact->error = why;
-  artifact->fail_kind = partition::FailureKind::kDeterministic;
-  return artifact;
-}
-
 TEST(PartitionCache, FailedPartitionsAreCachedIdentically) {
   // A pointer-chasing loop cannot be partitioned; replicated copies must
   // produce the identical fallback entry from the cached failure artifacts.
@@ -227,31 +208,43 @@ TEST(PartitionCache, FailedPartitionsAreCachedIdentically) {
   EXPECT_EQ(last->cache_misses, 0u) << "third replica recomputed a failing stage";
 }
 
-// A cached *transient* failure must be retried, not replayed; a
-// deterministic failure stays cached.
-TEST(ArtifactCache, TransientFailuresAreRetriedDeterministicOnesCached) {
+// An injected stage failure comes from the host, not from the kernel, so
+// the cache must never replay it. A persistent schedule (no transient cap)
+// runs the mix on a cache until some stage that can represent failure ran
+// out of retries; a fault-free run on the same cache must then give the
+// fault-free, cache-off table.
+TEST(PartitionCache, InjectedFailuresAreNeverReplayed) {
+  MultiWarpOptions serial_off;
+  serial_off.parallel = false;
+  const auto reference = run_mix(kMix, serial_off).entries;
+
+  common::FaultConfig persistent;
+  persistent.seed = 1;
+  persistent.stage_fail_p = 0.5;  // seed 1 exhausts stub and decompile
+  persistent.max_consecutive = 0;
+  common::FaultInjector fault(persistent);
   partition::ArtifactCache cache;
-  const auto key = salted_key("decompile", 31);
+  MultiWarpOptions faulty = serial_off;
+  faulty.cache = &cache;
+  faulty.fault = &fault;
+  const auto faulted = run_mix(kMix, faulty);
+  std::size_t failed_stages = 0;
+  for (const auto& system : faulted.systems) {
+    const warpsys::PartitionOutcome* outcome = system->outcome();
+    ASSERT_NE(outcome, nullptr);
+    for (const std::string& line : outcome->attempts) {
+      for (const char* stage : {"decompile", "synthesis", "techmap", "pnr", "stub"}) {
+        if (line.find(std::string(stage) + ": injected stage fault") != std::string::npos) {
+          ++failed_stages;
+        }
+      }
+    }
+  }
+  ASSERT_GT(failed_stages, 0u) << "the schedule must exhaust a stage that returns a failure";
 
-  auto transient = std::make_shared<partition::DecompileArtifact>();
-  transient->ok = false;
-  transient->error = "injected stage fault";
-  transient->fail_kind = partition::FailureKind::kTransient;
-  cache.put<partition::DecompileArtifact>(key, transient,
-                                          partition::FailureKind::kTransient);
-  EXPECT_EQ(cache.find<partition::DecompileArtifact>(key), nullptr)
-      << "a transient failure must read as a miss (retry)";
-  EXPECT_EQ(cache.stats().at("decompile").transient_retries, 1u);
-
-  // The retry landed on a deterministic rejection: it replaces the transient
-  // entry and is served from then on.
-  const auto deterministic = rejection("decompile: non-affine address");
-  cache.put<partition::DecompileArtifact>(key, deterministic,
-                                          partition::FailureKind::kDeterministic);
-  auto found = cache.find<partition::DecompileArtifact>(key);
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->error, deterministic->error);
-  EXPECT_EQ(cache.size(), 1u);
+  MultiWarpOptions clean = serial_off;
+  clean.cache = &cache;
+  EXPECT_EQ(run_mix(kMix, clean).entries, reference);
 }
 
 TEST(FaultInjection, TransientSchedulesAreBitIdentical) {

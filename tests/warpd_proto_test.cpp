@@ -358,7 +358,7 @@ TEST(WarpdServer, SurvivesHostileClient) {
 // The "stats" reply carries the engine counters that perfbench's warpd_warm
 // workload reads by key, each equal to the engine's own value. A missing key
 // would read as 0 there, so the keys are pinned here; the removed
-// disk_hits and peak_bytes keys must stay gone.
+// coalesced, disk_hits and peak_bytes keys must stay gone.
 TEST(WarpdServer, StatsReplyCarriesTheBenchmarkKeys) {
   serve::SocketServerOptions options;
   options.path =
@@ -399,7 +399,6 @@ TEST(WarpdServer, StatsReplyCarriesTheBenchmarkKeys) {
   const serve::WarpdStats engine = server.engine().stats();
   const std::pair<const char*, std::uint64_t> expected[] = {
       {"max_queue_depth", engine.max_queue_depth},
-      {"coalesced", engine.coalesced},
       {"pipeline_runs", engine.pipeline_runs},
       {"busy", engine.busy_rejected},
       {"timeouts", engine.timeouts},
@@ -409,6 +408,7 @@ TEST(WarpdServer, StatsReplyCarriesTheBenchmarkKeys) {
     EXPECT_EQ(fields.at(key), value) << key;
   }
   EXPECT_GT(engine.pipeline_runs, 0u);
+  EXPECT_EQ(fields.count("coalesced"), 0u) << line.value();
   EXPECT_EQ(fields.count("disk_hits"), 0u) << line.value();
   EXPECT_EQ(fields.count("peak_bytes"), 0u) << line.value();
   client.close();

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -130,7 +131,7 @@ serve::WarpdOptions engine_options() {
 // Identical request streams across worker counts produce bit-identical
 // result tables and virtual-time metrics (dpm_wait_seconds is part of the
 // entry), always equal to the serial reference. With one worker, that
-// worker blocks on its grant while the DPM thread serves its job.
+// worker takes every DPM turn itself.
 TEST(Warpd, BitIdenticalAcrossWorkerCounts) {
   const auto requests = make_requests(10, /*explicit_seq=*/false);
   const auto reference = entries_of(serve::run_serial(requests, engine_options()));
@@ -141,9 +142,9 @@ TEST(Warpd, BitIdenticalAcrossWorkerCounts) {
     options.cache = &cache;
     const auto outcomes = run_engine(requests, options);
     EXPECT_TRUE(entries_of(outcomes) == reference) << "workers=" << workers;
-    // Repeat kernels serialize behind their first occurrence on the one DPM
-    // thread, so the shared cache must have been hit (the mix repeats
-    // workloads).
+    // DPM turns run one at a time, so a repeat kernel's turn follows its
+    // first occurrence's and the shared cache must have been hit (the mix
+    // repeats workloads).
     std::uint64_t hits = 0;
     for (const auto& [stage, s] : cache.stats()) hits += s.hits;
     EXPECT_GT(hits, 0u) << "workers=" << workers;
@@ -342,11 +343,62 @@ TEST(Warpd, SeqModeMixingRejected) {
   }
 }
 
-// Identical in-flight requests coalesce onto one pipeline run, yet the
-// result table (waits included — every follower is still charged its own
-// virtual service) is bit-identical to the serial reference that runs each
-// request separately.
-TEST(Warpd, CoalescingIsInvisibleInResults) {
+// An explicit-seq stream whose seq 2 never arrives: seqs 3 and 4 take their
+// DPM turns, but the gap holds back their waits and callbacks. stop()
+// collapses the gap and delivers them with the waits run_serial assigns
+// over the same four requests.
+TEST(Warpd, StopCollapsesANeverFilledSeqGap) {
+  std::vector<Request> requests;
+  for (const Request& request : make_requests(5, /*explicit_seq=*/true)) {
+    if (*request.seq != 2) requests.push_back(request);
+  }
+  serve::WarpdOptions options = engine_options();
+  options.workers = 2;
+  serve::Warpd engine(options);
+  std::mutex m;
+  std::map<std::uint64_t, SessionOutcome> fired;  // by seq
+  const auto fired_seqs = [&] {
+    std::lock_guard<std::mutex> lock(m);
+    std::vector<std::uint64_t> seqs;
+    for (const auto& [seq, outcome] : fired) seqs.push_back(seq);
+    return seqs;
+  };
+  for (const Request& request : requests) {
+    engine.submit(request, [&](const SessionOutcome& out) {
+      std::lock_guard<std::mutex> lock(m);
+      fired[out.seq] = out;
+    });
+  }
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while ((engine.stats().dpm_jobs < 4 || fired_seqs().size() < 2) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(engine.stats().dpm_jobs, 4u);
+  // Give a session sequenced across the gap time to finish its warped run
+  // and fire; a correct engine fires nothing more before stop().
+  for (int i = 0; i < 100 && fired_seqs().size() == 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(fired_seqs(), (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(engine.stats().completed, 2u);
+
+  engine.stop();
+  ASSERT_EQ(fired_seqs(), (std::vector<std::uint64_t>{0, 1, 3, 4}));
+  const auto reference = serve::run_serial(requests, engine_options());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const SessionOutcome& out = fired.at(*requests[i].seq);
+    EXPECT_TRUE(out.error.empty()) << "seq " << out.seq << ": " << out.error;
+    EXPECT_TRUE(out.entry == reference[i].entry) << "seq " << out.seq;
+  }
+}
+
+// A burst of identical requests at 4 workers: every session runs its own
+// pipeline, and the result table, waits included, is bit-identical to the
+// serial reference. The burst's sessions reach the DPM together, so only
+// turns taken one at a time make every repeat a cache hit: each stage
+// computes each of its keys once, as in the serial run.
+TEST(Warpd, IdenticalBurstMatchesSerial) {
   std::vector<Request> requests;
   for (std::size_t i = 0; i < 6; ++i) {
     Request r;
@@ -383,12 +435,11 @@ TEST(Warpd, CoalescingIsInvisibleInResults) {
 
   EXPECT_TRUE(entries_of(outcomes) == reference);
   EXPECT_EQ(stats.completed, requests.size());
-  // The burst of identical requests lands while the first is still in
-  // flight (a session runs for hundreds of host ms, the submits take µs),
-  // so at least one must have followed instead of re-running the pipeline.
-  EXPECT_GE(stats.coalesced, 1u);
-  EXPECT_LT(stats.pipeline_runs, stats.completed);
-  EXPECT_EQ(stats.pipeline_runs + stats.coalesced, stats.completed);
+  EXPECT_EQ(stats.pipeline_runs, stats.completed);
+  const auto serial_stages = serial_cache.stats();
+  for (const auto& [stage, s] : cache.stats()) {
+    EXPECT_EQ(s.misses, serial_stages.at(stage).misses) << stage;
+  }
 }
 
 // Deadlines bound queueing, not service: with one worker pinned on a long
