@@ -9,14 +9,22 @@ Profiler::Profiler(ProfilerConfig config) : config_(config) {
   counter_max_ = (config_.counter_bits >= 64)
                      ? ~std::uint64_t{0}
                      : ((std::uint64_t{1} << config_.counter_bits) - 1);
+  decay_left_ = decay_period();
 }
 
 void Profiler::reset() {
   for (auto& entry : entries_) entry = Entry{};
   updates_ = 0;
+  decay_left_ = decay_period();
+}
+
+std::uint64_t Profiler::decay_period() const {
+  return config_.decay_interval != 0 ? config_.decay_interval : ~std::uint64_t{0};
 }
 
 void Profiler::decay() {
+  decay_left_ = decay_period();
+  if (config_.decay_interval == 0) return;
   for (auto& entry : entries_) entry.count >>= 1;
 }
 

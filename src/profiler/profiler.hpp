@@ -17,7 +17,8 @@
 // sim::Core delivers exactly those events: its branch hook and its direct
 // sink (Core::set_profiler, which calls on_loop_branch) fire only for taken
 // backward branches. on_branch still filters, for callers that feed it
-// every branch.
+// every branch. The decay counts down to its next halving, so an update
+// does no division.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +64,7 @@ class Profiler {
     Entry* hit = &entries_[last_hit_];
     if (!hit->valid || hit->branch_pc != pc || hit->target_pc != target) hit = scan(pc, target);
     if (hit && hit->count < counter_max_) ++hit->count;
-    if (config_.decay_interval != 0 && updates_ % config_.decay_interval == 0) decay();
+    if (--decay_left_ == 0) decay();
   }
 
   /// Candidates sorted by descending count.
@@ -87,13 +88,18 @@ class Profiler {
   /// The full lookup: the matching entry, or null after evicting the
   /// minimum-count entry for the newcomer. Either becomes the last hit.
   Entry* scan(std::uint32_t pc, std::uint32_t target);
-  /// Halve every counter (every decay_interval updates).
+  /// Updates until the next halving, counted from reset(): decay_interval,
+  /// or 2^64 - 1 for decay_interval 0, which never halves.
+  std::uint64_t decay_period() const;
+  /// Halve every counter (every decay_interval updates) and re-arm the
+  /// countdown.
   void decay();
 
   ProfilerConfig config_;
   std::vector<Entry> entries_;
   std::size_t last_hit_ = 0;  // entry of the previous update
   std::uint64_t updates_ = 0;
+  std::uint64_t decay_left_ = 0;  // updates until decay(), never 0 between updates
   std::uint64_t counter_max_ = 0;
 };
 

@@ -183,7 +183,7 @@ std::uint32_t Core::form_superblock(std::size_t index) {
 }
 
 // One instruction's effect on registers, data memory, devices and halted_.
-// step() and run_superblock() handle the IMM latch and charge the counters,
+// step() and run_chain() handle the IMM latch and charge the counters,
 // each its own way.
 [[gnu::always_inline]] inline Core::Flow Core::execute(const Instr& instr, std::int32_t imm,
                                                        std::uint32_t pc,
@@ -282,17 +282,17 @@ std::uint32_t Core::form_superblock(std::size_t index) {
       break;
     case Opcode::kBrr:
       next_pc = a;
-      flow = Flow::kEnd;
+      flow = Flow::kReturn;
       break;
     case Opcode::kRtsd:
       next_pc = a + uimm;
-      flow = Flow::kEnd;
+      flow = Flow::kReturn;
       break;
     case Opcode::kImm:
       break;
     case Opcode::kHalt:
       halted_ = true;
-      flow = Flow::kEnd;
+      flow = Flow::kHalt;
       break;
     case Opcode::kOpcodeCount:
       break;
@@ -342,66 +342,88 @@ bool Core::step() {
   return !halted_;
 }
 
+// The checks of run()'s head but the generation, which only a chain's own
+// exits can move: aligned, in the table, formed, not prefixed and no longer
+// than the budget left. A chain never forms an entry.
+Core::Decoded* Core::chain_successor(std::uint32_t pc, std::uint64_t room) {
+  const std::size_t index = pc >> 2;
+  if ((pc & 3u) != 0 || index >= decoded_.size()) return nullptr;
+  Decoded* const next = &decoded_[index];
+  if (next->run == 0 || next->run > room || next->prefixed) return nullptr;
+  return next;
+}
+
 // Runs the superblock entered at `index` (formed, not prefixed, no IMM
-// latch armed, and no longer than the budget left) until a taken branch, a
-// jump, halt, its last entry, or a store or OPB access after which the
-// instruction Memory changed. Nothing here grows the table.
-Core::SuperblockExit Core::run_superblock(std::size_t index) {
-  Decoded* const start = &decoded_[index];
-  Decoded* const last = start + (start->run - 1);
+// latch armed, and no longer than `left`) until a taken branch, a jump, a
+// return, halt, its last entry, or a store or OPB access after which the
+// instruction Memory changed. After a taken branch, a jump or a return, the
+// chain continues into chain_successor() unless a branch hook moved the
+// generation. Nothing here grows the table.
+std::uint64_t Core::run_chain(std::size_t index, std::uint64_t left) {
   const std::uint64_t generation = decoded_generation_;
+  Decoded* start = &decoded_[index];
+  Decoded* last = start + (start->run - 1);
   Decoded* e = start;
   std::uint32_t pc = static_cast<std::uint32_t>(index << 2);
+  std::uint32_t next_pc = pc;
+  std::uint64_t room = left;  // budget left after the superblocks that ended
   ++start->enters;
-  try {
-    for (;; ++e, pc += 4) {
-      std::uint32_t next_pc = pc + 4;
-      const Flow flow = execute(e->instr, e->imm, pc, next_pc);
-      const auto retired = static_cast<std::uint32_t>(e - start + 1);
-      switch (flow) {
-        case Flow::kNext:
-          break;
-        case Flow::kSync:
-          if (instr_mem_.generation() != generation) {
-            ++e->exits;
-            pc_ = next_pc;
-            return {retired};
-          }
-          break;
-        case Flow::kBranch:
-          ++e->taken;
-          [[fallthrough]];
-        case Flow::kJump:
-          pc_ = next_pc;
-          return {retired, next_pc < pc, pc};
-        case Flow::kEnd:
-          pc_ = next_pc;
-          return {retired};
+  for (;;) {
+    next_pc = pc + 4;
+    Flow flow;
+    try {
+      flow = execute(e->instr, e->imm, pc, next_pc);
+    } catch (...) {
+      // The instruction at e threw and did not retire; those before it did.
+      if (e == start) {
+        --start->enters;
+      } else {
+        ++(e - 1)->exits;
       }
-      if (e == last) {
-        // The next word cannot be cached: step() takes it from here.
-        if (e->instr.op == Opcode::kImm) {
-          imm_valid_ = true;
-          imm_latch_ = static_cast<std::uint32_t>(e->instr.imm) & 0xFFFFu;
-        }
+      pc_ = pc;
+      if (e->prefixed) {
+        imm_valid_ = true;
+        imm_latch_ = static_cast<std::uint32_t>((e - 1)->instr.imm) & 0xFFFFu;
+      }
+      throw;
+    }
+    if (flow == Flow::kNext || flow == Flow::kSync) {
+      if (flow == Flow::kSync && instr_mem_.generation() != generation) {
+        ++e->exits;
+      } else if (e != last) {
+        ++e;
+        pc += 4;
+        continue;
+      } else if (e->instr.op == Opcode::kImm) {
+        // Past the last entry the word cannot be cached; step() runs it
+        // with the latch armed.
+        imm_valid_ = true;
+        imm_latch_ = static_cast<std::uint32_t>(e->instr.imm) & 0xFFFFu;
+      }
+    }
+    // The superblock ends at e.
+    room -= static_cast<std::uint64_t>(e - start + 1);
+    if (flow == Flow::kNext || flow == Flow::kSync || flow == Flow::kHalt) break;
+    if (flow == Flow::kBranch) ++e->taken;
+    if (flow != Flow::kReturn && next_pc < pc) {
+      // loop_branch() in the order step() feeds the sinks; the hook sees
+      // pc_ at the target, and may write the instruction Memory.
+      if (profiler_) profiler_->on_loop_branch(pc, next_pc);
+      if (branch_hook_) {
         pc_ = next_pc;
-        return {retired};
+        branch_hook_(pc, next_pc, true);
+        if (instr_mem_.generation() != generation) break;
       }
     }
-  } catch (...) {
-    // The instruction at e threw and did not retire; those before it did.
-    if (e == start) {
-      --start->enters;
-    } else {
-      ++(e - 1)->exits;
-    }
-    pc_ = pc;
-    if (e->prefixed) {
-      imm_valid_ = true;
-      imm_latch_ = static_cast<std::uint32_t>((e - 1)->instr.imm) & 0xFFFFu;
-    }
-    throw;
+    Decoded* const next = chain_successor(next_pc, room);
+    if (!next) break;
+    start = e = next;
+    last = next + (next->run - 1);
+    pc = next_pc;
+    ++next->enters;
   }
+  pc_ = next_pc;
+  return left - room;
 }
 
 void Core::fold_superblocks() {
@@ -426,8 +448,8 @@ void Core::fold_superblocks() {
   }
 }
 
-// Flattened so that step(), the superblock loop and their callees are
-// inlined into the loop (see src/sim/README.md). Every exit, a throw
+// Flattened so that step(), the chain loop and their callees are inlined
+// into the loop (see src/sim/README.md). Every exit, a throw
 // included, folds the superblock counters into stats_ and settles the data
 // Memory's deferred work, so whoever reads either next sees it all.
 [[gnu::flatten]] StopReason Core::run(std::uint64_t max_instructions) {
@@ -440,9 +462,7 @@ void Core::fold_superblocks() {
         std::uint32_t run = index < decoded_.size() ? decoded_[index].run : 0;
         if (run == 0) run = form_superblock(index);
         if (run != 0 && run <= left && !decoded_[index].prefixed) {
-          const SuperblockExit exit = run_superblock(index);
-          left -= exit.retired;
-          if (exit.loop_branch) loop_branch(exit.branch_pc, pc_);
+          left -= run_chain(index, left);
           continue;
         }
       }

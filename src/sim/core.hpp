@@ -12,12 +12,14 @@
 // the instruction Memory drops the table (see src/sim/README.md). run()
 // executes superblocks over that table: runs of consecutive entries along
 // the fall-through path, where a taken conditional branch is a side exit.
-// It charges their counters in one pass over the table when it returns or
-// throws, so CoreStats is exact then, and between step() calls. The core
-// settles the data Memory's deferred work (a WCLA's queued invocations)
-// before each data load or store below kOpbBase and on every exit from
-// run(); the instruction Memory accepts no deferred work, so fetch never
-// settles.
+// A superblock that ends on a taken branch, a jump or a return continues
+// into the formed superblock at the new pc while the budget allows: a
+// chain. run() charges the superblock counters in one pass over the table
+// when it returns or throws, so CoreStats is exact then, and between step()
+// calls. The core settles the data Memory's deferred work (a WCLA's queued
+// invocations) before each data load or store below kOpbBase and on every
+// exit from run(); the instruction Memory accepts no deferred work, so
+// fetch never settles.
 #pragma once
 
 #include <array>
@@ -144,15 +146,8 @@ class Core {
               // have written the instruction Memory
     kBranch,  // taken conditional branch
     kJump,    // br, brl
-    kEnd,     // brr, rtsd, halt
-  };
-
-  /// How a superblock ended: instructions retired, and the branch pc when
-  /// it ended on a taken backward branch (pc_ holds the target).
-  struct SuperblockExit {
-    std::uint32_t retired = 0;
-    bool loop_branch = false;
-    std::uint32_t branch_pc = 0;
+    kReturn,  // brr, rtsd
+    kHalt,    // halt
   };
 
   /// Entry for pc_, decoding the word on first fetch. Null (with error_ set
@@ -169,7 +164,13 @@ class Core {
   /// fall-through path on first entry; 0 when the word cannot be cached.
   /// May grow the table: no reference into it survives.
   [[gnu::noinline]] std::uint32_t form_superblock(std::size_t index);
-  SuperblockExit run_superblock(std::size_t index);
+  /// Run the chain of superblocks entered at `index` (formed, not prefixed,
+  /// no IMM latch armed, no longer than `left`); returns the instructions
+  /// retired, at most `left`.
+  std::uint64_t run_chain(std::size_t index, std::uint64_t left);
+  /// The entry a chain continues into at `pc`, or null when run()'s head
+  /// would not enter it with `room` instructions of budget left.
+  Decoded* chain_successor(std::uint32_t pc, std::uint64_t room);
   /// Charge the superblock counters to stats_ and clear them.
   [[gnu::noinline]] void fold_superblocks();
   /// Drop the table if the instruction Memory changed since it was built.

@@ -10,6 +10,11 @@
 // the contents (the core's decode table) can tell when it is stale, whichever
 // port wrote.
 //
+// The 16- and 32-bit accessors are little-endian at any byte alignment. They
+// index from bytes_.data() + addr once the range check has passed, so the
+// byte offsets cannot wrap in 32 bits and each one compiles to one host load
+// or store; the WCLA executor's stream taps use the same accessors.
+//
 // A second-port user may also postpone its accesses: it registers itself as
 // the Memory's one deferred-work owner, and whoever is about to observe the
 // contents calls settle() first, which runs the postponed work. sim::Core
@@ -58,15 +63,14 @@ class Memory {
   }
   std::uint16_t read16(std::uint32_t addr) const {
     check(addr, 2);
-    return static_cast<std::uint16_t>(bytes_[addr]) |
-           static_cast<std::uint16_t>(bytes_[addr + 1]) << 8;
+    const std::uint8_t* const p = bytes_.data() + addr;
+    return static_cast<std::uint16_t>(p[0] | p[1] << 8);
   }
   std::uint32_t read32(std::uint32_t addr) const {
     check(addr, 4);
-    return static_cast<std::uint32_t>(bytes_[addr]) |
-           static_cast<std::uint32_t>(bytes_[addr + 1]) << 8 |
-           static_cast<std::uint32_t>(bytes_[addr + 2]) << 16 |
-           static_cast<std::uint32_t>(bytes_[addr + 3]) << 24;
+    const std::uint8_t* const p = bytes_.data() + addr;
+    return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
   }
 
   void write8(std::uint32_t addr, std::uint8_t value) {
@@ -77,16 +81,18 @@ class Memory {
   void write16(std::uint32_t addr, std::uint16_t value) {
     check(addr, 2);
     ++generation_;
-    bytes_[addr] = static_cast<std::uint8_t>(value);
-    bytes_[addr + 1] = static_cast<std::uint8_t>(value >> 8);
+    std::uint8_t* const p = bytes_.data() + addr;
+    p[0] = static_cast<std::uint8_t>(value);
+    p[1] = static_cast<std::uint8_t>(value >> 8);
   }
   void write32(std::uint32_t addr, std::uint32_t value) {
     check(addr, 4);
     ++generation_;
-    bytes_[addr] = static_cast<std::uint8_t>(value);
-    bytes_[addr + 1] = static_cast<std::uint8_t>(value >> 8);
-    bytes_[addr + 2] = static_cast<std::uint8_t>(value >> 16);
-    bytes_[addr + 3] = static_cast<std::uint8_t>(value >> 24);
+    std::uint8_t* const p = bytes_.data() + addr;
+    p[0] = static_cast<std::uint8_t>(value);
+    p[1] = static_cast<std::uint8_t>(value >> 8);
+    p[2] = static_cast<std::uint8_t>(value >> 16);
+    p[3] = static_cast<std::uint8_t>(value >> 24);
   }
 
   /// Bulk load (program images, workload data).

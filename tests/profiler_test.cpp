@@ -1,6 +1,8 @@
 // Non-intrusive profiler tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "profiler/profiler.hpp"
 
@@ -69,6 +71,45 @@ TEST(Profiler, ResetClears) {
   p.reset();
   EXPECT_EQ(p.hottest().count, 0u);
   EXPECT_TRUE(p.candidates().empty());
+}
+
+// The decay countdown halves at exactly the updates where the update count
+// is a multiple of decay_interval, saturating in between, and never halves
+// for interval 0.
+TEST(Profiler, DecayFollowsTheUpdateCount) {
+  for (const unsigned bits : {1u, 2u, 3u, 16u}) {
+    for (const std::uint64_t interval : {0u, 1u, 2u, 3u, 5u, 4096u}) {
+      ProfilerConfig config;
+      config.counter_bits = bits;
+      config.decay_interval = interval;
+      Profiler p(config);
+      const std::uint64_t max = (std::uint64_t{1} << bits) - 1;
+      std::uint64_t expected = 0;
+      for (std::uint64_t n = 1; n <= 3 * (interval != 0 ? interval : 8) + 7; ++n) {
+        p.on_loop_branch(0x40, 0x20);
+        expected = std::min(expected + 1, max);
+        if (interval != 0 && n % interval == 0) expected >>= 1;
+        ASSERT_EQ(p.hottest().count, expected)
+            << "bits " << bits << " interval " << interval << " update " << n;
+        ASSERT_EQ(p.updates(), n);
+      }
+    }
+  }
+}
+
+// reset() re-arms the decay countdown: the first halving after it comes
+// after exactly decay_interval updates.
+TEST(Profiler, ResetRearmsDecay) {
+  ProfilerConfig config;
+  config.decay_interval = 8;
+  Profiler p(config);
+  for (int i = 0; i < 5; ++i) p.on_loop_branch(0x40, 0x20);
+  p.reset();
+  for (int i = 0; i < 7; ++i) p.on_loop_branch(0x40, 0x20);
+  EXPECT_EQ(p.hottest().count, 7u);
+  p.on_loop_branch(0x40, 0x20);  // the 8th update halves: 8 -> 4
+  EXPECT_EQ(p.hottest().count, 4u);
+  EXPECT_EQ(p.updates(), 8u);
 }
 
 TEST(ExactProfiler, MatchesGroundTruth) {

@@ -250,6 +250,42 @@ TEST(Sim, JumpPastTopOfAddressSpaceIsBadPc) {
   EXPECT_EQ(f.core.error(), "bad PC 0xfffffffc");
 }
 
+// 16- and 32-bit words are little-endian at every byte alignment, up to
+// the last byte, and an access that straddles the end throws and writes
+// nothing.
+TEST(Sim, MemoryWordsAreLittleEndianAtAnyAlignment) {
+  constexpr std::uint32_t kSize = 64;
+  Memory mem(kSize);
+  for (const std::uint32_t addr : {4u, 5u, 6u, 7u, kSize - 4}) {
+    const std::uint32_t value = 0x11223344u + addr * 0x01010101u;
+    mem.write32(addr, value);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(mem.read8(addr + i), (value >> (8 * i)) & 0xFFu) << addr << '+' << i;
+    }
+    EXPECT_EQ(mem.read32(addr), value) << addr;
+    EXPECT_EQ(mem.read16(addr), value & 0xFFFFu) << addr;
+    EXPECT_EQ(mem.read16(addr + 2), value >> 16) << addr;
+  }
+  for (const std::uint32_t addr : {16u, 17u, 18u, 19u, kSize - 2}) {
+    const auto value = static_cast<std::uint16_t>(0xA1B2u + addr);
+    mem.write8(addr + 2 < kSize ? addr + 2 : addr - 1, 0x5A);  // a neighbour
+    mem.write16(addr, value);
+    EXPECT_EQ(mem.read8(addr), value & 0xFFu) << addr;
+    EXPECT_EQ(mem.read8(addr + 1), value >> 8) << addr;
+    EXPECT_EQ(mem.read16(addr), value) << addr;
+    EXPECT_EQ(mem.read8(addr + 2 < kSize ? addr + 2 : addr - 1), 0x5Au) << addr;
+  }
+  for (std::uint32_t i = 0; i < 4; ++i) mem.write8(kSize - 4 + i, static_cast<std::uint8_t>(i + 1));
+  EXPECT_EQ(mem.read32(kSize - 4), 0x04030201u);
+  const std::uint64_t generation = mem.generation();
+  EXPECT_THROW(mem.read32(kSize - 3), common::InternalError);
+  EXPECT_THROW(mem.write32(kSize - 3, 0xFFFFFFFFu), common::InternalError);
+  EXPECT_THROW(mem.read16(kSize - 1), common::InternalError);
+  EXPECT_THROW(mem.write16(kSize - 1, 0xFFFF), common::InternalError);
+  EXPECT_EQ(mem.read32(kSize - 4), 0x04030201u);
+  EXPECT_EQ(mem.generation(), generation);
+}
+
 TEST(Sim, MemoryRejectsAccessesThatWrapPastFourGiB) {
   Memory mem(1 << 10);
   for (const std::uint32_t addr : {0xFFFFFFFEu, 0xFFFFFFFFu}) {
@@ -513,25 +549,27 @@ void expect_same_run(warpsys::WarpSystem& by_run, warpsys::WarpSystem& by_step,
 }
 
 /// Two cores on separate copies of one image with their own profilers:
-/// `run_core` runs, `step_core` steps.
+/// `run_core` runs, `step_core` steps. With `shared`, each core's
+/// instruction Memory is its data Memory too.
 struct Twin {
   Memory instr_a, data_a, instr_b, data_b;
   Core run_core, step_core;
   profiler::Profiler run_profiler, step_profiler;
 
   Twin(const std::vector<std::uint32_t>& words, CpuConfig cpu,
-       const std::function<void(Memory&)>& init, std::size_t instr_bytes = 1 << 16)
+       const std::function<void(Memory&)>& init, std::size_t instr_bytes = 1 << 16,
+       bool shared = false)
       : instr_a(instr_bytes),
         data_a(1 << 20),
         instr_b(instr_bytes),
         data_b(1 << 20),
-        run_core(instr_a, data_a, cpu),
-        step_core(instr_b, data_b, cpu) {
+        run_core(instr_a, shared ? instr_a : data_a, cpu),
+        step_core(instr_b, shared ? instr_b : data_b, cpu) {
     instr_a.load_words(0, words);
     instr_b.load_words(0, words);
     if (init) {
-      init(data_a);
-      init(data_b);
+      init(run_core.data_mem());
+      init(step_core.data_mem());
     }
     run_core.set_profiler(&run_profiler);
     step_core.set_profiler(&step_profiler);
@@ -565,6 +603,8 @@ void expect_lockstep(Twin& t, std::uint64_t budget, const std::string& what) {
     }
     ASSERT_EQ(t.run_core.error(), t.step_core.error()) << "call " << call;
     ASSERT_EQ(run_threw, step_threw) << "call " << call;
+    // The profile is exact whenever run() returns or throws.
+    ASSERT_EQ(t.run_profiler.updates(), t.step_profiler.updates()) << "call " << call;
     if (!run_threw.empty()) {
       // The thrower left the IMM latch as step() does: the retry throws
       // again, or runs on, the same way on both cores.
@@ -586,10 +626,11 @@ void expect_lockstep(Twin& t, std::uint64_t budget, const std::string& what) {
     }
     if (t.run_core.halted()) break;
   }
-  t.data_a.settle();
-  t.data_b.settle();
+  t.run_core.data_mem().settle();
+  t.step_core.data_mem().settle();
   EXPECT_EQ(candidates_of(t.run_profiler), candidates_of(t.step_profiler));
-  EXPECT_EQ(t.data_a.checksum_words(), t.data_b.checksum_words());
+  EXPECT_EQ(t.run_profiler.updates(), t.step_profiler.updates());
+  EXPECT_EQ(t.run_core.data_mem().checksum_words(), t.step_core.data_mem().checksum_words());
 }
 
 // The 8 kernels under the three Section-2 configs (software runs), and
@@ -791,6 +832,163 @@ TEST(Sim, RunMatchesStepLoopOnSuperblockEdges) {
       EXPECT_FALSE(t.run_core.halted()) << i;
       EXPECT_EQ(t.run_core.reg(3), i < 2 ? 6u : 5u) << i;
     }
+  }
+}
+
+// Chains: a superblock that ends on a taken branch, a jump or a return
+// continues into the superblock at its target. Each shape runs at every
+// budget against the step loop, and the branch hook must see the same
+// events in the same order.
+TEST(Sim, RunMatchesStepLoopAcrossChains) {
+  const CpuConfig full = CpuConfig::full();
+  const auto no_init = std::function<void(Memory&)>{};
+  using Events = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  const auto record = [](Core& core, Events& events) {
+    core.set_branch_hook([&events](std::uint32_t pc, std::uint32_t target, bool) {
+      events.emplace_back(pc, target);
+    });
+  };
+
+  // Nested loops: the inner bne and the outer br alternate within one
+  // chain. A 2-entry profiler that halves every 3 updates and saturates at
+  // 3 shows any lost, extra or reordered event in its candidates.
+  const auto nested = assemble_words(R"(
+    li r2, 4
+  outer:
+    beq r2, done
+    li r3, 3
+  inner:
+    addi r4, r4, 1
+    addi r3, r3, -1
+    bne r3, inner
+    addi r2, r2, -1
+    br outer
+  done:
+    swi r4, r0, 0x100
+    halt
+  )", full);
+  profiler::ProfilerConfig tiny;
+  tiny.entries = 2;
+  tiny.counter_bits = 2;
+  tiny.decay_interval = 3;
+  for (const std::uint64_t budget : kBudgets) {
+    Twin t(nested, full, no_init);
+    t.run_profiler = profiler::Profiler(tiny);
+    t.step_profiler = profiler::Profiler(tiny);
+    Events run_events, step_events;
+    record(t.run_core, run_events);
+    record(t.step_core, step_events);
+    expect_lockstep(t, budget, "nested loops");
+    EXPECT_EQ(t.run_core.reg(4), 12u);
+    EXPECT_EQ(t.run_profiler.updates(), 12u);  // 8 inner and 4 outer
+    EXPECT_EQ(run_events, step_events);
+  }
+
+  // A brl call and an rtsd return into formed superblocks. The callee sits
+  // right after halt, formed by the first call: nothing runs past halt.
+  const auto call = assemble_words(R"(
+    li r5, 3
+  loop:
+    call func
+    addi r5, r5, -1
+    bne r5, loop
+    halt
+  func:
+    addi r3, r3, 1
+    ret
+  )", full);
+  for (const std::uint64_t budget : kBudgets) {
+    Twin t(call, full, no_init);
+    Events run_events, step_events;
+    record(t.run_core, run_events);
+    record(t.step_core, step_events);
+    expect_lockstep(t, budget, "call and return");
+    EXPECT_TRUE(t.run_core.halted());
+    EXPECT_EQ(t.run_core.reg(3), 3u);
+    EXPECT_EQ(run_events, step_events);
+  }
+
+  // A backward bne onto the word after an imm: the first pass runs the
+  // addi with the combined immediate 0x10005, every branch back with 5.
+  const std::vector<std::uint32_t> onto_prefixed{
+      encode(isa::Opcode::kAddi, 2, 0, 3),          // r2 = 3
+      encode(isa::Opcode::kImm, 0, 0, 0x0001),      // imm 0x0001
+      encode(isa::Opcode::kAddi, 3, 3, 5),          // again: r3 += 5 (0x10005 after the imm)
+      encode(isa::Opcode::kAddi, 2, 2, -1),         // r2 -= 1
+      encode(isa::Opcode::kBne, 0, 2, -8),          // bne r2, again
+      encode(isa::Opcode::kHalt, 0, 0, 0)};
+  for (const std::uint64_t budget : kBudgets) {
+    Twin t(onto_prefixed, full, no_init);
+    expect_lockstep(t, budget, "branch onto a prefixed word");
+    EXPECT_EQ(t.run_core.reg(3), 0x10005u + 2 * 5u);
+  }
+
+  // One Memory as both BRAMs: each iteration's store rewrites the first
+  // word of the superblock its br jumps to.
+  const auto rewrite = assemble_words(R"(
+    lwi r6, r0, replacement
+    li r2, 3
+  loop:
+    swi r6, r0, next
+    br next
+  next:
+    addi r4, r4, 1
+    addi r2, r2, -1
+    bne r2, loop
+    halt
+  replacement:
+    addi r4, r4, 100
+  )", full);
+  for (const std::uint64_t budget : kBudgets) {
+    Twin t(rewrite, full, no_init, 1 << 16, /*shared=*/true);
+    expect_lockstep(t, budget, "store into the successor");
+    EXPECT_EQ(t.run_core.reg(4), 300u);
+  }
+
+  // A branch hook that rewrites the loop's first word at the second loop
+  // branch, while the chain would run on into that superblock.
+  const auto hooked = assemble_words(R"(
+    li r2, 4
+  loop:
+    addi r4, r4, 1
+    addi r2, r2, -1
+    bne r2, loop
+    halt
+  )", full);
+  const std::uint32_t replacement = addi(4, 4, 100);
+  for (const std::uint64_t budget : kBudgets) {
+    Twin t(hooked, full, no_init);
+    const std::uint32_t loop = 4;  // after li r2, 4
+    int run_events = 0;
+    int step_events = 0;
+    t.run_core.set_branch_hook([&](std::uint32_t, std::uint32_t, bool) {
+      if (++run_events == 2) t.instr_a.write32(loop, replacement);
+    });
+    t.step_core.set_branch_hook([&](std::uint32_t, std::uint32_t, bool) {
+      if (++step_events == 2) t.instr_b.write32(loop, replacement);
+    });
+    expect_lockstep(t, budget, "hook rewrites the successor");
+    EXPECT_EQ(t.run_core.reg(4), 1u + 1u + 100u + 100u);
+    EXPECT_EQ(run_events, 3);
+  }
+
+  // An unmapped OPB load after four loop branches of one chain: the
+  // profile holds all four when the throw leaves run().
+  const auto throws = assemble_words(R"(
+    li r2, 5
+    li r5, 0x80001000     ; no device there
+  loop:
+    addi r3, r3, 1
+    addi r2, r2, -1
+    bne r2, loop
+    lwi r4, r5, 0
+    halt
+  )", full);
+  for (const std::uint64_t budget : kBudgets) {
+    Twin t(throws, full, no_init);
+    expect_lockstep(t, budget, "throw after a loop");
+    EXPECT_EQ(t.run_core.reg(3), 5u);
+    EXPECT_EQ(t.run_profiler.updates(), 4u);
   }
 }
 
